@@ -229,27 +229,58 @@ def _objective_gradient_arrays(c, d, centers, ang, points, residual, w_s, w_l) -
 
     E_s = sum_k residual_k^2 with residual = model(y_k) - target_k;
     E_l1 = sum_i c~_i^2 + sum_{i,p} d~_ip^2 (smooth in the tilde variables).
+
+    Each basis makes one pass over the points and reduces it to three
+    residual-weighted moments; every gradient slot is then 3x3 algebra.
+    For basis i write c2 = c~_i^2, D = diag(d~_i^2), R = R(alpha_i, beta_i,
+    gamma_i) and, per point k,
+
+        p_k = y_k - x_i,   u_k = R p_k,   g_k = exp(-u_k^T D u_k),
+        w_k = residual_k * g_k,
+
+    so the basis value is c2*g_k and dE_s/dq = 2 sum_k residual_k d(c2 g_k)/dq.
+    The moments are
+
+        s0 = sum_k w_k,   m1 = sum_k w_k p_k (3),   C = sum_k w_k p_k p_k^T (3x3).
+
+    Differentiating c2*g_k:
+
+        d/dc~_i      2 c~_i g_k                        -> 4 w_s c~_i s0
+        d/dd~_ia    -2 c2 d~_ia u_ka^2 g_k             -> -4 w_s c2 d~_ia (R C R^T)_aa
+                     (sum_k w_k u_ka^2 = (R C R^T)_aa)
+        d/dx_i       2 c2 g_k R^T D u_k                -> 4 w_s c2 R^T D R m1
+                     (du_k/dx_i = -R, sum_k w_k u_k = R m1)
+        d/dtheta_j  -2 c2 g_k u_k^T D R'_j p_k         -> -4 w_s c2 sum_ab (D R C)_ab (R'_j)_ab
+                     (du_k/dtheta_j = R'_j p_k with R'_j = dR/dtheta_j, and
+                      sum_k w_k u_k^T D R'_j p_k = sum_ab (D R C)_ab (R'_j)_ab)
+
+    and the L1 term adds 2 w_l c~_i to the coefficient slot and 2 w_l d~_ia
+    to each decay slot.  The rotation derivatives touch only 3x3 matrices.
     """
     n = c.shape[0]
     gc = np.empty(n)
     gd = np.empty((n, 3))
     gx = np.empty((n, 3))
     gang = np.empty((n, 3))
+    # coordinate-major copy: the per-point passes run along one long axis
+    points_t = np.ascontiguousarray(points.T)
     for i in range(n):
         r = rotation_matrix(*ang[i])
-        dra, drb, drg = rotation_derivatives(*ang[i])
-        p = points - centers[i]
-        u = p @ r.T
+        p = points_t - centers[i][:, None]       # (3, M)
+        u = r @ p
         d2 = d[i] ** 2
-        g = np.exp(-(u**2) @ d2)
-        rg = residual * g
-        rv = c[i] ** 2 * rg
-        gc[i] = w_s * 4.0 * c[i] * rg.sum() + w_l * 2.0 * c[i]
-        gd[i] = w_s * (-4.0) * d[i] * (rv[:, None] * u**2).sum(axis=0) + w_l * 2.0 * d[i]
-        gx[i] = w_s * 4.0 * (r.T @ ((rv[:, None] * u * d2[None, :]).sum(axis=0)))
-        for j, dr in enumerate((dra, drb, drg)):
-            w = p @ dr.T
-            gang[i, j] = w_s * (-4.0) * (rv * ((u * w) @ d2)).sum()
+        w = residual * np.exp(-(d2 @ (u * u)))
+        pw = p * w
+        s0 = w.sum()
+        m1 = pw.sum(axis=1)
+        rc = r @ (pw @ p.T)                      # R C
+        scale = 4.0 * w_s * c[i] ** 2
+        gc[i] = 4.0 * w_s * c[i] * s0 + 2.0 * w_l * c[i]
+        gd[i] = -scale * d[i] * np.einsum("ab,ab->a", rc, r) + 2.0 * w_l * d[i]
+        gx[i] = scale * (r.T @ (d2 * (r @ m1)))
+        drc = d2[:, None] * rc                   # D R C
+        for j, dr in enumerate(rotation_derivatives(*ang[i])):
+            gang[i, j] = -scale * (drc * dr).sum()
     return np.concatenate([gc, gd[:, 0], gd[:, 1], gd[:, 2], gx.ravel(),
                            gang[:, 0], gang[:, 1], gang[:, 2]])
 
@@ -302,18 +333,52 @@ def save_model(model: RbfModel, path: str | Path, metadata: dict | None = None) 
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+# (key, length) of the per-basis fields load_model reads; length 0 is a bare number
+_BASIS_FIELDS = (("coeff_sqrt", 0), ("decay_sqrt", 3), ("center", 3), ("angles", 3))
+
+
+def _finite_numbers(value, size: int, what: str):
+    """`value` as `size` finite floats (a bare float when size is 0); else ValueError."""
+    items = value if size else [value]
+    if (isinstance(items, list) and len(items) == max(size, 1)
+            and all(type(v) in (int, float) for v in items)):
+        try:
+            arr = np.array(items, dtype=np.float64)
+        except OverflowError:  # an integer literal beyond the float range
+            arr = np.array([np.inf])
+        if np.isfinite(arr).all():
+            return arr if size else float(arr[0])
+    raise ValueError(f"{what} must be " + (f"{size} finite numbers" if size else "a finite number"))
+
+
 def load_model(path: str | Path) -> tuple[RbfModel, dict]:
-    """Read a model document written by save_model; returns (model, metadata)."""
+    """Read a model document written by save_model; returns (model, metadata).
+
+    Any document that is not a well-formed model (missing keys, wrong vector
+    lengths, non-finite numbers) raises ValueError with a one-line message.
+    """
     doc = json.loads(Path(path).read_text())
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} document")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
-    bases = doc["bases"]
-    model = RbfModel(
-        coeff_sqrt=[b["coeff_sqrt"] for b in bases],
-        decay_sqrt=[b["decay_sqrt"] for b in bases] if bases else np.zeros((0, 3)),
-        centers=[b["center"] for b in bases] if bases else np.zeros((0, 3)),
-        angles=[b["angles"] for b in bases] if bases else np.zeros((0, 3)),
-    )
-    return model, doc.get("metadata", {})
+    bases = doc.get("bases")
+    if not isinstance(bases, list):
+        raise ValueError(f"{path}: 'bases' must be a list")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValueError(f"{path}: 'metadata' must be an object")
+    for key in ("box_lo", "box_hi"):
+        if key in metadata:
+            _finite_numbers(metadata[key], 3, f"{path}: metadata {key!r}")
+    fields = {key: [] for key, _ in _BASIS_FIELDS}
+    for i, basis in enumerate(bases):
+        if not isinstance(basis, dict):
+            raise ValueError(f"{path}: basis {i} must be an object")
+        for key, size in _BASIS_FIELDS:
+            if key not in basis:
+                raise ValueError(f"{path}: basis {i} has no {key!r}")
+            fields[key].append(_finite_numbers(basis[key], size, f"{path}: basis {i} {key!r}"))
+    model = RbfModel(fields["coeff_sqrt"], fields["decay_sqrt"], fields["center"],
+                     fields["angles"])
+    return model, metadata

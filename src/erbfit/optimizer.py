@@ -199,6 +199,12 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
              config: OptimizerConfig | None = None) -> tuple[RbfModel, IterationTrace]:
     """Run the full loop from an initial model; returns (final model, trace).
 
+    Each iteration costs one value pass per line-search trial plus one
+    gradient: the residual at the top of an iteration is the accepted
+    trial's residual from the iteration before.  The values are computed
+    from scratch only at the first iteration and after a prune that removed
+    bases.
+
     Raises ModelCollapseError / NonFiniteObjectiveError with the partial
     trace attached if the run cannot continue.
     """
@@ -212,6 +218,8 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
     x = pack_parameters(model0)
     n = model0.n_bases
     tau_seed = config.first_tau
+    residual = None          # model(x) - targets; None when it must be recomputed
+    trial_residual = None    # residual at the line search's last trial point
 
     for it in range(1, config.max_iter + 1):
         if it % config.prune_interval == 0 and it <= config.sparse_iter:
@@ -226,11 +234,13 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
                     c[keep], d[keep, 0], d[keep, 1], d[keep, 2],
                     centers[keep].ravel(), ang[keep, 0], ang[keep, 1], ang[keep, 2],
                 ])
+                residual = None
 
         c, d, centers, ang = _unpack_arrays(x, n)
         # overflow here is handled by the explicit finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = _values_arrays(c, d, centers, ang, points) - targets
+            if residual is None:
+                residual = _values_arrays(c, d, centers, ang, points) - targets
             es = float(residual @ residual)
             el1 = float(c @ c + (d * d).sum())
         if not (np.isfinite(es) and np.isfinite(el1)):
@@ -258,10 +268,12 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
         def objective(x_trial, ws=ws, wl=wl):
             # oversized trial steps may overflow; the resulting inf/nan simply
             # fails the acceptance test and the step is backtracked
+            nonlocal trial_residual
             with np.errstate(over="ignore", invalid="ignore"):
                 ct, dt, xt, at = _unpack_arrays(x_trial, n)
-                res = _values_arrays(ct, dt, xt, at, points) - targets
-                return ws * float(res @ res) + wl * float(ct @ ct + (dt * dt).sum())
+                trial_residual = _values_arrays(ct, dt, xt, at, points) - targets
+                return (ws * float(trial_residual @ trial_residual)
+                        + wl * float(ct @ ct + (dt * dt).sum()))
 
         tau, f_new = line_search(
             objective, x, f0, grad, tau_seed,
@@ -269,7 +281,10 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             max_backtracks=config.max_backtracks,
         )
         if tau > 0.0:
+            # the accepted trial is the last one evaluated, at this same
+            # x - tau*grad, so its residual is bit-exact for the new point
             x = x - tau * grad
+            residual = trial_residual
             tau_seed = 2.0 * tau
         trace.append(TraceRecord(it, f0, es, el1, ws, wl, n, tau, f_new))
 

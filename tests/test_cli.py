@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: arguments, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import erbfit
 from erbfit import __version__
 from erbfit.cli import main
 
@@ -186,3 +191,22 @@ def test_out_directory_created(atom_pqr, tmp_path):
                  "--mesh-spacing", "0.5"])
     assert code == 0
     assert (nested / "mesh.obj").exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("mesh", '{"format": "erbfit-model", "version": 1}'),
+    ("compare", '{"format": "erbfit-model", "version": 1, "bases": [{"coeff_sqrt": NaN, '
+                '"decay_sqrt": [0.7, 0.7, 0.7], "center": [0, 0, 0], "angles": [0, 0, 0]}]}'),
+], ids=["mesh-no-bases", "compare-nan-coeff"])
+def test_malformed_model_exits_2_with_one_line(atom_pqr, tmp_path, command, doc):
+    model = tmp_path / "model.json"
+    model.write_text(doc)
+    inputs = [str(model)] if command == "mesh" else [str(atom_pqr), str(model)]
+    env = {**os.environ, "PYTHONPATH": str(Path(erbfit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "erbfit.cli", command, *inputs, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -8,6 +8,8 @@ single-axis matrices composed in the test.
 import numpy as np
 import pytest
 
+from erbfit.field import GaussianField, bounding_box
+from erbfit.initializer import init_model
 from erbfit.model import (
     EllipsoidRbf,
     RbfModel,
@@ -22,7 +24,7 @@ from erbfit.model import (
     save_model,
     unpack_parameters,
 )
-from erbfit.sampler import ConstraintSet
+from erbfit.sampler import ConstraintSet, make_grid, select_constraints
 
 
 def _reference_rotation(alpha, beta, gamma):
@@ -235,6 +237,66 @@ def test_gradient_matches_finite_differences(rng):
         assert rel.max() < 1e-5
 
 
+def _reference_gradient(c, d, centers, ang, points, residual, w_s, w_l):
+    """Per-point gradient loop: every slot summed directly over the points."""
+    n = c.shape[0]
+    gc = np.empty(n)
+    gd = np.empty((n, 3))
+    gx = np.empty((n, 3))
+    gang = np.empty((n, 3))
+    for i in range(n):
+        r = rotation_matrix(*ang[i])
+        dra, drb, drg = rotation_derivatives(*ang[i])
+        p = points - centers[i]
+        u = p @ r.T
+        d2 = d[i] ** 2
+        g = np.exp(-(u**2) @ d2)
+        rg = residual * g
+        rv = c[i] ** 2 * rg
+        gc[i] = w_s * 4.0 * c[i] * rg.sum() + w_l * 2.0 * c[i]
+        gd[i] = w_s * (-4.0) * d[i] * (rv[:, None] * u**2).sum(axis=0) + w_l * 2.0 * d[i]
+        gx[i] = w_s * 4.0 * (r.T @ ((rv[:, None] * u * d2[None, :]).sum(axis=0)))
+        for j, dr in enumerate((dra, drb, drg)):
+            w = p @ dr.T
+            gang[i, j] = w_s * (-4.0) * (rv * ((u * w) @ d2)).sum()
+    return np.concatenate([gc, gd[:, 0], gd[:, 1], gd[:, 2], gx.ravel(),
+                           gang[:, 0], gang[:, 1], gang[:, 2]])
+
+
+def _assert_gradient_parity(m, cs, weights):
+    # the moment form sums in a different order: agreement to rounding, not bits
+    g = eval_model_gradient(m, cs, weights)
+    residual = m.values(cs.points) - cs.targets
+    ref = _reference_gradient(m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles,
+                              cs.points, residual, *weights)
+    assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("weights", [(0.7, 0.3), (0.0, 1.0), (1.0, 0.0)],
+                         ids=["mixed", "ws0", "wl0"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gradient_matches_reference_loop(rng, n, weights):
+    m = _random_model(rng, n)
+    pts = rng.uniform(-4, 4, (300, 3))
+    cs = ConstraintSet(points=pts, targets=rng.uniform(0, 2, 300))
+    _assert_gradient_parity(m, cs, weights)
+
+
+def test_gradient_matches_reference_loop_bundled(molecule, rng):
+    field = GaussianField.from_molecule(molecule, decay=0.5)
+    cs = select_constraints(field, make_grid(bounding_box(molecule), 1.0), band=1.0)
+    m0 = init_model(molecule, decay=0.5)
+    n = m0.n_bases
+    m = RbfModel(
+        coeff_sqrt=m0.coeff_sqrt * (1 + 0.1 * rng.standard_normal(n)),
+        decay_sqrt=m0.decay_sqrt * (1 + 0.1 * rng.standard_normal((n, 3))),
+        centers=m0.centers + 0.2 * rng.standard_normal((n, 3)),
+        angles=rng.uniform(-np.pi, np.pi, (n, 3)),
+    )
+    assert (n, len(cs)) == (21, 6964)
+    _assert_gradient_parity(m, cs, (0.6, 0.4))
+
+
 def test_gradient_empty_rejected():
     with pytest.raises(ValueError):
         eval_model_gradient(
@@ -263,5 +325,53 @@ def test_load_rejects_other_documents(tmp_path):
     with pytest.raises(ValueError):
         load_model(p)
     p.write_text('{"format": "erbfit-model", "version": 99, "bases": []}')
+    with pytest.raises(ValueError):
+        load_model(p)
+
+
+_BASIS = ('{"coeff_sqrt": 1.2, "decay_sqrt": [0.7, 0.7, 0.7], '
+          '"center": [0.0, 1.0, 2.0], "angles": [0.1, 0.2, 0.3]}')
+
+
+def _model_doc(bases="[" + _BASIS + "]", metadata="{}"):
+    return ('{"format": "erbfit-model", "version": 1, '
+            f'"metadata": {metadata}, "bases": {bases}}}')
+
+
+def _bad_basis(old, new):
+    """A one-basis document with one piece of the basis text replaced."""
+    return _model_doc(bases="[" + _BASIS.replace(old, new) + "]")
+
+
+def test_load_accepts_well_formed_document(tmp_path):
+    p = tmp_path / "model.json"
+    p.write_text(_model_doc(metadata='{"box_lo": [0, 0, 0], "box_hi": [1, 1, 1]}'))
+    model, meta = load_model(p)
+    assert model.n_bases == 1
+    assert np.array_equal(model.centers, [[0.0, 1.0, 2.0]])
+    assert meta["box_hi"] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[]", id="not-object"),
+    pytest.param('{"format": "erbfit-model", "version": 1}', id="no-bases"),
+    pytest.param(_model_doc(bases='{"0": {}}'), id="bases-not-list"),
+    pytest.param(_model_doc(bases="[1.5]"), id="basis-not-object"),
+    pytest.param(_bad_basis("coeff_sqrt", "coeff"), id="no-coeff"),
+    pytest.param(_bad_basis("center", "centre"), id="no-center"),
+    pytest.param(_bad_basis("[0.7, 0.7, 0.7]", "[0.7, 0.7]"), id="short-decay"),
+    pytest.param(_bad_basis("[0.0, 1.0, 2.0]", "[[0.0, 1.0, 2.0]]"), id="nested-center"),
+    pytest.param(_bad_basis("0.3]", '"0.3"]'), id="string-angle"),
+    pytest.param(_bad_basis("1.2", "NaN"), id="nan-coeff"),
+    pytest.param(_bad_basis("2.0]", "Infinity]"), id="inf-center"),
+    pytest.param(_bad_basis("1.2", "true"), id="bool-coeff"),
+    pytest.param(_bad_basis("1.2", "1" + "0" * 400), id="huge-int-coeff"),
+    pytest.param(_model_doc(metadata="[]"), id="metadata-not-object"),
+    pytest.param(_model_doc(metadata='{"box_lo": [0, 0], "box_hi": [1, 1, 1]}'),
+                 id="short-box"),
+])
+def test_load_rejects_malformed_model(tmp_path, text):
+    p = tmp_path / "model.json"
+    p.write_text(text)
     with pytest.raises(ValueError):
         load_model(p)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import erbfit.optimizer
 from erbfit.field import Box, GaussianField, bounding_box
 from erbfit.initializer import init_model
 from erbfit.model import RbfModel, eval_basis
@@ -204,14 +205,19 @@ def _single_atom_constraints():
     return select_constraints(field, make_grid(box, 0.7), band=1.0)
 
 
-def test_optimize_prunes_decoys_at_interval(rng):
-    # one basis reproduces the field exactly; four near-zero decoys ride along
-    cs = _single_atom_constraints()
+def _decoy_start(rng):
+    """One basis that reproduces the single-atom field plus four near-zero decoys."""
     c = np.array([np.exp(0.25 * 1.5**2), 1e-4, 1e-4, 1e-4, 1e-4])
     d = np.vstack([np.full(3, np.sqrt(0.5))]
                   + [np.sqrt(0.5) * (1 + 0.2 * rng.standard_normal(3)) for _ in range(4)])
     centers = np.vstack([np.zeros(3)] + [rng.uniform(-1, 1, 3) for _ in range(4)])
-    m0 = _model(c, np.abs(d), centers)
+    return _model(c, np.abs(d), centers)
+
+
+def test_optimize_prunes_decoys_at_interval(rng):
+    # one basis reproduces the field exactly; four near-zero decoys ride along
+    cs = _single_atom_constraints()
+    m0 = _decoy_start(rng)
     cfg = OptimizerConfig(max_iter=60, sparse_iter=60, prune_interval=20, prune_tol=1e-3)
     final, trace = optimize(m0, cs, cfg)
     nbasis = [r.nbasis for r in trace]
@@ -261,6 +267,62 @@ def test_optimize_pure_fit_monotone(molecule):
     assert np.all(np.diff(es) <= 0)
     assert es[-1] < es[0]
     assert max_pointwise_error(final, cs) < max_pointwise_error(m0, cs)
+
+
+@pytest.mark.parametrize("case", ["pure-fit", "prune"])
+def test_optimize_reused_residual_is_bit_exact(molecule, rng, case):
+    # record k of a (k+1)-iteration run holds E_s of the point that k
+    # iterations reach; with the residual carried over from the accepted
+    # line-search trial it must equal a from-scratch evaluation exactly
+    if case == "pure-fit":
+        m0 = init_model(molecule, decay=0.5)
+        m0 = _model(1.1 * m0.coeff_sqrt, m0.decay_sqrt, m0.centers, m0.angles)
+        cs = _bundled_constraints(molecule)
+        steps = (0, 1, 2, 5, 13)
+        cfg = lambda k: OptimizerConfig(max_iter=k, sparse_iter=0)
+    else:
+        # the decoys are pruned at iteration 20; keep every run in its sparse
+        # phase so the shorter runs follow the same trajectory
+        m0 = _decoy_start(rng)
+        cs = _single_atom_constraints()
+        steps = (18, 19, 20, 21)
+        cfg = lambda k: OptimizerConfig(max_iter=k, sparse_iter=k, prune_interval=20)
+    for k in steps:
+        _, trace = optimize(m0, cs, cfg(k + 1))
+        reached, earlier = optimize(m0, cs, cfg(k))
+        if k > 0:
+            assert earlier[k - 1].tau > 0.0  # the reuse path ran
+        if (k + 1) % 20 == 0:
+            reached = prune(reached, 1e-3)
+            assert reached.n_bases == 1
+        assert trace[k].es == energy_terms(reached, cs)[0]
+
+
+def test_optimize_value_passes_one_per_trial(rng, monkeypatch):
+    # one value pass per line-search trial, plus a from-scratch pass at the
+    # start and after each prune that removed bases
+    calls = {"values": 0, "trials": 0}
+    values_arrays = erbfit.optimizer._values_arrays
+    line_search = erbfit.optimizer.line_search
+
+    def counting_values(*args):
+        calls["values"] += 1
+        return values_arrays(*args)
+
+    def counting_line_search(objective, *args, **kwargs):
+        def counted(x):
+            calls["trials"] += 1
+            return objective(x)
+        return line_search(counted, *args, **kwargs)
+
+    monkeypatch.setattr(erbfit.optimizer, "_values_arrays", counting_values)
+    monkeypatch.setattr(erbfit.optimizer, "line_search", counting_line_search)
+    cfg = OptimizerConfig(max_iter=45, sparse_iter=45, prune_interval=20)
+    _, trace = optimize(_decoy_start(rng), _single_atom_constraints(), cfg)
+    nbasis = [r.nbasis for r in trace]
+    prunes = sum(1 for a, b in zip(nbasis, nbasis[1:]) if b < a)
+    assert prunes == 1
+    assert calls["values"] == 1 + calls["trials"] + prunes
 
 
 def test_optimize_collapse_carries_partial_trace(molecule):
