@@ -9,7 +9,7 @@ preservation with mesh area, volume, and Hausdorff-distance metrics.
 
 from erbfit.pqr import Atom, Molecule, parse_pqr
 from erbfit.field import Box, GaussianField, bounding_box
-from erbfit.model import EllipsoidRbf, RbfModel, RotationAngles
+from erbfit.model import RbfModel
 from erbfit.sampler import ConstraintSet, GridSpec, make_grid, select_constraints
 from erbfit.initializer import init_model
 from erbfit.optimizer import OptimizerConfig, IterationTrace, optimize
@@ -24,9 +24,7 @@ __all__ = [
     "Box",
     "GaussianField",
     "bounding_box",
-    "EllipsoidRbf",
     "RbfModel",
-    "RotationAngles",
     "ConstraintSet",
     "GridSpec",
     "make_grid",

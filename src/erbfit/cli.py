@@ -66,9 +66,6 @@ class RunConfig:
     mesh_spacing: float
     optimizer: OptimizerConfig
     out_dir: str
-    deterministic: bool
-    threads: int
-    seed: int | None
 
     def header_lines(self) -> list[str]:
         lines = [
@@ -88,9 +85,6 @@ class RunConfig:
             f"prune_interval={self.optimizer.prune_interval}",
             f"epsilon={self.optimizer.epsilon_floor!r}",
             f"error_cap={self.optimizer.max_error_cap!r}",
-            f"deterministic={self.deterministic}",
-            f"threads={self.threads}",
-            f"seed={self.seed}",
         ])
         return lines
 
@@ -110,9 +104,6 @@ class RunConfig:
             "prune_interval": self.optimizer.prune_interval,
             "epsilon": self.optimizer.epsilon_floor,
             "error_cap": self.optimizer.max_error_cap,
-            "deterministic": self.deterministic,
-            "threads": self.threads,
-            "seed": self.seed,
         }
 
 
@@ -125,13 +116,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="grid spacing for isosurface meshing in Angstrom (default 0.5)")
     p.add_argument("--out", default=".", metavar="DIR",
                    help="output directory (default: current directory)")
-    p.add_argument("--deterministic", action="store_true", default=True,
-                   help="deterministic evaluation order (always on; flag kept "
-                        "for pipeline scripts)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker-count hint; evaluation is vectorized in-process")
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved; the current pipeline is deterministic")
+    p.add_argument("--deterministic", action="store_true",
+                   help="accepted and ignored: every run is deterministic")
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
@@ -197,7 +183,6 @@ def _run_config(args: argparse.Namespace, inputs: tuple[str, ...]) -> RunConfig:
         prune_interval=getattr(args, "prune_interval", 20),
         epsilon_floor=getattr(args, "epsilon", 0.01),
         max_error_cap=getattr(args, "error_cap", 0.5),
-        deterministic=getattr(args, "deterministic", True),
     )
     return RunConfig(
         command=args.command,
@@ -209,9 +194,6 @@ def _run_config(args: argparse.Namespace, inputs: tuple[str, ...]) -> RunConfig:
         mesh_spacing=getattr(args, "mesh_spacing", 0.5),
         optimizer=optimizer,
         out_dir=getattr(args, "out", "."),
-        deterministic=getattr(args, "deterministic", True),
-        threads=getattr(args, "threads", 1),
-        seed=getattr(args, "seed", None),
     )
 
 

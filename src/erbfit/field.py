@@ -4,6 +4,9 @@ The target field is phi(x) = sum_i exp(-d * (|x - x_i|^2 - r_i^2)) over all
 atoms, with positive decay rate d.  The molecular surface is the level set
 {phi(x) = c} for a positive isovalue c; with c = 1 the level set of an
 isolated atom is exactly its radius-r sphere.
+
+GaussianField.values evaluates the exact sum, atom by atom; no kernel term is
+dropped, however far it is from its atom.
 """
 
 from __future__ import annotations
@@ -13,12 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from erbfit.pqr import Molecule
-
-# Points per chunk in batch evaluation; bounds the (chunk x N_atoms) temporary.
-_CHUNK = 65536
-
-# exp(e) with e < -30 is ~9e-14; kernels beyond that are negligible.
-_CUTOFF_EXPONENT = -30.0
 
 
 @dataclass(frozen=True)
@@ -48,16 +45,13 @@ class Box:
 class GaussianField:
     """Sum of per-atom Gaussian kernels with decay d and isovalue c.
 
-    Immutable; evaluation is pure and safe for concurrent callers.  With
-    truncate=True, kernel terms whose exponent falls below -30 are skipped
-    (a documented approximation for large molecules; off by default).
+    Immutable; evaluation is pure and safe for concurrent callers.
     """
 
     centers: np.ndarray  # (N, 3)
     radii: np.ndarray    # (N,)
     decay: float
     isovalue: float = 1.0
-    truncate: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "centers", np.asarray(self.centers, dtype=np.float64))
@@ -68,55 +62,41 @@ class GaussianField:
             raise ValueError(f"isovalue must be positive, got {self.isovalue}")
 
     @classmethod
-    def from_molecule(
-        cls, molecule: Molecule, decay: float, isovalue: float = 1.0,
-        truncate: bool = False,
-    ) -> "GaussianField":
-        return cls(molecule.centers, molecule.radii, decay, isovalue, truncate)
-
-    @property
-    def n_atoms(self) -> int:
-        return self.centers.shape[0]
-
-    def value(self, point) -> float:
-        """phi at a single point."""
-        return float(self.values(np.asarray(point, dtype=np.float64)[None, :])[0])
+    def from_molecule(cls, molecule: Molecule, decay: float,
+                      isovalue: float = 1.0) -> "GaussianField":
+        return cls(molecule.centers, molecule.radii, decay, isovalue)
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """phi at an (M, 3) array of points, order preserved.
 
-        Evaluates the full kernel sum in chunks so the pairwise distance
-        temporary stays bounded.
+        Sums atom by atom over the points held coordinate-major, (3, M), so
+        memory stays linear in M whatever the atom count.  The exponent is
+        -d(|p|^2 - r^2), which is exactly 0 on an atom's sphere.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"expected (M, 3) points, got shape {pts.shape}")
-        out = np.empty(pts.shape[0], dtype=np.float64)
-        r2 = self.radii**2
-        for start in range(0, pts.shape[0], _CHUNK):
-            chunk = pts[start:start + _CHUNK]
-            diff = chunk[:, None, :] - self.centers[None, :, :]
-            sq = np.einsum("mij,mij->mi", diff, diff)
-            expo = -self.decay * (sq - r2[None, :])
-            if self.truncate:
-                terms = np.where(expo < _CUTOFF_EXPONENT, 0.0, np.exp(expo))
-            else:
-                terms = np.exp(expo)
-            out[start:start + _CHUNK] = terms.sum(axis=1)
+        pts_t = np.ascontiguousarray(pts.T)
+        # buffers reused across atoms: allocating M-sized temporaries per atom
+        # costs page faults on every atom once M reaches tens of thousands
+        sq = np.empty_like(pts_t)
+        term = np.empty(pts.shape[0])
+        out = np.zeros(pts.shape[0])
+        for center, radius in zip(self.centers, self.radii):
+            np.subtract(pts_t, center[:, None], out=sq)
+            sq *= sq
+            np.add(sq[0], sq[1], out=term)
+            term += sq[2]
+            term -= radius * radius
+            term *= -self.decay
+            np.exp(term, out=term)
+            out += term
         return out
 
 
-def eval_phi(field: GaussianField, point) -> float:
-    """phi at one point (see GaussianField.value)."""
-    return field.value(point)
-
-
 def eval_phi_batch(field: GaussianField, points: np.ndarray) -> np.ndarray:
-    """phi at many points, elementwise equal to eval_phi."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    return field.values(pts)
+    """phi at an (M, 3) array of points; the batch entry point of constraint selection."""
+    return field.values(points)
 
 
 def bounding_box(molecule: Molecule, padding: float | None = None) -> Box:

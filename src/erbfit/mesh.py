@@ -291,13 +291,6 @@ def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) 
     return max(d_ab, d_ba)
 
 
-def sparse_ratio(n_erbf: int, n_atom: int) -> float:
-    """Basis count over atom count."""
-    if n_atom <= 0:
-        raise ValueError("n_atom must be positive")
-    return n_erbf / n_atom
-
-
 def compare_surfaces(eval_a, eval_b, box: Box, spacing: float, isovalue: float,
                      samples_per_triangle: int = 10) -> dict:
     """Mesh two fields on one grid and report areas, volumes, errors, Hausdorff.

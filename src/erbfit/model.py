@@ -10,12 +10,15 @@ The flat parameter vector packs a model with N bases as
     [ c~_1..c~_N | d~_.1 | d~_.2 | d~_.3 | x_1 y_1 z_1 .. z_N | alpha | beta | gamma ]
 
 (axis-major decay blocks, xyz-interleaved centers, angle blocks), length 10N.
+
+Every evaluation, values and gradient alike, runs basis by basis through one
+kernel (`_basis_kernel`) over the points held coordinate-major, shape (3, M),
+so the temporaries are a few arrays of length M per basis.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,49 +59,6 @@ def rotation_derivatives(alpha: float, beta: float, gamma: float):
     return rz @ ry @ drx, rz @ dry @ rx, drz @ ry @ rx
 
 
-@dataclass(frozen=True)
-class RotationAngles:
-    """Euler angles in radians; unconstrained reals, periodicity handled by trig."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.gamma], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class EllipsoidRbf:
-    """One rotated anisotropic Gaussian basis in tilde (square-root) variables."""
-
-    coeff_sqrt: float          # c~; effective weight is c~^2
-    decay_sqrt: np.ndarray     # (3,) d~; effective decays are d~^2
-    center: np.ndarray         # (3,)
-    angles: RotationAngles
-
-    def __post_init__(self):
-        object.__setattr__(self, "decay_sqrt", np.asarray(self.decay_sqrt, dtype=np.float64))
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
-
-    @property
-    def weight(self) -> float:
-        """Effective (nonnegative) combination coefficient c~^2."""
-        return float(self.coeff_sqrt) ** 2
-
-    @property
-    def decays(self) -> np.ndarray:
-        """Effective (nonnegative) per-axis decays d~^2."""
-        return self.decay_sqrt**2
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """Weighted basis value c~^2 * exp(-sum_p d~_p^2 u_p^2) at (M, 3) points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        r = rotation_matrix(self.angles.alpha, self.angles.beta, self.angles.gamma)
-        u = (pts - self.center) @ r.T
-        return self.weight * np.exp(-(u**2) @ self.decays)
-
-
 class RbfModel:
     """Ordered collection of ellipsoid Gaussian bases, array-backed.
 
@@ -114,16 +74,6 @@ class RbfModel:
         if not (self.decay_sqrt.shape[0] == self.centers.shape[0] == self.angles.shape[0] == n):
             raise ValueError("inconsistent basis array lengths")
 
-    @classmethod
-    def from_bases(cls, bases) -> "RbfModel":
-        bases = list(bases)
-        return cls(
-            coeff_sqrt=[b.coeff_sqrt for b in bases],
-            decay_sqrt=[b.decay_sqrt for b in bases] if bases else np.zeros((0, 3)),
-            centers=[b.center for b in bases] if bases else np.zeros((0, 3)),
-            angles=[b.angles.as_array() for b in bases] if bases else np.zeros((0, 3)),
-        )
-
     @property
     def n_bases(self) -> int:
         return self.coeff_sqrt.shape[0]
@@ -133,27 +83,11 @@ class RbfModel:
         """Effective per-basis weights c~^2."""
         return self.coeff_sqrt**2
 
-    @property
-    def bases(self) -> tuple[EllipsoidRbf, ...]:
-        return tuple(
-            EllipsoidRbf(
-                coeff_sqrt=float(self.coeff_sqrt[i]),
-                decay_sqrt=self.decay_sqrt[i].copy(),
-                center=self.centers[i].copy(),
-                angles=RotationAngles(*self.angles[i]),
-            )
-            for i in range(self.n_bases)
-        )
-
     def values(self, points: np.ndarray) -> np.ndarray:
         """Model value (sum over bases) at (M, 3) points; zeros for an empty model."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.zeros(pts.shape[0], dtype=np.float64)
-        for i in range(self.n_bases):
-            r = rotation_matrix(*self.angles[i])
-            u = (pts - self.centers[i]) @ r.T
-            out += self.coeff_sqrt[i] ** 2 * np.exp(-(u**2) @ (self.decay_sqrt[i] ** 2))
-        return out
+        return _values_arrays(self.coeff_sqrt, self.decay_sqrt, self.centers, self.angles,
+                              np.ascontiguousarray(pts.T))
 
     def __eq__(self, other):
         if not isinstance(other, RbfModel):
@@ -166,48 +100,14 @@ class RbfModel:
         )
 
 
-def eval_basis(basis: EllipsoidRbf, point) -> float:
-    """Weighted basis value at a single point."""
-    return float(basis.values(np.asarray(point, dtype=np.float64)[None, :])[0])
-
-
-def eval_model(model: RbfModel, points: np.ndarray) -> np.ndarray:
-    """Model value at each point (see RbfModel.values)."""
-    return model.values(points)
-
-
 def pack_parameters(model: RbfModel) -> np.ndarray:
     """Flatten a model into the block layout described in the module docstring."""
-    return np.concatenate([
-        model.coeff_sqrt,
-        model.decay_sqrt[:, 0],
-        model.decay_sqrt[:, 1],
-        model.decay_sqrt[:, 2],
-        model.centers.ravel(),
-        model.angles[:, 0],
-        model.angles[:, 1],
-        model.angles[:, 2],
-    ])
-
-
-def unpack_parameters(x: np.ndarray, n_bases: int) -> RbfModel:
-    """Inverse of pack_parameters; validates the vector length."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (PARAMS_PER_BASIS * n_bases,):
-        raise ValueError(
-            f"parameter vector has length {x.size}, expected {PARAMS_PER_BASIS * n_bases}"
-        )
-    n = n_bases
-    return RbfModel(
-        coeff_sqrt=x[0:n].copy(),
-        decay_sqrt=np.stack([x[n:2 * n], x[2 * n:3 * n], x[3 * n:4 * n]], axis=1),
-        centers=x[4 * n:7 * n].reshape(n, 3).copy(),
-        angles=np.stack([x[7 * n:8 * n], x[8 * n:9 * n], x[9 * n:10 * n]], axis=1),
-    )
+    return np.concatenate([model.coeff_sqrt, model.decay_sqrt.T.ravel(),
+                           model.centers.ravel(), model.angles.T.ravel()])
 
 
 def _unpack_arrays(x: np.ndarray, n: int):
-    """Raw (coeff_sqrt, decay_sqrt, centers, angles) views/copies of a packed vector."""
+    """(coeff_sqrt, decay_sqrt, centers, angles) of a packed vector; c~ and centers are views."""
     c = x[0:n]
     d = np.stack([x[n:2 * n], x[2 * n:3 * n], x[3 * n:4 * n]], axis=1)
     centers = x[4 * n:7 * n].reshape(n, 3)
@@ -215,17 +115,51 @@ def _unpack_arrays(x: np.ndarray, n: int):
     return c, d, centers, ang
 
 
-def _values_arrays(c, d, centers, ang, points) -> np.ndarray:
-    out = np.zeros(points.shape[0], dtype=np.float64)
+def unpack_parameters(x: np.ndarray, n_bases: int) -> RbfModel:
+    """Inverse of pack_parameters; validates the vector length and never aliases x."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (PARAMS_PER_BASIS * n_bases,):
+        raise ValueError(
+            f"parameter vector has length {x.size}, expected {PARAMS_PER_BASIS * n_bases}"
+        )
+    return RbfModel(*(a.copy() for a in _unpack_arrays(x, n_bases)))
+
+
+def _basis_kernel(points_t, center, decay_sqrt, angles, p, uu, g):
+    """One basis over coordinate-major (3, M) points, written into the caller's buffers.
+
+    Fills p = y - x (3, M) and g = exp(-(d~^2)^T (u*u)) (M,) with u = R p, using
+    uu (3, M) as scratch, and returns R.  The only place an ellipsoid Gaussian
+    is evaluated: the value and gradient passes both go through it.  Reusing
+    the buffers across bases keeps a pass free of M-sized allocations, which
+    cost page faults on every basis once M reaches tens of thousands.
+    """
+    r = rotation_matrix(*angles)
+    np.subtract(points_t, center[:, None], out=p)
+    np.matmul(r, p, out=uu)
+    np.square(uu, out=uu)
+    np.matmul(decay_sqrt**2, uu, out=g)
+    np.negative(g, out=g)
+    np.exp(g, out=g)
+    return r
+
+
+def _values_arrays(c, d, centers, ang, points_t) -> np.ndarray:
+    """Model values sum_i c~_i^2 g_i at coordinate-major (3, M) points."""
+    p, uu = np.empty_like(points_t), np.empty_like(points_t)
+    g = np.empty(points_t.shape[1])
+    out = np.zeros(points_t.shape[1])
     for i in range(c.shape[0]):
-        r = rotation_matrix(*ang[i])
-        u = (points - centers[i]) @ r.T
-        out += c[i] ** 2 * np.exp(-(u**2) @ (d[i] ** 2))
+        _basis_kernel(points_t, centers[i], d[i], ang[i], p, uu, g)
+        g *= c[i] ** 2
+        out += g
     return out
 
 
-def _objective_gradient_arrays(c, d, centers, ang, points, residual, w_s, w_l) -> np.ndarray:
+def _objective_gradient_arrays(c, d, centers, ang, points_t, residual, w_s, w_l) -> np.ndarray:
     """Packed gradient of w_s*E_s + w_l*E_l1 given precomputed residuals.
+
+    points_t holds the constraint points coordinate-major, shape (3, M).
 
     E_s = sum_k residual_k^2 with residual = model(y_k) - target_k;
     E_l1 = sum_i c~_i^2 + sum_{i,p} d~_ip^2 (smooth in the tilde variables).
@@ -262,15 +196,13 @@ def _objective_gradient_arrays(c, d, centers, ang, points, residual, w_s, w_l) -
     gd = np.empty((n, 3))
     gx = np.empty((n, 3))
     gang = np.empty((n, 3))
-    # coordinate-major copy: the per-point passes run along one long axis
-    points_t = np.ascontiguousarray(points.T)
+    p, pw = np.empty_like(points_t), np.empty_like(points_t)
+    w = np.empty(points_t.shape[1])
     for i in range(n):
-        r = rotation_matrix(*ang[i])
-        p = points_t - centers[i][:, None]       # (3, M)
-        u = r @ p
+        r = _basis_kernel(points_t, centers[i], d[i], ang[i], p, pw, w)
         d2 = d[i] ** 2
-        w = residual * np.exp(-(d2 @ (u * u)))
-        pw = p * w
+        w *= residual                            # w = residual * g
+        np.multiply(p, w, out=pw)
         s0 = w.sum()
         m1 = pw.sum(axis=1)
         rc = r @ (pw @ p.T)                      # R C
@@ -299,11 +231,10 @@ def eval_model_gradient(model: RbfModel, constraints, weights) -> np.ndarray:
     if points.shape[0] == 0:
         raise ValueError("gradient needs at least one constrained point")
     w_s, w_l = weights
-    residual = model.values(points) - targets
-    return _objective_gradient_arrays(
-        model.coeff_sqrt, model.decay_sqrt, model.centers, model.angles,
-        points, residual, w_s, w_l,
-    )
+    points_t = np.ascontiguousarray(points.T)
+    arrays = (model.coeff_sqrt, model.decay_sqrt, model.centers, model.angles)
+    residual = _values_arrays(*arrays, points_t) - targets
+    return _objective_gradient_arrays(*arrays, points_t, residual, w_s, w_l)
 
 
 def save_model(model: RbfModel, path: str | Path, metadata: dict | None = None) -> None:
@@ -354,8 +285,9 @@ def _finite_numbers(value, size: int, what: str):
 def load_model(path: str | Path) -> tuple[RbfModel, dict]:
     """Read a model document written by save_model; returns (model, metadata).
 
-    Any document that is not a well-formed model (missing keys, wrong vector
-    lengths, non-finite numbers) raises ValueError with a one-line message.
+    Any document that is not a well-formed model (missing keys, no bases,
+    wrong vector lengths, non-finite numbers) raises ValueError with a
+    one-line message.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
@@ -365,6 +297,8 @@ def load_model(path: str | Path) -> tuple[RbfModel, dict]:
     bases = doc.get("bases")
     if not isinstance(bases, list):
         raise ValueError(f"{path}: 'bases' must be a list")
+    if not bases:
+        raise ValueError(f"{path}: the model has no bases")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ValueError(f"{path}: 'metadata' must be an object")

@@ -66,7 +66,6 @@ class OptimizerConfig:
     shrink: float = 0.5
     first_tau: float = 1e-3
     max_backtracks: int = 40
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.max_iter < 0:
@@ -211,7 +210,7 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
     config = config or OptimizerConfig()
     if model0.n_bases == 0:
         raise ModelCollapseError("initial model has no bases")
-    points = constraints.points
+    points_t = np.ascontiguousarray(constraints.points.T)
     targets = constraints.targets
     trace = IterationTrace()
 
@@ -223,24 +222,21 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
 
     for it in range(1, config.max_iter + 1):
         if it % config.prune_interval == 0 and it <= config.sparse_iter:
-            c, d, centers, ang = _unpack_arrays(x, n)
-            keep = np.abs(c) >= config.prune_tol
-            if not keep.any():
+            try:
+                pruned = prune(unpack_parameters(x, n), config.prune_tol)
+            except ModelCollapseError:
                 raise ModelCollapseError(
-                    f"pruning removed every basis at iteration {it}", trace=trace)
-            if not keep.all():
-                n = int(keep.sum())
-                x = np.concatenate([
-                    c[keep], d[keep, 0], d[keep, 1], d[keep, 2],
-                    centers[keep].ravel(), ang[keep, 0], ang[keep, 1], ang[keep, 2],
-                ])
+                    f"pruning removed every basis at iteration {it}", trace=trace) from None
+            if pruned.n_bases < n:
+                n = pruned.n_bases
+                x = pack_parameters(pruned)
                 residual = None
 
         c, d, centers, ang = _unpack_arrays(x, n)
         # overflow here is handled by the explicit finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
             if residual is None:
-                residual = _values_arrays(c, d, centers, ang, points) - targets
+                residual = _values_arrays(c, d, centers, ang, points_t) - targets
             es = float(residual @ residual)
             el1 = float(c @ c + (d * d).sum())
         if not (np.isfinite(es) and np.isfinite(el1)):
@@ -255,7 +251,7 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             ws, wl = 1.0, 0.0
 
         f0 = ws * es + wl * el1
-        grad = _objective_gradient_arrays(c, d, centers, ang, points, residual, ws, wl)
+        grad = _objective_gradient_arrays(c, d, centers, ang, points_t, residual, ws, wl)
         if not np.isfinite(grad).all():
             raise NonFiniteObjectiveError(
                 f"gradient not finite at iteration {it}", trace=trace)
@@ -271,7 +267,7 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             nonlocal trial_residual
             with np.errstate(over="ignore", invalid="ignore"):
                 ct, dt, xt, at = _unpack_arrays(x_trial, n)
-                trial_residual = _values_arrays(ct, dt, xt, at, points) - targets
+                trial_residual = _values_arrays(ct, dt, xt, at, points_t) - targets
                 return (ws * float(trial_residual @ trial_residual)
                         + wl * float(ct @ ct + (dt * dt).sum()))
 

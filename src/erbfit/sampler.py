@@ -10,7 +10,6 @@ molecule and grid always produce the same constraint set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -112,11 +111,3 @@ def select_constraints(field: GaussianField, grid: GridSpec, band: float = 1.0) 
         )
     return ConstraintSet(points=points[mask], targets=phi[mask])
 
-
-def write_constraints_csv(constraints: ConstraintSet, path, header_lines=()) -> None:
-    """Debug dump: one 'x,y,z,phi' line per constrained point."""
-    lines = [f"# {h}" for h in header_lines]
-    lines.append("x,y,z,phi")
-    for p, t in zip(constraints.points, constraints.targets):
-        lines.append(f"{float(p[0])!r},{float(p[1])!r},{float(p[2])!r},{float(t)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -193,20 +193,40 @@ def test_out_directory_created(atom_pqr, tmp_path):
     assert (nested / "mesh.obj").exists()
 
 
-@pytest.mark.parametrize("command, doc", [
-    ("mesh", '{"format": "erbfit-model", "version": 1}'),
+EMPTY_MODEL = '{"format": "erbfit-model", "version": 1, "bases": []}'
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(erbfit.__file__).parents[1])}
+
+
+@pytest.mark.parametrize("command, doc, reason", [
+    ("mesh", '{"format": "erbfit-model", "version": 1}', "'bases' must be a list"),
     ("compare", '{"format": "erbfit-model", "version": 1, "bases": [{"coeff_sqrt": NaN, '
-                '"decay_sqrt": [0.7, 0.7, 0.7], "center": [0, 0, 0], "angles": [0, 0, 0]}]}'),
-], ids=["mesh-no-bases", "compare-nan-coeff"])
-def test_malformed_model_exits_2_with_one_line(atom_pqr, tmp_path, command, doc):
+                '"decay_sqrt": [0.7, 0.7, 0.7], "center": [0, 0, 0], "angles": [0, 0, 0]}]}',
+     "'coeff_sqrt' must be a finite number"),
+    ("mesh", EMPTY_MODEL, "the model has no bases"),
+    ("compare", EMPTY_MODEL, "the model has no bases"),
+], ids=["mesh-no-bases", "compare-nan-coeff", "mesh-empty-bases", "compare-empty-bases"])
+def test_malformed_model_exits_2_with_one_line(atom_pqr, tmp_path, command, doc, reason):
     model = tmp_path / "model.json"
     model.write_text(doc)
     inputs = [str(model)] if command == "mesh" else [str(atom_pqr), str(model)]
-    env = {**os.environ, "PYTHONPATH": str(Path(erbfit.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "erbfit.cli", command, *inputs, "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=SRC_ENV, timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    assert lines[0].endswith(reason)
+
+
+def test_benchmark_hooks_and_public_names_resolve(bundled_pqr, tmp_path):
+    # the traced benchmark wraps named functions of the CLI and its layers;
+    # it exits naming any hook that a refactor removed
+    traced_cli = Path(__file__).parents[1] / "perfbench" / "traced_cli.py"
+    proc = subprocess.run(
+        [sys.executable, str(traced_cli), str(tmp_path / "spans.json"), "info", str(bundled_pqr)],
+        capture_output=True, text=True, env=SRC_ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "spans.json").exists()
+    for name in erbfit.__all__:
+        assert hasattr(erbfit, name), name

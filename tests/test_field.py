@@ -1,10 +1,15 @@
 """Gaussian molecular field evaluation against brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from erbfit.field import Box, GaussianField, bounding_box, eval_phi, eval_phi_batch
+from hypothesis import given, settings, strategies as st
+
+from erbfit.field import Box, GaussianField, bounding_box, eval_phi_batch
 from erbfit.pqr import parse_pqr
+from erbfit.sampler import make_grid
 
 
 def _single_atom(r=1.7, d=0.5, c=1.0, center=(0.0, 0.0, 0.0)):
@@ -21,15 +26,26 @@ def _loop_phi(field, point):
     return total
 
 
+def _reference_field(field, points, chunk=65536):
+    # independent reference: the pairwise (points x atoms x 3) einsum, in chunks
+    out = np.empty(points.shape[0])
+    r2 = field.radii**2
+    for start in range(0, points.shape[0], chunk):
+        diff = points[start:start + chunk, None, :] - field.centers[None, :, :]
+        sq = np.einsum("mij,mij->mi", diff, diff)
+        out[start:start + chunk] = np.exp(-field.decay * (sq - r2[None, :])).sum(axis=1)
+    return out
+
+
 def test_value_at_atom_center():
     f = _single_atom(r=1.7, d=0.5)
-    assert eval_phi(f, np.zeros(3)) == pytest.approx(np.exp(0.5 * 1.7**2), rel=1e-15)
+    assert f.values(np.zeros(3)[None])[0] == pytest.approx(np.exp(0.5 * 1.7**2), rel=1e-15)
 
 
 def test_on_sphere_value_is_exactly_isovalue():
     f = _single_atom(r=1.7, d=0.5)
     # at distance r the exponent is -d(r^2 - r^2) = 0 exactly
-    assert eval_phi(f, np.array([1.7, 0.0, 0.0])) == 1.0
+    assert f.values(np.array([1.7, 0.0, 0.0])[None])[0] == 1.0
 
 
 def test_two_symmetric_atoms_sum():
@@ -37,8 +53,8 @@ def test_two_symmetric_atoms_sum():
     f2 = GaussianField(centers=np.array([[-sep / 2, 0, 0], [sep / 2, 0, 0]]),
                        radii=np.array([1.5, 1.5]), decay=0.5)
     f1 = _single_atom(r=1.5, d=0.5, center=(sep / 2, 0, 0))
-    at_origin = eval_phi(f2, np.zeros(3))
-    assert at_origin == pytest.approx(2.0 * eval_phi(f1, np.zeros(3)), rel=1e-14)
+    at_origin = f2.values(np.zeros(3)[None])[0]
+    assert at_origin == pytest.approx(2.0 * f1.values(np.zeros(3)[None])[0], rel=1e-14)
 
 
 def test_batch_empty():
@@ -50,7 +66,7 @@ def test_batch_empty():
 def test_batch_single_point():
     f = _single_atom()
     p = np.array([0.3, -0.2, 1.1])
-    assert eval_phi_batch(f, p[None, :])[0] == eval_phi(f, p)
+    assert eval_phi_batch(f, p[None, :])[0] == f.values(p[None])[0]
 
 
 def test_batch_matches_loop_oracle(rng, molecule):
@@ -62,7 +78,7 @@ def test_batch_matches_loop_oracle(rng, molecule):
 
 
 def test_batch_chunking_consistent(rng):
-    # force multiple chunks through the evaluator
+    # a point's value does not depend on the size of the batch it is in
     f = _single_atom()
     pts = rng.uniform(-5, 5, (70000, 3))
     vals = eval_phi_batch(f, pts)
@@ -86,7 +102,7 @@ def test_positive_and_decaying(rng):
     pts = rng.uniform(-15, 15, (200, 3))
     vals = eval_phi_batch(f, pts)
     assert (vals > 0).all()
-    far = eval_phi(f, np.array([1e3, 0.0, 0.0]))
+    far = f.values(np.array([1e3, 0.0, 0.0])[None])[0]
     assert far == 0.0  # underflows; mathematically positive but tiny
 
 
@@ -100,19 +116,43 @@ def test_level_set_radius_property(rng):
         rho = np.sqrt(r * r - np.log(c) / d)
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
-        assert eval_phi(f, rho * u) == pytest.approx(c, rel=1e-12)
+        assert f.values((rho * u)[None])[0] == pytest.approx(c, rel=1e-12)
 
 
-def test_truncation_flag():
-    f_exact = _single_atom()
-    f_trunc = GaussianField(centers=f_exact.centers, radii=f_exact.radii,
-                            decay=0.5, truncate=True)
-    near = np.array([[1.0, 0.0, 0.0]])
-    assert eval_phi_batch(f_trunc, near)[0] == eval_phi_batch(f_exact, near)[0]
-    # beyond the cutoff the truncated kernel is exactly zero
-    far = np.array([[10.0, 0.0, 0.0]])
-    assert eval_phi_batch(f_trunc, far)[0] == 0.0
-    assert eval_phi_batch(f_exact, far)[0] > 0.0
+def test_matches_reference_on_bundled_grid(molecule):
+    f = GaussianField.from_molecule(molecule, decay=0.5)
+    pts = make_grid(bounding_box(molecule), 1.0).points()
+    ref = _reference_field(f, pts)
+    assert np.max(np.abs(f.values(pts) - ref) / ref) < 1e-12
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(n_atoms=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       decay=st.floats(0.3, 0.8))
+def test_matches_reference_on_random_atoms(n_atoms, seed, decay):
+    rng = np.random.default_rng(seed)
+    f = GaussianField(centers=rng.uniform(-6, 6, (n_atoms, 3)),
+                      radii=rng.uniform(1.0, 2.0, n_atoms), decay=decay)
+    # points near the atoms and far outside them, where the terms are tiny
+    near = f.centers[rng.integers(0, n_atoms, 200)] + rng.normal(0, 1.5, (200, 3))
+    far = rng.uniform(-25, 25, (100, 3))
+    pts = np.vstack([near, far])
+    ref = _reference_field(f, pts)
+    assert np.all(np.abs(f.values(pts) - ref) <= 1e-12 * ref)
+
+
+def test_values_allocate_no_points_by_atoms_temporary(rng):
+    n_atoms, m = 200, 20_000
+    f = GaussianField(centers=rng.uniform(-10, 10, (n_atoms, 3)),
+                      radii=rng.uniform(1.4, 1.9, n_atoms), decay=0.5)
+    pts = rng.uniform(-12, 12, (m, 3))
+    tracemalloc.start()
+    try:
+        f.values(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * m * 8  # bytes; an (M, N) array alone would be 200 * M doubles
 
 
 def test_field_validation():

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from erbfit.field import GaussianField, bounding_box, eval_phi
+from erbfit.field import GaussianField, bounding_box
 from erbfit.initializer import init_model
-from erbfit.model import eval_model
 from erbfit.optimizer import energy_terms
 from erbfit.pqr import Atom, Molecule
 from erbfit.sampler import make_grid, select_constraints
@@ -53,8 +52,8 @@ def test_initial_model_reproduces_field(molecule, rng):
     f = GaussianField.from_molecule(molecule, decay=decay)
     box = bounding_box(molecule)
     pts = rng.uniform(box.lo, box.hi, size=(200, 3))
-    phi = np.array([eval_phi(f, p) for p in pts])
-    phi_tilde = eval_model(m, pts)
+    phi = np.array([f.values(p[None])[0] for p in pts])
+    phi_tilde = m.values(pts)
     assert np.max(np.abs(phi_tilde - phi)) < 1e-10
 
 
@@ -74,8 +73,8 @@ def test_other_decay_value(rng):
     m = init_model(mol, decay=decay)
     f = GaussianField.from_molecule(mol, decay=decay)
     pts = rng.uniform(-2.0, 4.0, size=(50, 3))
-    phi = np.array([eval_phi(f, p) for p in pts])
-    assert np.max(np.abs(eval_model(m, pts) - phi)) < 1e-12
+    phi = np.array([f.values(p[None])[0] for p in pts])
+    assert np.max(np.abs(m.values(pts) - phi)) < 1e-12
 
 
 def test_nonpositive_decay_rejected(molecule):

@@ -12,7 +12,6 @@ from erbfit.mesh import (
     hausdorff,
     mesh_area,
     mesh_volume,
-    sparse_ratio,
     write_obj,
 )
 
@@ -199,13 +198,6 @@ def test_compare_inflated_sphere():
     assert rep["H"] == pytest.approx(0.015, abs=0.007)
     assert rep["A_original"] == pytest.approx(SPHERE_AREA, rel=0.01)
     assert rep["V_original"] == pytest.approx(SPHERE_VOLUME, rel=0.01)
-
-
-def test_sparse_ratio_values():
-    assert sparse_ratio(7, 39) == pytest.approx(7 / 39)
-    assert sparse_ratio(5, 5) == 1.0
-    with pytest.raises(ValueError):
-        sparse_ratio(1, 0)
 
 
 # ---------------------------------------------------------------- export

@@ -11,11 +11,7 @@ import pytest
 from erbfit.field import GaussianField, bounding_box
 from erbfit.initializer import init_model
 from erbfit.model import (
-    EllipsoidRbf,
     RbfModel,
-    RotationAngles,
-    eval_basis,
-    eval_model,
     eval_model_gradient,
     load_model,
     pack_parameters,
@@ -86,41 +82,56 @@ def test_rotation_derivatives_match_finite_differences(rng):
             assert np.allclose(analytic[axis], fd, atol=1e-8)
 
 
+def _one_basis(coeff_sqrt, decay_sqrt, center, angles):
+    return RbfModel(coeff_sqrt=[coeff_sqrt], decay_sqrt=decay_sqrt, centers=center,
+                    angles=angles)
+
+
+def _value_at(model, point):
+    return model.values(np.asarray(point, dtype=float)[None])[0]
+
+
+def _reference_values(c, d, centers, ang, points):
+    """Independent reference: the point-major (M, 3) value loop."""
+    out = np.zeros(points.shape[0])
+    for i in range(c.shape[0]):
+        r = rotation_matrix(*ang[i])
+        u = (points - centers[i]) @ r.T
+        out += c[i] ** 2 * np.exp(-(u**2) @ (d[i] ** 2))
+    return out
+
+
 def test_basis_value_at_center(rng):
-    b = EllipsoidRbf(coeff_sqrt=1.3, decay_sqrt=np.array([0.5, 0.9, 0.7]),
-                     center=np.array([1.0, -2.0, 0.5]),
-                     angles=RotationAngles(0.3, -0.1, 2.0))
-    assert eval_basis(b, b.center) == pytest.approx(1.3**2, rel=1e-15)
+    center = np.array([1.0, -2.0, 0.5])
+    b = _one_basis(1.3, [0.5, 0.9, 0.7], center, [0.3, -0.1, 2.0])
+    assert _value_at(b, center) == pytest.approx(1.3**2, rel=1e-15)
+    assert _value_at(b, center) == 1.3**2  # the exponent is exactly 0 there
 
 
 def test_basis_isotropic_rotation_invariance(rng):
     d = np.sqrt(0.5)
     for _ in range(10):
-        angles = RotationAngles(*rng.uniform(-np.pi, np.pi, 3))
-        b = EllipsoidRbf(coeff_sqrt=0.8, decay_sqrt=np.array([d, d, d]),
-                         center=np.zeros(3), angles=angles)
+        b = _one_basis(0.8, [d, d, d], np.zeros(3), rng.uniform(-np.pi, np.pi, 3))
         p = rng.uniform(-2, 2, 3)
         iso = 0.8**2 * np.exp(-0.5 * (p @ p))
-        assert eval_basis(b, p) == pytest.approx(iso, rel=1e-12)
+        assert _value_at(b, p) == pytest.approx(iso, rel=1e-12)
 
 
 def test_basis_zero_coefficient():
-    b = EllipsoidRbf(coeff_sqrt=0.0, decay_sqrt=np.ones(3),
-                     center=np.zeros(3), angles=RotationAngles(0, 0, 0))
-    assert eval_basis(b, np.array([0.3, 0.1, -0.5])) == 0.0
+    b = _one_basis(0.0, np.ones(3), np.zeros(3), np.zeros(3))
+    assert _value_at(b, [0.3, 0.1, -0.5]) == 0.0
 
 
 def test_basis_level_set_along_principal_axis(rng):
     # along the rotated first axis the basis is a 1-D Gaussian in the
     # axis coordinate
-    b = EllipsoidRbf(coeff_sqrt=1.1, decay_sqrt=np.array([0.9, 0.4, 0.6]),
-                     center=np.array([0.5, 0.5, 0.5]),
-                     angles=RotationAngles(0.7, -0.4, 0.2))
+    center = np.array([0.5, 0.5, 0.5])
+    b = _one_basis(1.1, [0.9, 0.4, 0.6], center, [0.7, -0.4, 0.2])
     r = rotation_matrix(0.7, -0.4, 0.2)
     t = 1.37
-    p = b.center + t * r.T[:, 0]  # unit vector with u = (t, 0, 0)
+    p = center + t * r.T[:, 0]  # unit vector with u = (t, 0, 0)
     expected = 1.1**2 * np.exp(-(0.9**2) * t * t)
-    assert eval_basis(b, p) == pytest.approx(expected, rel=1e-12)
+    assert _value_at(b, p) == pytest.approx(expected, rel=1e-12)
 
 
 def test_model_empty_evaluates_to_zero():
@@ -130,28 +141,44 @@ def test_model_empty_evaluates_to_zero():
 
 
 def test_model_single_basis_matches_eval_basis(rng):
+    # a batch of points gives the values of the points one at a time
     m = _random_model(rng, 1)
     p = rng.uniform(-2, 2, (7, 3))
-    b = m.bases[0]
-    assert np.allclose(m.values(p), [eval_basis(b, q) for q in p], rtol=1e-15)
+    assert np.allclose(m.values(p), [_value_at(m, q) for q in p], rtol=1e-15)
 
 
 def test_model_matches_double_loop_oracle(rng):
     m = _random_model(rng, 5)
     pts = rng.uniform(-4, 4, (100, 3))
     oracle = np.zeros(100)
-    for b in m.bases:
-        r = rotation_matrix(b.angles.alpha, b.angles.beta, b.angles.gamma)
+    for c, d, center, ang in zip(m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles):
+        r = rotation_matrix(*ang)
         for k, p in enumerate(pts):
-            u = r @ (p - b.center)
-            oracle[k] += b.coeff_sqrt**2 * np.exp(-np.sum(b.decay_sqrt**2 * u**2))
-    assert np.max(np.abs(eval_model(m, pts) - oracle)) < 1e-12
+            u = r @ (p - center)
+            oracle[k] += c**2 * np.exp(-np.sum(d**2 * u**2))
+    assert np.max(np.abs(m.values(pts) - oracle)) < 1e-12
 
 
 def test_model_nonnegative(rng):
     m = _random_model(rng, 4)
     pts = rng.uniform(-10, 10, (200, 3))
-    assert (eval_model(m, pts) >= 0).all()
+    assert (m.values(pts) >= 0).all()
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_values_match_reference_loop(rng, n):
+    m = _random_model(rng, n)
+    pts = rng.uniform(-5, 5, (500, 3))
+    ref = _reference_values(m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles, pts)
+    assert np.max(np.abs(m.values(pts) - ref)) < 1e-12
+
+
+def test_values_match_reference_loop_bundled(molecule, rng):
+    m = init_model(molecule, decay=0.5)
+    box = bounding_box(molecule)
+    pts = rng.uniform(box.lo, box.hi, (5000, 3))
+    ref = _reference_values(m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles, pts)
+    assert np.max(np.abs(m.values(pts) - ref)) < 1e-12
 
 
 def test_pack_length():
@@ -168,6 +195,14 @@ def test_pack_unpack_roundtrip_bit_identical(rng):
     assert np.array_equal(back.decay_sqrt, m.decay_sqrt)
     assert np.array_equal(back.centers, m.centers)
     assert np.array_equal(back.angles, m.angles)
+
+
+def test_unpack_copies_the_vector(rng):
+    m = _random_model(rng, 3)
+    x = pack_parameters(m)
+    back = unpack_parameters(x, 3)
+    x[:] = 0.0
+    assert back == m
 
 
 def test_pack_layout_blocks(rng):
@@ -355,6 +390,7 @@ def test_load_accepts_well_formed_document(tmp_path):
 @pytest.mark.parametrize("text", [
     pytest.param("[]", id="not-object"),
     pytest.param('{"format": "erbfit-model", "version": 1}', id="no-bases"),
+    pytest.param(_model_doc(bases="[]"), id="empty-bases"),
     pytest.param(_model_doc(bases='{"0": {}}'), id="bases-not-list"),
     pytest.param(_model_doc(bases="[1.5]"), id="basis-not-object"),
     pytest.param(_bad_basis("coeff_sqrt", "coeff"), id="no-coeff"),

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from erbfit.field import Box, GaussianField, bounding_box, eval_phi
+from erbfit.field import Box, GaussianField, bounding_box
 from erbfit.sampler import (
     ConstraintSet,
     GridSpec,
     SamplingError,
     make_grid,
     select_constraints,
-    write_constraints_csv,
 )
 
 
@@ -96,7 +95,7 @@ def test_selection_equals_brute_force(molecule):
     # independent filter: loop over all grid points in order
     kept_points, kept_phi = [], []
     for p in g.points():
-        phi = eval_phi(f, p)
+        phi = f.values(p[None])[0]
         if abs(phi - 1.0) <= 0.7:
             kept_points.append(p)
             kept_phi.append(phi)
@@ -143,16 +142,3 @@ def test_constraint_set_validation():
     with pytest.raises(ValueError):
         ConstraintSet(points=np.zeros((2, 3)), targets=np.zeros(3))
 
-
-def test_csv_dump_roundtrip(tmp_path, molecule):
-    f = GaussianField.from_molecule(molecule, decay=0.5)
-    cs = select_constraints(f, make_grid(bounding_box(molecule), 2.0), band=1.0)
-    path = tmp_path / "constraints.csv"
-    write_constraints_csv(cs, path, header_lines=["test dump"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# test dump"
-    assert lines[1] == "x,y,z,phi"
-    assert len(lines) == 2 + len(cs)
-    first = [float(v) for v in lines[2].split(",")]
-    assert np.array_equal(first[:3], cs.points[0])
-    assert first[3] == cs.targets[0]
