@@ -12,7 +12,9 @@ contain nothing run-dependent, so two runs of the same command are
 byte-identical; wall time appears only in the human-readable summary.
 
 Exit codes: 0 success, 2 unreadable or invalid input (including an empty
-constraint selection), 3 optimization collapse, 4 meshing failure.
+constraint selection and a model with no bases), 3 optimization collapse,
+4 meshing failure (including a surface that reaches the meshing box, whose
+mesh would be open).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,38 +57,25 @@ class RunConfig:
     The output directory is deliberately not part of the recorded
     configuration: it changes where files land, not what they contain, so
     identical commands pointed at different directories stay byte-identical.
+    The field defaults are the command-line defaults, and a command that
+    lacks a flag records the default.
     """
 
     command: str
     inputs: tuple[str, ...]
-    decay: float
-    isovalue: float
-    band: float
-    constraint_spacing: float
-    mesh_spacing: float
-    optimizer: OptimizerConfig
-    out_dir: str
+    decay: float = 0.5
+    isovalue: float = 1.0
+    band: float = 1.0
+    constraint_spacing: float = 1.0
+    mesh_spacing: float = 0.5
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    out_dir: str = "."
 
     def header_lines(self) -> list[str]:
-        lines = [
-            f"erbfit {__version__}",
-            f"command={self.command}",
-        ]
-        lines.extend(f"input={p}" for p in self.inputs)
-        lines.extend([
-            f"decay={self.decay!r}",
-            f"isovalue={self.isovalue!r}",
-            f"band={self.band!r}",
-            f"constraint_spacing={self.constraint_spacing!r}",
-            f"mesh_spacing={self.mesh_spacing!r}",
-            f"max_iter={self.optimizer.max_iter}",
-            f"sparse_iter={self.optimizer.sparse_iter}",
-            f"prune_tol={self.optimizer.prune_tol!r}",
-            f"prune_interval={self.optimizer.prune_interval}",
-            f"epsilon={self.optimizer.epsilon_floor!r}",
-            f"error_cap={self.optimizer.max_error_cap!r}",
-        ])
-        return lines
+        d = self.as_dict()
+        return [f"erbfit {d.pop('version')}", f"command={d.pop('command')}",
+                *(f"input={p}" for p in d.pop("inputs")),
+                *(f"{key}={value!r}" for key, value in d.items())]
 
     def as_dict(self) -> dict:
         return {
@@ -108,39 +97,43 @@ class RunConfig:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--decay", type=float, default=0.5,
-                   help="Gaussian kernel decay rate d (default 0.5)")
-    p.add_argument("--isovalue", type=float, default=1.0,
-                   help="level-set value c defining the surface (default 1.0)")
-    p.add_argument("--mesh-spacing", type=float, default=0.5,
-                   help="grid spacing for isosurface meshing in Angstrom (default 0.5)")
-    p.add_argument("--out", default=".", metavar="DIR",
+    p.add_argument("--decay", type=float, default=RunConfig.decay,
+                   help="Gaussian kernel decay rate d (default %(default)s)")
+    p.add_argument("--isovalue", type=float, default=RunConfig.isovalue,
+                   help="level-set value c defining the surface (default %(default)s)")
+    p.add_argument("--mesh-spacing", type=float, default=RunConfig.mesh_spacing,
+                   help="grid spacing for isosurface meshing in Angstrom "
+                        "(default %(default)s)")
+    p.add_argument("--out", dest="out_dir", default=RunConfig.out_dir, metavar="DIR",
                    help="output directory (default: current directory)")
     p.add_argument("--deterministic", action="store_true",
                    help="accepted and ignored: every run is deterministic")
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--band", type=float, default=1.0,
+    p.add_argument("--band", type=float, default=RunConfig.band,
                    help="half-width of the |phi - c| band selecting constraint "
-                        "points (default 1.0)")
-    p.add_argument("--constraint-spacing", type=float, default=1.0,
-                   help="grid spacing for constraint sampling in Angstrom (default 1.0)")
-    p.add_argument("--max-iter", type=int, default=8000,
-                   help="total optimizer iterations (default 8000)")
-    p.add_argument("--sparse-iter", type=int, default=6000,
+                        "points (default %(default)s)")
+    p.add_argument("--constraint-spacing", type=float, default=RunConfig.constraint_spacing,
+                   help="grid spacing for constraint sampling in Angstrom "
+                        "(default %(default)s)")
+    p.add_argument("--max-iter", type=int, default=OptimizerConfig.max_iter,
+                   help="total optimizer iterations (default %(default)s)")
+    p.add_argument("--sparse-iter", type=int, default=OptimizerConfig.sparse_iter,
                    help="iterations before the permanent pure-accuracy phase "
-                        "(default 6000)")
-    p.add_argument("--prune-tol", type=float, default=1e-3,
+                        "(default %(default)s)")
+    p.add_argument("--prune-tol", type=float, default=OptimizerConfig.prune_tol,
                    help="coefficient magnitude below which a basis is deleted "
-                        "(default 1e-3)")
-    p.add_argument("--prune-interval", type=int, default=20,
-                   help="prune every this many iterations (default 20)")
-    p.add_argument("--epsilon", type=float, default=0.01,
-                   help="floor for the accuracy weight w_s (default 0.01)")
-    p.add_argument("--error-cap", type=float, default=0.5,
+                        "(default %(default)s)")
+    p.add_argument("--prune-interval", type=int, default=OptimizerConfig.prune_interval,
+                   help="prune every this many iterations (default %(default)s)")
+    p.add_argument("--epsilon", dest="epsilon_floor", metavar="EPSILON", type=float,
+                   default=OptimizerConfig.epsilon_floor,
+                   help="floor for the accuracy weight w_s (default %(default)s)")
+    p.add_argument("--error-cap", dest="max_error_cap", metavar="ERROR_CAP", type=float,
+                   default=OptimizerConfig.max_error_cap,
                    help="max pointwise error that forces a pure-accuracy "
-                        "iteration (default 0.5)")
+                        "iteration (default %(default)s)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -176,25 +169,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args: argparse.Namespace, inputs: tuple[str, ...]) -> RunConfig:
-    optimizer = OptimizerConfig(
-        max_iter=getattr(args, "max_iter", 8000),
-        sparse_iter=getattr(args, "sparse_iter", 6000),
-        prune_tol=getattr(args, "prune_tol", 1e-3),
-        prune_interval=getattr(args, "prune_interval", 20),
-        epsilon_floor=getattr(args, "epsilon", 0.01),
-        max_error_cap=getattr(args, "error_cap", 0.5),
-    )
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        decay=getattr(args, "decay", 0.5),
-        isovalue=getattr(args, "isovalue", 1.0),
-        band=getattr(args, "band", 1.0),
-        constraint_spacing=getattr(args, "constraint_spacing", 1.0),
-        mesh_spacing=getattr(args, "mesh_spacing", 0.5),
-        optimizer=optimizer,
-        out_dir=getattr(args, "out", "."),
-    )
+    """Each flag's dest names the RunConfig or OptimizerConfig field it sets."""
+    given = vars(args)
+
+    def flags_of(cls) -> dict:
+        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
+
+    return RunConfig(inputs=inputs, optimizer=OptimizerConfig(**flags_of(OptimizerConfig)),
+                     **flags_of(RunConfig))
 
 
 def _out_dir(config: RunConfig) -> Path:

@@ -1,15 +1,17 @@
 """Isosurface meshing and surface-comparison metrics.
 
-extract_isosurface runs classic 256-case marching cubes over a uniform grid:
-cube corners are numbered 0-3 around the bottom face (z = z_k) starting at the
-cell's min corner and going +x, +x+y, +y, with 4-7 the matching top face, and
-edges 0-11 in the usual order (bottom ring, top ring, then the four verticals
-0-4, 1-5, 2-6, 3-7).  A corner contributes its bit when the field value there
-is strictly below the isovalue, so a flagged edge always has endpoints on
-opposite sides and the linear interpolation denominator is never zero.
-Vertices are deduplicated on grid edges, which makes the mesh combinatorially
-watertight across interior cell faces and makes vertex numbering a pure
-function of the inputs.
+extract_isosurface runs classic 256-case marching cubes over a uniform grid
+as array passes: cube corners are numbered 0-3 around the bottom face
+(z = z_k) starting at the cell's min corner and going +x, +x+y, +y, with 4-7
+the matching top face, and edges 0-11 in the usual order (bottom ring, top
+ring, then the four verticals 0-4, 1-5, 2-6, 3-7).  A corner contributes its
+bit when the field value there is strictly below the isovalue.  Every grid
+edge whose two ends lie on opposite sides carries exactly one vertex, so the
+interpolation denominator is never zero and neighbouring cells share their
+vertices; vertices are numbered x-edges, then y-edges, then z-edges, each in
+C order, and triangles follow the cells in C order.  A surface that reaches
+the box boundary is refused, because its mesh would be open and its volume
+meaningless.
 
 Metrics follow the mesh itself: area as the summed triangle areas, enclosed
 volume as |sum of signed tetrahedron volumes| against the origin, and a
@@ -20,12 +22,13 @@ exact point-to-triangle distances on the other).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._mc_tables import EDGE_TABLE, TRI_TABLE
+from ._mc_tables import TRI_TABLE
 from .field import Box
 from .sampler import make_grid
 
@@ -42,11 +45,17 @@ _CORNER_OFFSETS = (
     (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
     (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
 )
-_EDGE_CORNERS = (
-    (0, 1), (1, 2), (2, 3), (3, 0),
-    (4, 5), (5, 6), (6, 7), (7, 4),
-    (0, 4), (1, 5), (2, 6), (3, 7),
+# cube edge e is the grid edge along axis _CUBE_EDGES[e][0] that starts at the
+# cell corner offset _CUBE_EDGES[e][1]
+_CUBE_EDGES = (
+    (0, (0, 0, 0)), (1, (1, 0, 0)), (0, (0, 1, 0)), (1, (0, 0, 0)),
+    (0, (0, 0, 1)), (1, (1, 0, 1)), (0, (0, 1, 1)), (1, (0, 0, 1)),
+    (2, (0, 0, 0)), (2, (1, 0, 0)), (2, (1, 1, 0)), (2, (0, 1, 0)),
 )
+_TRIANGLES = np.array(TRI_TABLE, dtype=np.int64)
+# sample points per candidate query in the Hausdorff distance; bounds the
+# (point, triangle) pairs held at once
+_HAUSDORFF_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -87,7 +96,8 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
     `evaluator` maps an (M, 3) point array to (M,) field values.  Triangles
     come out oriented with normals pointing toward decreasing field values,
     which is outward for a molecular density.  Raises EmptyMeshError when no
-    grid cell crosses the isovalue.
+    grid cell crosses the isovalue, and MeshError when a grid node on the
+    box boundary is not below the isovalue.
     """
     grid = make_grid(box, spacing)
     nx, ny, nz = grid.counts
@@ -96,66 +106,43 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
     if not np.isfinite(vals).all():
         raise MeshError("field evaluator produced non-finite values")
 
-    # cells with at least one corner on each side of the isovalue
     below = vals < isovalue
-    some_below = np.zeros((nx, ny, nz), dtype=bool)
-    all_below = np.ones((nx, ny, nz), dtype=bool)
-    for dx, dy, dz in _CORNER_OFFSETS:
-        corner = below[dx:nx + dx, dy:ny + dy, dz:nz + dz]
-        some_below |= corner
-        all_below &= corner
-    crossing = np.argwhere(some_below & ~all_below)
-    if crossing.shape[0] == 0:
+    case = np.zeros((nx, ny, nz), dtype=np.uint8)
+    for bit, (dx, dy, dz) in enumerate(_CORNER_OFFSETS):
+        case |= below[dx:nx + dx, dy:ny + dy, dz:nz + dz].astype(np.uint8) << bit
+    cells = np.flatnonzero((case != 0) & (case != 255))
+    if cells.size == 0:
         raise EmptyMeshError(
             f"isovalue {isovalue} is not crossed anywhere inside the box")
+    if not all(np.take(below, [0, -1], axis=a).all() for a in range(3)):
+        raise MeshError("the surface reaches the box boundary; the mesh would be open")
 
+    # one vertex per cut grid edge (np.diff of a bool array is "not equal"),
+    # numbered x-edges, then y-edges, then z-edges, each in C order
     xs = [grid.axis_coords(p) for p in range(3)]
-    s0, s1 = (ny + 1) * (nz + 1), nz + 1
+    vertex_id, vertices, n = [], [], 0
+    for axis in range(3):
+        cut = np.diff(below, axis=axis)
+        lo = np.nonzero(cut)
+        hi = lo[:axis] + (lo[axis] + 1,) + lo[axis + 1:]
+        va = vals[lo]
+        t = (isovalue - va) / (vals[hi] - va)
+        coords = [xs[p][lo[p]] for p in range(3)]
+        coords[axis] = coords[axis] + t * (xs[axis][hi[axis]] - coords[axis])
+        vertices.append(np.stack(coords, axis=1))
+        vertex_id.append(np.full(cut.shape, -1, dtype=np.int64))
+        vertex_id[axis][lo] = np.arange(n, n + t.size)
+        n += t.size
 
-    vertices: list[tuple[float, float, float]] = []
-    vertex_on_edge: dict[tuple[int, int], int] = {}
-    triangles: list[tuple[int, int, int]] = []
-
-    for i, j, k in crossing:
-        flat = []
-        cvals = []
-        case = 0
-        for bit, (dx, dy, dz) in enumerate(_CORNER_OFFSETS):
-            f = (i + dx) * s0 + (j + dy) * s1 + (k + dz)
-            flat.append(f)
-            v = vals[i + dx, j + dy, k + dz]
-            cvals.append(v)
-            if v < isovalue:
-                case |= 1 << bit
-        edge_mask = EDGE_TABLE[case]
-        edge_vertex = [-1] * 12
-        for e in range(12):
-            if not (edge_mask >> e) & 1:
-                continue
-            a, b = _EDGE_CORNERS[e]
-            key = (flat[a], flat[b]) if flat[a] < flat[b] else (flat[b], flat[a])
-            idx = vertex_on_edge.get(key)
-            if idx is None:
-                va, vb = cvals[a], cvals[b]
-                t = (isovalue - va) / (vb - va)
-                oa, ob = _CORNER_OFFSETS[a], _CORNER_OFFSETS[b]
-                px = xs[0][i + oa[0]] + t * (xs[0][i + ob[0]] - xs[0][i + oa[0]])
-                py = xs[1][j + oa[1]] + t * (xs[1][j + ob[1]] - xs[1][j + oa[1]])
-                pz = xs[2][k + oa[2]] + t * (xs[2][k + ob[2]] - xs[2][k + oa[2]])
-                idx = len(vertices)
-                vertices.append((px, py, pz))
-                vertex_on_edge[key] = idx
-            edge_vertex[e] = idx
-        row = TRI_TABLE[case]
-        for t0 in range(0, 16, 3):
-            if row[t0] < 0:
-                break
-            triangles.append((edge_vertex[row[t0]],
-                              edge_vertex[row[t0 + 1]],
-                              edge_vertex[row[t0 + 2]]))
-
-    return TriMesh(vertices=np.array(vertices, dtype=np.float64),
-                   triangles=np.array(triangles, dtype=np.int64))
+    ci, cj, ck = np.unravel_index(cells, (nx, ny, nz))
+    edge_vertex = np.stack([vertex_id[axis][ci + dx, cj + dy, ck + dz]
+                            for axis, (dx, dy, dz) in _CUBE_EDGES], axis=1)
+    rows = _TRIANGLES[case.ravel()[cells]]
+    # -1 pads each row; take_along_axis reads it as the last column, which
+    # the mask then drops
+    triangles = np.take_along_axis(edge_vertex, rows, axis=1)[rows >= 0]
+    return TriMesh(vertices=np.concatenate(vertices),
+                   triangles=triangles.reshape(-1, 3))
 
 
 def mesh_area(mesh: TriMesh) -> float:
@@ -188,11 +175,10 @@ def _triangle_samples(mesh: TriMesh, per_triangle: int) -> np.ndarray:
     degree = 1
     while (degree + 1) * (degree + 2) // 2 < per_triangle:
         degree += 1
-    bary = []
-    for bi in range(degree + 1):
-        for bj in range(degree + 1 - bi):
-            bary.append((bi / degree, bj / degree, (degree - bi - bj) / degree))
-    bary = np.array(bary[:per_triangle], dtype=np.float64)
+    i, j = np.indices((degree + 1, degree + 1)).reshape(2, -1)
+    keep = i + j <= degree
+    i, j = i[keep], j[keep]
+    bary = np.stack([i, j, degree - i - j], axis=1)[:per_triangle] / degree
     v1, v2, v3 = mesh.corners()
     samples = (bary[None, :, 0, None] * v1[:, None, :]
                + bary[None, :, 1, None] * v2[:, None, :]
@@ -244,36 +230,26 @@ def _directed_hausdorff(points: np.ndarray, target: TriMesh) -> float:
     """max over points of the exact distance to the target mesh surface."""
     v1, v2, v3 = target.corners()
     centroids = (v1 + v2 + v3) / 3.0
-    # circumscribing radius per triangle around its centroid
-    reach = np.sqrt(np.maximum(
-        ((v1 - centroids) ** 2).sum(axis=1),
-        np.maximum(((v2 - centroids) ** 2).sum(axis=1),
-                   ((v3 - centroids) ** 2).sum(axis=1)),
-    ))
-    max_reach = float(reach.max())
-    # distance to the nearest target vertex bounds the surface distance above
+    # largest distance from a triangle's centroid to one of its corners
+    max_reach = float(np.sqrt(max(((v - centroids) ** 2).sum(axis=1).max()
+                                  for v in (v1, v2, v3))))
+    # distance to the nearest target vertex bounds the surface distance above,
+    # so the triangles around that vertex are always among the candidates
     ub, _ = cKDTree(target.vertices).query(points, k=1)
     tree = cKDTree(centroids)
-    candidates = tree.query_ball_point(points, ub + max_reach)
-
     best = np.full(points.shape[0], np.inf)
-    pair_p: list[np.ndarray] = []
-    pair_t: list[np.ndarray] = []
-    for pi, tris in enumerate(candidates):
-        if tris:
-            pair_p.append(np.full(len(tris), pi, dtype=np.int64))
-            pair_t.append(np.array(tris, dtype=np.int64))
-    if pair_p:
-        pair_p = np.concatenate(pair_p)
-        pair_t = np.concatenate(pair_t)
-        chunk = 500_000
-        for s in range(0, pair_p.shape[0], chunk):
-            pp = pair_p[s:s + chunk]
-            tt = pair_t[s:s + chunk]
-            d_sq = _point_triangle_distance_sq(points[pp], v1[tt], v2[tt], v3[tt])
-            np.minimum.at(best, pp, d_sq)
-    # every point got at least its nearest-vertex triangle fan as candidates,
-    # but guard with the vertex bound in case of isolated vertices
+    for s in range(0, points.shape[0], _HAUSDORFF_BLOCK):
+        block = slice(s, s + _HAUSDORFF_BLOCK)
+        candidates = tree.query_ball_point(points[block], ub[block] + max_reach)
+        counts = np.fromiter(map(len, candidates), dtype=np.int64, count=len(candidates))
+        tris = np.fromiter(chain.from_iterable(candidates), dtype=np.int64,
+                           count=int(counts.sum()))
+        owner = np.repeat(np.arange(s, s + len(candidates)), counts)
+        d_sq = _point_triangle_distance_sq(points[owner], v1[tris], v2[tris], v3[tris])
+        # a point whose nearest vertex belongs to no triangle keeps the vertex bound
+        starts = np.cumsum(counts) - counts
+        has = counts > 0
+        best[s + np.flatnonzero(has)] = np.minimum.reduceat(d_sq, starts[has])
     best = np.minimum(np.sqrt(best), ub)
     return float(best.max())
 
@@ -291,8 +267,7 @@ def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) 
     return max(d_ab, d_ba)
 
 
-def compare_surfaces(eval_a, eval_b, box: Box, spacing: float, isovalue: float,
-                     samples_per_triangle: int = 10) -> dict:
+def compare_surfaces(eval_a, eval_b, box: Box, spacing: float, isovalue: float) -> dict:
     """Mesh two fields on one grid and report areas, volumes, errors, Hausdorff.
 
     eval_a is the reference (original) field, eval_b the approximation; both
@@ -309,15 +284,13 @@ def compare_surfaces(eval_a, eval_b, box: Box, spacing: float, isovalue: float,
         "V_original": vol_a,
         "V_our": vol_b,
         "Error_V": abs(vol_b - vol_a) / vol_a,
-        "H": hausdorff(mesh_a, mesh_b, samples_per_triangle),
+        "H": hausdorff(mesh_a, mesh_b),
     }
 
 
 def write_obj(mesh: TriMesh, path, header_lines=()) -> None:
     """OBJ export: comment header, v records, 1-based f records."""
     lines = [f"# {h}" for h in header_lines]
-    for v in mesh.vertices:
-        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    for t in mesh.triangles:
-        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
+    lines += [f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"f {a} {b} {c}" for a, b, c in (mesh.triangles + 1).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")

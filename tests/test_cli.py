@@ -185,6 +185,46 @@ def test_compare_fitted_model(atom_pqr, fit_dir, tmp_path, capsys):
     assert all(np.isfinite(v) for v in rep.values())
 
 
+def test_recorded_config_is_pinned(atom_pqr, fit_dir, tmp_path):
+    # every output records the configuration; these bytes must not drift
+    header = [f"erbfit {__version__}", "command=sparsify", f"input={atom_pqr}",
+              "decay=0.5", "isovalue=1.0", "band=1.0", "constraint_spacing=0.7",
+              "mesh_spacing=0.5", "max_iter=60", "sparse_iter=40", "prune_tol=0.001",
+              "prune_interval=20", "epsilon=0.01", "error_cap=0.5"]
+    for name in ("trace.csv", "weights.txt", "summary.txt"):
+        lines = (fit_dir / name).read_text().splitlines()
+        assert [ln[2:] for ln in lines if ln.startswith("# ")] == header, name
+    model = str(fit_dir / "model.json")
+    assert main(["compare", str(atom_pqr), model, "--out", str(tmp_path),
+                 "--mesh-spacing", "0.4"]) == 0
+    config = json.loads((tmp_path / "compare.json").read_text())["config"]
+    assert config == {
+        "version": __version__, "command": "compare", "inputs": [str(atom_pqr), model],
+        "decay": 0.5, "isovalue": 1.0, "band": 1.0, "constraint_spacing": 1.0,
+        "mesh_spacing": 0.4, "max_iter": 8000, "sparse_iter": 6000, "prune_tol": 0.001,
+        "prune_interval": 20, "epsilon": 0.01, "error_cap": 0.5,
+    }
+
+
+def test_compare_open_model_surface_exits_4(bundled_pqr, molecule, tmp_path):
+    # one wide basis whose level set is a sphere of radius ~9.9 A around the
+    # centroid, larger than the molecule's box: its mesh would be open
+    basis = {"coeff_sqrt": float(np.sqrt(50.0)), "decay_sqrt": [0.2, 0.2, 0.2],
+             "center": molecule.centers.mean(axis=0).tolist(), "angles": [0.0, 0.0, 0.0]}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"format": "erbfit-model", "version": 1, "bases": [basis]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "erbfit.cli", "compare", str(bundled_pqr), str(model),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=SRC_ENV, timeout=120)
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert lines[0].endswith("the mesh would be open")
+    assert not (tmp_path / "compare.json").exists()
+
+
 def test_out_directory_created(atom_pqr, tmp_path):
     nested = tmp_path / "deep" / "run"
     code = main(["mesh", str(atom_pqr), "--out", str(nested),

@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from erbfit.field import Box, GaussianField
+import erbfit.mesh
+from erbfit._mc_tables import TRI_TABLE
+from erbfit.field import Box, GaussianField, bounding_box
 from erbfit.mesh import (
     EmptyMeshError,
+    MeshError,
     TriMesh,
+    _directed_hausdorff,
+    _point_triangle_distance_sq,
+    _triangle_samples,
     compare_surfaces,
     extract_isosurface,
     hausdorff,
@@ -14,6 +21,7 @@ from erbfit.mesh import (
     mesh_volume,
     write_obj,
 )
+from erbfit.sampler import make_grid
 
 SPHERE_R = 1.5
 SPHERE_AREA = 4.0 * np.pi * SPHERE_R**2       # 28.2743...
@@ -45,6 +53,59 @@ def _unit_cube_mesh():
         [1, 2, 6], [1, 6, 5],   # right
     ])
     return TriMesh(vertices=v, triangles=t)
+
+
+_CORNERS = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+            (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1))
+_EDGE_CORNERS = ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6),
+                 (6, 7), (7, 4), (0, 4), (1, 5), (2, 6), (3, 7))
+
+
+def _reference_extract(evaluator, box, spacing, isovalue):
+    """The per-cell marching-cubes loop that extract_isosurface replaced.
+
+    Vertices are numbered in first-use order, so only triangle coordinates
+    (not vertex ids) are comparable with extract_isosurface.
+    """
+    grid = make_grid(box, spacing)
+    nx, ny, nz = grid.counts
+    vals = np.asarray(evaluator(grid.points())).reshape(nx + 1, ny + 1, nz + 1)
+    xs = [grid.axis_coords(p) for p in range(3)]
+    vertices, vertex_on_edge, triangles = [], {}, []
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                corner = [(i + dx, j + dy, k + dz) for dx, dy, dz in _CORNERS]
+                cvals = [vals[c] for c in corner]
+                case = sum(1 << bit for bit, v in enumerate(cvals) if v < isovalue)
+                if case in (0, 255):
+                    continue
+                edge_vertex = [-1] * 12
+                for e, (a, b) in enumerate(_EDGE_CORNERS):
+                    if (cvals[a] < isovalue) == (cvals[b] < isovalue):
+                        continue
+                    key = tuple(sorted((corner[a], corner[b])))
+                    if key not in vertex_on_edge:
+                        t = (isovalue - cvals[a]) / (cvals[b] - cvals[a])
+                        vertex_on_edge[key] = len(vertices)
+                        vertices.append([xs[p][corner[a][p]] + t * (xs[p][corner[b][p]]
+                                                                   - xs[p][corner[a][p]])
+                                         for p in range(3)])
+                    edge_vertex[e] = vertex_on_edge[key]
+                row = [e for e in TRI_TABLE[case] if e >= 0]
+                triangles.extend([edge_vertex[e] for e in row[n:n + 3]]
+                                 for n in range(0, len(row), 3))
+    return TriMesh(vertices=np.array(vertices), triangles=np.array(triangles))
+
+
+def _assert_same_mesh(evaluator, box, spacing, isovalue):
+    got = extract_isosurface(evaluator, box, spacing, isovalue)
+    ref = _reference_extract(evaluator, box, spacing, isovalue)
+    assert got.vertices.shape == ref.vertices.shape
+    assert got.n_f == ref.n_f
+    np.testing.assert_allclose(got.vertices[got.triangles], ref.vertices[ref.triangles],
+                               rtol=0, atol=1e-12)
+    return got
 
 
 # ---------------------------------------------------------------- TriMesh
@@ -93,6 +154,44 @@ def test_constant_field_has_no_surface():
     box = Box(lo=np.zeros(3), hi=np.ones(3))
     with pytest.raises(EmptyMeshError):
         extract_isosurface(lambda pts: np.zeros(len(pts)), box, 0.5, 1.0)
+
+
+def test_surface_reaching_the_box_is_refused():
+    # the sphere of radius 1.5 crosses the faces of a box of half-width 1
+    f = _sphere_field()
+    box = Box(lo=np.full(3, -1.0), hi=np.full(3, 1.0))
+    with pytest.raises(MeshError, match="the mesh would be open"):
+        extract_isosurface(f.values, box, 0.25, 1.0)
+
+
+def test_matches_reference_on_sphere():
+    f = _sphere_field()
+    _assert_same_mesh(f.values, Box(lo=np.full(3, -3.0), hi=np.full(3, 3.0)), 0.25, 1.0)
+
+
+def test_matches_reference_on_bundled_field(molecule):
+    f = GaussianField.from_molecule(molecule, decay=0.5, isovalue=1.0)
+    _assert_same_mesh(f.values, bounding_box(molecule), 0.5, 1.0)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n_atoms=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       isovalue=st.floats(0.3, 2.0), spacing=st.floats(0.45, 0.8))
+def test_matches_reference_on_random_fields(n_atoms, seed, isovalue, spacing):
+    # overlapping atoms at several isovalues reach the ambiguous cases of the
+    # table; the box is wide enough that the surface never reaches it
+    rng = np.random.default_rng(seed)
+    f = GaussianField(centers=rng.uniform(-2.5, 2.5, (n_atoms, 3)),
+                      radii=rng.uniform(1.0, 2.0, n_atoms), decay=0.5)
+    box = Box(lo=np.full(3, -8.0), hi=np.full(3, 8.0))
+    try:
+        mesh = _assert_same_mesh(f.values, box, spacing, isovalue)
+    except EmptyMeshError:
+        assert f.values(make_grid(box, spacing).points()).max() < isovalue
+        return
+    # closed: every edge is shared by exactly two triangles
+    edges = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    assert set(np.unique(edges, axis=0, return_counts=True)[1].tolist()) == {2}
 
 
 # ---------------------------------------------------------------- area/volume
@@ -167,6 +266,46 @@ def test_hausdorff_lower_bounded_by_vertex_deviation():
     a = _unit_cube_mesh()
     b = a.translated(np.array([0.0, 0.0, 3.0]))
     assert hausdorff(a, b) >= 3.0 - 1e-12
+
+
+def _brute_force_directed(points, target):
+    """max over points of the min over every target triangle."""
+    corners = target.corners()
+    best = 0.0
+    for chunk in np.array_split(points, len(points) // 100 + 1):
+        d_sq = _point_triangle_distance_sq(np.repeat(chunk, target.n_f, axis=0),
+                                           *(np.tile(v, (len(chunk), 1)) for v in corners))
+        best = max(best, d_sq.reshape(len(chunk), -1).min(axis=1).max())
+    return float(np.sqrt(best))
+
+
+@pytest.mark.parametrize("pair", ["inflated", "translated"])
+def test_directed_hausdorff_matches_brute_force(monkeypatch, pair):
+    # small blocks, so that many block boundaries and a partial last block occur
+    monkeypatch.setattr(erbfit.mesh, "_HAUSDORFF_BLOCK", 7)
+    a = _sphere_mesh(spacing=0.5)
+    if pair == "inflated":
+        big = GaussianField(centers=np.zeros((1, 3)), radii=np.array([1.05 * SPHERE_R]),
+                            decay=0.5)
+        b = extract_isosurface(big.values, Box(lo=np.full(3, -3.0), hi=np.full(3, 3.0)),
+                               0.45, 1.0)
+    else:
+        b = a.translated(np.array([0.3, -0.2, 0.1]))
+    for points, target in ((_triangle_samples(a, 10), b), (_triangle_samples(b, 10), a)):
+        assert _directed_hausdorff(points, target) == pytest.approx(
+            _brute_force_directed(points, target), rel=0, abs=1e-12)
+
+
+def test_directed_hausdorff_point_without_candidates():
+    # the first point's nearest target vertex belongs to no triangle and no
+    # triangle is near: it keeps that vertex distance as its bound, and the
+    # points after it in the block keep their own minima
+    target = TriMesh(vertices=np.array([[0.0, 0, 0], [100.0, 0, 0], [100.0, 1, 0],
+                                        [100.0, 0, 1]]),
+                     triangles=np.array([[1, 2, 3]]))
+    points = np.array([[0.0, 0.0, 0.5], [100.0, 0.2, 0.2], [103.0, 0.2, 0.2]])
+    assert _directed_hausdorff(points, target) == pytest.approx(3.0, abs=1e-12)
+    assert _directed_hausdorff(points[:2], target) == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------- comparison
