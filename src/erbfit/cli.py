@@ -36,6 +36,7 @@ from .optimizer import (
     OptimizationError,
     OptimizerConfig,
     energy_terms,
+    fit_residual,
     max_pointwise_error,
     optimize,
     write_weight_histogram,
@@ -247,8 +248,9 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
         return EXIT_COLLAPSE
 
     wall = time.perf_counter() - t0
-    es, _ = energy_terms(model, constraints)
-    max_err = max_pointwise_error(model, constraints)
+    residual = fit_residual(model, constraints)
+    es, _ = energy_terms(model, residual)
+    max_err = max_pointwise_error(residual)
     ratio = model.n_bases / len(molecule)
 
     metadata = {

@@ -15,8 +15,8 @@ meaningless.
 
 Metrics follow the mesh itself: area as the summed triangle areas, enclosed
 volume as |sum of signed tetrahedron volumes| against the origin, and a
-Metro-style symmetric Hausdorff estimate (sampled points on one mesh against
-exact point-to-triangle distances on the other).
+Metro-style symmetric Hausdorff estimate (sampled points on one mesh, each
+distinct point once, against exact point-to-triangle distances on the other).
 """
 
 from __future__ import annotations
@@ -166,11 +166,17 @@ def mesh_volume(mesh: TriMesh) -> float:
 
 
 def _triangle_samples(mesh: TriMesh, per_triangle: int) -> np.ndarray:
-    """Mesh vertices plus a deterministic barycentric lattice on each triangle.
+    """Mesh vertices plus a deterministic barycentric lattice on each triangle, each point once.
 
     per_triangle = 10 uses the degree-3 lattice (i+j+k = 3), which has exactly
     10 nodes; other counts take the first nodes of the next large-enough
-    lattice.
+    lattice.  A lattice corner is a copy of a mesh vertex and is left out.  A
+    node on an edge is the same point, to the bit, in every triangle that
+    holds the edge (its two weights are the same numbers and the third adds
+    0 * x), so it is taken once, from the first triangle that holds it; this
+    also holds on open and non-manifold meshes.  Every interior node is
+    taken.  The directed Hausdorff distance is a max over points, so it is
+    the same over these points as over the full lattice on every triangle.
     """
     degree = 1
     while (degree + 1) * (degree + 2) // 2 < per_triangle:
@@ -178,45 +184,73 @@ def _triangle_samples(mesh: TriMesh, per_triangle: int) -> np.ndarray:
     i, j = np.indices((degree + 1, degree + 1)).reshape(2, -1)
     keep = i + j <= degree
     i, j = i[keep], j[keep]
-    bary = np.stack([i, j, degree - i - j], axis=1)[:per_triangle] / degree
-    v1, v2, v3 = mesh.corners()
-    samples = (bary[None, :, 0, None] * v1[:, None, :]
-               + bary[None, :, 1, None] * v2[:, None, :]
-               + bary[None, :, 2, None] * v3[:, None, :])
-    return np.concatenate([mesh.vertices, samples.reshape(-1, 3)], axis=0)
+    lattice = np.stack([i, j, degree - i - j], axis=1)[:per_triangle]
+    t = mesh.triangles
+    zeros = (lattice == 0).sum(axis=1)
+    take = np.zeros((mesh.n_f, lattice.shape[0]), dtype=bool)
+    take[:, zeros == 0] = True
+    # an edge node is named by its edge (the sorted vertex pair) and its
+    # weight on the edge's lower vertex
+    edge_nodes = np.flatnonzero(zeros == 1)
+    nodes = lattice[edge_nodes]
+    a = (np.argmin(nodes, axis=1) + 1) % 3
+    b = (a + 1) % 3
+    ta, tb = t[:, a], t[:, b]
+    lo, hi = np.minimum(ta, tb), np.maximum(ta, tb)
+    _, edge = np.unique(lo * mesh.vertices.shape[0] + hi, return_inverse=True)
+    rows = np.arange(len(nodes))
+    weight_lo = np.where(ta < tb, nodes[rows, a], nodes[rows, b])
+    _, first = np.unique(edge.reshape(lo.shape) * (degree + 1) + weight_lo,
+                         return_index=True)
+    on_edge = np.zeros(lo.size, dtype=bool)
+    on_edge[first] = True
+    take[:, edge_nodes] = on_edge.reshape(lo.shape)
+    tri, node = np.nonzero(take)
+    bary = lattice[node] / degree
+    v = mesh.vertices
+    samples = (bary[:, 0, None] * v[t[tri, 0]]
+               + bary[:, 1, None] * v[t[tri, 1]]
+               + bary[:, 2, None] * v[t[tri, 2]])
+    return np.concatenate([v, samples], axis=0)
+
+
+def _dot(u, v):
+    """Row-wise dot product of coordinate-major (3, K) arrays, summed x, y, z in order."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _segment_distance_sq(p, a, b):
-    """Squared distance from points p to segments a-b (all (K, 3))."""
+    """Squared distance from points p to segments a-b (all (3, K))."""
     ab = b - a
-    denom = (ab * ab).sum(axis=1)
-    t = ((p - a) * ab).sum(axis=1)
+    denom = _dot(ab, ab)
+    t = _dot(p - a, ab)
     t = np.divide(t, denom, out=np.zeros_like(t), where=denom > 0)
     np.clip(t, 0.0, 1.0, out=t)
-    closest = a + t[:, None] * ab
-    d = p - closest
-    return (d * d).sum(axis=1)
+    d = p - (a + t * ab)
+    return _dot(d, d)
 
 
 def _point_triangle_distance_sq(p, a, b, c):
-    """Squared exact distance from points p to triangles (a, b, c), (K, 3) each."""
+    """Squared exact distance from points p to triangles (a, b, c), (3, K) each."""
     v0 = b - a
     v1 = c - a
     v2 = p - a
-    d00 = (v0 * v0).sum(axis=1)
-    d01 = (v0 * v1).sum(axis=1)
-    d11 = (v1 * v1).sum(axis=1)
-    d20 = (v2 * v0).sum(axis=1)
-    d21 = (v2 * v1).sum(axis=1)
+    d00 = _dot(v0, v0)
+    d01 = _dot(v0, v1)
+    d11 = _dot(v1, v1)
+    d20 = _dot(v2, v0)
+    d21 = _dot(v2, v1)
     denom = d00 * d11 - d01 * d01
     pos = denom > 0
     v = np.divide(d11 * d20 - d01 * d21, denom, out=np.full_like(denom, -1.0), where=pos)
     w = np.divide(d00 * d21 - d01 * d20, denom, out=np.full_like(denom, -1.0), where=pos)
     interior = (v >= 0) & (w >= 0) & (v + w <= 1)
     # perpendicular distance where the projection lands inside the triangle
-    n = np.cross(v0, v1)
-    nn = (n * n).sum(axis=1)
-    pn = (v2 * n).sum(axis=1)
+    n = (v0[1] * v1[2] - v0[2] * v1[1],
+         v0[2] * v1[0] - v0[0] * v1[2],
+         v0[0] * v1[1] - v0[1] * v1[0])
+    nn = _dot(n, n)
+    pn = _dot(v2, n)
     plane_sq = np.divide(pn * pn, nn, out=np.full_like(nn, np.inf), where=nn > 0)
     plane_sq = np.where(interior, plane_sq, np.inf)
     edge_sq = np.minimum(
@@ -237,15 +271,21 @@ def _directed_hausdorff(points: np.ndarray, target: TriMesh) -> float:
     # so the triangles around that vertex are always among the candidates
     ub, _ = cKDTree(target.vertices).query(points, k=1)
     tree = cKDTree(centroids)
+    # the distance pass runs coordinate-major: one (3, K) gather per block
+    points_t = np.ascontiguousarray(points.T)
+    v1, v2, v3 = (np.ascontiguousarray(v.T) for v in (v1, v2, v3))
     best = np.full(points.shape[0], np.inf)
     for s in range(0, points.shape[0], _HAUSDORFF_BLOCK):
         block = slice(s, s + _HAUSDORFF_BLOCK)
-        candidates = tree.query_ball_point(points[block], ub[block] + max_reach)
+        # the per-point minimum below is exact, so candidate order is irrelevant
+        candidates = tree.query_ball_point(points[block], ub[block] + max_reach,
+                                           return_sorted=False)
         counts = np.fromiter(map(len, candidates), dtype=np.int64, count=len(candidates))
         tris = np.fromiter(chain.from_iterable(candidates), dtype=np.int64,
                            count=int(counts.sum()))
         owner = np.repeat(np.arange(s, s + len(candidates)), counts)
-        d_sq = _point_triangle_distance_sq(points[owner], v1[tris], v2[tris], v3[tris])
+        d_sq = _point_triangle_distance_sq(np.take(points_t, owner, axis=1),
+                                           *(np.take(v, tris, axis=1) for v in (v1, v2, v3)))
         # a point whose nearest vertex belongs to no triangle keeps the vertex bound
         starts = np.cumsum(counts) - counts
         has = counts > 0
@@ -257,8 +297,10 @@ def _directed_hausdorff(points: np.ndarray, target: TriMesh) -> float:
 def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) -> float:
     """Symmetric Hausdorff estimate between two mesh surfaces.
 
-    Samples each mesh (vertices plus a fixed barycentric lattice per triangle)
-    and takes the max of the two directed sample-to-surface maxima.
+    Samples each mesh (vertices plus a fixed barycentric lattice per triangle,
+    each distinct point once) and takes the max of the two directed
+    sample-to-surface maxima.  The exact point-triangle distances run on
+    coordinate-major (3, K) arrays, one block of sample points at a time.
     """
     if mesh_a.n_f == 0 or mesh_b.n_f == 0:
         raise MeshError("hausdorff needs two non-empty meshes")

@@ -134,9 +134,13 @@ class IterationTrace:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def energy_terms(model: RbfModel, constraints: ConstraintSet) -> tuple[float, float]:
-    """(E_s, E_l1) for a model against a constraint set."""
-    residual = model.values(constraints.points) - constraints.targets
+def fit_residual(model: RbfModel, constraints: ConstraintSet) -> np.ndarray:
+    """model(y_k) - phi(y_k) at the constraint points: one value pass."""
+    return model.values(constraints.points) - constraints.targets
+
+
+def energy_terms(model: RbfModel, residual: np.ndarray) -> tuple[float, float]:
+    """(E_s, E_l1) of a model, given its residual at the constraint points."""
     es = float(residual @ residual)
     el1 = float(model.coeff_sqrt @ model.coeff_sqrt + (model.decay_sqrt**2).sum())
     return es, el1
@@ -165,9 +169,9 @@ def prune(model: RbfModel, prune_tol: float) -> RbfModel:
     )
 
 
-def max_pointwise_error(model: RbfModel, constraints: ConstraintSet) -> float:
-    """max_k |model(y_k) - phi(y_k)| over the constraint points."""
-    return float(np.abs(model.values(constraints.points) - constraints.targets).max())
+def max_pointwise_error(residual: np.ndarray) -> float:
+    """max_k |model(y_k) - phi(y_k)|, given the residual at the constraint points."""
+    return float(np.abs(residual).max())
 
 
 def line_search(objective, x, f0, grad, tau_init, c1=1e-4, shrink=0.5,

@@ -20,6 +20,11 @@ class SamplingError(ValueError):
     """Grid construction or constraint selection failed."""
 
 
+# largest grid make_grid builds: its (M, 3) point array alone is 0.8 GB, while
+# the 0.5 A mesh of a 400-atom molecule needs about half a million points
+MAX_GRID_POINTS = 2**25
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid: counts[p] intervals per axis, hence counts[p]+1 points.
@@ -82,14 +87,24 @@ class ConstraintSet:
 def make_grid(box: Box, spacing: float) -> GridSpec:
     """Grid over `box` with interval counts ceil(extent/spacing), clamped to >= 2.
 
-    The box must have positive extent on every axis.
+    The box must have positive extent on every axis, the spacing must be
+    finite and positive, and the grid may hold at most MAX_GRID_POINTS
+    points; the count is checked before anything is allocated.
     """
-    if spacing <= 0:
-        raise SamplingError(f"grid spacing must be positive, got {spacing}")
+    if not np.isfinite(spacing) or spacing <= 0:
+        raise SamplingError(f"grid spacing must be finite and positive, got {spacing}")
     extent = box.extent
     if np.any(extent <= 0):
         raise SamplingError(f"degenerate box: extent {extent} has a non-positive axis")
-    counts = np.maximum(np.ceil(extent / spacing).astype(int), 2)
+    # in floating point, where a tiny spacing gives inf instead of wrapping
+    # around in the integer cast
+    with np.errstate(over="ignore"):
+        counts = np.maximum(np.ceil(extent / spacing), 2.0)
+        n_points = float(np.prod(counts + 1.0))
+    if n_points > MAX_GRID_POINTS:
+        raise SamplingError(
+            f"grid spacing {spacing} needs {n_points:.3g} grid points over this box, "
+            f"more than the limit of {MAX_GRID_POINTS}; use a coarser spacing")
     return GridSpec(box=box, counts=(int(counts[0]), int(counts[1]), int(counts[2])))
 
 

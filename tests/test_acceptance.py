@@ -32,6 +32,7 @@ from erbfit.optimizer import (
     OptimizerConfig,
     adaptive_weights,
     energy_terms,
+    fit_residual,
     max_pointwise_error,
     optimize,
 )
@@ -100,7 +101,7 @@ def test_criterion_2_gradient_correctness(rng):
 
         def objective(v):
             trial = unpack_parameters(v, n)
-            es, el1 = energy_terms(trial, cs)
+            es, el1 = energy_terms(trial, fit_residual(trial, cs))
             return ws * es + wl * el1
 
         fd = np.empty_like(x)
@@ -142,7 +143,7 @@ def test_criterion_3_oracle_recovery(rng):
     )
     cfg = OptimizerConfig(max_iter=300, sparse_iter=100, prune_interval=20)
     final, _ = optimize(start, cs, cfg)
-    err = max_pointwise_error(final, cs)
+    err = max_pointwise_error(fit_residual(final, cs))
     wall = time.perf_counter() - t0
     assert final.n_bases == 1
     assert err < 0.05
@@ -220,8 +221,8 @@ def test_criterion_7_weight_identities(molecule):
     m0 = init_model(molecule, decay=0.5)
     bad = RbfModel(coeff_sqrt=1.3 * m0.coeff_sqrt, decay_sqrt=m0.decay_sqrt.copy(),
                    centers=m0.centers.copy(), angles=m0.angles.copy())
-    assert max_pointwise_error(bad, cs) > 0.5
-    es, el1 = energy_terms(bad, cs)
+    assert max_pointwise_error(fit_residual(bad, cs)) > 0.5
+    es, el1 = energy_terms(bad, fit_residual(bad, cs))
     assert adaptive_weights(es, el1, 0.01) != (1.0, 0.0)
     _, trace = optimize(bad, cs, OptimizerConfig(max_iter=1, sparse_iter=1))
     assert (trace[0].ws, trace[0].wl) == (1.0, 0.0)

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import erbfit
+import erbfit.cli
+import erbfit.model
 from erbfit import __version__
 from erbfit.cli import main
 
@@ -122,6 +124,27 @@ def test_sparsify_deterministic_outputs(atom_pqr, tmp_path):
         a = (dirs[0] / name).read_bytes()
         b = (dirs[1] / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+def test_sparsify_evaluates_the_final_model_once(atom_pqr, tmp_path, monkeypatch):
+    # after the optimizer returns, one value pass gives both E_s and the
+    # max pointwise error
+    calls = {"values": 0}
+    values_arrays = erbfit.model._values_arrays
+    optimize = erbfit.cli.optimize
+
+    def counting_values(*args):
+        calls["values"] += 1
+        return values_arrays(*args)
+
+    def optimize_then_count(*args, **kwargs):
+        result = optimize(*args, **kwargs)
+        monkeypatch.setattr(erbfit.model, "_values_arrays", counting_values)
+        return result
+
+    monkeypatch.setattr(erbfit.cli, "optimize", optimize_then_count)
+    assert main(["sparsify", str(atom_pqr), "--out", str(tmp_path), *QUICK_FIT]) == 0
+    assert calls["values"] == 1
 
 
 def test_mesh_from_pqr(atom_pqr, tmp_path, capsys):
@@ -270,3 +293,26 @@ def test_benchmark_hooks_and_public_names_resolve(bundled_pqr, tmp_path):
     assert (tmp_path / "spans.json").exists()
     for name in erbfit.__all__:
         assert hasattr(erbfit, name), name
+
+
+@pytest.mark.parametrize("command, flag, spacing, reason", [
+    ("sparsify", "--constraint-spacing", "nan", "must be finite and positive, got nan"),
+    ("mesh", "--mesh-spacing", "nan", "must be finite and positive, got nan"),
+    ("mesh", "--mesh-spacing", "0.001", "use a coarser spacing"),
+    ("compare", "--mesh-spacing", "0.001", "use a coarser spacing"),
+], ids=["sparsify-nan", "mesh-nan", "mesh-over-budget", "compare-over-budget"])
+def test_bad_grid_spacing_exits_2_with_one_line(atom_pqr, fit_dir, tmp_path, command, flag,
+                                                spacing, reason):
+    # 0.001 A over the atom's box is about 3e11 grid points: refused from the
+    # count, before anything is allocated
+    inputs = [str(atom_pqr), str(fit_dir / "model.json")] if command == "compare" \
+        else [str(atom_pqr)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "erbfit.cli", command, *inputs, flag, spacing,
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=SRC_ENV, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert lines[0].endswith(reason)

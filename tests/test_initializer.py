@@ -5,7 +5,7 @@ import pytest
 
 from erbfit.field import GaussianField, bounding_box
 from erbfit.initializer import init_model
-from erbfit.optimizer import energy_terms
+from erbfit.optimizer import energy_terms, fit_residual
 from erbfit.pqr import Atom, Molecule
 from erbfit.sampler import make_grid, select_constraints
 
@@ -62,7 +62,7 @@ def test_initial_fit_energy_is_zero(molecule):
     m = init_model(molecule, decay=decay)
     f = GaussianField.from_molecule(molecule, decay=decay)
     cs = select_constraints(f, make_grid(bounding_box(molecule), 1.5), band=1.0)
-    es, el1 = energy_terms(m, cs)
+    es, el1 = energy_terms(m, fit_residual(m, cs))
     assert es < 1e-18
     assert el1 > 0.0
 

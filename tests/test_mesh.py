@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 import erbfit.mesh
 from erbfit._mc_tables import TRI_TABLE
 from erbfit.field import Box, GaussianField, bounding_box
+from erbfit.initializer import init_model
 from erbfit.mesh import (
     EmptyMeshError,
     MeshError,
@@ -268,13 +270,99 @@ def test_hausdorff_lower_bounded_by_vertex_deviation():
     assert hausdorff(a, b) >= 3.0 - 1e-12
 
 
+def _reference_triangle_samples(mesh, per_triangle):
+    """The sampler before deduplication: every vertex plus the full lattice
+    prefix on every triangle, corners and shared edge nodes included."""
+    degree = 1
+    while (degree + 1) * (degree + 2) // 2 < per_triangle:
+        degree += 1
+    i, j = np.indices((degree + 1, degree + 1)).reshape(2, -1)
+    keep = i + j <= degree
+    i, j = i[keep], j[keep]
+    bary = np.stack([i, j, degree - i - j], axis=1)[:per_triangle] / degree
+    v1, v2, v3 = mesh.corners()
+    samples = (bary[None, :, 0, None] * v1[:, None, :]
+               + bary[None, :, 1, None] * v2[:, None, :]
+               + bary[None, :, 2, None] * v3[:, None, :])
+    return np.concatenate([mesh.vertices, samples.reshape(-1, 3)], axis=0)
+
+
+def _reference_segment_distance_sq(p, a, b):
+    """Squared distance from points p to segments a-b, row-major (K, 3) with row sums."""
+    ab = b - a
+    denom = (ab * ab).sum(axis=1)
+    t = ((p - a) * ab).sum(axis=1)
+    t = np.divide(t, denom, out=np.zeros_like(t), where=denom > 0)
+    np.clip(t, 0.0, 1.0, out=t)
+    closest = a + t[:, None] * ab
+    d = p - closest
+    return (d * d).sum(axis=1)
+
+
+def _reference_point_triangle_distance_sq(p, a, b, c):
+    """Squared exact point-triangle distance, row-major (K, 3) with np.cross."""
+    v0 = b - a
+    v1 = c - a
+    v2 = p - a
+    d00 = (v0 * v0).sum(axis=1)
+    d01 = (v0 * v1).sum(axis=1)
+    d11 = (v1 * v1).sum(axis=1)
+    d20 = (v2 * v0).sum(axis=1)
+    d21 = (v2 * v1).sum(axis=1)
+    denom = d00 * d11 - d01 * d01
+    pos = denom > 0
+    v = np.divide(d11 * d20 - d01 * d21, denom, out=np.full_like(denom, -1.0), where=pos)
+    w = np.divide(d00 * d21 - d01 * d20, denom, out=np.full_like(denom, -1.0), where=pos)
+    interior = (v >= 0) & (w >= 0) & (v + w <= 1)
+    n = np.cross(v0, v1)
+    nn = (n * n).sum(axis=1)
+    pn = (v2 * n).sum(axis=1)
+    plane_sq = np.divide(pn * pn, nn, out=np.full_like(nn, np.inf), where=nn > 0)
+    plane_sq = np.where(interior, plane_sq, np.inf)
+    edge_sq = np.minimum(
+        _reference_segment_distance_sq(p, a, b),
+        np.minimum(_reference_segment_distance_sq(p, b, c),
+                   _reference_segment_distance_sq(p, c, a)),
+    )
+    return np.minimum(plane_sq, edge_sq)
+
+
+def _reference_directed_hausdorff(points, target):
+    """The blocked candidate search of _directed_hausdorff on the row-major distance."""
+    v1, v2, v3 = target.corners()
+    centroids = (v1 + v2 + v3) / 3.0
+    max_reach = float(np.sqrt(max(((v - centroids) ** 2).sum(axis=1).max()
+                                  for v in (v1, v2, v3))))
+    ub, _ = cKDTree(target.vertices).query(points, k=1)
+    tree = cKDTree(centroids)
+    best = np.full(points.shape[0], np.inf)
+    for s in range(0, points.shape[0], 2048):
+        block = slice(s, s + 2048)
+        candidates = tree.query_ball_point(points[block], ub[block] + max_reach)
+        counts = np.array([len(c) for c in candidates], dtype=np.int64)
+        tris = np.array([t for c in candidates for t in c], dtype=np.int64)
+        owner = np.repeat(np.arange(s, s + len(candidates)), counts)
+        d_sq = _reference_point_triangle_distance_sq(points[owner], v1[tris], v2[tris],
+                                                     v3[tris])
+        starts = np.cumsum(counts) - counts
+        has = counts > 0
+        best[s + np.flatnonzero(has)] = np.minimum.reduceat(d_sq, starts[has])
+    return float(np.minimum(np.sqrt(best), ub).max())
+
+
+def _reference_hausdorff(a, b):
+    return max(_reference_directed_hausdorff(_reference_triangle_samples(a, 10), b),
+               _reference_directed_hausdorff(_reference_triangle_samples(b, 10), a))
+
+
 def _brute_force_directed(points, target):
     """max over points of the min over every target triangle."""
     corners = target.corners()
     best = 0.0
     for chunk in np.array_split(points, len(points) // 100 + 1):
-        d_sq = _point_triangle_distance_sq(np.repeat(chunk, target.n_f, axis=0),
-                                           *(np.tile(v, (len(chunk), 1)) for v in corners))
+        d_sq = _reference_point_triangle_distance_sq(
+            np.repeat(chunk, target.n_f, axis=0),
+            *(np.tile(v, (len(chunk), 1)) for v in corners))
         best = max(best, d_sq.reshape(len(chunk), -1).min(axis=1).max())
     return float(np.sqrt(best))
 
@@ -285,15 +373,115 @@ def test_directed_hausdorff_matches_brute_force(monkeypatch, pair):
     monkeypatch.setattr(erbfit.mesh, "_HAUSDORFF_BLOCK", 7)
     a = _sphere_mesh(spacing=0.5)
     if pair == "inflated":
-        big = GaussianField(centers=np.zeros((1, 3)), radii=np.array([1.05 * SPHERE_R]),
-                            decay=0.5)
-        b = extract_isosurface(big.values, Box(lo=np.full(3, -3.0), hi=np.full(3, 3.0)),
-                               0.45, 1.0)
+        b = _inflated_sphere_mesh()
     else:
         b = a.translated(np.array([0.3, -0.2, 0.1]))
     for points, target in ((_triangle_samples(a, 10), b), (_triangle_samples(b, 10), a)):
         assert _directed_hausdorff(points, target) == pytest.approx(
             _brute_force_directed(points, target), rel=0, abs=1e-12)
+
+
+def _inflated_sphere_mesh(spacing=0.45):
+    big = GaussianField(centers=np.zeros((1, 3)), radii=np.array([1.05 * SPHERE_R]),
+                        decay=0.5)
+    return extract_isosurface(big.values, Box(lo=np.full(3, -3.0), hi=np.full(3, 3.0)),
+                              spacing, 1.0)
+
+
+def _bundled_meshes(molecule):
+    """The bundled field's mesh and its stand-in model's mesh at 0.5 A."""
+    field = GaussianField.from_molecule(molecule, decay=0.5, isovalue=1.0)
+    standin = init_model(molecule, decay=0.45)
+    box = bounding_box(molecule)
+    return (extract_isosurface(field.values, box, 0.5, 1.0),
+            extract_isosurface(standin.values, box, 0.5, 1.0))
+
+
+def _open_meshes():
+    tri = TriMesh(vertices=np.array([[0.1, 0.2, 0.3], [1.7, -0.4, 0.2], [0.3, 1.9, -0.6]]),
+                  triangles=np.array([[0, 1, 2]]))
+    # two triangles that list their shared edge 1-2 in opposite directions,
+    # and a non-manifold fin: three triangles on the edge 0-1
+    strip = TriMesh(vertices=np.array([[0.0, 0, 0], [1.3, 0.1, 0], [0.2, 1.1, 0.1],
+                                       [1.4, 1.2, 0.3]]),
+                    triangles=np.array([[0, 1, 2], [2, 1, 3]]))
+    fin = TriMesh(vertices=np.array([[0.0, 0, 0], [1.0, 0.3, 0.1], [0.4, 1.0, 0.0],
+                                     [0.3, -0.9, 0.2], [0.5, 0.1, 1.2]]),
+                  triangles=np.array([[0, 1, 2], [1, 0, 3], [0, 4, 1]]))
+    return {"triangle": tri, "strip": strip, "fin": fin}
+
+
+def _assert_distinct_reference_samples(mesh, per_triangle=10, distinct=True):
+    got = _triangle_samples(mesh, per_triangle)
+    if distinct:
+        assert np.unique(got, axis=0).shape[0] == got.shape[0], "a sample is repeated"
+    assert np.array_equal(np.unique(got, axis=0),
+                          np.unique(_reference_triangle_samples(mesh, per_triangle), axis=0))
+
+
+def test_samples_on_a_mesh_with_coincident_vertices():
+    # at 0.3 A grid nodes lie exactly on the sphere, so several cut edges put
+    # their vertex on the same node: the mesh itself repeats points, which the
+    # sampler (one sample per vertex, edge node and interior node) keeps
+    mesh = _sphere_mesh(spacing=0.3)
+    assert np.unique(mesh.vertices, axis=0).shape[0] < mesh.vertices.shape[0]
+    _assert_distinct_reference_samples(mesh, distinct=False)
+
+
+@pytest.mark.parametrize("name", ["sphere", "bundled", "triangle", "strip", "fin"])
+def test_samples_are_the_distinct_reference_points(name, molecule):
+    if name == "sphere":
+        mesh = _sphere_mesh(spacing=0.2)
+    elif name == "bundled":
+        mesh = _bundled_meshes(molecule)[0]
+    else:
+        mesh = _open_meshes()[name]
+    _assert_distinct_reference_samples(mesh)
+    if name == "bundled":
+        # V + 4F: every vertex, 3 edge nodes per triangle (each edge of the
+        # closed mesh is held by two), and the one interior node
+        assert _triangle_samples(mesh, 10).shape[0] == mesh.vertices.shape[0] + 4 * mesh.n_f
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n_atoms=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       spacing=st.floats(0.45, 0.8), per_triangle=st.integers(1, 16))
+def test_samples_are_the_distinct_reference_points_on_random_meshes(
+        n_atoms, seed, spacing, per_triangle):
+    # per_triangle other than 10 takes a prefix of a larger lattice, so two
+    # triangles can hold different nodes of a shared edge
+    rng = np.random.default_rng(seed)
+    f = GaussianField(centers=rng.uniform(-2.5, 2.5, (n_atoms, 3)),
+                      radii=rng.uniform(1.0, 2.0, n_atoms), decay=0.5)
+    mesh = extract_isosurface(f.values, Box(lo=np.full(3, -8.0), hi=np.full(3, 8.0)),
+                              spacing, 1.0)
+    _assert_distinct_reference_samples(mesh, per_triangle)
+
+
+@pytest.mark.parametrize("k", [7, 1000, 30000])
+def test_distance_kernel_matches_reference(rng, k):
+    p, a, b, c = (rng.normal(size=(k, 3)) * rng.uniform(0.1, 10.0, (k, 1)) for _ in range(4))
+    # degenerate triangles: a repeated corner, and three collinear corners
+    b[::5] = a[::5]
+    c[1::5] = a[1::5] + 0.5 * (b[1::5] - a[1::5])
+    # points on an edge, and on a corner
+    p[2::5] = a[2::5] + 0.25 * (c[2::5] - a[2::5])
+    p[3::5] = b[3::5]
+    got = _point_triangle_distance_sq(*(np.ascontiguousarray(x.T) for x in (p, a, b, c)))
+    assert np.array_equal(got, _reference_point_triangle_distance_sq(p, a, b, c))
+
+
+@pytest.mark.parametrize("pair", ["inflated", "translated", "bundled-standin"])
+def test_hausdorff_matches_parent_pipeline(pair, molecule):
+    # same value, to the bit, as the full lattice on every triangle measured
+    # with the row-major distance
+    if pair == "bundled-standin":
+        a, b = _bundled_meshes(molecule)
+    else:
+        a = _sphere_mesh(spacing=0.5)
+        b = _inflated_sphere_mesh() if pair == "inflated" else \
+            a.translated(np.array([0.3, -0.2, 0.1]))
+    assert hausdorff(a, b) == _reference_hausdorff(a, b)
 
 
 def test_directed_hausdorff_point_without_candidates():

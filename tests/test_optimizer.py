@@ -15,6 +15,7 @@ from erbfit.optimizer import (
     TraceRecord,
     adaptive_weights,
     energy_terms,
+    fit_residual,
     line_search,
     max_pointwise_error,
     optimize,
@@ -59,7 +60,7 @@ def test_energy_terms_hand_computed():
     # one basis at the origin, one constraint sitting on the center
     m = _model([2.0], [[1.0, 2.0, 3.0]], [[0.0, 0.0, 0.0]])
     cs = ConstraintSet(points=np.zeros((1, 3)), targets=np.array([3.0]))
-    es, el1 = energy_terms(m, cs)
+    es, el1 = energy_terms(m, fit_residual(m, cs))
     # value at center is 2^2 = 4, residual 1 -> Es = 1
     assert es == pytest.approx(1.0, abs=1e-15)
     # El1 = 2^2 + (1 + 4 + 9) = 18
@@ -69,7 +70,7 @@ def test_energy_terms_hand_computed():
 def test_energy_terms_exact_start(molecule):
     m = init_model(molecule, decay=0.5)
     cs = _bundled_constraints(molecule)
-    es, el1 = energy_terms(m, cs)
+    es, el1 = energy_terms(m, fit_residual(m, cs))
     assert es < 1e-18
     assert el1 == pytest.approx(
         float(m.coeff_sqrt @ m.coeff_sqrt + (m.decay_sqrt**2).sum()), rel=1e-15)
@@ -78,7 +79,7 @@ def test_energy_terms_exact_start(molecule):
 def test_energy_terms_null_model():
     m = _model([0.0], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]])
     cs = ConstraintSet(points=np.zeros((2, 3)), targets=np.array([1.0, 2.0]))
-    es, el1 = energy_terms(m, cs)
+    es, el1 = energy_terms(m, fit_residual(m, cs))
     assert el1 == 0.0
     assert es == pytest.approx(5.0, abs=1e-15)
 
@@ -94,13 +95,13 @@ def test_max_pointwise_error_oracle(rng):
     for p, t in zip(pts, targets):
         val = sum(b.values(p[None])[0] for b in bases)
         worst = max(worst, abs(val - t))
-    assert max_pointwise_error(m, cs) == pytest.approx(worst, rel=1e-12)
+    assert max_pointwise_error(fit_residual(m, cs)) == pytest.approx(worst, rel=1e-12)
 
 
 def test_max_pointwise_error_exact_start(molecule):
     m = init_model(molecule, decay=0.5)
     cs = _bundled_constraints(molecule)
-    assert max_pointwise_error(m, cs) < 1e-10
+    assert max_pointwise_error(fit_residual(m, cs)) < 1e-10
 
 
 # ---------------------------------------------------------------- weights
@@ -268,7 +269,7 @@ def test_optimize_pure_fit_monotone(molecule):
     es = np.array([r.es for r in trace])
     assert np.all(np.diff(es) <= 0)
     assert es[-1] < es[0]
-    assert max_pointwise_error(final, cs) < max_pointwise_error(m0, cs)
+    assert max_pointwise_error(fit_residual(final, cs)) < max_pointwise_error(fit_residual(m0, cs))
 
 
 @pytest.mark.parametrize("case", ["pure-fit", "prune"])
@@ -297,7 +298,7 @@ def test_optimize_reused_residual_is_bit_exact(molecule, rng, case):
         if (k + 1) % 20 == 0:
             reached = prune(reached, 1e-3)
             assert reached.n_bases == 1
-        assert trace[k].es == energy_terms(reached, cs)[0]
+        assert trace[k].es == energy_terms(reached, fit_residual(reached, cs))[0]
 
 
 def test_optimize_value_passes_one_per_trial(rng, monkeypatch):

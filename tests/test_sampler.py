@@ -5,6 +5,7 @@ import pytest
 
 from erbfit.field import Box, GaussianField, bounding_box
 from erbfit.sampler import (
+    MAX_GRID_POINTS,
     ConstraintSet,
     GridSpec,
     SamplingError,
@@ -39,6 +40,25 @@ def test_degenerate_box_rejected():
 def test_nonpositive_spacing_rejected():
     with pytest.raises(SamplingError):
         make_grid(_box([0, 0, 0], [1, 1, 1]), spacing=0.0)
+
+
+@pytest.mark.parametrize("spacing", [float("nan"), float("inf")])
+def test_non_finite_spacing_rejected(spacing):
+    with pytest.raises(SamplingError, match="finite and positive"):
+        make_grid(_box([0, 0, 0], [1, 1, 1]), spacing=spacing)
+
+
+def test_grid_point_budget():
+    # (1023 + 1) * (1023 + 1) * (31 + 1) points is exactly the budget; one more
+    # interval on the first axis is over it.  make_grid allocates no points.
+    assert MAX_GRID_POINTS == 2**25
+    g = make_grid(_box([0, 0, 0], [1023, 1023, 31]), spacing=1.0)
+    assert g.counts == (1023, 1023, 31) and g.n_points == MAX_GRID_POINTS
+    with pytest.raises(SamplingError, match="coarser spacing"):
+        make_grid(_box([0, 0, 0], [1024, 1023, 31]), spacing=1.0)
+    # a spacing so small that the count overflows to inf is refused as well
+    with pytest.raises(SamplingError, match="coarser spacing"):
+        make_grid(_box([0, 0, 0], [20, 20, 20]), spacing=1e-310)
 
 
 def test_grid_point_formula(rng):
