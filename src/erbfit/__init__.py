@@ -8,9 +8,9 @@ preservation with mesh area, volume, and Hausdorff-distance metrics.
 """
 
 from erbfit.pqr import Atom, Molecule, parse_pqr
-from erbfit.field import Box, GaussianField, bounding_box
+from erbfit.field import Box, GaussianField, GridSpec, bounding_box
 from erbfit.model import RbfModel
-from erbfit.sampler import ConstraintSet, GridSpec, make_grid, select_constraints
+from erbfit.sampler import ConstraintSet, make_grid, select_constraints
 from erbfit.initializer import init_model
 from erbfit.optimizer import OptimizerConfig, IterationTrace, optimize
 from erbfit.mesh import TriMesh, extract_isosurface, mesh_area, mesh_volume

@@ -5,17 +5,33 @@ atoms, with positive decay rate d.  The molecular surface is the level set
 {phi(x) = c} for a positive isovalue c; with c = 1 the level set of an
 isolated atom is exactly its radius-r sphere.
 
-GaussianField.values evaluates the exact sum, atom by atom; no kernel term is
-dropped, however far it is from its atom.
+GaussianField.values evaluates the sum atom by atom.  At an (M, 3) array of
+points it is the exact sum: no kernel term is dropped, however far it is from
+its atom.  On a GridSpec, the uniform grid that meshing evaluates, each atom
+is summed only over the block of nodes where its term can reach GRID_TAU / N
+(N atoms), so the terms left out add up to less than GRID_TAU at any node.  A
+node that no block misses gets the same bits as the point path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from erbfit.pqr import Molecule
+
+# bound on the sum of the kernel terms that an evaluation on a GridSpec leaves
+# out at any node: each of N terms is left out only where it is below GRID_TAU / N
+GRID_TAU = 1e-13
+
+# largest exponent whose exp is a finite double
+_MAX_EXPONENT = float(np.log(np.finfo(np.float64).max))
+
+
+class SamplingError(ValueError):
+    """Grid construction or constraint selection failed."""
 
 
 @dataclass(frozen=True)
@@ -42,6 +58,86 @@ class Box:
 
 
 @dataclass(frozen=True)
+class GridSpec:
+    """Uniform grid: counts[p] intervals per axis, hence counts[p]+1 points.
+
+    Point (i, j, k) has coordinates (a_p + i * (b_p - a_p) / counts[p], ...)
+    with indices running 0..counts[p] inclusive, so both box corners are
+    grid points.  len() is the number of points, the length of the value
+    array an evaluator returns for the grid.
+    """
+
+    box: Box
+    counts: tuple[int, int, int]
+
+    def __post_init__(self):
+        if any(int(n) < 2 for n in self.counts):
+            raise SamplingError(f"grid counts must be >= 2 per axis, got {self.counts}")
+        object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """Points per axis: the array shape of the grid's values, C order."""
+        return tuple(n + 1 for n in self.counts)
+
+    @property
+    def n_points(self) -> int:
+        return (self.counts[0] + 1) * (self.counts[1] + 1) * (self.counts[2] + 1)
+
+    def __len__(self) -> int:
+        return self.n_points
+
+    def axis_coords(self, axis: int) -> np.ndarray:
+        a = self.box.lo[axis]
+        b = self.box.hi[axis]
+        n = self.counts[axis]
+        coords = a + np.arange(n + 1, dtype=np.float64) * ((b - a) / n)
+        # a + n*step can overshoot b by a few ulp; the grid must end exactly
+        # on the box corner so that every point lies in the closed box.
+        coords[-1] = b
+        return coords
+
+    def points(self) -> np.ndarray:
+        """All grid points as an (n_points, 3) array in lexicographic (i,j,k) order."""
+        xs, ys, zs = (self.axis_coords(p) for p in range(3))
+        gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
+        return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+
+    def node_blocks(self, centers: np.ndarray, half_widths: np.ndarray):
+        """The block of grid nodes around each center, as index slices.
+
+        For center k the block is the smallest one holding every node within
+        half_widths[k, p] of centers[k, p] on each axis p, clipped to the
+        grid; an infinite half-width spans its axis.  Returns the list of
+        (k, (sx, sy, sz)) for the centers whose block holds a node, and the
+        node count of the largest block.
+        """
+        half_widths = np.broadcast_to(half_widths, centers.shape)
+        lo = np.empty(centers.shape, dtype=np.int64)
+        hi = np.empty(centers.shape, dtype=np.int64)
+        for p in range(3):
+            xs = self.axis_coords(p)
+            lo[:, p] = np.searchsorted(xs, centers[:, p] - half_widths[:, p], side="left")
+            hi[:, p] = np.searchsorted(xs, centers[:, p] + half_widths[:, p], side="right")
+        sizes = np.prod(np.maximum(hi - lo, 0), axis=1)
+        blocks = [(k, tuple(map(slice, lo[k].tolist(), hi[k].tolist())))
+                  for k in np.flatnonzero(sizes).tolist()]
+        return blocks, int(sizes.max(initial=0))
+
+
+def check_decay(decay: float, radii: np.ndarray) -> None:
+    """Refuse a decay that is not finite and positive, or whose atom weight e^{d r^2} overflows."""
+    if not (np.isfinite(decay) and decay > 0):
+        raise ValueError(f"decay must be finite and positive, got {decay}")
+    with np.errstate(over="ignore"):
+        exponent = decay * np.asarray(radii, dtype=np.float64) ** 2
+    big = np.flatnonzero(exponent > _MAX_EXPONENT)
+    if big.size:
+        raise ValueError(f"atom {big[0] + 1}: the weight e^(d r^2) overflows at decay "
+                         f"{decay} and radius {radii[big[0]]}")
+
+
+@dataclass(frozen=True)
 class GaussianField:
     """Sum of per-atom Gaussian kernels with decay d and isovalue c.
 
@@ -56,23 +152,24 @@ class GaussianField:
     def __post_init__(self):
         object.__setattr__(self, "centers", np.asarray(self.centers, dtype=np.float64))
         object.__setattr__(self, "radii", np.asarray(self.radii, dtype=np.float64))
-        if self.decay <= 0:
-            raise ValueError(f"decay must be positive, got {self.decay}")
-        if self.isovalue <= 0:
-            raise ValueError(f"isovalue must be positive, got {self.isovalue}")
+        check_decay(self.decay, self.radii)
+        if not (np.isfinite(self.isovalue) and self.isovalue > 0):
+            raise ValueError(f"isovalue must be finite and positive, got {self.isovalue}")
 
     @classmethod
     def from_molecule(cls, molecule: Molecule, decay: float,
                       isovalue: float = 1.0) -> "GaussianField":
         return cls(molecule.centers, molecule.radii, decay, isovalue)
 
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """phi at an (M, 3) array of points, order preserved.
+    def values(self, points: np.ndarray | GridSpec) -> np.ndarray:
+        """phi at an (M, 3) array of points, order preserved, or at every node of a GridSpec.
 
         Sums atom by atom over the points held coordinate-major, (3, M), so
         memory stays linear in M whatever the atom count.  The exponent is
         -d(|p|^2 - r^2), which is exactly 0 on an atom's sphere.
         """
+        if isinstance(points, GridSpec):
+            return self._grid_values(points)
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"expected (M, 3) points, got shape {pts.shape}")
@@ -92,6 +189,32 @@ class GaussianField:
             np.exp(term, out=term)
             out += term
         return out
+
+    def _grid_values(self, grid: GridSpec) -> np.ndarray:
+        """phi at the grid's nodes in C order, each atom over the block it reaches.
+
+        exp(-d(s^2 - r^2)) >= GRID_TAU / N exactly where s <= h with
+        h = sqrt((d r^2 + ln(N / GRID_TAU)) / d); the block holds every node
+        within h of the atom on each axis.  Inside it the term is computed
+        with the operations of the point path, in the same order.
+        """
+        n = self.radii.shape[0]
+        half = np.sqrt((self.decay * self.radii**2 + np.log(n / GRID_TAU)) / self.decay)
+        blocks, largest = grid.node_blocks(self.centers, half[:, None])
+        xs = [grid.axis_coords(p) for p in range(3)]
+        out = np.zeros(grid.shape)
+        buf = np.empty(largest)
+        for i, block in blocks:
+            center, radius = self.centers[i], self.radii[i]
+            sq = [(x[s] - c) ** 2 for x, s, c in zip(xs, block, center)]
+            shape = tuple(len(v) for v in sq)
+            term = buf[:math.prod(shape)].reshape(shape)
+            np.add(np.add.outer(sq[0], sq[1])[:, :, None], sq[2], out=term)
+            term -= radius * radius
+            term *= -self.decay
+            np.exp(term, out=term)
+            out[block] += term
+        return out.ravel()
 
 
 def eval_phi_batch(field: GaussianField, points: np.ndarray) -> np.ndarray:

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .field import check_decay
 from .model import RbfModel
 from .pqr import Molecule
 
 
 def init_model(molecule: Molecule, decay: float) -> RbfModel:
     """One basis per atom: centers at atoms, angles 0, weight e^{d r^2}, decays d."""
-    if decay <= 0:
-        raise ValueError(f"decay must be positive, got {decay}")
-    n = len(molecule)
     radii = molecule.radii
+    check_decay(decay, radii)
+    n = len(molecule)
     # tilde variables: c~ = sqrt(e^{d r^2}) = e^{d r^2 / 2}, d~ = sqrt(d)
     return RbfModel(
         coeff_sqrt=np.exp(0.5 * decay * radii**2),

@@ -26,7 +26,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._mc_tables import TRI_TABLE
 from .field import Box
@@ -93,16 +92,19 @@ class TriMesh:
 def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> TriMesh:
     """Marching-cubes mesh of {evaluator = isovalue} inside `box`.
 
-    `evaluator` maps an (M, 3) point array to (M,) field values.  Triangles
+    `evaluator` maps the GridSpec of the mesh to its len(grid) node values
+    in C order, as GaussianField.values and RbfModel.values do.  Triangles
     come out oriented with normals pointing toward decreasing field values,
     which is outward for a molecular density.  Raises EmptyMeshError when no
-    grid cell crosses the isovalue, and MeshError when a grid node on the
-    box boundary is not below the isovalue.
+    grid cell crosses the isovalue, MeshError when a grid node on the box
+    boundary is not below the isovalue, and ValueError for a non-finite
+    isovalue.
     """
+    if not np.isfinite(isovalue):
+        raise ValueError(f"isovalue must be finite, got {isovalue}")
     grid = make_grid(box, spacing)
     nx, ny, nz = grid.counts
-    vals = np.asarray(evaluator(grid.points()), dtype=np.float64).reshape(
-        nx + 1, ny + 1, nz + 1)
+    vals = np.asarray(evaluator(grid), dtype=np.float64).reshape(grid.shape)
     if not np.isfinite(vals).all():
         raise MeshError("field evaluator produced non-finite values")
 
@@ -262,6 +264,10 @@ def _point_triangle_distance_sq(p, a, b, c):
 
 def _directed_hausdorff(points: np.ndarray, target: TriMesh) -> float:
     """max over points of the exact distance to the target mesh surface."""
+    # imported here, where it is used, so that the commands that measure no
+    # Hausdorff distance do not pay for loading scipy
+    from scipy.spatial import cKDTree
+
     v1, v2, v3 = target.corners()
     centroids = (v1 + v2 + v3) / 3.0
     # largest distance from a triangle's centroid to one of its corners
@@ -313,7 +319,8 @@ def compare_surfaces(eval_a, eval_b, box: Box, spacing: float, isovalue: float) 
     """Mesh two fields on one grid and report areas, volumes, errors, Hausdorff.
 
     eval_a is the reference (original) field, eval_b the approximation; both
-    map (M, 3) points to values.  Relative errors are against the reference.
+    map a GridSpec to its node values, as in extract_isosurface.  Relative
+    errors are against the reference.
     """
     mesh_a = extract_isosurface(eval_a, box, spacing, isovalue)
     mesh_b = extract_isosurface(eval_b, box, spacing, isovalue)

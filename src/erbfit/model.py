@@ -13,15 +13,22 @@ The flat parameter vector packs a model with N bases as
 
 Every evaluation, values and gradient alike, runs basis by basis through one
 kernel (`_basis_kernel`) over the points held coordinate-major, shape (3, M),
-so the temporaries are a few arrays of length M per basis.
+so the temporaries are a few arrays of length M per basis.  At an (M, 3)
+array of points every basis covers every point.  On a GridSpec, the uniform
+grid that meshing evaluates, each basis covers only the block of nodes where
+it can reach GRID_TAU / N (N bases), so the terms left out add up to less
+than GRID_TAU (erbfit.field) at any node.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
+
+from .field import GRID_TAU, GridSpec
 
 MODEL_FORMAT = "erbfit-model"
 MODEL_VERSION = 1
@@ -83,11 +90,17 @@ class RbfModel:
         """Effective per-basis weights c~^2."""
         return self.coeff_sqrt**2
 
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """Model value (sum over bases) at (M, 3) points; zeros for an empty model."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    def values(self, points: np.ndarray | GridSpec) -> np.ndarray:
+        """Model value (sum over bases) at (M, 3) points or at every node of a GridSpec.
+
+        Zeros for an empty model.
+        """
+        if isinstance(points, GridSpec):
+            return _grid_values(self.coeff_sqrt, self.decay_sqrt, self.centers, self.angles,
+                                points)
+        pts_t = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)).T)
         return _values_arrays(self.coeff_sqrt, self.decay_sqrt, self.centers, self.angles,
-                              np.ascontiguousarray(pts.T))
+                              pts_t, _kernel_buffers(pts_t))
 
     def __eq__(self, other):
         if not isinstance(other, RbfModel):
@@ -144,10 +157,22 @@ def _basis_kernel(points_t, center, decay_sqrt, angles, p, uu, g):
     return r
 
 
-def _values_arrays(c, d, centers, ang, points_t) -> np.ndarray:
-    """Model values sum_i c~_i^2 g_i at coordinate-major (3, M) points."""
-    p, uu = np.empty_like(points_t), np.empty_like(points_t)
-    g = np.empty(points_t.shape[1])
+def _kernel_buffers(points_t):
+    """The (3, M), (3, M) and (M,) buffers a pass over points_t hands to _basis_kernel.
+
+    The fit allocates them once and reuses them in every pass: allocating
+    and freeing them per pass lets malloc return the memory to the system
+    and fault it back in on the next pass.
+    """
+    return np.empty_like(points_t), np.empty_like(points_t), np.empty(points_t.shape[1])
+
+
+def _values_arrays(c, d, centers, ang, points_t, buffers) -> np.ndarray:
+    """Model values sum_i c~_i^2 g_i at coordinate-major (3, M) points.
+
+    `buffers` is a _kernel_buffers(points_t) tuple, overwritten by the pass.
+    """
+    p, uu, g = buffers
     out = np.zeros(points_t.shape[1])
     for i in range(c.shape[0]):
         _basis_kernel(points_t, centers[i], d[i], ang[i], p, uu, g)
@@ -156,10 +181,51 @@ def _values_arrays(c, d, centers, ang, points_t) -> np.ndarray:
     return out
 
 
-def _objective_gradient_arrays(c, d, centers, ang, points_t, residual, w_s, w_l) -> np.ndarray:
+def _grid_values(c, d, centers, ang, grid: GridSpec) -> np.ndarray:
+    """Model values at the grid's nodes in C order, each basis over the block it reaches.
+
+    Basis i is below GRID_TAU / n outside the ellipsoid u^T D u <= E_i, with
+    u = R_i (y - x_i), D = diag(d~_i^2) and E_i = ln(n c~_i^2 / GRID_TAU).
+    The ellipsoid's bounding box has half-widths
+    h_ip = sqrt(E_i sum_a R_ap^2 / d~_ia^2): infinite along an axis that a
+    zero decay leaves unbounded, so the block spans it.  A basis with
+    E_i <= 0 (c~_i = 0 included) is below the bound everywhere and skipped.
+    """
+    n = c.shape[0]
+    with np.errstate(divide="ignore"):
+        cut = np.log(n * c**2 / GRID_TAU)
+    kept = np.flatnonzero(cut > 0)
+    r_sq = np.array([rotation_matrix(*ang[i]) ** 2 for i in kept]).reshape(-1, 3, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a rotation entry of 0 adds nothing, even against a zero decay
+        spread = np.where(r_sq > 0, r_sq / d[kept, :, None] ** 2, 0.0).sum(axis=1)
+    blocks, largest = grid.node_blocks(centers[kept], np.sqrt(cut[kept, None] * spread))
+    axes = [grid.axis_coords(a) for a in range(3)]
+    out = np.zeros(grid.shape)
+    # buffers sized for the largest block, shared by every basis of the pass
+    pts_buf, p_buf, uu_buf = (np.empty(3 * largest) for _ in range(3))
+    g_buf = np.empty(largest)
+    for j, block in blocks:
+        i = kept[j]
+        shape = tuple(s.stop - s.start for s in block)
+        size = math.prod(shape)
+        pts = pts_buf[:3 * size].reshape(3, *shape)
+        for a in range(3):
+            pts[a] = axes[a][block[a]].reshape([-1 if b == a else 1 for b in range(3)])
+        g = g_buf[:size]
+        _basis_kernel(pts.reshape(3, size), centers[i], d[i], ang[i],
+                      p_buf[:3 * size].reshape(3, size), uu_buf[:3 * size].reshape(3, size), g)
+        g *= c[i] ** 2
+        out[block] += g.reshape(shape)
+    return out.ravel()
+
+
+def _objective_gradient_arrays(c, d, centers, ang, points_t, residual, w_s, w_l,
+                               buffers) -> np.ndarray:
     """Packed gradient of w_s*E_s + w_l*E_l1 given precomputed residuals.
 
-    points_t holds the constraint points coordinate-major, shape (3, M).
+    points_t holds the constraint points coordinate-major, shape (3, M), and
+    `buffers` is a _kernel_buffers(points_t) tuple, overwritten by the pass.
 
     E_s = sum_k residual_k^2 with residual = model(y_k) - target_k;
     E_l1 = sum_i c~_i^2 + sum_{i,p} d~_ip^2 (smooth in the tilde variables).
@@ -196,8 +262,7 @@ def _objective_gradient_arrays(c, d, centers, ang, points_t, residual, w_s, w_l)
     gd = np.empty((n, 3))
     gx = np.empty((n, 3))
     gang = np.empty((n, 3))
-    p, pw = np.empty_like(points_t), np.empty_like(points_t)
-    w = np.empty(points_t.shape[1])
+    p, pw, w = buffers
     for i in range(n):
         r = _basis_kernel(points_t, centers[i], d[i], ang[i], p, pw, w)
         d2 = d[i] ** 2
@@ -233,8 +298,9 @@ def eval_model_gradient(model: RbfModel, constraints, weights) -> np.ndarray:
     w_s, w_l = weights
     points_t = np.ascontiguousarray(points.T)
     arrays = (model.coeff_sqrt, model.decay_sqrt, model.centers, model.angles)
-    residual = _values_arrays(*arrays, points_t) - targets
-    return _objective_gradient_arrays(*arrays, points_t, residual, w_s, w_l)
+    buffers = _kernel_buffers(points_t)
+    residual = _values_arrays(*arrays, points_t, buffers) - targets
+    return _objective_gradient_arrays(*arrays, points_t, residual, w_s, w_l, buffers)
 
 
 def save_model(model: RbfModel, path: str | Path, metadata: dict | None = None) -> None:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .model import (
     RbfModel,
+    _kernel_buffers,
     _objective_gradient_arrays,
     _unpack_arrays,
     _values_arrays,
@@ -68,6 +69,10 @@ class OptimizerConfig:
     max_backtracks: int = 40
 
     def __post_init__(self):
+        for name in ("prune_tol", "epsilon_floor", "max_error_cap", "armijo_c1", "shrink",
+                     "first_tau"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
         if not 0 <= self.sparse_iter <= self.max_iter:
@@ -216,6 +221,7 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
         raise ModelCollapseError("initial model has no bases")
     points_t = np.ascontiguousarray(constraints.points.T)
     targets = constraints.targets
+    buffers = _kernel_buffers(points_t)
     trace = IterationTrace()
 
     x = pack_parameters(model0)
@@ -240,7 +246,7 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
         # overflow here is handled by the explicit finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
             if residual is None:
-                residual = _values_arrays(c, d, centers, ang, points_t) - targets
+                residual = _values_arrays(c, d, centers, ang, points_t, buffers) - targets
             es = float(residual @ residual)
             el1 = float(c @ c + (d * d).sum())
         if not (np.isfinite(es) and np.isfinite(el1)):
@@ -255,7 +261,8 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             ws, wl = 1.0, 0.0
 
         f0 = ws * es + wl * el1
-        grad = _objective_gradient_arrays(c, d, centers, ang, points_t, residual, ws, wl)
+        grad = _objective_gradient_arrays(c, d, centers, ang, points_t, residual, ws, wl,
+                                          buffers)
         if not np.isfinite(grad).all():
             raise NonFiniteObjectiveError(
                 f"gradient not finite at iteration {it}", trace=trace)
@@ -271,7 +278,7 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             nonlocal trial_residual
             with np.errstate(over="ignore", invalid="ignore"):
                 ct, dt, xt, at = _unpack_arrays(x_trial, n)
-                trial_residual = _values_arrays(ct, dt, xt, at, points_t) - targets
+                trial_residual = _values_arrays(ct, dt, xt, at, points_t, buffers) - targets
                 return (ws * float(trial_residual @ trial_residual)
                         + wl * float(ct @ ct + (dt * dt).sum()))
 

@@ -13,54 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Box, GaussianField, eval_phi_batch
-
-
-class SamplingError(ValueError):
-    """Grid construction or constraint selection failed."""
+from .field import Box, GaussianField, GridSpec, SamplingError, eval_phi_batch
 
 
 # largest grid make_grid builds: its (M, 3) point array alone is 0.8 GB, while
 # the 0.5 A mesh of a 400-atom molecule needs about half a million points
 MAX_GRID_POINTS = 2**25
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid: counts[p] intervals per axis, hence counts[p]+1 points.
-
-    Point (i, j, k) has coordinates (a_p + i * (b_p - a_p) / counts[p], ...)
-    with indices running 0..counts[p] inclusive, so both box corners are
-    grid points.
-    """
-
-    box: Box
-    counts: tuple[int, int, int]
-
-    def __post_init__(self):
-        if any(int(n) < 2 for n in self.counts):
-            raise SamplingError(f"grid counts must be >= 2 per axis, got {self.counts}")
-        object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
-
-    @property
-    def n_points(self) -> int:
-        return (self.counts[0] + 1) * (self.counts[1] + 1) * (self.counts[2] + 1)
-
-    def axis_coords(self, axis: int) -> np.ndarray:
-        a = self.box.lo[axis]
-        b = self.box.hi[axis]
-        n = self.counts[axis]
-        coords = a + np.arange(n + 1, dtype=np.float64) * ((b - a) / n)
-        # a + n*step can overshoot b by a few ulp; the grid must end exactly
-        # on the box corner so that every point lies in the closed box.
-        coords[-1] = b
-        return coords
-
-    def points(self) -> np.ndarray:
-        """All grid points as an (n_points, 3) array in lexicographic (i,j,k) order."""
-        xs, ys, zs = (self.axis_coords(p) for p in range(3))
-        gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
 
 @dataclass(frozen=True)
@@ -114,7 +72,7 @@ def select_constraints(field: GaussianField, grid: GridSpec, band: float = 1.0) 
     Raises SamplingError when nothing is selected (use a finer grid or a
     larger band).
     """
-    if band <= 0:
+    if not band > 0:
         raise SamplingError(f"band must be positive, got {band}")
     points = grid.points()
     phi = eval_phi_batch(field, points)

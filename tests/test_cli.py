@@ -14,6 +14,10 @@ import erbfit.cli
 import erbfit.model
 from erbfit import __version__
 from erbfit.cli import main
+from erbfit.field import bounding_box
+from erbfit.initializer import init_model
+from erbfit.model import save_model
+from erbfit.sampler import make_grid
 
 # generic radius: the meshing box is the atom center plus or minus
 # (radius + padding), so a radius commensurate with the grid spacing would
@@ -282,7 +286,7 @@ def test_malformed_model_exits_2_with_one_line(atom_pqr, tmp_path, command, doc,
     assert lines[0].endswith(reason)
 
 
-def test_benchmark_hooks_and_public_names_resolve(bundled_pqr, tmp_path):
+def test_benchmark_hooks_and_public_names_resolve(bundled_pqr, molecule, tmp_path):
     # the traced benchmark wraps named functions of the CLI and its layers;
     # it exits naming any hook that a refactor removed
     traced_cli = Path(__file__).parents[1] / "perfbench" / "traced_cli.py"
@@ -293,6 +297,83 @@ def test_benchmark_hooks_and_public_names_resolve(bundled_pqr, tmp_path):
     assert (tmp_path / "spans.json").exists()
     for name in erbfit.__all__:
         assert hasattr(erbfit, name), name
+
+    # compare: both mesh evaluators are wrapped, and each counts the grid's
+    # points from the argument the mesh hands it
+    save_model(init_model(molecule, decay=0.45), tmp_path / "model.json")
+    proc = subprocess.run(
+        [sys.executable, str(traced_cli), str(tmp_path / "compare_spans.json"), "compare",
+         str(bundled_pqr), str(tmp_path / "model.json"), "--mesh-spacing", "1.0",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=SRC_ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads((tmp_path / "compare_spans.json").read_text())["spans"]
+    n_points = make_grid(bounding_box(molecule), 1.0).n_points
+    for name in ("field.mesh_eval", "model.mesh_eval"):
+        assert [s["points"] for s in spans if s["name"] == name] == [n_points], name
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves the Hausdorff distance only; loading it costs every command
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, erbfit.cli; "
+                               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=SRC_ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, flags, reason", [
+    ("sparsify", ["--epsilon", "nan"], "epsilon_floor must be finite, got nan"),
+    ("sparsify", ["--prune-tol", "nan"], "prune_tol must be finite, got nan"),
+    ("sparsify", ["--error-cap", "inf"], "max_error_cap must be finite, got inf"),
+    ("sparsify", ["--band", "nan"], "band must be positive, got nan"),
+    ("sparsify", ["--decay", "inf"], "decay must be finite and positive, got inf"),
+    ("sparsify-big-atom", [], "atom 1: the weight e^(d r^2) overflows at decay 0.5 "
+                              "and radius 40.0"),
+    ("compare", ["--decay", "nan"], "decay must be finite and positive, got nan"),
+    ("mesh", ["--isovalue", "inf"], "isovalue must be finite and positive, got inf"),
+    ("mesh-model", ["--isovalue", "nan"], "isovalue must be finite, got nan"),
+], ids=["epsilon-nan", "prune-tol-nan", "error-cap-inf", "band-nan", "decay-inf",
+        "big-atom", "compare-decay-nan", "mesh-isovalue-inf", "mesh-model-isovalue-nan"])
+def test_non_finite_number_exits_2_with_one_line(atom_pqr, fit_dir, tmp_path, command,
+                                                 flags, reason):
+    if command == "sparsify-big-atom":
+        big = tmp_path / "big.pqr"
+        big.write_text("ATOM      1 C    UNK A   1       0.000   0.000   0.000  0.0000 40.0000\n")
+        command, inputs = "sparsify", [str(big)]
+    elif command == "mesh-model":
+        command, inputs = "mesh", [str(fit_dir / "model.json")]
+    elif command == "compare":
+        inputs = [str(atom_pqr), str(fit_dir / "model.json")]
+    else:
+        inputs = [str(atom_pqr)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "erbfit.cli", command, *inputs, *flags, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=SRC_ENV, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert lines[0].endswith(reason)
+
+
+def test_compare_model_without_decay_on_an_axis_exits_4(bundled_pqr, molecule, tmp_path):
+    # a basis that never decays along x: its block spans the grid on that
+    # axis, and its level set runs through the box walls
+    basis = {"coeff_sqrt": 1.5, "decay_sqrt": [0.0, 0.7, 0.7],
+             "center": molecule.centers.mean(axis=0).tolist(), "angles": [0.0, 0.0, 0.0]}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"format": "erbfit-model", "version": 1, "bases": [basis]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "erbfit.cli", "compare", str(bundled_pqr), str(model),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=SRC_ENV, timeout=120)
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].endswith("the mesh would be open")
 
 
 @pytest.mark.parametrize("command, flag, spacing, reason", [

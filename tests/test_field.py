@@ -1,5 +1,6 @@
 """Gaussian molecular field evaluation against brute-force oracles."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from erbfit.field import Box, GaussianField, bounding_box, eval_phi_batch
+from erbfit.field import (
+    GRID_TAU,
+    Box,
+    GaussianField,
+    GridSpec,
+    bounding_box,
+    eval_phi_batch,
+)
 from erbfit.pqr import parse_pqr
 from erbfit.sampler import make_grid
 
@@ -160,6 +168,84 @@ def test_field_validation():
         _single_atom(d=0.0)
     with pytest.raises(ValueError):
         _single_atom(c=-1.0)
+
+
+@pytest.mark.parametrize("kwargs, reason", [
+    ({"d": np.nan}, "decay must be finite and positive, got nan"),
+    ({"d": np.inf}, "decay must be finite and positive, got inf"),
+    ({"c": np.nan}, "isovalue must be finite and positive, got nan"),
+    ({"c": np.inf}, "isovalue must be finite and positive, got inf"),
+    # d r^2 = 800 is beyond the largest exponent of a finite double (709.78)
+    ({"r": 40.0}, "atom 1: the weight e^(d r^2) overflows at decay 0.5 and radius 40.0"),
+    ({"d": 1e308, "r": 2.0}, "overflows at decay 1e+308"),
+])
+def test_field_refuses_non_finite_numbers(kwargs, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        _single_atom(**kwargs)
+
+
+# ---------------------------------------------------------------- grid path
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n_atoms=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       decay=st.floats(0.3, 0.8), spacing=st.floats(0.3, 1.0))
+def test_grid_values_match_point_values(n_atoms, seed, decay, spacing):
+    # atoms inside the box and outside it, some far enough that their block
+    # misses the grid altogether
+    rng = np.random.default_rng(seed)
+    f = GaussianField(centers=rng.uniform(-14, 14, (n_atoms, 3)),
+                      radii=rng.uniform(1.0, 2.0, n_atoms), decay=decay)
+    grid = make_grid(Box(lo=rng.uniform(-7, -3, 3), hi=rng.uniform(3, 7, 3)), spacing)
+    points = grid.points()
+    ref = f.values(points)
+    got = f.values(grid)
+    assert got.shape == (len(grid),)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(ref, 1.0))
+    assert np.all(np.abs(got - _reference_field(f, points)) <= 1e-12 * np.maximum(ref, 1.0))
+
+
+def test_grid_values_are_the_point_bits_when_nothing_is_dropped():
+    # one atom whose block holds the whole grid: every node gets the
+    # operations of the point path, in the same order
+    f = _single_atom(r=1.5, d=0.5)
+    grid = make_grid(Box(lo=np.full(3, -3.0), hi=np.full(3, 3.0)), 0.25)
+    assert np.array_equal(f.values(grid), f.values(grid.points()))
+
+
+def test_grid_values_keep_the_below_isovalue_bits_on_bundled_grid(molecule):
+    f = GaussianField.from_molecule(molecule, decay=0.5)
+    grid = make_grid(bounding_box(molecule), 0.5)
+    got, ref = f.values(grid), f.values(grid.points())
+    assert np.array_equal(got < f.isovalue, ref < f.isovalue)
+    assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_grid_values_leave_out_less_than_tau():
+    # every node lies 12 A or more from a lone atom, where its term is
+    # positive but below GRID_TAU, so the grid path drops it
+    f = _single_atom(r=1.5, d=0.5)
+    grid = GridSpec(Box(lo=np.array([12.0, 0.0, 0.0]), hi=np.array([16.0, 2.0, 2.0])),
+                    (2, 2, 2))
+    ref = _reference_field(f, grid.points())
+    assert 0.0 < ref.max() < GRID_TAU
+    assert np.array_equal(f.values(grid), np.zeros(len(grid)))
+
+
+def test_node_blocks_clip_to_the_grid():
+    grid = GridSpec(Box(lo=np.zeros(3), hi=np.full(3, 4.0)), (4, 4, 4))
+    centers = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, 2.0], [9.0, 2.0, 2.0], [0.5, 3.5, 2.0]])
+    half = np.array([[1.0, 0.5, 0.0], [np.inf, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    blocks, largest = grid.node_blocks(centers, half)
+    # center 1 spans x (infinite half-width), center 2 reaches no node, and
+    # center 3 is clipped below on x and above on y
+    assert blocks == [
+        (0, (slice(1, 4), slice(2, 3), slice(2, 3))),
+        (1, (slice(0, 5), slice(1, 4), slice(1, 4))),
+        (3, (slice(0, 2), slice(3, 5), slice(1, 4))),
+    ]
+    assert largest == 45
+    assert len(grid) == grid.n_points == 125
 
 
 def test_bounding_box_single_atom():

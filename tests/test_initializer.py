@@ -82,3 +82,14 @@ def test_nonpositive_decay_rejected(molecule):
         init_model(molecule, decay=0.0)
     with pytest.raises(ValueError):
         init_model(molecule, decay=-0.5)
+
+
+@pytest.mark.parametrize("radius, decay, reason", [
+    (1.5, np.nan, "decay must be finite and positive, got nan"),
+    (1.5, np.inf, "decay must be finite and positive, got inf"),
+    (40.0, 0.5, "the weight e^(d r^2) overflows"),
+])
+def test_non_finite_decay_or_weight_rejected(radius, decay, reason):
+    with pytest.raises(ValueError) as info:
+        init_model(_one_atom_molecule(radius), decay=decay)
+    assert reason in str(info.value)

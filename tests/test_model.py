@@ -7,8 +7,9 @@ single-axis matrices composed in the test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from erbfit.field import GaussianField, bounding_box
+from erbfit.field import GRID_TAU, Box, GaussianField, GridSpec, bounding_box
 from erbfit.initializer import init_model
 from erbfit.model import (
     RbfModel,
@@ -179,6 +180,71 @@ def test_values_match_reference_loop_bundled(molecule, rng):
     pts = rng.uniform(box.lo, box.hi, (5000, 3))
     ref = _reference_values(m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles, pts)
     assert np.max(np.abs(m.values(pts) - ref)) < 1e-12
+
+
+# ---------------------------------------------------------------- grid path
+
+
+def _grid_and_reference(model, box, spacing):
+    grid = make_grid(box, spacing)
+    ref = _reference_values(model.coeff_sqrt, model.decay_sqrt, model.centers, model.angles,
+                            grid.points())
+    return model.values(grid), ref
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1), spacing=st.floats(0.3, 1.0))
+def test_grid_values_match_point_values(n, seed, spacing):
+    # rotated anisotropic bases inside the box and outside it, weights from
+    # tiny to large, decays from long-range to sharp
+    rng = np.random.default_rng(seed)
+    m = RbfModel(coeff_sqrt=rng.uniform(0.0, 3.0, n) ** 2,
+                 decay_sqrt=rng.uniform(0.2, 1.5, (n, 3)),
+                 centers=rng.uniform(-14, 14, (n, 3)),
+                 angles=rng.uniform(-np.pi, np.pi, (n, 3)))
+    grid = make_grid(Box(lo=rng.uniform(-7, -3, 3), hi=rng.uniform(3, 7, 3)), spacing)
+    got = m.values(grid)
+    ref = m.values(grid.points())
+    assert got.shape == (len(grid),)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(ref, 1.0))
+
+
+def test_grid_values_of_the_bundled_standin(molecule):
+    m = init_model(molecule, decay=0.45)
+    got, ref = _grid_and_reference(m, bounding_box(molecule), 0.5)
+    assert np.array_equal(got < 1.0, ref < 1.0)
+    assert np.max(np.abs(got - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("angles", [[0.0, 0.0, 0.0], [0.4, -0.9, 1.3]])
+def test_grid_values_with_a_zero_decay(angles):
+    # no decay along a principal axis: the basis never falls off along it,
+    # so its block spans the grid on every axis that direction has a share in
+    m = RbfModel(coeff_sqrt=[1.2, 0.8], decay_sqrt=[[0.0, 0.9, 0.7], [0.8, 0.8, 0.8]],
+                 centers=[[0.3, -0.2, 0.1], [1.0, 1.0, -1.0]], angles=[angles, angles])
+    got, ref = _grid_and_reference(m, Box(lo=np.full(3, -4.0), hi=np.full(3, 4.0)), 0.5)
+    assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_grid_values_skip_zero_and_tiny_weights():
+    box = Box(lo=np.full(3, -3.0), hi=np.full(3, 3.0))
+    zero = RbfModel(coeff_sqrt=[0.0, 1.1], decay_sqrt=np.full((2, 3), 0.8),
+                    centers=np.zeros((2, 3)), angles=np.zeros((2, 3)))
+    got, ref = _grid_and_reference(zero, box, 0.5)
+    assert np.max(np.abs(got - ref)) < 1e-12
+    # a weight below GRID_TAU / n contributes less than that anywhere
+    tiny = RbfModel(coeff_sqrt=[np.sqrt(GRID_TAU / 2)], decay_sqrt=np.full((1, 3), 0.8),
+                    centers=np.zeros((1, 3)), angles=np.zeros((1, 3)))
+    got, ref = _grid_and_reference(tiny, box, 0.5)
+    assert ref.max() > 0.0
+    assert np.array_equal(got, np.zeros(len(got)))
+
+
+def test_grid_values_of_an_empty_model():
+    m = RbfModel(coeff_sqrt=np.zeros(0), decay_sqrt=np.zeros((0, 3)),
+                 centers=np.zeros((0, 3)), angles=np.zeros((0, 3)))
+    grid = GridSpec(Box(lo=np.zeros(3), hi=np.ones(3)), (2, 2, 2))
+    assert np.array_equal(m.values(grid), np.zeros(27))
 
 
 def test_pack_length():
