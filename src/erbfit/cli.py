@@ -188,11 +188,11 @@ def _out_dir(config: RunConfig) -> Path:
 
 def _looks_like_model(path: str) -> bool:
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             head = fh.read(256).lstrip()
     except OSError:
         return False
-    return head.startswith("{")
+    return head.startswith(b"{")
 
 
 def _model_box(meta: dict, model: RbfModel) -> Box:

@@ -11,19 +11,21 @@ The flat parameter vector packs a model with N bases as
 
 (axis-major decay blocks, xyz-interleaved centers, angle blocks), length 10N.
 
-Every evaluation, values and gradient alike, runs basis by basis through one
-kernel (`_basis_kernel`) over the points held coordinate-major, shape (3, M),
-so the temporaries are a few arrays of length M per basis.  At an (M, 3)
-array of points every basis covers every point.  On a GridSpec, the uniform
-grid that meshing evaluates, each basis covers only the block of nodes where
-it can reach GRID_TAU / N (N bases), so the terms left out add up to less
-than GRID_TAU (erbfit.field) at any node.
+Every evaluation, values and gradient alike, writes the exponent of every
+basis as one product E = Q phi: phi holds the ten quadratic monomials
+[1, z_a, z_a z_b] of the points about a local origin and Q (n x 10) comes
+from A = R^T diag(d~^2) R and the centers (derivation in `_point_blocks`).
+At an (M, 3) array of points every basis covers every point, one block of
+points at a time, so a pass holds a block's (10, b) monomials and (n, b)
+exponents, never an n x M array.  On a GridSpec, the uniform grid that meshing
+evaluates, each basis covers only the block of nodes where it can reach
+GRID_TAU / N (N bases), so the terms left out add up to less than GRID_TAU
+(erbfit.field) at any node.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -36,34 +38,60 @@ MODEL_VERSION = 1
 PARAMS_PER_BASIS = 10
 
 
-def rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Total rotation R = Rz(gamma) @ Ry(beta) @ Rx(alpha).
+# the quadratic monomials z_a * z_b of the exponent expansion, as (a, b) pairs:
+# monomial 4 + j holds pair j, the squares first
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# monomial of each entry (a, b) of a symmetric 3x3 matrix
+_SYMMETRIC_MONOMIALS = np.array([[4, 7, 8], [7, 5, 9], [8, 9, 6]])
 
-    Note the y-rotation convention: -sin(beta) sits at row 0, col 2 (the
-    transpose of the more common form).  Fitting power is unaffected; the
-    convention is fixed here once and the derivatives below match it.
+# doubles in the two buffers of a pass over (M, 3) points: a block of b points
+# holds its (10, b) monomials and (n, b) exponents, so b = BLOCK_DOUBLES // (10 + n)
+# bounds them at 2 MB whatever the basis and point counts
+BLOCK_DOUBLES = 2**18
+
+
+def _axis_patterns():
+    """(fixed, cos, sin) parts of Rx, Ry, Rz, each (3, 3, 3): R_axis = fixed + cos*C + sin*S.
+
+    The rotation about an axis turns the plane (u, v) of the other two, u < v,
+    with -sin at (u, v):
+
+        Rx = [[1, 0, 0], [0, ca, -sa], [0, sa, ca]]
+        Ry = [[cb, 0, -sb], [0, 1, 0], [sb, 0, cb]]
+        Rz = [[cg, -sg, 0], [sg, cg, 0], [0, 0, 1]]
     """
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    cg, sg = np.cos(gamma), np.sin(gamma)
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, ca, -sa], [0.0, sa, ca]])
-    ry = np.array([[cb, 0.0, -sb], [0.0, 1.0, 0.0], [sb, 0.0, cb]])
-    rz = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
-    return rz @ ry @ rx
+    fixed, cos, sin = np.zeros((3, 3, 3, 3))
+    for axis, (u, v) in enumerate(((1, 2), (0, 2), (0, 1))):
+        fixed[axis, axis, axis] = 1.0
+        cos[axis, u, u] = cos[axis, v, v] = 1.0
+        sin[axis, u, v], sin[axis, v, u] = -1.0, 1.0
+    return fixed, cos, sin
 
 
-def rotation_derivatives(alpha: float, beta: float, gamma: float):
-    """(dR/dalpha, dR/dbeta, dR/dgamma) for the rotation_matrix convention."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    cg, sg = np.cos(gamma), np.sin(gamma)
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, ca, -sa], [0.0, sa, ca]])
-    ry = np.array([[cb, 0.0, -sb], [0.0, 1.0, 0.0], [sb, 0.0, cb]])
-    rz = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
-    drx = np.array([[0.0, 0.0, 0.0], [0.0, -sa, -ca], [0.0, ca, -sa]])
-    dry = np.array([[-sb, 0.0, -cb], [0.0, 0.0, 0.0], [cb, 0.0, -sb]])
-    drz = np.array([[-sg, -cg, 0.0], [cg, -sg, 0.0], [0.0, 0.0, 0.0]])
-    return rz @ ry @ drx, rz @ dry @ rx, drz @ ry @ rx
+_AXIS_FIXED, _AXIS_COS, _AXIS_SIN = _axis_patterns()
+
+
+def rotations(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R = Rz(gamma) @ Ry(beta) @ Rx(alpha) and dR/d(alpha, beta, gamma) for (n, 3) angles.
+
+    Returns R of shape (n, 3, 3) and the derivatives stacked as (3, n, 3, 3),
+    one (n, 3, 3) array per angle.  Note the y-rotation convention:
+    -sin(beta) sits at row 0, col 2 (the transpose of the more common form).
+    Fitting power is unaffected; the convention is fixed here once.
+    """
+    angles = np.asarray(angles, dtype=np.float64).reshape(-1, 3)
+    cos = np.cos(angles)[:, :, None, None]
+    sin = np.sin(angles)[:, :, None, None]
+    # (n, 3 axes, 3, 3): the single-axis rotations and their derivatives
+    axis = _AXIS_FIXED + cos * _AXIS_COS + sin * _AXIS_SIN
+    daxis = cos * _AXIS_SIN - sin * _AXIS_COS
+    rx, ry, rz = axis[:, 0], axis[:, 1], axis[:, 2]
+    rzy = rz @ ry
+    dr = np.empty((3, *rx.shape))
+    np.matmul(rzy, daxis[:, 0], out=dr[0])
+    np.matmul(rz @ daxis[:, 1], rx, out=dr[1])
+    np.matmul(daxis[:, 2], ry @ rx, out=dr[2])
+    return rzy @ rx, dr
 
 
 class RbfModel:
@@ -100,7 +128,7 @@ class RbfModel:
                                 points)
         pts_t = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)).T)
         return _values_arrays(self.coeff_sqrt, self.decay_sqrt, self.centers, self.angles,
-                              pts_t, _kernel_buffers(pts_t))
+                              pts_t, _block_buffers(self.n_bases, pts_t.shape[1]))
 
     def __eq__(self, other):
         if not isinstance(other, RbfModel):
@@ -138,46 +166,101 @@ def unpack_parameters(x: np.ndarray, n_bases: int) -> RbfModel:
     return RbfModel(*(a.copy() for a in _unpack_arrays(x, n_bases)))
 
 
-def _basis_kernel(points_t, center, decay_sqrt, angles, p, uu, g):
-    """One basis over coordinate-major (3, M) points, written into the caller's buffers.
+def _exponent_matrices(d, r):
+    """A_i = R_i^T diag(d~_i^2) R_i of every basis, shape (n, 3, 3), from R of shape (n, 3, 3)."""
+    return np.swapaxes(r, 1, 2) @ (d[:, :, None] ** 2 * r)
 
-    Fills p = y - x (3, M) and g = exp(-(d~^2)^T (u*u)) (M,) with u = R p, using
-    uu (3, M) as scratch, and returns R.  The only place an ellipsoid Gaussian
-    is evaluated: the value and gradient passes both go through it.  Reusing
-    the buffers across bases keeps a pass free of M-sized allocations, which
-    cost page faults on every basis once M reaches tens of thousands.
+
+def _exponent_rows(a):
+    """-Q (n, 10) of every basis with the monomials taken about its own center.
+
+    Only the quadratic part (columns 4-9) is nonzero; _point_blocks fills
+    columns 0-3 for the origin of each block.  The rows are kept negated so
+    that -E = (-Q) phi needs no pass of its own.
     """
-    r = rotation_matrix(*angles)
-    np.subtract(points_t, center[:, None], out=p)
-    np.matmul(r, p, out=uu)
-    np.square(uu, out=uu)
-    np.matmul(decay_sqrt**2, uu, out=g)
-    np.negative(g, out=g)
-    np.exp(g, out=g)
-    return r
+    neg_q = np.zeros((a.shape[0], 10))
+    for j, (u, v) in enumerate(_PAIRS):
+        neg_q[:, 4 + j] = -a[:, u, v] if u == v else -2.0 * a[:, u, v]
+    return neg_q
 
 
-def _kernel_buffers(points_t):
-    """The (3, M), (3, M) and (M,) buffers a pass over points_t hands to _basis_kernel.
+def _block_buffers(n, m):
+    """The monomial and exponent buffers of a pass of n bases over m points.
 
-    The fit allocates them once and reuses them in every pass: allocating
-    and freeing them per pass lets malloc return the memory to the system
-    and fault it back in on the next pass.
+    They hold blocks of b = BLOCK_DOUBLES // (10 + n) points (m at most): a
+    (10 * b) buffer for the monomials and an (n * b) one for the exponents,
+    which also serve any pass over fewer bases.  The fit allocates them once
+    and reuses them in every pass: allocating and freeing them per pass lets
+    malloc return the memory to the system and fault it back in on the next
+    pass, about one fault per 4 kB on every pass.
     """
-    return np.empty_like(points_t), np.empty_like(points_t), np.empty(points_t.shape[1])
+    size = max(1, min(m, BLOCK_DOUBLES // (10 + n)))
+    return np.empty(10 * size), np.empty(n * size)
+
+
+def _point_blocks(a, centers, points_t, buffers):
+    """Every basis over coordinate-major (3, M) points, one block of points at a time.
+
+    `buffers` is a _block_buffers tuple for at least the n bases of `a`, and
+    sets the block size b.  Yields (start, s, phi, g) for the block of points
+    y_k, k = start .. start + b - 1 (fewer in the last block), whose centroid
+    is o: s = centers - o (n, 3), phi (10, b) the monomials of z_k = y_k - o,
+    and g (n, b) with g_ik = exp(-(y_k - x_i)^T A_i (y_k - x_i)).  phi and g
+    live in the buffers, which the next block overwrites.  The only place an
+    ellipsoid Gaussian is evaluated at points: the value and gradient passes
+    both go through it, and the grid path uses the same Q and monomials.
+
+    The exponent as one GEMM.  With p = y - x_i = z - s_i,
+
+        p^T A p = z^T A z - 2 (A s)^T z + s^T A s = Q_i . phi(z),
+        phi(z) = [1, z_1, z_2, z_3, z_1^2, z_2^2, z_3^2, z_1 z_2, z_1 z_3, z_2 z_3],
+        Q_i    = [s^T A s, -2 (A s)_1..3, A_11, A_22, A_33, 2 A_12, 2 A_13, 2 A_23],
+
+    so the block's exponents are E = Q phi, an (n, 10) by (10, b) product.
+    The terms of the expansion are of size |A| (|z| + |s|)^2 and cancel
+    down to p^T A p, so the origin is kept local: each block has its own.
+
+    Moments, shifted.  A pass that weighs each point by w_ik gets its
+    moments about the block origin as one product, B = w phi^T (n, 10):
+    b0 = sum_k w_k, b1 = sum_k w_k z_k and b2_ab = sum_k w_k z_ka z_kb
+    (column _SYMMETRIC_MONOMIALS[a, b] of B).  About the basis center, p = z - s,
+
+        s0 = b0,   m1 = b1 - b0 s,   C = b2 - s b1^T - b1 s^T + b0 s s^T.
+    """
+    n, m = a.shape[0], points_t.shape[1]
+    neg_q = _exponent_rows(a)
+    phi_buf, g_buf = buffers
+    block = phi_buf.size // 10
+    for start in range(0, m, block):
+        y = points_t[:, start:start + block]
+        b = y.shape[1]
+        phi = phi_buf[:10 * b].reshape(10, b)
+        g = g_buf[:n * b].reshape(n, b)
+        origin = y.sum(axis=1) / b
+        phi[0] = 1.0
+        np.subtract(y, origin[:, None], out=phi[1:4])
+        np.square(phi[1:4], out=phi[4:7])
+        for j, (u, v) in enumerate(_PAIRS[3:], start=3):
+            np.multiply(phi[1 + u], phi[1 + v], out=phi[4 + j])
+        s = centers - origin
+        a_s = (a @ s[:, :, None])[:, :, 0]
+        np.multiply(a_s, 2.0, out=neg_q[:, 1:4])
+        np.negative((s * a_s).sum(axis=1), out=neg_q[:, 0])
+        np.matmul(neg_q, phi, out=g)
+        np.exp(g, out=g)
+        yield start, s, phi, g
 
 
 def _values_arrays(c, d, centers, ang, points_t, buffers) -> np.ndarray:
     """Model values sum_i c~_i^2 g_i at coordinate-major (3, M) points.
 
-    `buffers` is a _kernel_buffers(points_t) tuple, overwritten by the pass.
+    `buffers` is a _block_buffers tuple, overwritten by the pass.
     """
-    p, uu, g = buffers
-    out = np.zeros(points_t.shape[1])
-    for i in range(c.shape[0]):
-        _basis_kernel(points_t, centers[i], d[i], ang[i], p, uu, g)
-        g *= c[i] ** 2
-        out += g
+    a = _exponent_matrices(d, rotations(ang)[0])
+    c2 = c * c
+    out = np.empty(points_t.shape[1])
+    for start, _, _, g in _point_blocks(a, centers, points_t, buffers):
+        np.matmul(c2, g, out=out[start:start + g.shape[1]])
     return out
 
 
@@ -190,33 +273,38 @@ def _grid_values(c, d, centers, ang, grid: GridSpec) -> np.ndarray:
     h_ip = sqrt(E_i sum_a R_ap^2 / d~_ia^2): infinite along an axis that a
     zero decay leaves unbounded, so the block spans it.  A basis with
     E_i <= 0 (c~_i = 0 included) is below the bound everywhere and skipped.
+    The exponent is the point path's Q_i . phi with the monomials taken about
+    the basis center (s_i = 0), so only its quadratic part is used, and on
+    the lattice each monomial is an outer product of per-axis offsets.
     """
     n = c.shape[0]
     with np.errstate(divide="ignore"):
         cut = np.log(n * c**2 / GRID_TAU)
     kept = np.flatnonzero(cut > 0)
-    r_sq = np.array([rotation_matrix(*ang[i]) ** 2 for i in kept]).reshape(-1, 3, 3)
+    r = rotations(ang[kept])[0]
+    r_sq = r**2
     with np.errstate(divide="ignore", invalid="ignore"):
         # a rotation entry of 0 adds nothing, even against a zero decay
         spread = np.where(r_sq > 0, r_sq / d[kept, :, None] ** 2, 0.0).sum(axis=1)
     blocks, largest = grid.node_blocks(centers[kept], np.sqrt(cut[kept, None] * spread))
+    neg_q = _exponent_rows(_exponent_matrices(d[kept], r))[:, 4:]
     axes = [grid.axis_coords(a) for a in range(3)]
     out = np.zeros(grid.shape)
-    # buffers sized for the largest block, shared by every basis of the pass
-    pts_buf, p_buf, uu_buf = (np.empty(3 * largest) for _ in range(3))
-    g_buf = np.empty(largest)
+    g_buf = np.empty(largest)  # sized for the largest block, shared by every basis
     for j, block in blocks:
         i = kept[j]
-        shape = tuple(s.stop - s.start for s in block)
-        size = math.prod(shape)
-        pts = pts_buf[:3 * size].reshape(3, *shape)
-        for a in range(3):
-            pts[a] = axes[a][block[a]].reshape([-1 if b == a else 1 for b in range(3)])
-        g = g_buf[:size]
-        _basis_kernel(pts.reshape(3, size), centers[i], d[i], ang[i],
-                      p_buf[:3 * size].reshape(3, size), uu_buf[:3 * size].reshape(3, size), g)
+        x, y, z = (axes[a][block[a]] - centers[i, a] for a in range(3))
+        q_xx, q_yy, q_zz, q_xy, q_xz, q_yz = neg_q[j]
+        g = g_buf[:x.size * y.size * z.size].reshape(x.size, y.size, z.size)
+        # on the lattice each monomial is an outer product of axis offsets:
+        # -E = (q_xx x^2 + q_xy x y + q_yy y^2) + (q_xz x + q_yz y) z + q_zz z^2
+        np.multiply(np.add.outer(q_xz * x, q_yz * y)[:, :, None], z, out=g)
+        xy = np.add.outer(q_xx * x * x, q_yy * y * y) + q_xy * np.multiply.outer(x, y)
+        g += xy[:, :, None]
+        g += q_zz * z * z
+        np.exp(g, out=g)
         g *= c[i] ** 2
-        out[block] += g.reshape(shape)
+        out[block] += g
     return out.ravel()
 
 
@@ -225,15 +313,16 @@ def _objective_gradient_arrays(c, d, centers, ang, points_t, residual, w_s, w_l,
     """Packed gradient of w_s*E_s + w_l*E_l1 given precomputed residuals.
 
     points_t holds the constraint points coordinate-major, shape (3, M), and
-    `buffers` is a _kernel_buffers(points_t) tuple, overwritten by the pass.
+    `buffers` is a _block_buffers tuple, overwritten by the pass.
 
     E_s = sum_k residual_k^2 with residual = model(y_k) - target_k;
     E_l1 = sum_i c~_i^2 + sum_{i,p} d~_ip^2 (smooth in the tilde variables).
 
-    Each basis makes one pass over the points and reduces it to three
-    residual-weighted moments; every gradient slot is then 3x3 algebra.
-    For basis i write c2 = c~_i^2, D = diag(d~_i^2), R = R(alpha_i, beta_i,
-    gamma_i) and, per point k,
+    One pass over the points (_point_blocks) reduces every basis to three
+    residual-weighted moments; every gradient slot is then 3x3 algebra,
+    done for all bases at once on (n, 3, 3) arrays.  For basis i write
+    c2 = c~_i^2, D = diag(d~_i^2), R = R(alpha_i, beta_i, gamma_i) and, per
+    point k,
 
         p_k = y_k - x_i,   u_k = R p_k,   g_k = exp(-u_k^T D u_k),
         w_k = residual_k * g_k,
@@ -257,29 +346,27 @@ def _objective_gradient_arrays(c, d, centers, ang, points_t, residual, w_s, w_l,
     and the L1 term adds 2 w_l c~_i to the coefficient slot and 2 w_l d~_ia
     to each decay slot.  The rotation derivatives touch only 3x3 matrices.
     """
+    r, dr = rotations(ang)
+    a = _exponent_matrices(d, r)                 # R^T D R
     n = c.shape[0]
-    gc = np.empty(n)
-    gd = np.empty((n, 3))
-    gx = np.empty((n, 3))
-    gang = np.empty((n, 3))
-    p, pw, w = buffers
-    for i in range(n):
-        r = _basis_kernel(points_t, centers[i], d[i], ang[i], p, pw, w)
-        d2 = d[i] ** 2
-        w *= residual                            # w = residual * g
-        np.multiply(p, w, out=pw)
-        s0 = w.sum()
-        m1 = pw.sum(axis=1)
-        rc = r @ (pw @ p.T)                      # R C
-        scale = 4.0 * w_s * c[i] ** 2
-        gc[i] = 4.0 * w_s * c[i] * s0 + 2.0 * w_l * c[i]
-        gd[i] = -scale * d[i] * np.einsum("ab,ab->a", rc, r) + 2.0 * w_l * d[i]
-        gx[i] = scale * (r.T @ (d2 * (r @ m1)))
-        drc = d2[:, None] * rc                   # D R C
-        for j, dr in enumerate(rotation_derivatives(*ang[i])):
-            gang[i, j] = -scale * (drc * dr).sum()
-    return np.concatenate([gc, gd[:, 0], gd[:, 1], gd[:, 2], gx.ravel(),
-                           gang[:, 0], gang[:, 1], gang[:, 2]])
+    s0, m1, cm = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3))
+    for start, s, phi, w in _point_blocks(a, centers, points_t, buffers):
+        w *= residual[start:start + w.shape[1]]  # w = residual * g
+        raw = w @ phi.T                          # moments about the block origin
+        b0, b1, b2 = raw[:, 0], raw[:, 1:4], raw[:, _SYMMETRIC_MONOMIALS]
+        sb1 = s[:, :, None] * b1[:, None, :]
+        s0 += b0
+        m1 += b1 - b0[:, None] * s
+        cm += b2 - sb1 - np.swapaxes(sb1, 1, 2)
+        cm += b0[:, None, None] * (s[:, :, None] * s[:, None, :])
+    rc = r @ cm                                  # R C
+    scale = 4.0 * w_s * c * c
+    gc = 4.0 * w_s * c * s0 + 2.0 * w_l * c
+    gd = -scale[:, None] * d * (rc * r).sum(axis=2) + 2.0 * w_l * d
+    gx = scale[:, None] * np.einsum("nab,nb->na", a, m1)
+    drc = (d * d)[:, :, None] * rc               # D R C
+    gang = -scale[:, None] * np.einsum("nab,jnab->nj", drc, dr)
+    return np.concatenate([gc, gd.T.ravel(), gx.ravel(), gang.T.ravel()])
 
 
 def eval_model_gradient(model: RbfModel, constraints, weights) -> np.ndarray:
@@ -298,7 +385,7 @@ def eval_model_gradient(model: RbfModel, constraints, weights) -> np.ndarray:
     w_s, w_l = weights
     points_t = np.ascontiguousarray(points.T)
     arrays = (model.coeff_sqrt, model.decay_sqrt, model.centers, model.angles)
-    buffers = _kernel_buffers(points_t)
+    buffers = _block_buffers(model.n_bases, points_t.shape[1])
     residual = _values_arrays(*arrays, points_t, buffers) - targets
     return _objective_gradient_arrays(*arrays, points_t, residual, w_s, w_l, buffers)
 
@@ -351,11 +438,17 @@ def _finite_numbers(value, size: int, what: str):
 def load_model(path: str | Path) -> tuple[RbfModel, dict]:
     """Read a model document written by save_model; returns (model, metadata).
 
-    Any document that is not a well-formed model (missing keys, no bases,
-    wrong vector lengths, non-finite numbers) raises ValueError with a
-    one-line message.
+    Any document that is not a well-formed model (not UTF-8 text, not JSON,
+    missing keys, no bases, wrong vector lengths, non-finite numbers) raises
+    ValueError with a one-line message that names the file.
     """
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno})") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} document")
     if doc.get("version") != MODEL_VERSION:

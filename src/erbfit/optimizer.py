@@ -29,7 +29,7 @@ import numpy as np
 
 from .model import (
     RbfModel,
-    _kernel_buffers,
+    _block_buffers,
     _objective_gradient_arrays,
     _unpack_arrays,
     _values_arrays,
@@ -221,7 +221,8 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
         raise ModelCollapseError("initial model has no bases")
     points_t = np.ascontiguousarray(constraints.points.T)
     targets = constraints.targets
-    buffers = _kernel_buffers(points_t)
+    # sized for the initial bases, so they serve every pass after a prune too
+    buffers = _block_buffers(model0.n_bases, points_t.shape[1])
     trace = IterationTrace()
 
     x = pack_parameters(model0)

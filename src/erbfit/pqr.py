@@ -135,9 +135,13 @@ def parse_pqr(text: str | Iterable[str], source_path: str = "<memory>") -> Molec
 
 
 def parse_pqr_file(path: str | Path) -> Molecule:
-    """Read and parse a PQR file from disk."""
+    """Read and parse a PQR file from disk; PqrError naming the file if it is not UTF-8 text."""
     path = Path(path)
-    return parse_pqr(path.read_text(), source_path=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise PqrError(f"{path}: not UTF-8 text") from None
+    return parse_pqr(text, source_path=str(path))
 
 
 def format_pqr(molecule: Molecule) -> str:

@@ -271,10 +271,15 @@ SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(erbfit.__file__).parents[1])}
      "'coeff_sqrt' must be a finite number"),
     ("mesh", EMPTY_MODEL, "the model has no bases"),
     ("compare", EMPTY_MODEL, "the model has no bases"),
-], ids=["mesh-no-bases", "compare-nan-coeff", "mesh-empty-bases", "compare-empty-bases"])
+    ("mesh", EMPTY_MODEL[:51], "model.json: not valid JSON (line 1, column 52)"),
+    ("compare", EMPTY_MODEL[:51], "model.json: not valid JSON (line 1, column 52)"),
+    ("mesh", b'{"format": "\xff\xfe"}', "model.json: not UTF-8 text"),
+    ("compare", b'{"format": "\xff\xfe"}', "model.json: not UTF-8 text"),
+], ids=["mesh-no-bases", "compare-nan-coeff", "mesh-empty-bases", "compare-empty-bases",
+        "mesh-truncated", "compare-truncated", "mesh-binary", "compare-binary"])
 def test_malformed_model_exits_2_with_one_line(atom_pqr, tmp_path, command, doc, reason):
     model = tmp_path / "model.json"
-    model.write_text(doc)
+    model.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
     inputs = [str(model)] if command == "mesh" else [str(atom_pqr), str(model)]
     proc = subprocess.run(
         [sys.executable, "-m", "erbfit.cli", command, *inputs, "--out", str(tmp_path)],
@@ -284,6 +289,20 @@ def test_malformed_model_exits_2_with_one_line(atom_pqr, tmp_path, command, doc,
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert lines[0].endswith(reason)
+
+
+@pytest.mark.parametrize("command", ["info", "sparsify", "mesh"])
+def test_binary_pqr_exits_2_with_one_line(tmp_path, command):
+    pqr = tmp_path / "binary.pqr"
+    pqr.write_bytes(b"ATOM      1 C    UNK A   1  \xff\xfe\x00\x01  0.000  0.000  0.0000 1.5\n")
+    out = [] if command == "info" else ["--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-m", "erbfit.cli", command, str(pqr), *out],
+                          capture_output=True, text=True, env=SRC_ENV, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert lines[0].endswith("binary.pqr: not UTF-8 text")
 
 
 def test_benchmark_hooks_and_public_names_resolve(bundled_pqr, molecule, tmp_path):

@@ -224,9 +224,9 @@ def test_volume_orientation_flip_invariant():
 
 
 def test_metrics_invariant_under_rigid_motion():
-    from erbfit.model import rotation_matrix
+    from erbfit.model import rotations
     m = _sphere_mesh(spacing=0.3)
-    rot = rotation_matrix(0.3, -1.1, 2.0)
+    rot = rotations(np.array([[0.3, -1.1, 2.0]]))[0][0]
     moved = TriMesh(vertices=m.vertices @ rot.T + [5.0, 1.0, -2.0],
                     triangles=m.triangles)
     assert mesh_area(moved) == pytest.approx(mesh_area(m), rel=1e-12)

@@ -5,10 +5,13 @@ independently written objective; rotations are checked against explicit
 single-axis matrices composed in the test.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import erbfit.model
 from erbfit.field import GRID_TAU, Box, GaussianField, GridSpec, bounding_box
 from erbfit.initializer import init_model
 from erbfit.model import (
@@ -16,23 +19,42 @@ from erbfit.model import (
     eval_model_gradient,
     load_model,
     pack_parameters,
-    rotation_derivatives,
-    rotation_matrix,
+    rotations,
     save_model,
     unpack_parameters,
 )
 from erbfit.sampler import ConstraintSet, make_grid, select_constraints
 
 
-def _reference_rotation(alpha, beta, gamma):
-    """Independent composition from the printed single-axis matrices."""
+def _axis_rotations(alpha, beta, gamma):
+    """The printed single-axis matrices Rx, Ry, Rz and their derivatives."""
     ca, sa = np.cos(alpha), np.sin(alpha)
     cb, sb = np.cos(beta), np.sin(beta)
     cg, sg = np.cos(gamma), np.sin(gamma)
     rx = np.array([[1, 0, 0], [0, ca, -sa], [0, sa, ca]], dtype=float)
     ry = np.array([[cb, 0, -sb], [0, 1, 0], [sb, 0, cb]], dtype=float)
     rz = np.array([[cg, -sg, 0], [sg, cg, 0], [0, 0, 1]], dtype=float)
+    drx = np.array([[0, 0, 0], [0, -sa, -ca], [0, ca, -sa]], dtype=float)
+    dry = np.array([[-sb, 0, -cb], [0, 0, 0], [cb, 0, -sb]], dtype=float)
+    drz = np.array([[-sg, -cg, 0], [cg, -sg, 0], [0, 0, 0]], dtype=float)
+    return (rx, ry, rz), (drx, dry, drz)
+
+
+def _reference_rotation(alpha, beta, gamma):
+    """Independent composition from the printed single-axis matrices."""
+    (rx, ry, rz), _ = _axis_rotations(alpha, beta, gamma)
     return rz @ ry @ rx
+
+
+def _reference_rotation_derivatives(alpha, beta, gamma):
+    """(dR/dalpha, dR/dbeta, dR/dgamma) by the product rule on the single-axis matrices."""
+    (rx, ry, rz), (drx, dry, drz) = _axis_rotations(alpha, beta, gamma)
+    return rz @ ry @ drx, rz @ dry @ rx, drz @ ry @ rx
+
+
+def _rotation(alpha, beta, gamma):
+    """The package's R for one set of angles."""
+    return rotations(np.array([[alpha, beta, gamma]]))[0][0]
 
 
 def _random_model(rng, n):
@@ -45,42 +67,42 @@ def _random_model(rng, n):
 
 
 def test_rotation_identity_at_zero():
-    assert np.array_equal(rotation_matrix(0.0, 0.0, 0.0), np.eye(3))
+    assert np.array_equal(_rotation(0.0, 0.0, 0.0), np.eye(3))
 
 
 def test_rotation_x_quarter_turn():
-    r = rotation_matrix(np.pi / 2, 0.0, 0.0)
+    r = _rotation(np.pi / 2, 0.0, 0.0)
     expected = np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float)
     assert np.allclose(r, expected, atol=1e-15)
 
 
 def test_rotation_y_sign_convention():
     # the y-rotation here carries -sin(beta) in the first row, third column
-    r = rotation_matrix(0.0, np.pi / 2, 0.0)
+    r = _rotation(0.0, np.pi / 2, 0.0)
     assert r[0, 2] == pytest.approx(-1.0, abs=1e-15)
     assert r[2, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_rotation_orthogonality(rng):
-    for _ in range(50):
-        a, b, g = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
-        r = rotation_matrix(a, b, g)
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, (50, 3))
+    rs, drs = rotations(angles)
+    assert rs.shape == (50, 3, 3) and drs.shape == (3, 50, 3, 3)
+    for r, ang, dr in zip(rs, angles, np.swapaxes(drs, 0, 1)):
         assert np.allclose(r.T @ r, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(r, _reference_rotation(a, b, g), atol=1e-14)
+        assert np.allclose(r, _reference_rotation(*ang), atol=1e-14)
+        assert np.allclose(dr, _reference_rotation_derivatives(*ang), atol=1e-14)
 
 
 def test_rotation_derivatives_match_finite_differences(rng):
     h = 1e-6
-    for _ in range(20):
-        ang = rng.uniform(-np.pi, np.pi, 3)
-        analytic = rotation_derivatives(*ang)
-        for axis in range(3):
-            ap, am = ang.copy(), ang.copy()
-            ap[axis] += h
-            am[axis] -= h
-            fd = (rotation_matrix(*ap) - rotation_matrix(*am)) / (2 * h)
-            assert np.allclose(analytic[axis], fd, atol=1e-8)
+    angles = rng.uniform(-np.pi, np.pi, (20, 3))
+    analytic = rotations(angles)[1]
+    for axis in range(3):
+        step = np.zeros(3)
+        step[axis] = h
+        fd = (rotations(angles + step)[0] - rotations(angles - step)[0]) / (2 * h)
+        assert np.allclose(analytic[axis], fd, atol=1e-8)
 
 
 def _one_basis(coeff_sqrt, decay_sqrt, center, angles):
@@ -96,7 +118,7 @@ def _reference_values(c, d, centers, ang, points):
     """Independent reference: the point-major (M, 3) value loop."""
     out = np.zeros(points.shape[0])
     for i in range(c.shape[0]):
-        r = rotation_matrix(*ang[i])
+        r = _reference_rotation(*ang[i])
         u = (points - centers[i]) @ r.T
         out += c[i] ** 2 * np.exp(-(u**2) @ (d[i] ** 2))
     return out
@@ -128,7 +150,7 @@ def test_basis_level_set_along_principal_axis(rng):
     # axis coordinate
     center = np.array([0.5, 0.5, 0.5])
     b = _one_basis(1.1, [0.9, 0.4, 0.6], center, [0.7, -0.4, 0.2])
-    r = rotation_matrix(0.7, -0.4, 0.2)
+    r = _reference_rotation(0.7, -0.4, 0.2)
     t = 1.37
     p = center + t * r.T[:, 0]  # unit vector with u = (t, 0, 0)
     expected = 1.1**2 * np.exp(-(0.9**2) * t * t)
@@ -153,7 +175,7 @@ def test_model_matches_double_loop_oracle(rng):
     pts = rng.uniform(-4, 4, (100, 3))
     oracle = np.zeros(100)
     for c, d, center, ang in zip(m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles):
-        r = rotation_matrix(*ang)
+        r = _reference_rotation(*ang)
         for k, p in enumerate(pts):
             u = r @ (p - center)
             oracle[k] += c**2 * np.exp(-np.sum(d**2 * u**2))
@@ -346,8 +368,8 @@ def _reference_gradient(c, d, centers, ang, points, residual, w_s, w_l):
     gx = np.empty((n, 3))
     gang = np.empty((n, 3))
     for i in range(n):
-        r = rotation_matrix(*ang[i])
-        dra, drb, drg = rotation_derivatives(*ang[i])
+        r = _reference_rotation(*ang[i])
+        dra, drb, drg = _reference_rotation_derivatives(*ang[i])
         p = points - centers[i]
         u = p @ r.T
         d2 = d[i] ** 2
@@ -396,6 +418,55 @@ def test_gradient_matches_reference_loop_bundled(molecule, rng):
     )
     assert (n, len(cs)) == (21, 6964)
     _assert_gradient_parity(m, cs, (0.6, 0.4))
+
+
+# points per block in the block-crossing property: small, so a pass crosses many blocks
+_SMALL_BLOCK = 5
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       blocks=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)]),
+       shift=st.sampled_from([0.0, 1000.0]))
+def test_block_passes_match_the_reference_oracles(n, seed, blocks, shift):
+    # M = k B + r points against rotated anisotropic bases, among them a
+    # zero weight and a zero decay, optionally with everything moved 1000 A
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.2, 2.0, n)
+    c[0] = 0.0
+    d = rng.uniform(0.2, 1.2, (n, 3))
+    d[-1, rng.integers(3)] = 0.0
+    m = RbfModel(coeff_sqrt=c, decay_sqrt=d, centers=rng.uniform(-4, 4, (n, 3)) + shift,
+                 angles=rng.uniform(-np.pi, np.pi, (n, 3)))
+    k, r = blocks
+    pts = rng.uniform(-6, 6, (k * _SMALL_BLOCK + r, 3)) + shift
+    cs = ConstraintSet(points=pts, targets=rng.uniform(0, 2, len(pts)))
+    weights = (float(rng.uniform(0.01, 1)), float(rng.uniform(0, 1)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * (10 + n))
+        values = m.values(pts)
+        g = eval_model_gradient(m, cs, weights)
+    ref = _reference_values(m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles, pts)
+    assert np.max(np.abs(values - ref)) <= 1e-12
+    ref_g = _reference_gradient(m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles, pts,
+                                values - cs.targets, *weights)
+    assert np.max(np.abs(g - ref_g)) <= 1e-12 * np.max(np.abs(ref_g))
+
+
+def test_passes_allocate_no_bases_by_points_temporary():
+    rng = np.random.default_rng(7)
+    n, n_points = 200, 20_000
+    m = _random_model(rng, n)
+    cs = ConstraintSet(points=rng.uniform(-5, 5, (n_points, 3)),
+                       targets=rng.uniform(0, 2, n_points))
+    tracemalloc.start()
+    try:
+        m.values(cs.points)
+        eval_model_gradient(m, cs, (0.5, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n_points * 8 / 4  # bytes; an (n, M) array alone would be n * M doubles
 
 
 def test_gradient_empty_rejected():
