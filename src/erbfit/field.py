@@ -126,11 +126,21 @@ class GridSpec:
 
 
 def check_decay(decay: float, radii: np.ndarray) -> None:
-    """Refuse a decay that is not finite and positive, or whose atom weight e^{d r^2} overflows."""
+    """Refuse a decay that is not finite and positive, a radius that is not finite and
+    non-negative, or an atom weight e^{d r^2} that overflows.
+
+    A zero radius is a point-like atom of weight 1; PQR input refuses it, the
+    formula does not.
+    """
     if not (np.isfinite(decay) and decay > 0):
         raise ValueError(f"decay must be finite and positive, got {decay}")
+    radii = np.asarray(radii, dtype=np.float64)
+    bad = np.flatnonzero(~(np.isfinite(radii) & (radii >= 0)))
+    if bad.size:
+        raise ValueError(f"atom {bad[0] + 1}: radius must be finite and non-negative, "
+                         f"got {radii[bad[0]]}")
     with np.errstate(over="ignore"):
-        exponent = decay * np.asarray(radii, dtype=np.float64) ** 2
+        exponent = decay * radii ** 2
     big = np.flatnonzero(exponent > _MAX_EXPONENT)
     if big.size:
         raise ValueError(f"atom {big[0] + 1}: the weight e^(d r^2) overflows at decay "

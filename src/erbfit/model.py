@@ -395,14 +395,11 @@ def save_model(model: RbfModel, path: str | Path, metadata: dict | None = None) 
 
     Both the effective values (weight, decays) and the underlying square-root
     variables are stored; reload uses the square-root fields so a save/load
-    round trip is bit-exact.
+    round trip is bit-exact.  A weight or decay beyond the largest double has
+    no JSON number, so it raises ValueError and writes nothing.
     """
-    doc = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "metadata": metadata or {},
-        "n_bases": model.n_bases,
-        "bases": [
+    try:
+        bases = [
             {
                 "weight": float(model.coeff_sqrt[i]) ** 2,
                 "decays": [float(v) ** 2 for v in model.decay_sqrt[i]],
@@ -412,7 +409,15 @@ def save_model(model: RbfModel, path: str | Path, metadata: dict | None = None) 
                 "angles": [float(v) for v in model.angles[i]],
             }
             for i in range(model.n_bases)
-        ],
+        ]
+    except OverflowError:
+        raise ValueError(f"{path}: a weight or decay of the model overflows a double") from None
+    doc = {
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "metadata": metadata or {},
+        "n_bases": model.n_bases,
+        "bases": bases,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 

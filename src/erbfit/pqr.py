@@ -42,7 +42,7 @@ class Atom:
     residue_seq: str
     center: np.ndarray  # (3,) float64, Angstrom
     charge: float       # elementary charges; parsed but unused downstream
-    radius: float       # Angstrom, > 0
+    radius: float       # Angstrom, finite and > 0
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,9 @@ def _parse_record(tokens: list[str], line_number: int) -> Atom:
         charge=charge,
         radius=radius,
     )
-    if radius <= 0:
+    if not (np.isfinite(radius) and radius > 0):
         raise PqrValidationError(
-            f"atom serial {serial}: radius must be positive, got {radius}"
+            f"atom serial {serial}: radius must be finite and positive, got {radius}"
         )
     return atom
 
@@ -117,7 +117,8 @@ def parse_pqr(text: str | Iterable[str], source_path: str = "<memory>") -> Molec
 
     Only ATOM/HETATM records are consumed; all other lines are ignored.
     Raises PqrParseError (with line number) on malformed numeric fields,
-    PqrValidationError on nonpositive radii, and PqrError if no atoms remain.
+    PqrValidationError on a radius that is not finite and positive, and
+    PqrError if no atoms remain.
     """
     if isinstance(text, str):
         lines = text.splitlines()

@@ -353,22 +353,34 @@ def test_cli_import_loads_no_scipy():
     ("compare", ["--decay", "nan"], "decay must be finite and positive, got nan"),
     ("mesh", ["--isovalue", "inf"], "isovalue must be finite and positive, got inf"),
     ("mesh-model", ["--isovalue", "nan"], "isovalue must be finite, got nan"),
+    *((f"{command}-radius", [radius], f"atom serial 1: radius must be finite and positive, "
+                                      f"got {radius}")
+      for radius in ("nan", "inf") for command in ("info", "sparsify", "compare")),
 ], ids=["epsilon-nan", "prune-tol-nan", "error-cap-inf", "band-nan", "decay-inf",
-        "big-atom", "compare-decay-nan", "mesh-isovalue-inf", "mesh-model-isovalue-nan"])
+        "big-atom", "compare-decay-nan", "mesh-isovalue-inf", "mesh-model-isovalue-nan",
+        "info-radius-nan", "sparsify-radius-nan", "compare-radius-nan",
+        "info-radius-inf", "sparsify-radius-inf", "compare-radius-inf"])
 def test_non_finite_number_exits_2_with_one_line(atom_pqr, fit_dir, tmp_path, command,
                                                  flags, reason):
     if command == "sparsify-big-atom":
         big = tmp_path / "big.pqr"
         big.write_text("ATOM      1 C    UNK A   1       0.000   0.000   0.000  0.0000 40.0000\n")
         command, inputs = "sparsify", [str(big)]
+    elif command.endswith("-radius"):
+        # the one flag is the radius written into the PQR file
+        bad = tmp_path / "radius.pqr"
+        bad.write_text(f"ATOM 1 C UNK A 1 0.000 0.000 0.000 0.0000 {flags[0]}\n")
+        command, flags = command.removesuffix("-radius"), []
+        inputs = [str(bad)] + ([str(fit_dir / "model.json")] if command == "compare" else [])
     elif command == "mesh-model":
         command, inputs = "mesh", [str(fit_dir / "model.json")]
     elif command == "compare":
         inputs = [str(atom_pqr), str(fit_dir / "model.json")]
     else:
         inputs = [str(atom_pqr)]
+    out = [] if command == "info" else ["--out", str(tmp_path)]
     proc = subprocess.run(
-        [sys.executable, "-m", "erbfit.cli", command, *inputs, *flags, "--out", str(tmp_path)],
+        [sys.executable, "-m", "erbfit.cli", command, *inputs, *flags, *out],
         capture_output=True, text=True, env=SRC_ENV, timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

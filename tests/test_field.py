@@ -178,6 +178,9 @@ def test_field_validation():
     # d r^2 = 800 is beyond the largest exponent of a finite double (709.78)
     ({"r": 40.0}, "atom 1: the weight e^(d r^2) overflows at decay 0.5 and radius 40.0"),
     ({"d": 1e308, "r": 2.0}, "overflows at decay 1e+308"),
+    ({"r": np.nan}, "atom 1: radius must be finite and non-negative, got nan"),
+    ({"r": np.inf}, "atom 1: radius must be finite and non-negative, got inf"),
+    ({"r": -1.0}, "atom 1: radius must be finite and non-negative, got -1.0"),
 ])
 def test_field_refuses_non_finite_numbers(kwargs, reason):
     with pytest.raises(ValueError, match=re.escape(reason)):

@@ -88,6 +88,8 @@ def test_nonpositive_decay_rejected(molecule):
     (1.5, np.nan, "decay must be finite and positive, got nan"),
     (1.5, np.inf, "decay must be finite and positive, got inf"),
     (40.0, 0.5, "the weight e^(d r^2) overflows"),
+    (np.nan, 0.5, "atom 1: radius must be finite and non-negative, got nan"),
+    (np.inf, 0.5, "atom 1: radius must be finite and non-negative, got inf"),
 ])
 def test_non_finite_decay_or_weight_rejected(radius, decay, reason):
     with pytest.raises(ValueError) as info:

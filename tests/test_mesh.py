@@ -496,6 +496,90 @@ def test_directed_hausdorff_point_without_candidates():
     assert _directed_hausdorff(points[:2], target) == pytest.approx(0.5, abs=1e-12)
 
 
+def _counting_distance(monkeypatch):
+    """Patch the distance kernel to record how many pairs each call receives."""
+    pairs = []
+    kernel = erbfit.mesh._point_triangle_distance_sq
+
+    def counting(p, a, b, c):
+        pairs.append(p.shape[1])
+        return kernel(p, a, b, c)
+
+    monkeypatch.setattr(erbfit.mesh, "_point_triangle_distance_sq", counting)
+    return pairs
+
+
+def _vertex_bounds(points, target):
+    """Distance from each point to its nearest target vertex."""
+    return cKDTree(target.vertices).query(points, k=1)[0]
+
+
+def _unbounded_pairs(a, b):
+    """(point, triangle) pairs of the candidate pass over every sample point, both directions."""
+    total = 0
+    for points, target in ((_triangle_samples(a, 10), b), (_triangle_samples(b, 10), a)):
+        v1, v2, v3 = target.corners()
+        centroids = (v1 + v2 + v3) / 3.0
+        max_reach = np.sqrt(max(((v - centroids) ** 2).sum(axis=1).max() for v in (v1, v2, v3)))
+        total += int(cKDTree(centroids).query_ball_point(
+            points, _vertex_bounds(points, target) + max_reach, return_length=True).sum())
+    return total
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(n_atoms=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       spacing=st.floats(0.5, 0.8), block=st.integers(3, 64),
+       copy=st.sampled_from(["perturbed", "translated"]))
+def test_bounded_hausdorff_is_the_unbounded_one(n_atoms, seed, spacing, block, copy):
+    # small blocks, so that the bound pass and the descending pass span many
+    # blocks and the descending pass stops inside them
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-2.5, 2.5, (n_atoms, 3))
+    radii = rng.uniform(1.0, 2.0, n_atoms)
+    box = Box(lo=np.full(3, -8.0), hi=np.full(3, 8.0))
+    a = extract_isosurface(GaussianField(centers=centers, radii=radii, decay=0.5).values,
+                           box, spacing, 1.0)
+    if copy == "perturbed":
+        moved = GaussianField(centers=centers + rng.normal(0.0, 0.3, centers.shape),
+                              radii=radii * rng.uniform(0.9, 1.1, n_atoms), decay=0.5)
+        b = extract_isosurface(moved.values, box, spacing, 1.0)
+    else:
+        b = a.translated(rng.uniform(-1.0, 1.0, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(erbfit.mesh, "_HAUSDORFF_BLOCK", block)
+        d_ab = _reference_directed_hausdorff(_reference_triangle_samples(a, 10), b)
+        d_ba = _reference_directed_hausdorff(_reference_triangle_samples(b, 10), a)
+        assert hausdorff(a, b) == max(d_ab, d_ba)
+        points = _triangle_samples(a, 10)
+        # a floor below the maximum leaves it; a floor at or above every
+        # bound is the answer, and no distance is computed
+        assert _directed_hausdorff(points, b, floor=0.5 * d_ab) == d_ab
+        top = float(_vertex_bounds(points, b).max())
+        pairs = _counting_distance(mp)
+        assert _directed_hausdorff(points, b, floor=top) == top
+        assert _directed_hausdorff(points, b, floor=top + 1.0) == top + 1.0
+        assert pairs == []
+
+
+def test_bounds_prune_most_pairs_on_the_bundled_pair(monkeypatch, molecule):
+    a, b = _bundled_meshes(molecule)
+    pairs = _counting_distance(monkeypatch)
+    hausdorff(a, b)
+    assert sum(pairs) < 0.6 * _unbounded_pairs(a, b)
+
+
+def test_bounds_settle_a_translated_sphere_in_two_blocks(monkeypatch):
+    # the seed block, the points of largest vertex distance, reaches H = 1 A,
+    # and the bounds of nearly every other point stay below it
+    a = _sphere_mesh(spacing=0.25)
+    b = a.translated(np.array([1.0, 0.0, 0.0]))
+    n_points = _triangle_samples(a, 10).shape[0] + _triangle_samples(b, 10).shape[0]
+    per_point = _unbounded_pairs(a, b) / n_points
+    pairs = _counting_distance(monkeypatch)
+    assert hausdorff(a, b) == _reference_hausdorff(a, b)
+    assert sum(pairs) <= 2 * erbfit.mesh._HAUSDORFF_BLOCK * per_point
+
+
 # ---------------------------------------------------------------- comparison
 
 

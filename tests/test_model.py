@@ -5,6 +5,7 @@ independently written objective; rotations are checked against explicit
 single-axis matrices composed in the test.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -478,15 +479,41 @@ def test_gradient_empty_rejected():
         )
 
 
-def test_save_load_roundtrip_bit_exact(rng, tmp_path):
-    m = _random_model(rng, 4)
-    path = tmp_path / "model.json"
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _any_models(draw):
+    """Models of 1-5 bases over every finite double: -0.0, subnormals, exponents."""
+    n = draw(st.integers(1, 5))
+    arrays = [np.array(draw(st.lists(_FINITE, min_size=n * k, max_size=n * k)))
+              for k in (1, 3, 3, 3)]
+    return RbfModel(*arrays)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(m=_any_models())
+def test_save_load_roundtrip_bit_exact(m, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    with np.errstate(over="ignore"):
+        squares = np.concatenate([m.coeff_sqrt ** 2, m.decay_sqrt.ravel() ** 2])
+    if not np.isfinite(squares).all():
+        # a square beyond the largest double has no JSON number
+        with pytest.raises(ValueError, match="overflows a double"):
+            save_model(m, path)
+        assert not path.exists()
+        return
     save_model(m, path, metadata={"source": "test", "decay": 0.5})
     back, meta = load_model(path)
     assert back == m
+    for name in ("coeff_sqrt", "decay_sqrt", "centers", "angles"):
+        assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(m, name))), name
     assert meta["source"] == "test"
     # effective values stored alongside the optimization variables
-    import json
     doc = json.loads(path.read_text())
     assert doc["bases"][0]["weight"] == pytest.approx(m.coeff_sqrt[0] ** 2, rel=1e-15)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from erbfit.pqr import (
     Atom,
@@ -64,8 +65,12 @@ def test_short_record_rejected():
 
 
 def test_nonpositive_radius_names_serial():
-    with pytest.raises(PqrValidationError, match="serial 9"):
-        parse_pqr("ATOM 9 C ALA 1 0.0 0.0 0.0 0.0 -1.0")
+    # NaN passes a "radius <= 0" test, so every radius that is not finite and
+    # positive is named
+    for radius in ("-1.0", "0.0", "nan", "inf", "-inf"):
+        with pytest.raises(PqrValidationError,
+                           match=f"serial 9: radius must be finite and positive, got {radius}"):
+            parse_pqr(f"ATOM 9 C ALA 1 0.0 0.0 0.0 0.0 {radius}")
 
 
 def test_nonfinite_coordinate_rejected():
@@ -100,23 +105,45 @@ def test_ordering_preserved(rng):
     assert [a.serial for a in mol.atoms] == list(range(20))
 
 
-def test_roundtrip_machine_precision(rng, molecule):
-    # exercise both the bundled file and a randomized molecule
-    for mol in (molecule, _random_molecule(rng)):
-        back = parse_pqr(format_pqr(mol))
-        assert np.array_equal(back.centers, mol.centers)
-        assert np.array_equal(back.radii, mol.radii)
-        assert [a.serial for a in back.atoms] == [a.serial for a in mol.atoms]
+# identifiers are whitespace-free printable ASCII, the tokens a record is split into
+_TOKEN = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=6)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def _random_molecule(rng, n=12):
+@st.composite
+def _molecules(draw):
+    n = draw(st.integers(1, 8))
     atoms = tuple(
-        Atom(serial=i, name="C", residue="UNK", chain="A", residue_seq="1",
-             center=rng.uniform(-20, 20, 3), charge=float(rng.normal()),
-             radius=float(rng.uniform(1.0, 2.0)))
-        for i in range(n)
+        Atom(serial=draw(st.integers(-10**6, 10**9)), name=draw(_TOKEN),
+             residue=draw(_TOKEN), chain=draw(st.one_of(st.just(""), _TOKEN)),
+             residue_seq=draw(_TOKEN),
+             center=np.array(draw(st.lists(_FINITE, min_size=3, max_size=3))),
+             charge=draw(_FINITE),
+             # radii across decades, from subnormal to huge
+             radius=draw(st.floats(min_value=0.0, max_value=1e300, exclude_min=True)))
+        for _ in range(n)
     )
     return Molecule(atoms=atoms)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(random_molecule=_molecules())
+def test_roundtrip_machine_precision(random_molecule, molecule):
+    # the bundled file and random molecules: -0.0, exponents and empty chains
+    # come back bit for bit
+    for mol in (molecule, random_molecule):
+        back = parse_pqr(format_pqr(mol))
+        assert np.array_equal(_bits(back.centers), _bits(mol.centers))
+        assert np.array_equal(_bits(back.radii), _bits(mol.radii))
+        assert np.array_equal(_bits([a.charge for a in back.atoms]),
+                              _bits([a.charge for a in mol.atoms]))
+        for got, want in zip(back.atoms, mol.atoms, strict=True):
+            assert (got.serial, got.name, got.residue, got.chain, got.residue_seq) == \
+                (want.serial, want.name, want.residue, want.chain, want.residue_seq)
 
 
 def test_bundled_molecule_parses(molecule):
