@@ -16,23 +16,30 @@ meaningless.
 Metrics follow the mesh itself: area as the summed triangle areas, enclosed
 volume as |sum of signed tetrahedron volumes| against the origin, and a
 Metro-style symmetric Hausdorff estimate (Cignoni, Rocchini & Scopigno, CGF
-1998): sampled points on one mesh, each distinct point once, against exact
-point-to-triangle distances on the other.  Since the estimate is a maximum
-over points, a point is measured exactly only while an upper bound on its
-distance (its nearest target vertex, then the triangles around that vertex)
-exceeds the running maximum, the early break of Taha & Hanbury (TPAMI 2015);
-the bounds are >= the exact value to the bit, so H is unchanged.
+1998): sampled points on one mesh (its vertices and a barycentric lattice on
+each triangle, each distinct point once) against exact point-to-triangle
+distances on the other.  Since the estimate is a maximum over points, a point
+is measured exactly only while an upper bound on its distance (its nearest
+target vertex, then the triangles around that vertex) exceeds the running
+maximum, the early break of Taha & Hanbury (TPAMI 2015); the bounds are >= the
+exact value to the bit, so H is unchanged.  The break extends to whole
+triangles: each direction measures the source mesh's vertices first, and a
+triangle gets its lattice points only if min over its corners c of (c's bound
++ the longer edge at c), plus a margin for rounding at the meshes' coordinate
+scale, still exceeds the maximum.  The distances, the bounds and the cell
+list of each target mesh that finds nearest vertices and candidate triangles
+are in erbfit.distance; the cell side is the longest edge of either mesh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from ._mc_tables import TRI_TABLE
+from .distance import _bounded_max, _CellList, _edge_lengths, _rounding_margin
 from .field import Box
 from .sampler import make_grid
 
@@ -57,11 +64,6 @@ _CUBE_EDGES = (
     (2, (0, 0, 0)), (2, (1, 0, 0)), (2, (1, 1, 0)), (2, (0, 1, 0)),
 )
 _TRIANGLES = np.array(TRI_TABLE, dtype=np.int64)
-# sample points per distance pass in the Hausdorff distance, and the size of
-# its seed block.  It bounds the (point, triangle) pairs held at once, each
-# with about 400 bytes of kernel temporaries: the seed block, whose points
-# have the most candidates, holds about 25k pairs on the benchmark meshes
-_HAUSDORFF_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -174,18 +176,20 @@ def mesh_volume(mesh: TriMesh) -> float:
     return float(abs((cross * to_origin).sum() / 6.0))
 
 
-def _triangle_samples(mesh: TriMesh, per_triangle: int) -> np.ndarray:
-    """Mesh vertices plus a deterministic barycentric lattice on each triangle, each point once.
+def _triangle_samples(mesh: TriMesh, per_triangle: int, triangles=None) -> np.ndarray:
+    """The nodes of a deterministic barycentric lattice on the given triangles
+    (all by default) that are not triangle corners, each point once.
 
     per_triangle = 10 uses the degree-3 lattice (i+j+k = 3), which has exactly
     10 nodes; other counts take the first nodes of the next large-enough
-    lattice.  A lattice corner is a copy of a mesh vertex and is left out.  A
-    node on an edge is the same point, to the bit, in every triangle that
-    holds the edge (its two weights are the same numbers and the third adds
-    0 * x), so it is taken once, from the first triangle that holds it; this
-    also holds on open and non-manifold meshes.  Every interior node is
-    taken.  The directed Hausdorff distance is a max over points, so it is
-    the same over these points as over the full lattice on every triangle.
+    lattice.  A lattice corner is a copy of a mesh vertex and is left out: the
+    vertices are measured on their own.  A node on an edge is the same point,
+    to the bit, in every triangle that holds the edge (its two weights are the
+    same numbers and the third adds 0 * x), so it is taken once, from the
+    first of the given triangles that holds it; this also holds on open and
+    non-manifold meshes.  Every interior node is taken.  The directed
+    Hausdorff distance is a max over points, so it is the same over these
+    points and the vertices as over the full lattice on every triangle.
     """
     degree = 1
     while (degree + 1) * (degree + 2) // 2 < per_triangle:
@@ -194,9 +198,9 @@ def _triangle_samples(mesh: TriMesh, per_triangle: int) -> np.ndarray:
     keep = i + j <= degree
     i, j = i[keep], j[keep]
     lattice = np.stack([i, j, degree - i - j], axis=1)[:per_triangle]
-    t = mesh.triangles
+    t = mesh.triangles if triangles is None else mesh.triangles[triangles]
     zeros = (lattice == 0).sum(axis=1)
-    take = np.zeros((mesh.n_f, lattice.shape[0]), dtype=bool)
+    take = np.zeros((t.shape[0], lattice.shape[0]), dtype=bool)
     take[:, zeros == 0] = True
     # an edge node is named by its edge (the sorted vertex pair) and its
     # weight on the edge's lower vertex
@@ -217,155 +221,9 @@ def _triangle_samples(mesh: TriMesh, per_triangle: int) -> np.ndarray:
     tri, node = np.nonzero(take)
     bary = lattice[node] / degree
     v = mesh.vertices
-    samples = (bary[:, 0, None] * v[t[tri, 0]]
-               + bary[:, 1, None] * v[t[tri, 1]]
-               + bary[:, 2, None] * v[t[tri, 2]])
-    return np.concatenate([v, samples], axis=0)
-
-
-def _dot(u, v):
-    """Row-wise dot product of coordinate-major (3, K) arrays, summed x, y, z in order."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _segment_distance_sq(p, a, b):
-    """Squared distance from points p to segments a-b (all (3, K))."""
-    ab = b - a
-    denom = _dot(ab, ab)
-    t = _dot(p - a, ab)
-    t = np.divide(t, denom, out=np.zeros_like(t), where=denom > 0)
-    np.clip(t, 0.0, 1.0, out=t)
-    d = p - (a + t * ab)
-    return _dot(d, d)
-
-
-def _point_triangle_distance_sq(p, a, b, c):
-    """Squared exact distance from points p to triangles (a, b, c), (3, K) each."""
-    v0 = b - a
-    v1 = c - a
-    v2 = p - a
-    d00 = _dot(v0, v0)
-    d01 = _dot(v0, v1)
-    d11 = _dot(v1, v1)
-    d20 = _dot(v2, v0)
-    d21 = _dot(v2, v1)
-    denom = d00 * d11 - d01 * d01
-    pos = denom > 0
-    v = np.divide(d11 * d20 - d01 * d21, denom, out=np.full_like(denom, -1.0), where=pos)
-    w = np.divide(d00 * d21 - d01 * d20, denom, out=np.full_like(denom, -1.0), where=pos)
-    interior = (v >= 0) & (w >= 0) & (v + w <= 1)
-    # perpendicular distance where the projection lands inside the triangle
-    n = (v0[1] * v1[2] - v0[2] * v1[1],
-         v0[2] * v1[0] - v0[0] * v1[2],
-         v0[0] * v1[1] - v0[1] * v1[0])
-    nn = _dot(n, n)
-    pn = _dot(v2, n)
-    plane_sq = np.divide(pn * pn, nn, out=np.full_like(nn, np.inf), where=nn > 0)
-    plane_sq = np.where(interior, plane_sq, np.inf)
-    edge_sq = np.minimum(
-        _segment_distance_sq(p, a, b),
-        np.minimum(_segment_distance_sq(p, b, c), _segment_distance_sq(p, c, a)),
-    )
-    return np.minimum(plane_sq, edge_sq)
-
-
-def _capped_distance(points_t, corners, idx, counts, tris, cap):
-    """min(cap, least distance from each point idx[i] to its counts[i] triangles).
-
-    tris lists the triangles of idx[0], then those of idx[1], and so on; a
-    point with no triangle gets its cap.
-    """
-    d_sq = _point_triangle_distance_sq(np.take(points_t, np.repeat(idx, counts), axis=1),
-                                       *(np.take(v, tris, axis=1) for v in corners))
-    best = np.full(idx.size, np.inf)
-    # plain reduceat would hand a point with no triangle the next point's minimum
-    has = counts > 0
-    best[has] = np.minimum.reduceat(d_sq, (np.cumsum(counts) - counts)[has])
-    return np.minimum(np.sqrt(best), cap)
-
-
-def _directed_hausdorff(points: np.ndarray, target: TriMesh, floor: float = 0.0) -> float:
-    """max(floor, max over points of the exact distance to the target mesh surface).
-
-    A point's distance is min(sqrt(best), ub): ub is the distance to its
-    nearest target vertex, and best the least squared distance to the
-    candidate triangles, those whose centroid lies within ub + max_reach
-    (which include every triangle around the nearest vertex).  Only the
-    points that can still raise the running maximum lo, which starts at
-    floor, get that candidate pass:
-
-    1. when more than a block of points has ub > lo, the block of largest ub
-       is measured first and seeds lo;
-    2. each point still above lo gets a second bound: min(sqrt of the least
-       squared distance to the triangles around its nearest vertex, ub);
-    3. the points whose bound still exceeds lo are measured a block at a time
-       in descending bound order, until a block's largest bound is <= lo.
-
-    Both bounds are >= the point's distance, to the bit: the triangles around
-    the nearest vertex are among its candidates, the distance kernel gives a
-    (point, triangle) pair the same bits in any block, and sqrt is monotone.
-    A point whose bound is <= lo therefore cannot change the result.
-    """
-    # imported here, where it is used, so that the commands that measure no
-    # Hausdorff distance do not pay for loading scipy
-    from scipy.spatial import cKDTree
-
-    ub, nearest = cKDTree(target.vertices).query(points, k=1)
-    lo = float(floor)
-    above = np.flatnonzero(ub > lo)
-    if above.size == 0:
-        return lo
-    v1, v2, v3 = target.corners()
-    centroids = (v1 + v2 + v3) / 3.0
-    # largest distance from a triangle's centroid to one of its corners
-    max_reach = float(np.sqrt(max(((v - centroids) ** 2).sum(axis=1).max()
-                                  for v in (v1, v2, v3))))
-    tree = cKDTree(centroids)
-    # the distance passes run coordinate-major: one (3, K) gather per block
-    points_t = np.ascontiguousarray(points.T)
-    corners = [np.ascontiguousarray(v.T) for v in (v1, v2, v3)]
-    # each point's upper bound; a measured point's bound is its distance
-    bound = ub.copy()
-    block = _HAUSDORFF_BLOCK
-
-    def measure(idx):
-        # the per-point minimum is exact, so candidate order is irrelevant
-        candidates = tree.query_ball_point(points[idx], ub[idx] + max_reach,
-                                           return_sorted=False)
-        counts = np.fromiter(map(len, candidates), dtype=np.int64, count=len(candidates))
-        tris = np.fromiter(chain.from_iterable(candidates), dtype=np.int64,
-                           count=int(counts.sum()))
-        bound[idx] = _capped_distance(points_t, corners, idx, counts, tris, ub[idx])
-        return float(bound[idx].max())
-
-    if above.size > block:
-        top = above[np.argpartition(ub[above], above.size - block)[above.size - block:]]
-        lo = max(lo, measure(top))
-        above = above[bound[above] > lo]
-        if above.size == 0:
-            return lo
-
-    # the triangles around each vertex, as a CSR map: around[first[v]:][:per_vertex[v]]
-    flat = target.triangles.ravel()
-    per_vertex = np.bincount(flat, minlength=target.vertices.shape[0])
-    first = np.cumsum(per_vertex) - per_vertex
-    around = np.argsort(flat, kind="stable") // 3
-    for s in range(0, above.size, block):
-        idx = above[s:s + block]
-        counts = per_vertex[nearest[idx]]
-        shift = first[nearest[idx]] - (np.cumsum(counts) - counts)
-        tris = around[np.repeat(shift, counts) + np.arange(counts.sum())]
-        bound[idx] = _capped_distance(points_t, corners, idx, counts, tris, ub[idx])
-    above = above[bound[above] > lo]
-
-    above = above[np.argsort(-bound[above], kind="stable")]
-    for s in range(0, above.size, block):
-        idx = above[s:s + block]
-        idx = idx[bound[idx] > lo]
-        if idx.size == 0:
-            break
-        lo = max(lo, measure(idx))
-    return lo
+    return (bary[:, 0, None] * v[t[tri, 0]]
+            + bary[:, 1, None] * v[t[tri, 1]]
+            + bary[:, 2, None] * v[t[tri, 2]])
 
 
 def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) -> float:
@@ -373,15 +231,35 @@ def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) 
 
     Samples each mesh (vertices plus a fixed barycentric lattice per triangle,
     each distinct point once) and takes the max of the two directed
-    sample-to-surface maxima.  The second direction starts from the first
-    one's maximum as its floor, so it measures exactly only the points whose
-    bound exceeds it; the result is max(d_ab, d_ba) to the bit.
+    sample-to-surface maxima, each as in _bounded_max.  A direction measures
+    the source mesh's vertices first.  A lattice point of a triangle lies
+    within the longer of the two edges at a corner c of that corner, and the
+    distance to a surface grows no faster than the point moves, so the
+    triangle's points cannot exceed min over corners of (c's bound + longer
+    edge at c); only the triangles whose bound, plus a rounding margin, exceeds
+    the running maximum get lattice points.  The second direction starts from
+    the first one's maximum.  Every point that can raise the maximum is
+    measured as it would be alone, so the result is max(d_ab, d_ba) over every
+    sample point, to the bit.
     """
     if mesh_a.n_f == 0 or mesh_b.n_f == 0:
         raise MeshError("hausdorff needs two non-empty meshes")
-    d_ab = _directed_hausdorff(_triangle_samples(mesh_a, samples_per_triangle), mesh_b)
-    return _directed_hausdorff(_triangle_samples(mesh_b, samples_per_triangle), mesh_a,
-                               floor=d_ab)
+    edges = [_edge_lengths(m) for m in (mesh_a, mesh_b)]
+    # one cell side for both cell lists: the longest edge of either mesh
+    side = max(float(e.max()) for e in edges)
+    margin = _rounding_margin(side, mesh_a.vertices, mesh_b.vertices)
+    lo = 0.0
+    for source, target, e in ((mesh_a, mesh_b, edges[0]), (mesh_b, mesh_a, edges[1])):
+        cells = _CellList(target, side, margin)
+        lo, bound = _bounded_max(source.vertices, cells, lo)
+        # corner c of a triangle holds its edges c and c - 1 (mod 3)
+        tri_bound = np.minimum.reduce([bound[source.triangles[:, c]] + np.maximum(e[c], e[c - 1])
+                                       for c in range(3)]) + margin
+        tris = np.flatnonzero(tri_bound > lo)
+        if tris.size:
+            lo = _bounded_max(_triangle_samples(source, samples_per_triangle, tris),
+                              cells, lo)[0]
+    return lo
 
 
 def compare_surfaces(eval_a, eval_b, box: Box, spacing: float, isovalue: float) -> dict:

@@ -332,14 +332,21 @@ def test_benchmark_hooks_and_public_names_resolve(bundled_pqr, molecule, tmp_pat
         assert [s["points"] for s in spans if s["name"] == name] == [n_points], name
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy serves the Hausdorff distance only; loading it costs every command
+def test_cli_import_loads_no_scipy(bundled_pqr, molecule, tmp_path):
+    # erbfit depends on numpy alone: a `compare`, which meshes both surfaces
+    # and measures their Hausdorff distance, ends with no scipy module loaded
+    save_model(init_model(molecule, decay=0.45), tmp_path / "model.json")
+    script = ("import sys; from erbfit.cli import main; "
+              "code = main(sys.argv[1:]); "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+              "sys.exit(code)")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, erbfit.cli; "
-                               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        [sys.executable, "-c", script, "compare", str(bundled_pqr), str(tmp_path / "model.json"),
+         "--mesh-spacing", "1.0", "--out", str(tmp_path)],
         capture_output=True, text=True, env=SRC_ENV, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "compare.json").is_file()
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("command, flags, reason", [

@@ -1,20 +1,23 @@
 """Iso-surface extraction, area/volume, Hausdorff distance, surface comparison."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+import erbfit.distance
 import erbfit.mesh
 from erbfit._mc_tables import TRI_TABLE
+from erbfit.distance import _directed_hausdorff, _point_triangle_distance_sq
 from erbfit.field import Box, GaussianField, bounding_box
 from erbfit.initializer import init_model
 from erbfit.mesh import (
     EmptyMeshError,
     MeshError,
     TriMesh,
-    _directed_hausdorff,
-    _point_triangle_distance_sq,
     _triangle_samples,
     compare_surfaces,
     extract_isosurface,
@@ -327,32 +330,45 @@ def _reference_point_triangle_distance_sq(p, a, b, c):
     return np.minimum(plane_sq, edge_sq)
 
 
+def _vertex_bounds(points, target):
+    """Distance from each point to its nearest target vertex."""
+    return cKDTree(target.vertices).query(points, k=1)[0]
+
+
 def _reference_directed_hausdorff(points, target):
-    """The blocked candidate search of _directed_hausdorff on the row-major distance."""
+    """The unbounded candidate search on the row-major distance: every point
+    is measured against the triangles whose centroid lies within ub +
+    max_reach.  Points go 256 at a time and the distances 2^16 pairs at a
+    time, so that far meshes, where every triangle is a candidate, stay small
+    in memory."""
     v1, v2, v3 = target.corners()
     centroids = (v1 + v2 + v3) / 3.0
     max_reach = float(np.sqrt(max(((v - centroids) ** 2).sum(axis=1).max()
                                   for v in (v1, v2, v3))))
-    ub, _ = cKDTree(target.vertices).query(points, k=1)
+    ub = _vertex_bounds(points, target)
     tree = cKDTree(centroids)
     best = np.full(points.shape[0], np.inf)
-    for s in range(0, points.shape[0], 2048):
-        block = slice(s, s + 2048)
-        candidates = tree.query_ball_point(points[block], ub[block] + max_reach)
+    for s in range(0, points.shape[0], 256):
+        candidates = tree.query_ball_point(points[s:s + 256], ub[s:s + 256] + max_reach)
         counts = np.array([len(c) for c in candidates], dtype=np.int64)
         tris = np.array([t for c in candidates for t in c], dtype=np.int64)
         owner = np.repeat(np.arange(s, s + len(candidates)), counts)
-        d_sq = _reference_point_triangle_distance_sq(points[owner], v1[tris], v2[tris],
-                                                     v3[tris])
-        starts = np.cumsum(counts) - counts
-        has = counts > 0
-        best[s + np.flatnonzero(has)] = np.minimum.reduceat(d_sq, starts[has])
+        for c in range(0, owner.size, 1 << 16):
+            o, t = owner[c:c + (1 << 16)], tris[c:c + (1 << 16)]
+            d_sq = _reference_point_triangle_distance_sq(points[o], v1[t], v2[t], v3[t])
+            starts = np.flatnonzero(np.diff(o, prepend=-1))
+            best[o[starts]] = np.minimum(best[o[starts]], np.minimum.reduceat(d_sq, starts))
     return float(np.minimum(np.sqrt(best), ub).max())
 
 
-def _reference_hausdorff(a, b):
-    return max(_reference_directed_hausdorff(_reference_triangle_samples(a, 10), b),
-               _reference_directed_hausdorff(_reference_triangle_samples(b, 10), a))
+def _reference_hausdorff(a, b, per_triangle=10):
+    return max(_reference_directed_hausdorff(_reference_triangle_samples(a, per_triangle), b),
+               _reference_directed_hausdorff(_reference_triangle_samples(b, per_triangle), a))
+
+
+def _samples(mesh, per_triangle=10):
+    """Every sample point of a mesh: its vertices, then its lattice nodes."""
+    return np.concatenate([mesh.vertices, _triangle_samples(mesh, per_triangle)])
 
 
 def _brute_force_directed(points, target):
@@ -370,13 +386,13 @@ def _brute_force_directed(points, target):
 @pytest.mark.parametrize("pair", ["inflated", "translated"])
 def test_directed_hausdorff_matches_brute_force(monkeypatch, pair):
     # small blocks, so that many block boundaries and a partial last block occur
-    monkeypatch.setattr(erbfit.mesh, "_HAUSDORFF_BLOCK", 7)
+    monkeypatch.setattr(erbfit.distance, "_HAUSDORFF_BLOCK", 7)
     a = _sphere_mesh(spacing=0.5)
     if pair == "inflated":
         b = _inflated_sphere_mesh()
     else:
         b = a.translated(np.array([0.3, -0.2, 0.1]))
-    for points, target in ((_triangle_samples(a, 10), b), (_triangle_samples(b, 10), a)):
+    for points, target in ((_samples(a), b), (_samples(b), a)):
         assert _directed_hausdorff(points, target) == pytest.approx(
             _brute_force_directed(points, target), rel=0, abs=1e-12)
 
@@ -412,7 +428,7 @@ def _open_meshes():
 
 
 def _assert_distinct_reference_samples(mesh, per_triangle=10, distinct=True):
-    got = _triangle_samples(mesh, per_triangle)
+    got = _samples(mesh, per_triangle)
     if distinct:
         assert np.unique(got, axis=0).shape[0] == got.shape[0], "a sample is repeated"
     assert np.array_equal(np.unique(got, axis=0),
@@ -440,7 +456,7 @@ def test_samples_are_the_distinct_reference_points(name, molecule):
     if name == "bundled":
         # V + 4F: every vertex, 3 edge nodes per triangle (each edge of the
         # closed mesh is held by two), and the one interior node
-        assert _triangle_samples(mesh, 10).shape[0] == mesh.vertices.shape[0] + 4 * mesh.n_f
+        assert _samples(mesh).shape[0] == mesh.vertices.shape[0] + 4 * mesh.n_f
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
@@ -499,25 +515,20 @@ def test_directed_hausdorff_point_without_candidates():
 def _counting_distance(monkeypatch):
     """Patch the distance kernel to record how many pairs each call receives."""
     pairs = []
-    kernel = erbfit.mesh._point_triangle_distance_sq
+    kernel = erbfit.distance._point_triangle_distance_sq
 
     def counting(p, a, b, c):
         pairs.append(p.shape[1])
         return kernel(p, a, b, c)
 
-    monkeypatch.setattr(erbfit.mesh, "_point_triangle_distance_sq", counting)
+    monkeypatch.setattr(erbfit.distance, "_point_triangle_distance_sq", counting)
     return pairs
-
-
-def _vertex_bounds(points, target):
-    """Distance from each point to its nearest target vertex."""
-    return cKDTree(target.vertices).query(points, k=1)[0]
 
 
 def _unbounded_pairs(a, b):
     """(point, triangle) pairs of the candidate pass over every sample point, both directions."""
     total = 0
-    for points, target in ((_triangle_samples(a, 10), b), (_triangle_samples(b, 10), a)):
+    for points, target in ((_samples(a), b), (_samples(b), a)):
         v1, v2, v3 = target.corners()
         centroids = (v1 + v2 + v3) / 3.0
         max_reach = np.sqrt(max(((v - centroids) ** 2).sum(axis=1).max() for v in (v1, v2, v3)))
@@ -529,10 +540,15 @@ def _unbounded_pairs(a, b):
 @settings(derandomize=True, max_examples=12, deadline=None)
 @given(n_atoms=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
        spacing=st.floats(0.5, 0.8), block=st.integers(3, 64),
-       copy=st.sampled_from(["perturbed", "translated"]))
-def test_bounded_hausdorff_is_the_unbounded_one(n_atoms, seed, spacing, block, copy):
+       copy=st.sampled_from(["perturbed", "translated", "shifted"]),
+       per_triangle=st.sampled_from([1, 4, 10, 15]))
+def test_bounded_hausdorff_is_the_unbounded_one(n_atoms, seed, spacing, block, copy,
+                                                per_triangle):
     # small blocks, so that the bound pass and the descending pass span many
-    # blocks and the descending pass stops inside them
+    # blocks and the descending pass stops inside them; a copy shifted by
+    # several edge lengths leaves many triangles whose lattice can still
+    # raise the maximum after the vertices, and other lattices than the
+    # default one put other points on them (none at all for 1)
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-2.5, 2.5, (n_atoms, 3))
     radii = rng.uniform(1.0, 2.0, n_atoms)
@@ -543,14 +559,18 @@ def test_bounded_hausdorff_is_the_unbounded_one(n_atoms, seed, spacing, block, c
         moved = GaussianField(centers=centers + rng.normal(0.0, 0.3, centers.shape),
                               radii=radii * rng.uniform(0.9, 1.1, n_atoms), decay=0.5)
         b = extract_isosurface(moved.values, box, spacing, 1.0)
-    else:
+    elif copy == "translated":
         b = a.translated(rng.uniform(-1.0, 1.0, 3))
+    else:
+        direction = rng.normal(size=3)
+        b = a.translated(rng.uniform(2.0, 4.0) * direction / np.linalg.norm(direction))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(erbfit.mesh, "_HAUSDORFF_BLOCK", block)
+        mp.setattr(erbfit.distance, "_HAUSDORFF_BLOCK", block)
+        h = _reference_hausdorff(a, b, per_triangle)
+        assert hausdorff(a, b, per_triangle) == h
+        assert hausdorff(b, a, per_triangle) == h
         d_ab = _reference_directed_hausdorff(_reference_triangle_samples(a, 10), b)
-        d_ba = _reference_directed_hausdorff(_reference_triangle_samples(b, 10), a)
-        assert hausdorff(a, b) == max(d_ab, d_ba)
-        points = _triangle_samples(a, 10)
+        points = _samples(a)
         # a floor below the maximum leaves it; a floor at or above every
         # bound is the answer, and no distance is computed
         assert _directed_hausdorff(points, b, floor=0.5 * d_ab) == d_ab
@@ -573,11 +593,69 @@ def test_bounds_settle_a_translated_sphere_in_two_blocks(monkeypatch):
     # and the bounds of nearly every other point stay below it
     a = _sphere_mesh(spacing=0.25)
     b = a.translated(np.array([1.0, 0.0, 0.0]))
-    n_points = _triangle_samples(a, 10).shape[0] + _triangle_samples(b, 10).shape[0]
+    n_points = _samples(a).shape[0] + _samples(b).shape[0]
     per_point = _unbounded_pairs(a, b) / n_points
     pairs = _counting_distance(monkeypatch)
     assert hausdorff(a, b) == _reference_hausdorff(a, b)
-    assert sum(pairs) <= 2 * erbfit.mesh._HAUSDORFF_BLOCK * per_point
+    assert sum(pairs) <= 2 * erbfit.distance._HAUSDORFF_BLOCK * per_point
+
+
+def test_lattice_only_on_triangles_that_can_raise_the_maximum(monkeypatch):
+    # H is about 2 A, several edge lengths (the longest is 0.82 A): after the
+    # vertices, only the triangles near the two caps that lie farthest from
+    # the other sphere can still hold a lattice point above the maximum.  The
+    # exact distances are pinned too: a sixteenth of the vertices seeds each
+    # direction, and the second starts from the first one's maximum
+    a = _sphere_mesh(spacing=0.5)
+    b = a.translated(np.array([2.0, 0.3, -0.2]))
+    handed = []
+    samples = erbfit.mesh._triangle_samples
+
+    def counting(mesh, per_triangle, triangles=None):
+        handed.append(len(triangles))
+        return samples(mesh, per_triangle, triangles)
+
+    monkeypatch.setattr(erbfit.mesh, "_triangle_samples", counting)
+    pairs = _counting_distance(monkeypatch)
+    assert hausdorff(a, b) == _reference_hausdorff(a, b)
+    assert a.n_f == b.n_f == 344
+    assert handed == [91, 91]
+    assert sum(pairs) == 767
+
+
+def _offset_pairs():
+    sphere = _sphere_mesh(spacing=0.3)
+    pairs = {f"sphere+{d:g}": (sphere, sphere.translated(np.array([d, 0.0, 0.0])))
+             for d in (5.0, 50.0, 1e4)}
+    rng = np.random.default_rng(7)
+    centers = rng.uniform(-2.5, 2.5, (6, 3))
+    radii = rng.uniform(1.0, 2.0, 6)
+    box = Box(lo=np.full(3, -8.0), hi=np.full(3, 8.0))
+    a, b = (extract_isosurface(GaussianField(centers=c, radii=radii, decay=0.5).values,
+                               box, 0.5, 1.0)
+            for c in (centers, centers + rng.normal(0.0, 0.3, centers.shape)))
+    pairs["pair+1000"] = (a.translated(np.full(3, 1000.0)), b.translated(np.full(3, 1000.0)))
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["sphere+5", "sphere+50", "sphere+10000", "pair+1000"])
+def test_hausdorff_on_far_and_offset_meshes(name):
+    # far apart, every triangle of the other mesh is a candidate of every
+    # point, and the cells of one mesh hold none of the other's points; far
+    # from the origin, the coordinates round coarsely.  The same value, in
+    # bounded time and memory (numpy reports its buffers to tracemalloc)
+    a, b = _offset_pairs()[name]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        h = hausdorff(a, b)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == _reference_hausdorff(a, b)
+    assert elapsed < 10.0
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------- comparison
