@@ -17,7 +17,10 @@ basis as one product E = Q phi: phi holds the ten quadratic monomials
 from A = R^T diag(d~^2) R and the centers (derivation in `_point_blocks`).
 At an (M, 3) array of points every basis covers every point, one block of
 points at a time, so a pass holds a block's (10, b) monomials and (n, b)
-exponents, never an n x M array.  On a GridSpec, the uniform grid that meshing
+exponents, never an n x M array.  The fit's passes are fused (_fused_pass):
+each gives the residual at the points and, from the same exponentials, the
+moments that the gradient needs, so a gradient is 3x3 algebra on the moments
+of a pass that has already run.  On a GridSpec, the uniform grid that meshing
 evaluates, each basis covers only the block of nodes where it can reach
 GRID_TAU / N (N bases), so the terms left out add up to less than GRID_TAU
 (erbfit.field) at any node.
@@ -128,7 +131,7 @@ class RbfModel:
                                 points)
         pts_t = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)).T)
         return _values_arrays(self.coeff_sqrt, self.decay_sqrt, self.centers, self.angles,
-                              pts_t, _block_buffers(self.n_bases, pts_t.shape[1]))
+                              _PointBlocks(pts_t, self.n_bases))
 
     def __eq__(self, other):
         if not isinstance(other, RbfModel):
@@ -149,10 +152,12 @@ def pack_parameters(model: RbfModel) -> np.ndarray:
 
 def _unpack_arrays(x: np.ndarray, n: int):
     """(coeff_sqrt, decay_sqrt, centers, angles) of a packed vector; c~ and centers are views."""
+    # d and angles as C-contiguous copies: a transposed view would change the
+    # order in which (d * d).sum() adds, and with it the objective's bits
     c = x[0:n]
-    d = np.stack([x[n:2 * n], x[2 * n:3 * n], x[3 * n:4 * n]], axis=1)
+    d = x[n:4 * n].reshape(3, n).T.copy()
     centers = x[4 * n:7 * n].reshape(n, 3)
-    ang = np.stack([x[7 * n:8 * n], x[8 * n:9 * n], x[9 * n:10 * n]], axis=1)
+    ang = x[7 * n:10 * n].reshape(3, n).T.copy()
     return c, d, centers, ang
 
 
@@ -184,31 +189,40 @@ def _exponent_rows(a):
     return neg_q
 
 
-def _block_buffers(n, m):
-    """The monomial and exponent buffers of a pass of n bases over m points.
+class _PointBlocks:
+    """Coordinate-major (3, M) points and the buffers of passes of up to n bases over them.
 
-    They hold blocks of b = BLOCK_DOUBLES // (10 + n) points (m at most): a
-    (10 * b) buffer for the monomials and an (n * b) one for the exponents,
-    which also serve any pass over fewer bases.  The fit allocates them once
-    and reuses them in every pass: allocating and freeing them per pass lets
-    malloc return the memory to the system and fault it back in on the next
-    pass, about one fault per 4 kB on every pass.
+    A pass takes the points in blocks of b = BLOCK_DOUBLES // (10 + n) points
+    (M at most): a (10 * b) buffer holds a block's monomials and an (n * b)
+    one its exponents, which also serve any pass over fewer bases.  The fit
+    makes one and reuses it in every pass: allocating and freeing the buffers
+    per pass lets malloc return the memory to the system and fault it back in
+    on the next pass, about one fault per 4 kB on every pass.  The monomials
+    depend on the points alone, so a pass does not rebuild them for the block
+    whose monomials the buffer already holds: when the points fit in one
+    block, they are built once for all passes.
     """
-    size = max(1, min(m, BLOCK_DOUBLES // (10 + n)))
-    return np.empty(10 * size), np.empty(n * size)
+
+    def __init__(self, points_t: np.ndarray, n: int):
+        self.points_t = points_t
+        size = max(1, min(points_t.shape[1], BLOCK_DOUBLES // (10 + n)))
+        self.phi = np.empty(10 * size)
+        self.g = np.empty(n * size)
+        self.phi_start = None  # first point of the block whose monomials phi holds
 
 
-def _point_blocks(a, centers, points_t, buffers):
-    """Every basis over coordinate-major (3, M) points, one block of points at a time.
+def _point_blocks(a, centers, blocks: _PointBlocks):
+    """Every basis over the points of `blocks`, one block of points at a time.
 
-    `buffers` is a _block_buffers tuple for at least the n bases of `a`, and
-    sets the block size b.  Yields (start, s, phi, g) for the block of points
-    y_k, k = start .. start + b - 1 (fewer in the last block), whose centroid
-    is o: s = centers - o (n, 3), phi (10, b) the monomials of z_k = y_k - o,
-    and g (n, b) with g_ik = exp(-(y_k - x_i)^T A_i (y_k - x_i)).  phi and g
-    live in the buffers, which the next block overwrites.  The only place an
-    ellipsoid Gaussian is evaluated at points: the value and gradient passes
-    both go through it, and the grid path uses the same Q and monomials.
+    `blocks` holds the points and the buffers for at least the n bases of `a`,
+    and sets the block size b.  Yields (start, s, phi, g) for the block of
+    points y_k, k = start .. start + b - 1 (fewer in the last block), whose
+    centroid is o: s = centers - o (n, 3), phi (10, b) the monomials of
+    z_k = y_k - o, and g (n, b) with g_ik = exp(-(y_k - x_i)^T A_i (y_k - x_i)).
+    phi and g live in the buffers, which the next block overwrites; a
+    caller may overwrite g, not phi.  The only place an ellipsoid Gaussian is
+    evaluated at points: every pass goes through it, and the grid path uses
+    the same Q and monomials.
 
     The exponent as one GEMM.  With p = y - x_i = z - s_i,
 
@@ -227,21 +241,22 @@ def _point_blocks(a, centers, points_t, buffers):
 
         s0 = b0,   m1 = b1 - b0 s,   C = b2 - s b1^T - b1 s^T + b0 s s^T.
     """
-    n, m = a.shape[0], points_t.shape[1]
+    n, m = a.shape[0], blocks.points_t.shape[1]
     neg_q = _exponent_rows(a)
-    phi_buf, g_buf = buffers
-    block = phi_buf.size // 10
+    block = blocks.phi.size // 10
     for start in range(0, m, block):
-        y = points_t[:, start:start + block]
+        y = blocks.points_t[:, start:start + block]
         b = y.shape[1]
-        phi = phi_buf[:10 * b].reshape(10, b)
-        g = g_buf[:n * b].reshape(n, b)
+        phi = blocks.phi[:10 * b].reshape(10, b)
+        g = blocks.g[:n * b].reshape(n, b)
         origin = y.sum(axis=1) / b
-        phi[0] = 1.0
-        np.subtract(y, origin[:, None], out=phi[1:4])
-        np.square(phi[1:4], out=phi[4:7])
-        for j, (u, v) in enumerate(_PAIRS[3:], start=3):
-            np.multiply(phi[1 + u], phi[1 + v], out=phi[4 + j])
+        if blocks.phi_start != start:
+            phi[0] = 1.0
+            np.subtract(y, origin[:, None], out=phi[1:4])
+            np.square(phi[1:4], out=phi[4:7])
+            for j, (u, v) in enumerate(_PAIRS[3:], start=3):
+                np.multiply(phi[1 + u], phi[1 + v], out=phi[4 + j])
+            blocks.phi_start = start
         s = centers - origin
         a_s = (a @ s[:, :, None])[:, :, 0]
         np.multiply(a_s, 2.0, out=neg_q[:, 1:4])
@@ -251,17 +266,52 @@ def _point_blocks(a, centers, points_t, buffers):
         yield start, s, phi, g
 
 
-def _values_arrays(c, d, centers, ang, points_t, buffers) -> np.ndarray:
-    """Model values sum_i c~_i^2 g_i at coordinate-major (3, M) points.
-
-    `buffers` is a _block_buffers tuple, overwritten by the pass.
-    """
+def _values_arrays(c, d, centers, ang, blocks: _PointBlocks) -> np.ndarray:
+    """Model values sum_i c~_i^2 g_i at the points of `blocks`; the pass overwrites its buffers."""
     a = _exponent_matrices(d, rotations(ang)[0])
     c2 = c * c
-    out = np.empty(points_t.shape[1])
-    for start, _, _, g in _point_blocks(a, centers, points_t, buffers):
+    out = np.empty(blocks.points_t.shape[1])
+    for start, _, _, g in _point_blocks(a, centers, blocks):
         np.matmul(c2, g, out=out[start:start + g.shape[1]])
     return out
+
+
+def _fused_pass(c, d, centers, ang, targets, blocks: _PointBlocks):
+    """Residual and gradient moments of every basis, in one pass over the points.
+
+    Returns (residual, moments).  residual_k = sum_i c~_i^2 g_ik - target_k
+    at the points of `blocks`, whose buffers the pass overwrites.  moments is
+    (R, dR, A, s0, m1, C): the rotations and their angle derivatives (see
+    rotations), A = R^T diag(d~^2) R, and the residual-weighted moments of
+    every basis about its center,
+
+        s0 = sum_k w_k,   m1 = sum_k w_k p_k,   C = sum_k w_k p_k p_k^T,
+        p_k = y_k - x_i,  w_k = residual_k g_ik,
+
+    from which _objective_gradient_arrays forms the gradient with 3x3
+    algebra alone.  Each block's residual is complete before its moments are
+    taken, so one sweep of _point_blocks gives both, with the same bits as a
+    value pass followed by a gradient pass.
+    """
+    r, dr = rotations(ang)
+    a = _exponent_matrices(d, r)                 # R^T D R
+    c2 = c * c
+    n = c.shape[0]
+    residual = np.empty(blocks.points_t.shape[1])
+    s0, m1, cm = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3))
+    for start, s, phi, g in _point_blocks(a, centers, blocks):
+        res = residual[start:start + g.shape[1]]
+        np.matmul(c2, g, out=res)
+        res -= targets[start:start + g.shape[1]]
+        g *= res                                 # w = residual * g
+        raw = g @ phi.T                          # moments about the block origin
+        b0, b1, b2 = raw[:, 0], raw[:, 1:4], raw[:, _SYMMETRIC_MONOMIALS]
+        sb1 = s[:, :, None] * b1[:, None, :]
+        s0 += b0
+        m1 += b1 - b0[:, None] * s
+        cm += b2 - sb1 - np.swapaxes(sb1, 1, 2)
+        cm += b0[:, None, None] * (s[:, :, None] * s[:, None, :])
+    return residual, (r, dr, a, s0, m1, cm)
 
 
 def _grid_values(c, d, centers, ang, grid: GridSpec) -> np.ndarray:
@@ -308,21 +358,17 @@ def _grid_values(c, d, centers, ang, grid: GridSpec) -> np.ndarray:
     return out.ravel()
 
 
-def _objective_gradient_arrays(c, d, centers, ang, points_t, residual, w_s, w_l,
-                               buffers) -> np.ndarray:
-    """Packed gradient of w_s*E_s + w_l*E_l1 given precomputed residuals.
-
-    points_t holds the constraint points coordinate-major, shape (3, M), and
-    `buffers` is a _block_buffers tuple, overwritten by the pass.
+def _objective_gradient_arrays(c, d, moments, w_s, w_l) -> np.ndarray:
+    """Packed gradient of w_s*E_s + w_l*E_l1 from the moments of a _fused_pass.
 
     E_s = sum_k residual_k^2 with residual = model(y_k) - target_k;
     E_l1 = sum_i c~_i^2 + sum_{i,p} d~_ip^2 (smooth in the tilde variables).
 
-    One pass over the points (_point_blocks) reduces every basis to three
-    residual-weighted moments; every gradient slot is then 3x3 algebra,
-    done for all bases at once on (n, 3, 3) arrays.  For basis i write
-    c2 = c~_i^2, D = diag(d~_i^2), R = R(alpha_i, beta_i, gamma_i) and, per
-    point k,
+    `moments` = (R, dR, A, s0, m1, C) of the pass at the same parameters
+    (c, d and the centers and angles it was taken at).  Every gradient slot
+    is 3x3 algebra on them, done for all bases at once on (n, 3, 3) arrays,
+    with no pass over the points.  For basis i write c2 = c~_i^2,
+    D = diag(d~_i^2), R = R(alpha_i, beta_i, gamma_i) and, per point k,
 
         p_k = y_k - x_i,   u_k = R p_k,   g_k = exp(-u_k^T D u_k),
         w_k = residual_k * g_k,
@@ -346,19 +392,7 @@ def _objective_gradient_arrays(c, d, centers, ang, points_t, residual, w_s, w_l,
     and the L1 term adds 2 w_l c~_i to the coefficient slot and 2 w_l d~_ia
     to each decay slot.  The rotation derivatives touch only 3x3 matrices.
     """
-    r, dr = rotations(ang)
-    a = _exponent_matrices(d, r)                 # R^T D R
-    n = c.shape[0]
-    s0, m1, cm = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3))
-    for start, s, phi, w in _point_blocks(a, centers, points_t, buffers):
-        w *= residual[start:start + w.shape[1]]  # w = residual * g
-        raw = w @ phi.T                          # moments about the block origin
-        b0, b1, b2 = raw[:, 0], raw[:, 1:4], raw[:, _SYMMETRIC_MONOMIALS]
-        sb1 = s[:, :, None] * b1[:, None, :]
-        s0 += b0
-        m1 += b1 - b0[:, None] * s
-        cm += b2 - sb1 - np.swapaxes(sb1, 1, 2)
-        cm += b0[:, None, None] * (s[:, :, None] * s[:, None, :])
+    r, dr, a, s0, m1, cm = moments
     rc = r @ cm                                  # R C
     scale = 4.0 * w_s * c * c
     gc = 4.0 * w_s * c * s0 + 2.0 * w_l * c
@@ -374,7 +408,8 @@ def eval_model_gradient(model: RbfModel, constraints, weights) -> np.ndarray:
 
     `constraints` provides the fitting points and their target values
     (any object with .points (M, 3) and .targets (M,)); `weights` is the
-    pair (w_s, w_l).  Ordering follows pack_parameters.
+    pair (w_s, w_l).  Ordering follows pack_parameters.  One pass over the
+    points (_fused_pass), then 3x3 algebra.
     """
     if model.n_bases == 0:
         raise ValueError("gradient of an empty model")
@@ -383,11 +418,10 @@ def eval_model_gradient(model: RbfModel, constraints, weights) -> np.ndarray:
     if points.shape[0] == 0:
         raise ValueError("gradient needs at least one constrained point")
     w_s, w_l = weights
-    points_t = np.ascontiguousarray(points.T)
     arrays = (model.coeff_sqrt, model.decay_sqrt, model.centers, model.angles)
-    buffers = _block_buffers(model.n_bases, points_t.shape[1])
-    residual = _values_arrays(*arrays, points_t, buffers) - targets
-    return _objective_gradient_arrays(*arrays, points_t, residual, w_s, w_l, buffers)
+    blocks = _PointBlocks(np.ascontiguousarray(points.T), model.n_bases)
+    _, moments = _fused_pass(*arrays, targets, blocks)
+    return _objective_gradient_arrays(model.coeff_sqrt, model.decay_sqrt, moments, w_s, w_l)
 
 
 def save_model(model: RbfModel, path: str | Path, metadata: dict | None = None) -> None:

@@ -29,10 +29,10 @@ import numpy as np
 
 from .model import (
     RbfModel,
-    _block_buffers,
+    _PointBlocks,
+    _fused_pass,
     _objective_gradient_arrays,
     _unpack_arrays,
-    _values_arrays,
     pack_parameters,
     unpack_parameters,
 )
@@ -94,7 +94,9 @@ class TraceRecord:
     f/es/el1/ws/wl describe the objective before the step with that
     iteration's weights; tau is the accepted step (0 on a stalled search);
     accepted_f is the objective after the step under the same weights, kept
-    for descent audits but not exported.
+    for descent audits but not exported; trials is the number of objective
+    evaluations of the iteration's line search (0 when it ran none), not
+    exported either.
     """
 
     iteration: int
@@ -106,11 +108,15 @@ class TraceRecord:
     nbasis: int
     tau: float
     accepted_f: float
+    trials: int = 0
 
 
 @dataclass
 class IterationTrace:
+    """The iteration records of a run, and its passes over the constraint points."""
+
     records: list = field(default_factory=list)
+    point_passes: int = 0
 
     def append(self, rec: TraceRecord) -> None:
         self.records.append(rec)
@@ -207,11 +213,14 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
              config: OptimizerConfig | None = None) -> tuple[RbfModel, IterationTrace]:
     """Run the full loop from an initial model; returns (final model, trace).
 
-    Each iteration costs one value pass per line-search trial plus one
-    gradient: the residual at the top of an iteration is the accepted
-    trial's residual from the iteration before.  The values are computed
-    from scratch only at the first iteration and after a prune that removed
-    bases.
+    Each iteration costs one pass over the constraint points per line-search
+    trial, and nothing more.  A pass (model._fused_pass) gives the trial's
+    residual together with the residual-weighted moments of every basis; the
+    accepted trial's residual and moments are those of the next iteration's
+    point, so its energies come from the residual and its gradient from the
+    moments by 3x3 algebra alone.  A pass at the current point runs only at
+    the first iteration and after a prune that removed bases, so a run makes
+    1 + trials + prunes passes (trace.point_passes).
 
     Raises ModelCollapseError / NonFiniteObjectiveError with the partial
     trace attached if the run cannot continue.
@@ -219,17 +228,20 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
     config = config or OptimizerConfig()
     if model0.n_bases == 0:
         raise ModelCollapseError("initial model has no bases")
-    points_t = np.ascontiguousarray(constraints.points.T)
     targets = constraints.targets
     # sized for the initial bases, so they serve every pass after a prune too
-    buffers = _block_buffers(model0.n_bases, points_t.shape[1])
+    blocks = _PointBlocks(np.ascontiguousarray(constraints.points.T), model0.n_bases)
     trace = IterationTrace()
 
     x = pack_parameters(model0)
     n = model0.n_bases
     tau_seed = config.first_tau
-    residual = None          # model(x) - targets; None when it must be recomputed
-    trial_residual = None    # residual at the line search's last trial point
+    current = None   # (residual, moments) at x; None when it must be recomputed
+    trial = None     # (residual, moments) at the line search's last trial point
+
+    def point_pass(c, d, centers, ang):
+        trace.point_passes += 1
+        return _fused_pass(c, d, centers, ang, targets, blocks)
 
     for it in range(1, config.max_iter + 1):
         if it % config.prune_interval == 0 and it <= config.sparse_iter:
@@ -241,13 +253,14 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             if pruned.n_bases < n:
                 n = pruned.n_bases
                 x = pack_parameters(pruned)
-                residual = None
+                current = None
 
         c, d, centers, ang = _unpack_arrays(x, n)
         # overflow here is handled by the explicit finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
-            if residual is None:
-                residual = _values_arrays(c, d, centers, ang, points_t, buffers) - targets
+            if current is None:
+                current = point_pass(c, d, centers, ang)
+            residual, moments = current
             es = float(residual @ residual)
             el1 = float(c @ c + (d * d).sum())
         if not (np.isfinite(es) and np.isfinite(el1)):
@@ -262,8 +275,7 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             ws, wl = 1.0, 0.0
 
         f0 = ws * es + wl * el1
-        grad = _objective_gradient_arrays(c, d, centers, ang, points_t, residual, ws, wl,
-                                          buffers)
+        grad = _objective_gradient_arrays(c, d, moments, ws, wl)
         if not np.isfinite(grad).all():
             raise NonFiniteObjectiveError(
                 f"gradient not finite at iteration {it}", trace=trace)
@@ -273,15 +285,18 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             trace.append(TraceRecord(it, f0, es, el1, ws, wl, n, 0.0, f0))
             continue
 
+        trials = 0
+
         def objective(x_trial, ws=ws, wl=wl):
             # oversized trial steps may overflow; the resulting inf/nan simply
             # fails the acceptance test and the step is backtracked
-            nonlocal trial_residual
+            nonlocal trial, trials
+            trials += 1
             with np.errstate(over="ignore", invalid="ignore"):
                 ct, dt, xt, at = _unpack_arrays(x_trial, n)
-                trial_residual = _values_arrays(ct, dt, xt, at, points_t, buffers) - targets
-                return (ws * float(trial_residual @ trial_residual)
-                        + wl * float(ct @ ct + (dt * dt).sum()))
+                trial = point_pass(ct, dt, xt, at)
+                r = trial[0]
+                return ws * float(r @ r) + wl * float(ct @ ct + (dt * dt).sum())
 
         tau, f_new = line_search(
             objective, x, f0, grad, tau_seed,
@@ -290,11 +305,12 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
         )
         if tau > 0.0:
             # the accepted trial is the last one evaluated, at this same
-            # x - tau*grad, so its residual is bit-exact for the new point
+            # x - tau*grad, so its residual and moments are bit-exact for the
+            # new point
             x = x - tau * grad
-            residual = trial_residual
+            current = trial
             tau_seed = 2.0 * tau
-        trace.append(TraceRecord(it, f0, es, el1, ws, wl, n, tau, f_new))
+        trace.append(TraceRecord(it, f0, es, el1, ws, wl, n, tau, f_new, trials))
 
     return unpack_parameters(x, n), trace
 

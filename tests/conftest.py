@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import erbfit.model
 from erbfit.pqr import parse_pqr_file
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -21,3 +22,23 @@ def molecule(bundled_pqr):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def point_passes(monkeypatch):
+    """Counts of the passes over the points (erbfit.model._point_blocks) and of
+    the rotations calls, kept up to date for the rest of the test."""
+    calls = {"passes": 0, "rotations": 0}
+    point_blocks, rotations = erbfit.model._point_blocks, erbfit.model.rotations
+
+    def counting_blocks(*args):
+        calls["passes"] += 1
+        return point_blocks(*args)
+
+    def counting_rotations(*args):
+        calls["rotations"] += 1
+        return rotations(*args)
+
+    monkeypatch.setattr(erbfit.model, "_point_blocks", counting_blocks)
+    monkeypatch.setattr(erbfit.model, "rotations", counting_rotations)
+    return calls

@@ -99,6 +99,25 @@ def test_sparsify_outputs(atom_pqr, fit_dir, capsys):
     assert "wall_time_s=" in summary
 
 
+def test_sparsify_writes_timings(fit_dir):
+    # timings.json: the wall time of each phase in order, and the fit's point
+    # passes, one per line-search trial plus one at the start and one after
+    # each prune that removed bases
+    doc = json.loads((fit_dir / "timings.json").read_text())
+    assert list(doc["phases_s"]) == ["parse", "select", "init", "optimize", "post", "save"]
+    assert all(t >= 0.0 for t in doc["phases_s"].values())
+    assert doc["config"]["command"] == "sparsify"
+    rows = [ln.split(",") for ln in (fit_dir / "trace.csv").read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    nbasis = [int(r[6]) for r in rows]
+    prunes = sum(1 for a, b in zip(nbasis, nbasis[1:]) if b < a)
+    steps = sum(1 for r in rows if float(r[7]) > 0.0)
+    assert doc["line_search_trials"] >= steps > 0
+    assert doc["point_passes"] == 1 + doc["line_search_trials"] + prunes
+    summary = (fit_dir / "summary.txt").read_text()
+    assert f"wall_time_s={doc['phases_s']['optimize']:.2f}" in summary
+
+
 def test_sparsify_empty_selection(atom_pqr, tmp_path, capsys):
     code = main(["sparsify", str(atom_pqr), "--out", str(tmp_path),
                  "--band", "1e-12", "--constraint-spacing", "2.0"])

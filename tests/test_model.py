@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import erbfit.model
+import erbfit.optimizer
 from erbfit.field import GRID_TAU, Box, GaussianField, GridSpec, bounding_box
 from erbfit.initializer import init_model
 from erbfit.model import (
@@ -24,6 +25,7 @@ from erbfit.model import (
     save_model,
     unpack_parameters,
 )
+from erbfit.optimizer import OptimizerConfig, optimize
 from erbfit.sampler import ConstraintSet, make_grid, select_constraints
 
 
@@ -452,6 +454,71 @@ def test_block_passes_match_the_reference_oracles(n, seed, blocks, shift):
     ref_g = _reference_gradient(m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles, pts,
                                 values - cs.targets, *weights)
     assert np.max(np.abs(g - ref_g)) <= 1e-12 * np.max(np.abs(ref_g))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       blocks=st.sampled_from([(0, 1), (1, 0), (1, 3), (4, 2)]),
+       shift=st.sampled_from([0.0, 1000.0]))
+def test_fused_pass_matches_the_oracles_and_carries_the_gradient(n, seed, blocks, shift):
+    # M = k B + r points: the fused pass's residual and gradient agree with
+    # the reference loops, and the gradient the fit takes from the moments of
+    # its accepted trial, after a rejected one, is eval_model_gradient at the
+    # accepted point to the bit
+    rng = np.random.default_rng(seed)
+    m = RbfModel(coeff_sqrt=rng.uniform(0.2, 2.0, n), decay_sqrt=rng.uniform(0.2, 1.2, (n, 3)),
+                 centers=rng.uniform(-4, 4, (n, 3)) + shift,
+                 angles=rng.uniform(-np.pi, np.pi, (n, 3)))
+    k, r = blocks
+    # points near the bases, so that a short enough step lowers the objective
+    near = rng.integers(n, size=k * _SMALL_BLOCK + r)
+    pts = m.centers[near] + rng.uniform(-2, 2, (near.size, 3))
+    cs = ConstraintSet(points=pts, targets=rng.uniform(0, 2, len(pts)))
+    weights = (float(rng.uniform(0.01, 1)), float(rng.uniform(0, 1)))
+    arrays = (m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles)
+    searches = []  # [gradient, trials] of each line search of the current run
+    line_search = erbfit.optimizer.line_search
+
+    def recording_line_search(objective, x, f0, grad, *args, **kwargs):
+        searches.append([grad, 0])
+
+        def counted(x_trial):
+            searches[-1][1] += 1
+            f = objective(x_trial)
+            # a run's first trial makes its whole pass and is then rejected
+            return np.inf if len(searches) == searches[-1][1] == 1 else f
+        return line_search(counted, x, f0, grad, *args, **kwargs)
+
+    def run(iterations):
+        searches.clear()
+        # a prune_interval past the last iteration: no prune
+        return optimize(m, cs, OptimizerConfig(max_iter=iterations, sparse_iter=iterations,
+                                               prune_interval=10))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * (10 + n))
+        blocks_ = erbfit.model._PointBlocks(np.ascontiguousarray(pts.T), n)
+        residual, moments = erbfit.model._fused_pass(*arrays, cs.targets, blocks_)
+        g = erbfit.model._objective_gradient_arrays(m.coeff_sqrt, m.decay_sqrt, moments,
+                                                    *weights)
+        patch.setattr(erbfit.optimizer, "line_search", recording_line_search)
+        one_step, _ = run(1)
+        _, trace = run(2)
+        at_step = eval_model_gradient(one_step, cs, (trace[1].ws, trace[1].wl))
+    ref = _reference_values(*arrays, pts)
+    assert np.max(np.abs(residual - (ref - cs.targets))) <= 1e-12
+    ref_g = _reference_gradient(*arrays, pts, ref - cs.targets, *weights)
+    assert np.max(np.abs(g - ref_g)) <= 1e-12 * np.max(np.abs(ref_g))
+    assert trace[0].tau > 0.0 and trace[0].trials >= 2
+    assert [r.trials for r in trace] == [t for _, t in searches]
+    assert np.array_equal(searches[1][0], at_step)
+
+
+def test_eval_model_gradient_makes_one_point_pass(rng, point_passes):
+    m = _random_model(rng, 4)
+    cs = ConstraintSet(points=rng.uniform(-4, 4, (300, 3)), targets=rng.uniform(0, 2, 300))
+    eval_model_gradient(m, cs, (0.6, 0.4))
+    assert point_passes == {"passes": 1, "rotations": 1}
 
 
 def test_passes_allocate_no_bases_by_points_temporary():

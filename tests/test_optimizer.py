@@ -301,31 +301,41 @@ def test_optimize_reused_residual_is_bit_exact(molecule, rng, case):
         assert trace[k].es == energy_terms(reached, fit_residual(reached, cs))[0]
 
 
-def test_optimize_value_passes_one_per_trial(rng, monkeypatch):
-    # one value pass per line-search trial, plus a from-scratch pass at the
-    # start and after each prune that removed bases
-    calls = {"values": 0, "trials": 0}
-    values_arrays = erbfit.optimizer._values_arrays
+def test_optimize_point_passes_one_per_trial(rng, monkeypatch, point_passes):
+    # one fused pass per line-search trial, plus one at the current point at
+    # the start and after each prune that removed bases; the gradient reads
+    # the moments of the pass at its point and makes no pass of its own
+    searches = []           # objective evaluations of each line search
+    in_gradient = []        # passes and rotations made inside each gradient step
     line_search = erbfit.optimizer.line_search
-
-    def counting_values(*args):
-        calls["values"] += 1
-        return values_arrays(*args)
+    gradient = erbfit.optimizer._objective_gradient_arrays
 
     def counting_line_search(objective, *args, **kwargs):
+        searches.append(0)
+
         def counted(x):
-            calls["trials"] += 1
+            searches[-1] += 1
             return objective(x)
         return line_search(counted, *args, **kwargs)
 
-    monkeypatch.setattr(erbfit.optimizer, "_values_arrays", counting_values)
+    def watched_gradient(*args):
+        before = dict(point_passes)
+        result = gradient(*args)
+        in_gradient.append(sum(point_passes[k] - before[k] for k in before))
+        return result
+
     monkeypatch.setattr(erbfit.optimizer, "line_search", counting_line_search)
+    monkeypatch.setattr(erbfit.optimizer, "_objective_gradient_arrays", watched_gradient)
     cfg = OptimizerConfig(max_iter=45, sparse_iter=45, prune_interval=20)
     _, trace = optimize(_decoy_start(rng), _single_atom_constraints(), cfg)
     nbasis = [r.nbasis for r in trace]
     prunes = sum(1 for a, b in zip(nbasis, nbasis[1:]) if b < a)
     assert prunes == 1
-    assert calls["values"] == 1 + calls["trials"] + prunes
+    expected = 1 + sum(searches) + prunes
+    assert point_passes["passes"] == point_passes["rotations"] == expected
+    assert trace.point_passes == expected
+    assert [r.trials for r in trace] == searches
+    assert in_gradient == [0] * len(trace)
 
 
 def test_optimize_collapse_carries_partial_trace(molecule):
