@@ -11,12 +11,16 @@ header lines, or a "config" object in JSON outputs).  Model and trace files
 contain nothing run-dependent, so two runs of the same command are
 byte-identical; wall time appears only in the human-readable summary and in
 `sparsify`'s timings.json (the wall time of each phase: parse, select, init,
-optimize, post and save, and the fit's point passes and line-search trials).
+optimize, post and save; the fit's point passes and line-search trials; and
+block_pairs, the (block, basis) pairs its passes evaluated, against
+block_pairs_full, the bases times blocks a pass without the cutoff takes).
 
 Exit codes: 0 success, 2 unreadable or invalid input (including an empty
 constraint selection and a model with no bases), 3 optimization collapse,
 4 meshing failure (including a surface that reaches the meshing box, whose
-mesh would be open).
+mesh would be open, and a model meshed without a stored box that has a
+basis above isovalue / n with a zero decay, whose surface no finite box is
+known to hold).
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ import numpy as np
 
 from .field import Box, GaussianField, bounding_box
 from .initializer import init_model
-from .mesh import MeshError, compare_surfaces, extract_isosurface, write_obj
-from .model import RbfModel, load_model, save_model
+from .mesh import EmptyMeshError, MeshError, compare_surfaces, extract_isosurface, write_obj
+from .model import RbfModel, load_model, reach, rotations, save_model
 from .optimizer import (
     OptimizationError,
     OptimizerConfig,
@@ -197,19 +201,33 @@ def _looks_like_model(path: str) -> bool:
     return head.startswith(b"{")
 
 
-def _model_box(meta: dict, model: RbfModel) -> Box:
-    """Meshing box for a bare model: stored metadata box, else decay heuristic."""
+def _model_box(meta: dict, model: RbfModel, isovalue: float, spacing: float) -> Box:
+    """Meshing box for a bare model: the stored metadata box, else one that holds the surface.
+
+    The model reaches the isovalue c only where some basis reaches c / n, so
+    only inside the ellipsoids u^T D u <= E_i = ln(n w_i / c) of the bases
+    with E_i > 0.  The box holds their boxes (see model.reach) and one mesh
+    spacing more, so the grid's outer nodes lie below the isovalue.
+    """
     if "box_lo" in meta and "box_hi" in meta:
         return Box(lo=np.array(meta["box_lo"]), hi=np.array(meta["box_hi"]))
-    # reach per basis: where an isolated basis decays to ~1% of the isovalue
-    reach = np.zeros_like(model.centers)
-    for p in range(3):
-        d_eff = np.maximum(model.decay_sqrt[:, p] ** 2, 1e-6)
-        ratio = np.maximum(model.weights / 0.01, 2.0)
-        reach[:, p] = np.sqrt(np.log(ratio) / d_eff)
-    lo = (model.centers - reach).min(axis=0) - 1.0
-    hi = (model.centers + reach).max(axis=0) + 1.0
-    return Box(lo=lo, hi=hi)
+    for name, value in (("isovalue", isovalue), ("grid spacing", spacing)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    with np.errstate(divide="ignore"):
+        levels = np.log(model.n_bases * model.weights / isovalue)
+    kept = np.flatnonzero(levels > 0)
+    if kept.size == 0:
+        raise EmptyMeshError(f"the model stays below the isovalue {isovalue}: "
+                             f"no basis weight exceeds isovalue / {model.n_bases}")
+    half = reach(levels[kept], rotations(model.angles[kept])[0], model.decay_sqrt[kept])
+    unbounded = np.flatnonzero(np.isinf(half).any(axis=1))
+    if unbounded.size:
+        raise MeshError(f"basis {kept[unbounded[0]] + 1} does not decay along an axis, "
+                        "so no finite box holds the model surface")
+    centers = model.centers[kept]
+    return Box(lo=(centers - half).min(axis=0) - spacing,
+               hi=(centers + half).max(axis=0) + spacing)
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -301,7 +319,9 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
     # run-dependent, so kept apart from the byte-identical outputs
     timings = {"config": config.as_dict(), "phases_s": phases,
                "point_passes": trace.point_passes,
-               "line_search_trials": sum(r.trials for r in trace)}
+               "line_search_trials": sum(r.trials for r in trace),
+               "block_pairs": trace.block_pairs,
+               "block_pairs_full": trace.block_pairs_full}
     (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     for line in summary:
         print(line)
@@ -317,7 +337,7 @@ def cmd_mesh(args: argparse.Namespace) -> int:
     if _looks_like_model(args.source):
         model, meta = load_model(args.source)
         evaluator = model.values
-        box = _model_box(meta, model)
+        box = _model_box(meta, model, config.isovalue, config.mesh_spacing)
     else:
         molecule = parse_pqr_file(args.source)
         field = GaussianField.from_molecule(molecule, decay=config.decay,

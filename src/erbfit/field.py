@@ -22,8 +22,11 @@ import numpy as np
 
 from erbfit.pqr import Molecule
 
-# bound on the sum of the kernel terms that an evaluation on a GridSpec leaves
-# out at any node: each of N terms is left out only where it is below GRID_TAU / N
+# bound on the sum of the kernel terms that a cutoff leaves out at any point:
+# each of N terms is left out only where it is below GRID_TAU / N.  It bounds
+# the field and model on a GridSpec and the model's passes over points that
+# span more than one block (erbfit.model._point_blocks), whose gradient slots
+# it bounds term by term as well
 GRID_TAU = 1e-13
 
 # largest exponent whose exp is a finite double

@@ -15,15 +15,18 @@ Every evaluation, values and gradient alike, writes the exponent of every
 basis as one product E = Q phi: phi holds the ten quadratic monomials
 [1, z_a, z_a z_b] of the points about a local origin and Q (n x 10) comes
 from A = R^T diag(d~^2) R and the centers (derivation in `_point_blocks`).
-At an (M, 3) array of points every basis covers every point, one block of
-points at a time, so a pass holds a block's (10, b) monomials and (n, b)
-exponents, never an n x M array.  The fit's passes are fused (_fused_pass):
-each gives the residual at the points and, from the same exponentials, the
-moments that the gradient needs, so a gradient is 3x3 algebra on the moments
-of a pass that has already run.  On a GridSpec, the uniform grid that meshing
-evaluates, each basis covers only the block of nodes where it can reach
-GRID_TAU / N (N bases), so the terms left out add up to less than GRID_TAU
-(erbfit.field) at any node.
+At an (M, 3) array of points a pass goes one block of points at a time, so
+it holds a block's (10, b) monomials and (k, b) exponents, never an n x M
+array.  When the points fit in one block every basis covers every point;
+with more blocks each block takes only the k bases whose reach box meets
+its box of points, so each term left out is below GRID_TAU / N (N bases)
+in the value and in every gradient slot (the bound is in `_point_blocks`).
+The fit's passes are fused (_fused_pass): each gives the residual at the
+points and, from the same exponentials, the moments that the gradient
+needs, so a gradient is 3x3 algebra on the moments of a pass that has
+already run.  On a GridSpec, the uniform grid that meshing evaluates, each
+basis covers only the block of nodes where it can reach GRID_TAU / N, so
+the terms left out add up to less than GRID_TAU (erbfit.field) at any node.
 """
 
 from __future__ import annotations
@@ -189,6 +192,22 @@ def _exponent_rows(a):
     return neg_q
 
 
+def reach(levels, r, d):
+    """Half-widths (n, 3) of the axis-aligned boxes around the ellipsoids u^T D u <= levels_i.
+
+    u = R_i (y - x_i) and D = diag(d~_i^2), from R of shape (n, 3, 3).  The
+    ellipsoid reaches h_ip = sqrt(levels_i sum_a R_ap^2 / d~_ia^2) from its
+    center along axis p: infinite along an axis that a zero decay leaves
+    unbounded.  Every cutoff of the model (point passes, grid, meshing box)
+    takes its boxes from here.
+    """
+    r_sq = r**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a rotation entry of 0 adds nothing, even against a zero decay
+        spread = np.where(r_sq > 0, r_sq / d[:, :, None] ** 2, 0.0).sum(axis=1)
+    return np.sqrt(levels[:, None] * spread)
+
+
 class _PointBlocks:
     """Coordinate-major (3, M) points and the buffers of passes of up to n bases over them.
 
@@ -200,29 +219,63 @@ class _PointBlocks:
     on the next pass, about one fault per 4 kB on every pass.  The monomials
     depend on the points alone, so a pass does not rebuild them for the block
     whose monomials the buffer already holds: when the points fit in one
-    block, they are built once for all passes.
+    block, they are built once for all passes.  With more than one block,
+    lo and hi (blocks, 3) hold each block's box of points, for the cutoff.
+    kept_pairs and all_pairs count the (block, basis) pairs that the passes
+    evaluated and that they would have evaluated without the cutoff.
     """
 
     def __init__(self, points_t: np.ndarray, n: int):
         self.points_t = points_t
-        size = max(1, min(points_t.shape[1], BLOCK_DOUBLES // (10 + n)))
+        m = points_t.shape[1]
+        size = max(1, min(m, BLOCK_DOUBLES // (10 + n)))
         self.phi = np.empty(10 * size)
         self.g = np.empty(n * size)
         self.phi_start = None  # first point of the block whose monomials phi holds
+        self.lo = self.hi = None
+        if m > size:
+            starts = np.arange(0, m, size)
+            self.lo = np.minimum.reduceat(points_t, starts, axis=1).T
+            self.hi = np.maximum.reduceat(points_t, starts, axis=1).T
+        self.kept_pairs = self.all_pairs = 0
 
 
-def _point_blocks(a, centers, blocks: _PointBlocks):
-    """Every basis over the points of `blocks`, one block of points at a time.
+def _blocks_met(c, d, r, centers, blocks: _PointBlocks) -> np.ndarray:
+    """(blocks, n) bool: whether each block of `blocks` takes each basis (see _point_blocks).
 
-    `blocks` holds the points and the buffers for at least the n bases of `a`,
-    and sets the block size b.  Yields (start, s, phi, g) for the block of
-    points y_k, k = start .. start + b - 1 (fewer in the last block), whose
-    centroid is o: s = centers - o (n, 3), phi (10, b) the monomials of
-    z_k = y_k - o, and g (n, b) with g_ik = exp(-(y_k - x_i)^T A_i (y_k - x_i)).
-    phi and g live in the buffers, which the next block overwrites; a
-    caller may overwrite g, not phi.  The only place an ellipsoid Gaussian is
-    evaluated at points: every pass goes through it, and the grid path uses
-    the same Q and monomials.
+    True where the basis's reach box meets the block's box of points, and
+    for a basis with a parameter that is not finite, so that a pass at an
+    overflowed trial step is not finite either, as without the cutoff.
+    """
+    n = c.shape[0]
+    with np.errstate(all="ignore"):
+        c_abs, d_abs = np.abs(c), np.abs(d)
+        d_min, d_max = d_abs.min(axis=1), d_abs.max(axis=1)
+        scale = 2.0 * np.maximum.reduce([c_abs, c_abs**2 * np.maximum(d_max, 1.0) / d_min,
+                                         c_abs**2 * d_max])
+        cut = np.log(n * scale / GRID_TAU)
+        half = reach(cut + np.log1p(2.0 * cut), r, d)
+        apart = (((centers - half)[None] > blocks.hi[:, None])
+                 | ((centers + half)[None] < blocks.lo[:, None])).any(axis=2)
+    finite = (np.isfinite(c) & np.isfinite(d).all(axis=1) & np.isfinite(centers).all(axis=1)
+              & np.isfinite(r).all(axis=(1, 2)))
+    return (~apart & (cut > 0)) | ~finite
+
+
+def _point_blocks(c, d, r, a, centers, blocks: _PointBlocks):
+    """The bases (c~, d~, R, A = R^T diag(d~^2) R) over the points of `blocks`, block by block.
+
+    `blocks` holds the points and the buffers for at least the n bases,
+    and sets the block size b.  Yields (start, idx, s, phi, g) for the block
+    of points y_k, k = start .. start + b - 1 (fewer in the last block),
+    whose centroid is o: idx selects the bases the block evaluates
+    (slice(None) for all of them, else an increasing index array),
+    s = centers[idx] - o, phi (10, b) the monomials of z_k = y_k - o, and
+    g (len(idx), b) with g_ik = exp(-(y_k - x_i)^T A_i (y_k - x_i)).  phi and
+    g live in the buffers, which the next block overwrites; a caller may
+    overwrite g, not phi.  The only place an ellipsoid Gaussian is evaluated
+    at points: every pass goes through it, and the grid path uses the same Q
+    and monomials.
 
     The exponent as one GEMM.  With p = y - x_i = z - s_i,
 
@@ -230,12 +283,35 @@ def _point_blocks(a, centers, blocks: _PointBlocks):
         phi(z) = [1, z_1, z_2, z_3, z_1^2, z_2^2, z_3^2, z_1 z_2, z_1 z_3, z_2 z_3],
         Q_i    = [s^T A s, -2 (A s)_1..3, A_11, A_22, A_33, 2 A_12, 2 A_13, 2 A_23],
 
-    so the block's exponents are E = Q phi, an (n, 10) by (10, b) product.
+    so the block's exponents are E = Q phi, a (k, 10) by (10, b) product.
     The terms of the expansion are of size |A| (|z| + |s|)^2 and cancel
     down to p^T A p, so the origin is kept local: each block has its own.
 
+    The cutoff.  Points that fit in one block take every basis, with no
+    test.  Otherwise a block takes the bases whose reach box (see reach) at
+    the level E_i = L_i + ln(1 + 2 L_i), L_i = ln(n s_i / GRID_TAU), meets
+    the block's box of points, where
+
+        s_i = 2 max(|c~|, c~^2 max(1, d_max) / d_min, c~^2 d_max)
+
+    and d_min, d_max are the least and largest |d~_ia|.  A pair left out has
+    t = u^T D u > E_i (u = R_i p, D = diag(d~_i^2)).  Its value term c~^2 g
+    and its term d(c~^2 g)/dq in each gradient slot of basis i, which is
+    c~^2 g times 2/c~ (slot c~), -2 d~_a u_a^2 (d~_a), 2 R^T D u (x) or
+    -2 u^T D R'_j p (angle j, with |R'_j p| <= |p|), are all at most
+    s_i max(1, t) e^-t, because |D u| <= d_max sqrt(t) and
+    |p| <= sqrt(t) / d_min; and s_i max(1, t) e^-t < GRID_TAU / n for
+    t >= E_i (there t - ln t >= L_i, since 1 + 2 L >= L + ln(1 + 2 L)).
+    So at any point the value terms left out sum to less than GRID_TAU, and
+    a gradient slot that weighs point k by its residual r_k (see _fused_pass)
+    leaves out less than GRID_TAU / n * sum_k |r_k|, on top of the
+    residual's own error.  A basis with a zero decay has infinite reach and
+    meets every block, as does one with a parameter that is not finite; one
+    with L_i <= 0 (c~ = 0 included) is below the bound everywhere and meets
+    none.
+
     Moments, shifted.  A pass that weighs each point by w_ik gets its
-    moments about the block origin as one product, B = w phi^T (n, 10):
+    moments about the block origin as one product, B = w phi^T (k, 10):
     b0 = sum_k w_k, b1 = sum_k w_k z_k and b2_ab = sum_k w_k z_ka z_kb
     (column _SYMMETRIC_MONOMIALS[a, b] of B).  About the basis center, p = z - s,
 
@@ -244,11 +320,16 @@ def _point_blocks(a, centers, blocks: _PointBlocks):
     n, m = a.shape[0], blocks.points_t.shape[1]
     neg_q = _exponent_rows(a)
     block = blocks.phi.size // 10
-    for start in range(0, m, block):
+    met = None if blocks.lo is None else _blocks_met(c, d, r, centers, blocks)
+    for i, start in enumerate(range(0, m, block)):
         y = blocks.points_t[:, start:start + block]
         b = y.shape[1]
+        idx, k = slice(None), n
+        if met is not None and not met[i].all():
+            idx = np.flatnonzero(met[i])
+            k = idx.size
         phi = blocks.phi[:10 * b].reshape(10, b)
-        g = blocks.g[:n * b].reshape(n, b)
+        g = blocks.g[:k * b].reshape(k, b)
         origin = y.sum(axis=1) / b
         if blocks.phi_start != start:
             phi[0] = 1.0
@@ -257,22 +338,26 @@ def _point_blocks(a, centers, blocks: _PointBlocks):
             for j, (u, v) in enumerate(_PAIRS[3:], start=3):
                 np.multiply(phi[1 + u], phi[1 + v], out=phi[4 + j])
             blocks.phi_start = start
-        s = centers - origin
-        a_s = (a @ s[:, :, None])[:, :, 0]
-        np.multiply(a_s, 2.0, out=neg_q[:, 1:4])
-        np.negative((s * a_s).sum(axis=1), out=neg_q[:, 0])
-        np.matmul(neg_q, phi, out=g)
+        s = centers[idx] - origin
+        a_s = (a[idx] @ s[:, :, None])[:, :, 0]
+        q = neg_q[idx]  # neg_q itself for slice(None), else a copy of its rows
+        np.multiply(a_s, 2.0, out=q[:, 1:4])
+        np.negative((s * a_s).sum(axis=1), out=q[:, 0])
+        np.matmul(q, phi, out=g)
         np.exp(g, out=g)
-        yield start, s, phi, g
+        blocks.kept_pairs += k
+        blocks.all_pairs += n
+        yield start, idx, s, phi, g
 
 
 def _values_arrays(c, d, centers, ang, blocks: _PointBlocks) -> np.ndarray:
     """Model values sum_i c~_i^2 g_i at the points of `blocks`; the pass overwrites its buffers."""
-    a = _exponent_matrices(d, rotations(ang)[0])
+    r = rotations(ang)[0]
+    a = _exponent_matrices(d, r)
     c2 = c * c
     out = np.empty(blocks.points_t.shape[1])
-    for start, _, _, g in _point_blocks(a, centers, blocks):
-        np.matmul(c2, g, out=out[start:start + g.shape[1]])
+    for start, idx, _, _, g in _point_blocks(c, d, r, a, centers, blocks):
+        np.matmul(c2[idx], g, out=out[start:start + g.shape[1]])
     return out
 
 
@@ -291,7 +376,8 @@ def _fused_pass(c, d, centers, ang, targets, blocks: _PointBlocks):
     from which _objective_gradient_arrays forms the gradient with 3x3
     algebra alone.  Each block's residual is complete before its moments are
     taken, so one sweep of _point_blocks gives both, with the same bits as a
-    value pass followed by a gradient pass.
+    value pass followed by a gradient pass.  A block adds its moments to the
+    bases it evaluated: idx holds each basis once, so a fancy-index += is exact.
     """
     r, dr = rotations(ang)
     a = _exponent_matrices(d, r)                 # R^T D R
@@ -299,18 +385,18 @@ def _fused_pass(c, d, centers, ang, targets, blocks: _PointBlocks):
     n = c.shape[0]
     residual = np.empty(blocks.points_t.shape[1])
     s0, m1, cm = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3))
-    for start, s, phi, g in _point_blocks(a, centers, blocks):
+    for start, idx, s, phi, g in _point_blocks(c, d, r, a, centers, blocks):
         res = residual[start:start + g.shape[1]]
-        np.matmul(c2, g, out=res)
+        np.matmul(c2[idx], g, out=res)
         res -= targets[start:start + g.shape[1]]
         g *= res                                 # w = residual * g
         raw = g @ phi.T                          # moments about the block origin
         b0, b1, b2 = raw[:, 0], raw[:, 1:4], raw[:, _SYMMETRIC_MONOMIALS]
         sb1 = s[:, :, None] * b1[:, None, :]
-        s0 += b0
-        m1 += b1 - b0[:, None] * s
-        cm += b2 - sb1 - np.swapaxes(sb1, 1, 2)
-        cm += b0[:, None, None] * (s[:, :, None] * s[:, None, :])
+        s0[idx] += b0
+        m1[idx] += b1 - b0[:, None] * s
+        cm[idx] += b2 - sb1 - np.swapaxes(sb1, 1, 2)
+        cm[idx] += b0[:, None, None] * (s[:, :, None] * s[:, None, :])
     return residual, (r, dr, a, s0, m1, cm)
 
 
@@ -319,9 +405,8 @@ def _grid_values(c, d, centers, ang, grid: GridSpec) -> np.ndarray:
 
     Basis i is below GRID_TAU / n outside the ellipsoid u^T D u <= E_i, with
     u = R_i (y - x_i), D = diag(d~_i^2) and E_i = ln(n c~_i^2 / GRID_TAU).
-    The ellipsoid's bounding box has half-widths
-    h_ip = sqrt(E_i sum_a R_ap^2 / d~_ia^2): infinite along an axis that a
-    zero decay leaves unbounded, so the block spans it.  A basis with
+    Its block holds the nodes in the ellipsoid's box (see reach), which
+    spans an axis that a zero decay leaves unbounded.  A basis with
     E_i <= 0 (c~_i = 0 included) is below the bound everywhere and skipped.
     The exponent is the point path's Q_i . phi with the monomials taken about
     the basis center (s_i = 0), so only its quadratic part is used, and on
@@ -332,11 +417,7 @@ def _grid_values(c, d, centers, ang, grid: GridSpec) -> np.ndarray:
         cut = np.log(n * c**2 / GRID_TAU)
     kept = np.flatnonzero(cut > 0)
     r = rotations(ang[kept])[0]
-    r_sq = r**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a rotation entry of 0 adds nothing, even against a zero decay
-        spread = np.where(r_sq > 0, r_sq / d[kept, :, None] ** 2, 0.0).sum(axis=1)
-    blocks, largest = grid.node_blocks(centers[kept], np.sqrt(cut[kept, None] * spread))
+    blocks, largest = grid.node_blocks(centers[kept], reach(cut[kept], r, d[kept]))
     neg_q = _exponent_rows(_exponent_matrices(d[kept], r))[:, 4:]
     axes = [grid.axis_coords(a) for a in range(3)]
     out = np.zeros(grid.shape)
@@ -453,7 +534,10 @@ def save_model(model: RbfModel, path: str | Path, metadata: dict | None = None) 
         "n_bases": model.n_bases,
         "bases": bases,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    # written as it is encoded: the whole text of a large model is never held
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 # (key, length) of the per-basis fields load_model reads; length 0 is a bare number

@@ -113,10 +113,17 @@ class TraceRecord:
 
 @dataclass
 class IterationTrace:
-    """The iteration records of a run, and its passes over the constraint points."""
+    """The iteration records of a run, and its passes over the constraint points.
+
+    block_pairs counts the (block, basis) pairs that the passes evaluated,
+    block_pairs_full the pairs they would have without the cutoff (bases
+    times blocks), both summed over the passes (see model._point_blocks).
+    """
 
     records: list = field(default_factory=list)
     point_passes: int = 0
+    block_pairs: int = 0
+    block_pairs_full: int = 0
 
     def append(self, rec: TraceRecord) -> None:
         self.records.append(rec)
@@ -312,6 +319,7 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             tau_seed = 2.0 * tau
         trace.append(TraceRecord(it, f0, es, el1, ws, wl, n, tau, f_new, trials))
 
+    trace.block_pairs, trace.block_pairs_full = blocks.kept_pairs, blocks.all_pairs
     return unpack_parameters(x, n), trace
 
 

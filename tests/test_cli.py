@@ -114,6 +114,8 @@ def test_sparsify_writes_timings(fit_dir):
     steps = sum(1 for r in rows if float(r[7]) > 0.0)
     assert doc["line_search_trials"] >= steps > 0
     assert doc["point_passes"] == 1 + doc["line_search_trials"] + prunes
+    # one basis and points that fit in one block: every pass takes the pair
+    assert doc["block_pairs"] == doc["block_pairs_full"] == doc["point_passes"]
     summary = (fit_dir / "summary.txt").read_text()
     assert f"wall_time_s={doc['phases_s']['optimize']:.2f}" in summary
 
@@ -414,6 +416,49 @@ def test_non_finite_number_exits_2_with_one_line(atom_pqr, fit_dir, tmp_path, co
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert lines[0].endswith(reason)
+
+
+def _bare_model(tmp_path, coeff_sqrt, decay_sqrt, angles):
+    """A one-basis model document at the origin with no stored meshing box."""
+    basis = {"coeff_sqrt": coeff_sqrt, "decay_sqrt": decay_sqrt, "center": [0.0, 0.0, 0.0],
+             "angles": angles}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"format": "erbfit-model", "version": 1, "bases": [basis]}))
+    return model
+
+
+@pytest.mark.parametrize("gamma", [0.0, np.pi / 2], ids=["gamma0", "gamma-half-pi"])
+def test_mesh_bare_model_box_follows_rotated_bases(tmp_path, gamma):
+    # weight 10 and decays (0.05, 1, 1): a long ellipsoid, about 6.8 A along
+    # its first axis at the isovalue 1, which gamma = pi/2 turns onto y; the
+    # box holds it either way, so the mesh is closed
+    model = _bare_model(tmp_path, float(np.sqrt(10.0)), [float(np.sqrt(0.05)), 1.0, 1.0],
+                        [0.0, 0.0, gamma])
+    assert main(["mesh", str(model), "--out", str(tmp_path)]) == 0
+    vertices = np.array([[float(v) for v in ln.split()[1:]]
+                         for ln in (tmp_path / "mesh.obj").read_text().splitlines()
+                         if ln.startswith("v ")])
+    extent = np.ptp(vertices, axis=0)
+    long_axis = 1 if gamma else 0
+    assert extent[long_axis] > 12.0
+    assert extent[1 - long_axis] < 4.0 and extent[2] < 4.0
+
+
+@pytest.mark.parametrize("isovalue, reason", [
+    ("1.0", "basis 1 does not decay along an axis, so no finite box holds the model surface"),
+    ("10.0", "the model stays below the isovalue 10.0: no basis weight exceeds isovalue / 1"),
+], ids=["zero-decay", "below-isovalue"])
+def test_mesh_bare_model_without_a_box_exits_4(tmp_path, isovalue, reason):
+    model = _bare_model(tmp_path, 2.0, [0.0, 1.0, 1.0], [0.3, 0.0, 0.0])
+    proc = subprocess.run(
+        [sys.executable, "-m", "erbfit.cli", "mesh", str(model), "--isovalue", isovalue,
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=SRC_ENV, timeout=120)
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0] == f"error: {reason}"
+    assert not (tmp_path / "mesh.obj").exists()
 
 
 def test_compare_model_without_decay_on_an_axis_exits_4(bundled_pqr, molecule, tmp_path):

@@ -638,6 +638,34 @@ def _offset_pairs():
     return pairs
 
 
+@pytest.mark.parametrize("name", ["sphere+5", "pair+1000"])
+def test_hausdorff_splits_runs_longer_than_the_pair_budget(monkeypatch, name):
+    # a pair budget of 32: the runs of the cells a point searches, and the
+    # run of every item that a far point scans, are longer, so _pairs splits
+    # them over chunks of fewer than 2 * budget pairs, which together hold
+    # the unsplit pairs in their order; the distance is the same to the bit
+    a, b = _offset_pairs()[name]
+    monkeypatch.setattr(erbfit.distance, "_HAUSDORFF_BLOCK", 1)
+    split = []
+    pairs = erbfit.distance._pairs
+
+    def recording(owner, start, end, order, budget):
+        longest = int((end - start).max(initial=0))
+        split.append(longest > budget)
+        chunks = list(pairs(owner, start, end, order, budget))
+        assert all(o.size == t.size < 2 * budget for o, t in chunks)
+        # the same pairs, in the same order, as with no run split
+        whole = list(pairs(owner, start, end, order, longest + 1))
+        for i in (0, 1):
+            assert np.array_equal(np.concatenate([c[i] for c in chunks] or [[]]),
+                                  np.concatenate([c[i] for c in whole] or [[]]))
+        yield from chunks
+
+    monkeypatch.setattr(erbfit.distance, "_pairs", recording)
+    assert hausdorff(a, b) == _reference_hausdorff(a, b)
+    assert any(split)
+
+
 @pytest.mark.parametrize("name", ["sphere+5", "sphere+50", "sphere+10000", "pair+1000"])
 def test_hausdorff_on_far_and_offset_meshes(name):
     # far apart, every triangle of the other mesh is a candidate of every

@@ -514,9 +514,83 @@ def test_fused_pass_matches_the_oracles_and_carries_the_gradient(n, seed, blocks
     assert np.array_equal(searches[1][0], at_step)
 
 
+def _spread_case(rng, n, n_points, shift):
+    """n rotated anisotropic bases and n_points points over about 60 A, the
+    points in x order as the grid gives them: the first basis has weight 0,
+    the second no decay along one axis."""
+    c = rng.uniform(0.2, 2.0, n)
+    c[0] = 0.0
+    d = rng.uniform(0.4, 1.2, (n, 3))
+    d[1, rng.integers(3)] = 0.0
+    m = RbfModel(coeff_sqrt=c, decay_sqrt=d, centers=rng.uniform(-30, 30, (n, 3)) + shift,
+                 angles=rng.uniform(-np.pi, np.pi, (n, 3)))
+    pts = rng.uniform(-30, 30, (n_points, 3))
+    pts = pts[np.argsort(pts[:, 0], kind="stable")] + shift
+    return m, ConstraintSet(points=pts, targets=rng.uniform(0, 2, n_points))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
+       blocks=st.sampled_from([(2, 0), (3, 7), (9, 1), (20, 13)]),
+       shift=st.sampled_from([0.0, 1000.0]))
+def test_gathered_passes_match_the_reference_oracles(n, seed, blocks, shift):
+    # blocks of _SMALL_BLOCK points in x order: each block takes only the
+    # bases whose reach box meets its box of points.  The zero weight meets
+    # no block and the zero decay, of infinite reach, every block; the values
+    # and the gradient agree with the exact loops as the full passes do
+    rng = np.random.default_rng(seed)
+    k, r = blocks
+    m, cs = _spread_case(rng, n, k * _SMALL_BLOCK + r, shift)
+    pts = cs.points
+    weights = (float(rng.uniform(0.01, 1)), float(rng.uniform(0, 1)))
+    arrays = (m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * (10 + n))
+        values = m.values(pts)
+        g = eval_model_gradient(m, cs, weights)
+        pass_blocks = erbfit.model._PointBlocks(np.ascontiguousarray(pts.T), n)
+        assert np.array_equal(erbfit.model._values_arrays(*arrays, pass_blocks), values)
+    met = erbfit.model._blocks_met(m.coeff_sqrt, m.decay_sqrt, rotations(m.angles)[0], m.centers,
+                                   pass_blocks)
+    assert met[:, 1].all() and not met[:, 0].any()
+    assert pass_blocks.all_pairs == met.size
+    assert pass_blocks.kept_pairs == met.sum() < met.size
+    ref = _reference_values(*arrays, pts)
+    assert np.max(np.abs(values - ref)) <= 1e-12
+    ref_g = _reference_gradient(*arrays, pts, values - cs.targets, *weights)
+    assert np.max(np.abs(g - ref_g)) <= 1e-12 * np.max(np.abs(ref_g))
+
+
+def test_gathered_pass_keeps_a_non_finite_basis():
+    # a trial step may overflow a parameter: the pass must then give a
+    # non-finite result in every block, as the full pass does, for the line
+    # search to reject the step
+    rng = np.random.default_rng(3)
+    m, cs = _spread_case(rng, 8, 40 * _SMALL_BLOCK, 0.0)
+    for name, value in (("coeff_sqrt", np.inf), ("decay_sqrt", np.nan), ("centers", np.inf),
+                        ("angles", np.inf)):
+        arrays = {k: getattr(m, k).copy() for k in ("coeff_sqrt", "decay_sqrt", "centers",
+                                                     "angles")}
+        arrays[name][3] = value
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * 18)
+            blocks_ = erbfit.model._PointBlocks(np.ascontiguousarray(cs.points.T), 8)
+            residual, _ = erbfit.model._fused_pass(*arrays.values(), cs.targets, blocks_)
+        assert not np.isfinite(residual).all(), name
+        assert blocks_.kept_pairs < blocks_.all_pairs
+
+
 def test_eval_model_gradient_makes_one_point_pass(rng, point_passes):
     m = _random_model(rng, 4)
     cs = ConstraintSet(points=rng.uniform(-4, 4, (300, 3)), targets=rng.uniform(0, 2, 300))
+    eval_model_gradient(m, cs, (0.6, 0.4))
+    assert point_passes == {"passes": 1, "rotations": 1}
+
+
+def test_gathered_gradient_makes_one_point_pass(rng, point_passes, monkeypatch):
+    # the cutoff takes its rotations from the pass: still one pass, one call
+    m, cs = _spread_case(rng, 6, 300, 0.0)
+    monkeypatch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * 16)
     eval_model_gradient(m, cs, (0.6, 0.4))
     assert point_passes == {"passes": 1, "rotations": 1}
 
@@ -583,6 +657,8 @@ def test_save_load_roundtrip_bit_exact(m, tmp_path_factory):
     # effective values stored alongside the optimization variables
     doc = json.loads(path.read_text())
     assert doc["bases"][0]["weight"] == pytest.approx(m.coeff_sqrt[0] ** 2, rel=1e-15)
+    # the document's text, written as it is encoded, is the indented JSON
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_load_rejects_other_documents(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import erbfit.model
 import erbfit.optimizer
 from erbfit.field import Box, GaussianField, bounding_box
 from erbfit.initializer import init_model
@@ -336,6 +337,30 @@ def test_optimize_point_passes_one_per_trial(rng, monkeypatch, point_passes):
     assert trace.point_passes == expected
     assert [r.trials for r in trace] == searches
     assert in_gradient == [0] * len(trace)
+
+
+def test_optimize_cutoff_counts_pairs_and_keeps_the_trace(monkeypatch):
+    # two atoms 30 A apart: with blocks of 64 constraint points, a block near
+    # one atom does not take the other's basis.  The trace agrees with the
+    # one-block fit to rounding, and the pairs counted are those evaluated
+    centers = np.array([[-15.0, 0.0, 0.0], [15.0, 0.3, -0.2]])
+    field = GaussianField(centers=centers, radii=np.array([1.5, 1.7]), decay=0.5)
+    box = Box(lo=centers.min(axis=0) - 5.0, hi=centers.max(axis=0) + 5.0)
+    cs = select_constraints(field, make_grid(box, 0.7), band=1.0)
+    m0 = _model(1.05 * np.exp(0.25 * np.array([1.5, 1.7]) ** 2), np.full((2, 3), 0.72), centers)
+    cfg = OptimizerConfig(max_iter=6, sparse_iter=6)
+    _, whole = optimize(m0, cs, cfg)
+    monkeypatch.setattr(erbfit.model, "BLOCK_DOUBLES", 64 * (10 + 2))
+    _, cut = optimize(m0, cs, cfg)
+    n_blocks = -(-len(cs) // 64)
+    assert whole.block_pairs == whole.block_pairs_full == 2 * whole.point_passes
+    assert cut.point_passes == whole.point_passes
+    assert cut.block_pairs_full == 2 * n_blocks * cut.point_passes
+    assert cut.block_pairs < 0.6 * cut.block_pairs_full
+    for a, b in zip(whole, cut):
+        assert (a.nbasis, a.ws == 1.0) == (b.nbasis, b.ws == 1.0)
+        for name in ("f", "es", "el1", "tau"):
+            assert getattr(b, name) == pytest.approx(getattr(a, name), rel=1e-12), name
 
 
 def test_optimize_collapse_carries_partial_trace(molecule):
