@@ -54,11 +54,6 @@ class Box:
     def extent(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Elementwise closed-box membership for an (M, 3) point array."""
-        p = np.atleast_2d(points)
-        return np.all((p >= self.lo) & (p <= self.hi), axis=1)
-
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -5,11 +5,13 @@ so the effective weight c = c~^2 and effective per-axis decays d_p = d~_p^2 are
 nonnegative by construction, which turns the nonnegativity-constrained fitting
 problem into an unconstrained one.  The model is the sum of its bases.
 
-The flat parameter vector packs a model with N bases as
+A model with N bases is one C-contiguous (N, 10) table, one row per basis
+in the order of the JSON record's fields:
 
-    [ c~_1..c~_N | d~_.1 | d~_.2 | d~_.3 | x_1 y_1 z_1 .. z_N | alpha | beta | gamma ]
+    [ c~ | d~_1 d~_2 d~_3 | x y z | alpha beta gamma ]
 
-(axis-major decay blocks, xyz-interleaved centers, angle blocks), length 10N.
+The flat parameter vector that the optimizer steps is the table's ravel,
+length 10N, and a gradient comes back in the same order.
 
 Every evaluation, values and gradient alike, writes the exponent of every
 basis as one product E = Q phi: phi holds the ten quadratic monomials
@@ -42,6 +44,8 @@ MODEL_FORMAT = "erbfit-model"
 MODEL_VERSION = 1
 
 PARAMS_PER_BASIS = 10
+# the columns of a model's (n, 10) table: c~ | d~_1..3 | x y z | alpha beta gamma
+_COEFF, _DECAY, _CENTER, _ANGLES = 0, slice(1, 4), slice(4, 7), slice(7, 10)
 
 
 # the quadratic monomials z_a * z_b of the exponent expansion, as (a, b) pairs:
@@ -101,23 +105,36 @@ def rotations(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class RbfModel:
-    """Ordered collection of ellipsoid Gaussian bases, array-backed.
+    """Ordered collection of ellipsoid Gaussian bases over one (n, 10) table, `params`.
 
-    Treated as immutable during evaluation; optimizer steps build new models.
+    coeff_sqrt, decay_sqrt, centers and angles are column views of the
+    table (see the module docstring).  Treated as immutable during
+    evaluation; optimizer steps build new models.
     """
 
     def __init__(self, coeff_sqrt, decay_sqrt, centers, angles):
-        self.coeff_sqrt = np.atleast_1d(np.asarray(coeff_sqrt, dtype=np.float64))
-        self.decay_sqrt = np.asarray(decay_sqrt, dtype=np.float64).reshape(-1, 3)
-        self.centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-        self.angles = np.asarray(angles, dtype=np.float64).reshape(-1, 3)
-        n = self.coeff_sqrt.shape[0]
-        if not (self.decay_sqrt.shape[0] == self.centers.shape[0] == self.angles.shape[0] == n):
+        c = np.atleast_1d(np.asarray(coeff_sqrt, dtype=np.float64))
+        parts = [np.asarray(a, dtype=np.float64).reshape(-1, 3)
+                 for a in (decay_sqrt, centers, angles)]
+        if any(part.shape[0] != c.shape[0] for part in parts):
             raise ValueError("inconsistent basis array lengths")
+        self.params = np.column_stack([c, *parts])
+
+    @classmethod
+    def from_params(cls, params: np.ndarray) -> RbfModel:
+        """The model over an (n, 10) table, held as given: no copy."""
+        model = cls.__new__(cls)
+        model.params = params
+        return model
+
+    coeff_sqrt = property(lambda self: self.params[:, _COEFF])
+    decay_sqrt = property(lambda self: self.params[:, _DECAY])
+    centers = property(lambda self: self.params[:, _CENTER])
+    angles = property(lambda self: self.params[:, _ANGLES])
 
     @property
     def n_bases(self) -> int:
-        return self.coeff_sqrt.shape[0]
+        return self.params.shape[0]
 
     @property
     def weights(self) -> np.ndarray:
@@ -130,38 +147,19 @@ class RbfModel:
         Zeros for an empty model.
         """
         if isinstance(points, GridSpec):
-            return _grid_values(self.coeff_sqrt, self.decay_sqrt, self.centers, self.angles,
-                                points)
+            return _grid_values(self.params, points)
         pts_t = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)).T)
-        return _values_arrays(self.coeff_sqrt, self.decay_sqrt, self.centers, self.angles,
-                              _PointBlocks(pts_t, self.n_bases))
+        return _values_arrays(self.params, _PointBlocks(pts_t, self.n_bases))
 
     def __eq__(self, other):
         if not isinstance(other, RbfModel):
             return NotImplemented
-        return (
-            np.array_equal(self.coeff_sqrt, other.coeff_sqrt)
-            and np.array_equal(self.decay_sqrt, other.decay_sqrt)
-            and np.array_equal(self.centers, other.centers)
-            and np.array_equal(self.angles, other.angles)
-        )
+        return np.array_equal(self.params, other.params)
 
 
 def pack_parameters(model: RbfModel) -> np.ndarray:
-    """Flatten a model into the block layout described in the module docstring."""
-    return np.concatenate([model.coeff_sqrt, model.decay_sqrt.T.ravel(),
-                           model.centers.ravel(), model.angles.T.ravel()])
-
-
-def _unpack_arrays(x: np.ndarray, n: int):
-    """(coeff_sqrt, decay_sqrt, centers, angles) of a packed vector; c~ and centers are views."""
-    # d and angles as C-contiguous copies: a transposed view would change the
-    # order in which (d * d).sum() adds, and with it the objective's bits
-    c = x[0:n]
-    d = x[n:4 * n].reshape(3, n).T.copy()
-    centers = x[4 * n:7 * n].reshape(n, 3)
-    ang = x[7 * n:10 * n].reshape(3, n).T.copy()
-    return c, d, centers, ang
+    """The model's table as a flat vector (a copy), row by row."""
+    return model.params.flatten()
 
 
 def unpack_parameters(x: np.ndarray, n_bases: int) -> RbfModel:
@@ -171,7 +169,7 @@ def unpack_parameters(x: np.ndarray, n_bases: int) -> RbfModel:
         raise ValueError(
             f"parameter vector has length {x.size}, expected {PARAMS_PER_BASIS * n_bases}"
         )
-    return RbfModel(*(a.copy() for a in _unpack_arrays(x, n_bases)))
+    return RbfModel.from_params(x.reshape(n_bases, PARAMS_PER_BASIS).copy())
 
 
 def _exponent_matrices(d, r):
@@ -240,30 +238,36 @@ class _PointBlocks:
         self.kept_pairs = self.all_pairs = 0
 
 
-def _blocks_met(c, d, r, centers, blocks: _PointBlocks) -> np.ndarray:
+def _blocks_met(params, r, blocks: _PointBlocks) -> np.ndarray:
     """(blocks, n) bool: whether each block of `blocks` takes each basis (see _point_blocks).
 
     True where the basis's reach box meets the block's box of points, and
     for a basis with a parameter that is not finite, so that a pass at an
     overflowed trial step is not finite either, as without the cutoff.
+    The boxes are compared one axis at a time into the one (blocks, n) array.
     """
-    n = c.shape[0]
+    n = params.shape[0]
+    d, centers = params[:, _DECAY], params[:, _CENTER]
     with np.errstate(all="ignore"):
-        c_abs, d_abs = np.abs(c), np.abs(d)
+        c_abs, d_abs = np.abs(params[:, _COEFF]), np.abs(d)
         d_min, d_max = d_abs.min(axis=1), d_abs.max(axis=1)
         scale = 2.0 * np.maximum.reduce([c_abs, c_abs**2 * np.maximum(d_max, 1.0) / d_min,
                                          c_abs**2 * d_max])
         cut = np.log(n * scale / GRID_TAU)
         half = reach(cut + np.log1p(2.0 * cut), r, d)
-        apart = (((centers - half)[None] > blocks.hi[:, None])
-                 | ((centers + half)[None] < blocks.lo[:, None])).any(axis=2)
-    finite = (np.isfinite(c) & np.isfinite(d).all(axis=1) & np.isfinite(centers).all(axis=1)
-              & np.isfinite(r).all(axis=(1, 2)))
-    return (~apart & (cut > 0)) | ~finite
+        lo, hi = centers - half, centers + half
+        apart = np.zeros((blocks.lo.shape[0], n), dtype=bool)
+        for p in range(3):
+            apart |= lo[:, p] > blocks.hi[:, p, None]
+            apart |= hi[:, p] < blocks.lo[:, p, None]
+    met = np.logical_not(apart, out=apart)
+    met &= cut > 0
+    met |= ~np.isfinite(params).all(axis=1)
+    return met
 
 
-def _point_blocks(c, d, r, a, centers, blocks: _PointBlocks):
-    """The bases (c~, d~, R, A = R^T diag(d~^2) R) over the points of `blocks`, block by block.
+def _point_blocks(params, r, a, blocks: _PointBlocks):
+    """The bases of the table, with R (n, 3, 3) and A = R^T diag(d~^2) R, over `blocks`.
 
     `blocks` holds the points and the buffers for at least the n bases,
     and sets the block size b.  Yields (start, idx, s, phi, g) for the block
@@ -318,9 +322,10 @@ def _point_blocks(c, d, r, a, centers, blocks: _PointBlocks):
         s0 = b0,   m1 = b1 - b0 s,   C = b2 - s b1^T - b1 s^T + b0 s s^T.
     """
     n, m = a.shape[0], blocks.points_t.shape[1]
+    centers = params[:, _CENTER]
     neg_q = _exponent_rows(a)
     block = blocks.phi.size // 10
-    met = None if blocks.lo is None else _blocks_met(c, d, r, centers, blocks)
+    met = None if blocks.lo is None else _blocks_met(params, r, blocks)
     for i, start in enumerate(range(0, m, block)):
         y = blocks.points_t[:, start:start + block]
         b = y.shape[1]
@@ -350,18 +355,18 @@ def _point_blocks(c, d, r, a, centers, blocks: _PointBlocks):
         yield start, idx, s, phi, g
 
 
-def _values_arrays(c, d, centers, ang, blocks: _PointBlocks) -> np.ndarray:
+def _values_arrays(params, blocks: _PointBlocks) -> np.ndarray:
     """Model values sum_i c~_i^2 g_i at the points of `blocks`; the pass overwrites its buffers."""
-    r = rotations(ang)[0]
-    a = _exponent_matrices(d, r)
-    c2 = c * c
+    r = rotations(params[:, _ANGLES])[0]
+    a = _exponent_matrices(params[:, _DECAY], r)
+    c2 = params[:, _COEFF] ** 2
     out = np.empty(blocks.points_t.shape[1])
-    for start, idx, _, _, g in _point_blocks(c, d, r, a, centers, blocks):
+    for start, idx, _, _, g in _point_blocks(params, r, a, blocks):
         np.matmul(c2[idx], g, out=out[start:start + g.shape[1]])
     return out
 
 
-def _fused_pass(c, d, centers, ang, targets, blocks: _PointBlocks):
+def _fused_pass(params, targets, blocks: _PointBlocks):
     """Residual and gradient moments of every basis, in one pass over the points.
 
     Returns (residual, moments).  residual_k = sum_i c~_i^2 g_ik - target_k
@@ -379,13 +384,13 @@ def _fused_pass(c, d, centers, ang, targets, blocks: _PointBlocks):
     value pass followed by a gradient pass.  A block adds its moments to the
     bases it evaluated: idx holds each basis once, so a fancy-index += is exact.
     """
-    r, dr = rotations(ang)
-    a = _exponent_matrices(d, r)                 # R^T D R
-    c2 = c * c
-    n = c.shape[0]
+    r, dr = rotations(params[:, _ANGLES])
+    a = _exponent_matrices(params[:, _DECAY], r)  # R^T D R
+    c2 = params[:, _COEFF] ** 2
+    n = params.shape[0]
     residual = np.empty(blocks.points_t.shape[1])
     s0, m1, cm = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3))
-    for start, idx, s, phi, g in _point_blocks(c, d, r, a, centers, blocks):
+    for start, idx, s, phi, g in _point_blocks(params, r, a, blocks):
         res = residual[start:start + g.shape[1]]
         np.matmul(c2[idx], g, out=res)
         res -= targets[start:start + g.shape[1]]
@@ -400,7 +405,7 @@ def _fused_pass(c, d, centers, ang, targets, blocks: _PointBlocks):
     return residual, (r, dr, a, s0, m1, cm)
 
 
-def _grid_values(c, d, centers, ang, grid: GridSpec) -> np.ndarray:
+def _grid_values(params, grid: GridSpec) -> np.ndarray:
     """Model values at the grid's nodes in C order, each basis over the block it reaches.
 
     Basis i is below GRID_TAU / n outside the ellipsoid u^T D u <= E_i, with
@@ -412,11 +417,11 @@ def _grid_values(c, d, centers, ang, grid: GridSpec) -> np.ndarray:
     the basis center (s_i = 0), so only its quadratic part is used, and on
     the lattice each monomial is an outer product of per-axis offsets.
     """
-    n = c.shape[0]
+    c, d, centers = params[:, _COEFF], params[:, _DECAY], params[:, _CENTER]
     with np.errstate(divide="ignore"):
-        cut = np.log(n * c**2 / GRID_TAU)
+        cut = np.log(params.shape[0] * c**2 / GRID_TAU)
     kept = np.flatnonzero(cut > 0)
-    r = rotations(ang[kept])[0]
+    r = rotations(params[kept, _ANGLES])[0]
     blocks, largest = grid.node_blocks(centers[kept], reach(cut[kept], r, d[kept]))
     neg_q = _exponent_rows(_exponent_matrices(d[kept], r))[:, 4:]
     axes = [grid.axis_coords(a) for a in range(3)]
@@ -439,14 +444,14 @@ def _grid_values(c, d, centers, ang, grid: GridSpec) -> np.ndarray:
     return out.ravel()
 
 
-def _objective_gradient_arrays(c, d, moments, w_s, w_l) -> np.ndarray:
-    """Packed gradient of w_s*E_s + w_l*E_l1 from the moments of a _fused_pass.
+def _objective_gradient_arrays(params, moments, w_s, w_l) -> np.ndarray:
+    """Gradient of w_s*E_s + w_l*E_l1 from the moments of a _fused_pass, in the table's order.
 
     E_s = sum_k residual_k^2 with residual = model(y_k) - target_k;
     E_l1 = sum_i c~_i^2 + sum_{i,p} d~_ip^2 (smooth in the tilde variables).
 
-    `moments` = (R, dR, A, s0, m1, C) of the pass at the same parameters
-    (c, d and the centers and angles it was taken at).  Every gradient slot
+    `moments` = (R, dR, A, s0, m1, C) of the pass at the same table.  The
+    gradient is flat, row by row like the table's ravel.  Every gradient slot
     is 3x3 algebra on them, done for all bases at once on (n, 3, 3) arrays,
     with no pass over the points.  For basis i write c2 = c~_i^2,
     D = diag(d~_i^2), R = R(alpha_i, beta_i, gamma_i) and, per point k,
@@ -473,6 +478,7 @@ def _objective_gradient_arrays(c, d, moments, w_s, w_l) -> np.ndarray:
     and the L1 term adds 2 w_l c~_i to the coefficient slot and 2 w_l d~_ia
     to each decay slot.  The rotation derivatives touch only 3x3 matrices.
     """
+    c, d = params[:, _COEFF], params[:, _DECAY]
     r, dr, a, s0, m1, cm = moments
     rc = r @ cm                                  # R C
     scale = 4.0 * w_s * c * c
@@ -481,7 +487,7 @@ def _objective_gradient_arrays(c, d, moments, w_s, w_l) -> np.ndarray:
     gx = scale[:, None] * np.einsum("nab,nb->na", a, m1)
     drc = (d * d)[:, :, None] * rc               # D R C
     gang = -scale[:, None] * np.einsum("nab,jnab->nj", drc, dr)
-    return np.concatenate([gc, gd.T.ravel(), gx.ravel(), gang.T.ravel()])
+    return np.column_stack([gc, gd, gx, gang]).ravel()
 
 
 def eval_model_gradient(model: RbfModel, constraints, weights) -> np.ndarray:
@@ -489,8 +495,8 @@ def eval_model_gradient(model: RbfModel, constraints, weights) -> np.ndarray:
 
     `constraints` provides the fitting points and their target values
     (any object with .points (M, 3) and .targets (M,)); `weights` is the
-    pair (w_s, w_l).  Ordering follows pack_parameters.  One pass over the
-    points (_fused_pass), then 3x3 algebra.
+    pair (w_s, w_l).  Flat, row by row like the model's table.  One pass
+    over the points (_fused_pass), then 3x3 algebra.
     """
     if model.n_bases == 0:
         raise ValueError("gradient of an empty model")
@@ -499,10 +505,9 @@ def eval_model_gradient(model: RbfModel, constraints, weights) -> np.ndarray:
     if points.shape[0] == 0:
         raise ValueError("gradient needs at least one constrained point")
     w_s, w_l = weights
-    arrays = (model.coeff_sqrt, model.decay_sqrt, model.centers, model.angles)
     blocks = _PointBlocks(np.ascontiguousarray(points.T), model.n_bases)
-    _, moments = _fused_pass(*arrays, targets, blocks)
-    return _objective_gradient_arrays(model.coeff_sqrt, model.decay_sqrt, moments, w_s, w_l)
+    _, moments = _fused_pass(model.params, targets, blocks)
+    return _objective_gradient_arrays(model.params, moments, w_s, w_l)
 
 
 def save_model(model: RbfModel, path: str | Path, metadata: dict | None = None) -> None:
@@ -516,14 +521,14 @@ def save_model(model: RbfModel, path: str | Path, metadata: dict | None = None) 
     try:
         bases = [
             {
-                "weight": float(model.coeff_sqrt[i]) ** 2,
-                "decays": [float(v) ** 2 for v in model.decay_sqrt[i]],
-                "coeff_sqrt": float(model.coeff_sqrt[i]),
-                "decay_sqrt": [float(v) for v in model.decay_sqrt[i]],
-                "center": [float(v) for v in model.centers[i]],
-                "angles": [float(v) for v in model.angles[i]],
+                "weight": row[_COEFF] ** 2,
+                "decays": [v**2 for v in row[_DECAY]],
+                "coeff_sqrt": row[_COEFF],
+                "decay_sqrt": row[_DECAY],
+                "center": row[_CENTER],
+                "angles": row[_ANGLES],
             }
-            for i in range(model.n_bases)
+            for row in model.params.tolist()
         ]
     except OverflowError:
         raise ValueError(f"{path}: a weight or decay of the model overflows a double") from None
@@ -540,12 +545,14 @@ def save_model(model: RbfModel, path: str | Path, metadata: dict | None = None) 
         fh.write("\n")
 
 
-# (key, length) of the per-basis fields load_model reads; length 0 is a bare number
-_BASIS_FIELDS = (("coeff_sqrt", 0), ("decay_sqrt", 3), ("center", 3), ("angles", 3))
+# (key, length, columns of the table) of the per-basis fields load_model reads;
+# length 0 is a bare number
+_BASIS_FIELDS = (("coeff_sqrt", 0, slice(_COEFF, _COEFF + 1)), ("decay_sqrt", 3, _DECAY),
+                 ("center", 3, _CENTER), ("angles", 3, _ANGLES))
 
 
-def _finite_numbers(value, size: int, what: str):
-    """`value` as `size` finite floats (a bare float when size is 0); else ValueError."""
+def _finite_numbers(value, size: int, what: str) -> np.ndarray:
+    """`value` as max(size, 1) finite floats (size 0: one bare number); else ValueError."""
     items = value if size else [value]
     if (isinstance(items, list) and len(items) == max(size, 1)
             and all(type(v) in (int, float) for v in items)):
@@ -554,7 +561,7 @@ def _finite_numbers(value, size: int, what: str):
         except OverflowError:  # an integer literal beyond the float range
             arr = np.array([np.inf])
         if np.isfinite(arr).all():
-            return arr if size else float(arr[0])
+            return arr
     raise ValueError(f"{what} must be " + (f"{size} finite numbers" if size else "a finite number"))
 
 
@@ -587,14 +594,12 @@ def load_model(path: str | Path) -> tuple[RbfModel, dict]:
     for key in ("box_lo", "box_hi"):
         if key in metadata:
             _finite_numbers(metadata[key], 3, f"{path}: metadata {key!r}")
-    fields = {key: [] for key, _ in _BASIS_FIELDS}
+    params = np.empty((len(bases), PARAMS_PER_BASIS))
     for i, basis in enumerate(bases):
         if not isinstance(basis, dict):
             raise ValueError(f"{path}: basis {i} must be an object")
-        for key, size in _BASIS_FIELDS:
+        for key, size, cols in _BASIS_FIELDS:
             if key not in basis:
                 raise ValueError(f"{path}: basis {i} has no {key!r}")
-            fields[key].append(_finite_numbers(basis[key], size, f"{path}: basis {i} {key!r}"))
-    model = RbfModel(fields["coeff_sqrt"], fields["decay_sqrt"], fields["center"],
-                     fields["angles"])
-    return model, metadata
+            params[i, cols] = _finite_numbers(basis[key], size, f"{path}: basis {i} {key!r}")
+    return RbfModel.from_params(params), metadata

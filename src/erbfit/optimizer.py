@@ -28,11 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
+    PARAMS_PER_BASIS,
     RbfModel,
     _PointBlocks,
     _fused_pass,
     _objective_gradient_arrays,
-    _unpack_arrays,
     pack_parameters,
     unpack_parameters,
 )
@@ -179,12 +179,7 @@ def prune(model: RbfModel, prune_tol: float) -> RbfModel:
         raise ModelCollapseError("pruning removed every basis")
     if keep.all():
         return model
-    return RbfModel(
-        coeff_sqrt=model.coeff_sqrt[keep],
-        decay_sqrt=model.decay_sqrt[keep],
-        centers=model.centers[keep],
-        angles=model.angles[keep],
-    )
+    return RbfModel.from_params(model.params[keep])
 
 
 def max_pointwise_error(residual: np.ndarray) -> float:
@@ -246,43 +241,46 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
     current = None   # (residual, moments) at x; None when it must be recomputed
     trial = None     # (residual, moments) at the line search's last trial point
 
-    def point_pass(c, d, centers, ang):
+    def at(x):
+        """The model over x, reshaped as a view."""
+        return RbfModel.from_params(x.reshape(n, PARAMS_PER_BASIS))
+
+    def point_pass(model):
         trace.point_passes += 1
-        return _fused_pass(c, d, centers, ang, targets, blocks)
+        return _fused_pass(model.params, targets, blocks)
 
     for it in range(1, config.max_iter + 1):
+        model = at(x)
         if it % config.prune_interval == 0 and it <= config.sparse_iter:
             try:
-                pruned = prune(unpack_parameters(x, n), config.prune_tol)
+                model = prune(model, config.prune_tol)
             except ModelCollapseError:
                 raise ModelCollapseError(
                     f"pruning removed every basis at iteration {it}", trace=trace) from None
-            if pruned.n_bases < n:
-                n = pruned.n_bases
-                x = pack_parameters(pruned)
+            if model.n_bases < n:
+                n = model.n_bases
+                x = model.params.ravel()
                 current = None
 
-        c, d, centers, ang = _unpack_arrays(x, n)
         # overflow here is handled by the explicit finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
             if current is None:
-                current = point_pass(c, d, centers, ang)
+                current = point_pass(model)
             residual, moments = current
-            es = float(residual @ residual)
-            el1 = float(c @ c + (d * d).sum())
+            es, el1 = energy_terms(model, residual)
         if not (np.isfinite(es) and np.isfinite(el1)):
             raise NonFiniteObjectiveError(
                 f"objective not finite at iteration {it} (Es={es}, El1={el1})",
                 trace=trace)
 
         ws, wl = adaptive_weights(es, el1, config.epsilon_floor)
-        if float(np.abs(residual).max()) > config.max_error_cap:
+        if max_pointwise_error(residual) > config.max_error_cap:
             ws, wl = 1.0, 0.0
         if it > config.sparse_iter:
             ws, wl = 1.0, 0.0
 
         f0 = ws * es + wl * el1
-        grad = _objective_gradient_arrays(c, d, moments, ws, wl)
+        grad = _objective_gradient_arrays(model.params, moments, ws, wl)
         if not np.isfinite(grad).all():
             raise NonFiniteObjectiveError(
                 f"gradient not finite at iteration {it}", trace=trace)
@@ -300,10 +298,10 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             nonlocal trial, trials
             trials += 1
             with np.errstate(over="ignore", invalid="ignore"):
-                ct, dt, xt, at = _unpack_arrays(x_trial, n)
-                trial = point_pass(ct, dt, xt, at)
-                r = trial[0]
-                return ws * float(r @ r) + wl * float(ct @ ct + (dt * dt).sum())
+                trial_model = at(x_trial)
+                trial = point_pass(trial_model)
+                es_t, el1_t = energy_terms(trial_model, trial[0])
+                return ws * es_t + wl * el1_t
 
         tau, f_new = line_search(
             objective, x, f0, grad, tau_seed,

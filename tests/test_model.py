@@ -7,6 +7,7 @@ single-axis matrices composed in the test.
 
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,8 +118,9 @@ def _value_at(model, point):
     return model.values(np.asarray(point, dtype=float)[None])[0]
 
 
-def _reference_values(c, d, centers, ang, points):
-    """Independent reference: the point-major (M, 3) value loop."""
+def _reference_values(params, points):
+    """Independent reference: the point-major (M, 3) value loop over the rows of a table."""
+    c, d, centers, ang = params[:, 0], params[:, 1:4], params[:, 4:7], params[:, 7:10]
     out = np.zeros(points.shape[0])
     for i in range(c.shape[0]):
         r = _reference_rotation(*ang[i])
@@ -195,7 +197,7 @@ def test_model_nonnegative(rng):
 def test_values_match_reference_loop(rng, n):
     m = _random_model(rng, n)
     pts = rng.uniform(-5, 5, (500, 3))
-    ref = _reference_values(m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles, pts)
+    ref = _reference_values(m.params, pts)
     assert np.max(np.abs(m.values(pts) - ref)) < 1e-12
 
 
@@ -203,7 +205,7 @@ def test_values_match_reference_loop_bundled(molecule, rng):
     m = init_model(molecule, decay=0.5)
     box = bounding_box(molecule)
     pts = rng.uniform(box.lo, box.hi, (5000, 3))
-    ref = _reference_values(m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles, pts)
+    ref = _reference_values(m.params, pts)
     assert np.max(np.abs(m.values(pts) - ref)) < 1e-12
 
 
@@ -212,8 +214,7 @@ def test_values_match_reference_loop_bundled(molecule, rng):
 
 def _grid_and_reference(model, box, spacing):
     grid = make_grid(box, spacing)
-    ref = _reference_values(model.coeff_sqrt, model.decay_sqrt, model.centers, model.angles,
-                            grid.points())
+    ref = _reference_values(model.params, grid.points())
     return model.values(grid), ref
 
 
@@ -296,15 +297,22 @@ def test_unpack_copies_the_vector(rng):
     assert back == m
 
 
-def test_pack_layout_blocks(rng):
-    m = _random_model(rng, 3)
+def test_pack_layout_rows(rng):
+    # one row of ten per basis, [c~ | d~ | center | angles], the vector row by row
+    c, d, centers, angles = (rng.uniform(-3, 3, shape) for shape in (3, (3, 3), (3, 3), (3, 3)))
+    m = RbfModel(coeff_sqrt=c, decay_sqrt=d, centers=centers, angles=angles)
+    assert m.params.shape == (3, 10) and m.params.flags.c_contiguous
     x = pack_parameters(m)
-    assert np.array_equal(x[0:3], m.coeff_sqrt)
-    assert np.array_equal(x[3:6], m.decay_sqrt[:, 0])
-    assert np.array_equal(x[6:9], m.decay_sqrt[:, 1])
-    assert np.array_equal(x[9:12], m.decay_sqrt[:, 2])
-    assert np.array_equal(x[12:21], m.centers.ravel())
-    assert np.array_equal(x[21:24], m.angles[:, 0])
+    for i in range(3):
+        assert np.array_equal(x[10 * i:10 * (i + 1)], [c[i], *d[i], *centers[i], *angles[i]])
+    assert np.array_equal(m.params, x.reshape(3, 10))
+    assert not np.shares_memory(x, m.params)
+
+
+def test_model_rejects_inconsistent_basis_arrays():
+    with pytest.raises(ValueError, match="inconsistent basis array lengths"):
+        RbfModel(coeff_sqrt=[1.0, 2.0], decay_sqrt=np.ones((2, 3)), centers=np.zeros((3, 3)),
+                 angles=np.zeros((2, 3)))
 
 
 def test_unpack_wrong_length():
@@ -332,12 +340,10 @@ def test_gradient_pure_l1_slots(rng):
     m = _random_model(rng, 2)
     pts = rng.uniform(-3, 3, (10, 3))
     cs = ConstraintSet(points=pts, targets=np.ones(10))
-    g = eval_model_gradient(m, cs, (0.0, 1.0))
-    assert np.allclose(g[0:2], 2 * m.coeff_sqrt)
-    assert np.allclose(g[2:4], 2 * m.decay_sqrt[:, 0])
-    assert np.allclose(g[4:6], 2 * m.decay_sqrt[:, 1])
-    assert np.allclose(g[6:8], 2 * m.decay_sqrt[:, 2])
-    assert np.array_equal(g[8:], np.zeros(12))
+    g = eval_model_gradient(m, cs, (0.0, 1.0)).reshape(2, 10)
+    assert np.allclose(g[:, 0], 2 * m.coeff_sqrt)
+    assert np.allclose(g[:, 1:4], 2 * m.decay_sqrt)
+    assert np.array_equal(g[:, 4:], np.zeros((2, 6)))
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -363,8 +369,9 @@ def test_gradient_matches_finite_differences(rng):
         assert rel.max() < 1e-5
 
 
-def _reference_gradient(c, d, centers, ang, points, residual, w_s, w_l):
-    """Per-point gradient loop: every slot summed directly over the points."""
+def _reference_gradient(params, points, residual, w_s, w_l):
+    """Per-point gradient loop: every slot summed directly over the points, in the table's order."""
+    c, d, centers, ang = params[:, 0], params[:, 1:4], params[:, 4:7], params[:, 7:10]
     n = c.shape[0]
     gc = np.empty(n)
     gd = np.empty((n, 3))
@@ -385,16 +392,14 @@ def _reference_gradient(c, d, centers, ang, points, residual, w_s, w_l):
         for j, dr in enumerate((dra, drb, drg)):
             w = p @ dr.T
             gang[i, j] = w_s * (-4.0) * (rv * ((u * w) @ d2)).sum()
-    return np.concatenate([gc, gd[:, 0], gd[:, 1], gd[:, 2], gx.ravel(),
-                           gang[:, 0], gang[:, 1], gang[:, 2]])
+    return np.column_stack([gc, gd, gx, gang]).ravel()
 
 
 def _assert_gradient_parity(m, cs, weights):
     # the moment form sums in a different order: agreement to rounding, not bits
     g = eval_model_gradient(m, cs, weights)
     residual = m.values(cs.points) - cs.targets
-    ref = _reference_gradient(m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles,
-                              cs.points, residual, *weights)
+    ref = _reference_gradient(m.params, cs.points, residual, *weights)
     assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -449,10 +454,9 @@ def test_block_passes_match_the_reference_oracles(n, seed, blocks, shift):
         patch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * (10 + n))
         values = m.values(pts)
         g = eval_model_gradient(m, cs, weights)
-    ref = _reference_values(m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles, pts)
+    ref = _reference_values(m.params, pts)
     assert np.max(np.abs(values - ref)) <= 1e-12
-    ref_g = _reference_gradient(m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles, pts,
-                                values - cs.targets, *weights)
+    ref_g = _reference_gradient(m.params, pts, values - cs.targets, *weights)
     assert np.max(np.abs(g - ref_g)) <= 1e-12 * np.max(np.abs(ref_g))
 
 
@@ -475,7 +479,6 @@ def test_fused_pass_matches_the_oracles_and_carries_the_gradient(n, seed, blocks
     pts = m.centers[near] + rng.uniform(-2, 2, (near.size, 3))
     cs = ConstraintSet(points=pts, targets=rng.uniform(0, 2, len(pts)))
     weights = (float(rng.uniform(0.01, 1)), float(rng.uniform(0, 1)))
-    arrays = (m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles)
     searches = []  # [gradient, trials] of each line search of the current run
     line_search = erbfit.optimizer.line_search
 
@@ -498,16 +501,15 @@ def test_fused_pass_matches_the_oracles_and_carries_the_gradient(n, seed, blocks
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * (10 + n))
         blocks_ = erbfit.model._PointBlocks(np.ascontiguousarray(pts.T), n)
-        residual, moments = erbfit.model._fused_pass(*arrays, cs.targets, blocks_)
-        g = erbfit.model._objective_gradient_arrays(m.coeff_sqrt, m.decay_sqrt, moments,
-                                                    *weights)
+        residual, moments = erbfit.model._fused_pass(m.params, cs.targets, blocks_)
+        g = erbfit.model._objective_gradient_arrays(m.params, moments, *weights)
         patch.setattr(erbfit.optimizer, "line_search", recording_line_search)
         one_step, _ = run(1)
         _, trace = run(2)
         at_step = eval_model_gradient(one_step, cs, (trace[1].ws, trace[1].wl))
-    ref = _reference_values(*arrays, pts)
+    ref = _reference_values(m.params, pts)
     assert np.max(np.abs(residual - (ref - cs.targets))) <= 1e-12
-    ref_g = _reference_gradient(*arrays, pts, ref - cs.targets, *weights)
+    ref_g = _reference_gradient(m.params, pts, ref - cs.targets, *weights)
     assert np.max(np.abs(g - ref_g)) <= 1e-12 * np.max(np.abs(ref_g))
     assert trace[0].tau > 0.0 and trace[0].trials >= 2
     assert [r.trials for r in trace] == [t for _, t in searches]
@@ -529,6 +531,27 @@ def _spread_case(rng, n, n_points, shift):
     return m, ConstraintSet(points=pts, targets=rng.uniform(0, 2, n_points))
 
 
+def _reference_met(m, pts, size):
+    """The cutoff rule of the _point_blocks docstring, one (block, basis) pair at a time."""
+    met = np.zeros((-(-len(pts) // size), m.n_bases), dtype=bool)
+    for i, row in enumerate(m.params):
+        c, d, x, ang = abs(row[0]), np.abs(row[1:4]), row[4:7], row[7:10]
+        with np.errstate(divide="ignore"):
+            s = 2 * max(c, c * c * max(1.0, d.max()) / d.min(), c * c * d.max())
+            level = np.log(m.n_bases * s / GRID_TAU)
+        if not level > 0:
+            continue
+        level += np.log1p(2 * level)
+        r = _reference_rotation(*ang)
+        with np.errstate(divide="ignore"):
+            half = np.sqrt([level * sum(r[a, p] ** 2 / d[a] ** 2 for a in range(3) if r[a, p] != 0)
+                            for p in range(3)])
+        for j in range(met.shape[0]):
+            block = pts[j * size:(j + 1) * size]
+            met[j, i] = np.all((x - half <= block.max(axis=0)) & (x + half >= block.min(axis=0)))
+    return met
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
        blocks=st.sampled_from([(2, 0), (3, 7), (9, 1), (20, 13)]),
@@ -543,21 +566,20 @@ def test_gathered_passes_match_the_reference_oracles(n, seed, blocks, shift):
     m, cs = _spread_case(rng, n, k * _SMALL_BLOCK + r, shift)
     pts = cs.points
     weights = (float(rng.uniform(0.01, 1)), float(rng.uniform(0, 1)))
-    arrays = (m.coeff_sqrt, m.decay_sqrt, m.centers, m.angles)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * (10 + n))
         values = m.values(pts)
         g = eval_model_gradient(m, cs, weights)
         pass_blocks = erbfit.model._PointBlocks(np.ascontiguousarray(pts.T), n)
-        assert np.array_equal(erbfit.model._values_arrays(*arrays, pass_blocks), values)
-    met = erbfit.model._blocks_met(m.coeff_sqrt, m.decay_sqrt, rotations(m.angles)[0], m.centers,
-                                   pass_blocks)
+        assert np.array_equal(erbfit.model._values_arrays(m.params, pass_blocks), values)
+    met = erbfit.model._blocks_met(m.params, rotations(m.angles)[0], pass_blocks)
     assert met[:, 1].all() and not met[:, 0].any()
+    assert np.array_equal(met, _reference_met(m, pts, _SMALL_BLOCK))
     assert pass_blocks.all_pairs == met.size
     assert pass_blocks.kept_pairs == met.sum() < met.size
-    ref = _reference_values(*arrays, pts)
+    ref = _reference_values(m.params, pts)
     assert np.max(np.abs(values - ref)) <= 1e-12
-    ref_g = _reference_gradient(*arrays, pts, values - cs.targets, *weights)
+    ref_g = _reference_gradient(m.params, pts, values - cs.targets, *weights)
     assert np.max(np.abs(g - ref_g)) <= 1e-12 * np.max(np.abs(ref_g))
 
 
@@ -567,15 +589,15 @@ def test_gathered_pass_keeps_a_non_finite_basis():
     # search to reject the step
     rng = np.random.default_rng(3)
     m, cs = _spread_case(rng, 8, 40 * _SMALL_BLOCK, 0.0)
-    for name, value in (("coeff_sqrt", np.inf), ("decay_sqrt", np.nan), ("centers", np.inf),
-                        ("angles", np.inf)):
-        arrays = {k: getattr(m, k).copy() for k in ("coeff_sqrt", "decay_sqrt", "centers",
-                                                     "angles")}
-        arrays[name][3] = value
+    # one column of each field: c~, d~_1, x, alpha
+    for name, col, value in (("coeff_sqrt", 0, np.inf), ("decay_sqrt", 1, np.nan),
+                             ("centers", 4, np.inf), ("angles", 7, np.inf)):
+        params = m.params.copy()
+        params[3, col] = value
         with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
             patch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * 18)
             blocks_ = erbfit.model._PointBlocks(np.ascontiguousarray(cs.points.T), 8)
-            residual, _ = erbfit.model._fused_pass(*arrays.values(), cs.targets, blocks_)
+            residual, _ = erbfit.model._fused_pass(params, cs.targets, blocks_)
         assert not np.isfinite(residual).all(), name
         assert blocks_.kept_pairs < blocks_.all_pairs
 
@@ -609,6 +631,13 @@ def test_passes_allocate_no_bases_by_points_temporary():
     finally:
         tracemalloc.stop()
     assert peak < n * n_points * 8 / 4  # bytes; an (n, M) array alone would be n * M doubles
+
+
+def test_gradient_needs_points(rng):
+    # any object with points and targets serves; a ConstraintSet is never empty
+    no_points = SimpleNamespace(points=np.zeros((0, 3)), targets=np.zeros(0))
+    with pytest.raises(ValueError, match="at least one constrained point"):
+        eval_model_gradient(_random_model(rng, 2), no_points, (1.0, 0.0))
 
 
 def test_gradient_empty_rejected():
@@ -659,6 +688,30 @@ def test_save_load_roundtrip_bit_exact(m, tmp_path_factory):
     assert doc["bases"][0]["weight"] == pytest.approx(m.coeff_sqrt[0] ** 2, rel=1e-15)
     # the document's text, written as it is encoded, is the indented JSON
     assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+_MODERATE = st.floats(-1e150, 1e150)  # squares stay finite, so every model saves
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_rows_survive_pack_save_load_and_prune(n, data, tmp_path_factory):
+    # one basis is one row, in one order, from the vector to the JSON record
+    # and back, and pruning selects whole rows
+    params = np.array(data.draw(st.lists(_MODERATE, min_size=10 * n, max_size=10 * n)))
+    m = unpack_parameters(params, n)
+    assert np.array_equal(_bits(pack_parameters(m)), _bits(params))
+    path = tmp_path_factory.mktemp("rows") / "model.json"
+    save_model(m, path)
+    for i, basis in enumerate(json.loads(path.read_text())["bases"]):
+        record = [basis["coeff_sqrt"], *basis["decay_sqrt"], *basis["center"], *basis["angles"]]
+        assert np.array_equal(_bits(record), _bits(m.params[i])), i
+    back, _ = load_model(path)
+    tol = min(data.draw(st.floats(0.0, 1e150)), float(np.abs(m.coeff_sqrt).max()))
+    pruned = erbfit.optimizer.prune(back, tol)
+    keep = np.abs(m.coeff_sqrt) >= tol
+    assert np.array_equal(_bits(pruned.params), _bits(m.params[keep]))
+    assert pruned.params.flags.c_contiguous
 
 
 def test_load_rejects_other_documents(tmp_path):

@@ -143,10 +143,8 @@ def test_prune_drops_small_coefficients(rng):
     out = prune(m, 1e-3)
     keep = np.abs(c) >= 1e-3
     assert out.n_bases == int(keep.sum())
-    assert np.array_equal(out.coeff_sqrt, c[keep])
-    assert np.array_equal(out.decay_sqrt, m.decay_sqrt[keep])
-    assert np.array_equal(out.centers, m.centers[keep])
-    assert np.array_equal(out.angles, m.angles[keep])
+    assert np.array_equal(out.params, m.params[keep])
+    assert out.params.flags.c_contiguous
 
 
 def test_prune_threshold_is_inclusive():
@@ -387,6 +385,33 @@ def test_optimize_nonfinite_objective():
     cs = ConstraintSet(points=np.zeros((1, 3)), targets=np.ones(1))
     with pytest.raises(NonFiniteObjectiveError):
         optimize(m0, cs, OptimizerConfig(max_iter=5, sparse_iter=0))
+
+
+def test_optimize_nonfinite_gradient(rng):
+    # a basis 1e200 A away is exactly zero at the points, so the objective is
+    # finite, but its moments about its own center hold 0 * (1e200)^2 = nan
+    m0 = _model([1.0, 1.0], np.full((2, 3), 0.5), [[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]])
+    cs = ConstraintSet(points=rng.uniform(-2, 2, (30, 3)), targets=rng.uniform(0, 1, 30))
+    with pytest.raises(NonFiniteObjectiveError, match="gradient not finite at iteration 1") as err:
+        optimize(m0, cs, OptimizerConfig(max_iter=3, sparse_iter=3))
+    assert len(err.value.trace) == 0
+
+
+def test_optimize_stationary_start_takes_no_step(rng, monkeypatch, point_passes):
+    # zero weights and decays against zero targets: residual, energies and
+    # gradient are all exactly zero, so each iteration records a zero step
+    # without a line search, and no pass runs after the one at the start
+    searches = []
+    monkeypatch.setattr(erbfit.optimizer, "line_search", lambda *a, **k: searches.append(a))
+    m0 = _model(np.zeros(2), np.zeros((2, 3)), rng.uniform(-1, 1, (2, 3)))
+    cs = ConstraintSet(points=rng.uniform(-2, 2, (20, 3)), targets=np.zeros(20))
+    final, trace = optimize(m0, cs, OptimizerConfig(max_iter=3, sparse_iter=0))
+    assert [(r.iteration, r.tau, r.trials, r.f, r.accepted_f, r.nbasis) for r in trace] == [
+        (it, 0.0, 0, 0.0, 0.0, 2) for it in (1, 2, 3)]
+    assert [(r.ws, r.wl) for r in trace] == [(1.0, 0.0)] * 3
+    assert searches == []
+    assert trace.point_passes == point_passes["passes"] == 1
+    assert final == m0
 
 
 # ---------------------------------------------------------------- config, io

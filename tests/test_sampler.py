@@ -146,7 +146,7 @@ def test_selected_points_inside_box(molecule):
     f = GaussianField.from_molecule(molecule, decay=0.5)
     box = bounding_box(molecule)
     cs = select_constraints(f, make_grid(box, 1.0), band=1.0)
-    assert np.all(box.contains(cs.points))
+    assert np.all((box.lo <= cs.points) & (cs.points <= box.hi))
 
 
 def test_empty_selection_reports_remedy():
