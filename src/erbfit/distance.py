@@ -9,7 +9,9 @@ triangles come from a _CellList of the mesh: cubic cells whose items are
 sorted by cell key once, so memory is O(V + F) for any geometry.  A search
 meets the few cells around a point first; a point those cells do not settle
 searches farther, down to a scan of every item, and every pass makes its
-(point, item) pairs in chunks of bounded size.
+(point, item) pairs in chunks of fewer than 32768 (2 * 16 pairs per point of
+a 1024-point block).  A (point, triangle) pair takes about 390 bytes in the
+distance kernel, its gathered coordinates included, so a chunk about 13 MB.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ if TYPE_CHECKING:
     from .mesh import TriMesh
 
 # sample points per distance pass of _bounded_max, and the most its seed
-# pass measures.  A pass makes its (point, item) pairs in chunks of fewer than
-# 2 * 32 pairs per block point, which bounds memory: a (point, triangle) pair
-# holds about 150 bytes of kernel scratch, so a chunk at most about 10 MB
+# pass measures.  Every pass makes its (point, item) pairs in chunks of fewer
+# than 2 * _PAIRS_PER_POINT pairs per block point, 32768 pairs, which bounds
+# memory: a (point, triangle) pair holds its 96 bytes of gathered coordinates
+# and about 290 bytes of kernel temporaries, so a chunk at most about 13 MB
 _HAUSDORFF_BLOCK = 1024
+_PAIRS_PER_POINT = 16
 # the rounding margin of the Hausdorff bounds, relative to the coordinate
 # scale: many orders above the few ulps a distance is off by, and still far
 # below any distance that matters
@@ -41,107 +45,45 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _dot_into(out, u, v, tmp):
-    """out = _dot(u, v), the same bits, computed in place with tmp as scratch."""
-    np.multiply(u[0], v[0], out=out)
-    np.multiply(u[1], v[1], out=tmp)
-    out += tmp
-    np.multiply(u[2], v[2], out=tmp)
-    out += tmp
-    return out
-
-
-def _segment_distance_sq_into(out, p, a, ab, denom, t, work):
-    """out = squared distance from points p to segments a-b, given (3, K)
-    ab = b - a, denom = ab . ab and t = (p - a) . ab, which is overwritten;
-    `work` is two (K,) scratch rows.
-
-    The closest point is a + clip(t / denom, 0, 1) ab, or a where denom is 0.
-    """
-    pos = denom > 0
-    np.divide(t, denom, out=t, where=pos)
-    np.copyto(t, 0.0, where=~pos)
+def _segment_distance_sq(p, a, b):
+    """Squared distance from points p to segments a-b (all (3, K))."""
+    ab = b - a
+    denom = _dot(ab, ab)
+    t = _dot(p - a, ab)
+    t = np.divide(t, denom, out=np.zeros_like(t), where=denom > 0)
     np.clip(t, 0.0, 1.0, out=t)
-    d, sq = work
-    for axis in range(3):
-        np.multiply(t, ab[axis], out=d)
-        d += a[axis]
-        np.subtract(p[axis], d, out=d)
-        np.multiply(d, d, out=out if axis == 0 else sq)
-        if axis:
-            out += sq
-    return out
+    d = p - (a + t * ab)
+    return _dot(d, d)
 
 
 def _point_triangle_distance_sq(p, a, b, c):
-    """Squared exact distance from points p to triangles (a, b, c), (3, K) each.
-
-    The distance to the triangle's plane where the projection lands inside
-    the triangle, else to the nearest of its three edges.  The intermediates
-    live in the rows of one (17, K) scratch array, each row reused once its
-    value is spent, so a call holds about 150 bytes per (point, triangle)
-    pair besides its arguments.
-    """
-    k = p.shape[1]
-    scratch = np.empty((17, k))
-    v0, v1, v2 = scratch[0:3], scratch[3:6], scratch[6:9]
-    d00, d01, d11, d20, d21, tmp, num, denom = scratch[9:17]
-    np.subtract(b, a, out=v0)
-    np.subtract(c, a, out=v1)
-    np.subtract(p, a, out=v2)
-    _dot_into(d00, v0, v0, tmp)
-    _dot_into(d01, v0, v1, tmp)
-    _dot_into(d11, v1, v1, tmp)
-    _dot_into(d20, v2, v0, tmp)
-    _dot_into(d21, v2, v1, tmp)
-    np.multiply(d00, d11, out=denom)
-    np.multiply(d01, d01, out=tmp)
-    denom -= tmp
+    """Squared exact distance from points p to triangles (a, b, c), (3, K) each."""
+    v0 = b - a
+    v1 = c - a
+    v2 = p - a
+    d00 = _dot(v0, v0)
+    d01 = _dot(v0, v1)
+    d11 = _dot(v1, v1)
+    d20 = _dot(v2, v0)
+    d21 = _dot(v2, v1)
+    denom = d00 * d11 - d01 * d01
     pos = denom > 0
-    # barycentric coordinates v and w, -1 on a degenerate triangle; each
-    # overwrites a dot product once the numerators no longer need it
-    np.multiply(d11, d20, out=num)
-    np.multiply(d01, d21, out=tmp)
-    num -= tmp
-    v = d11
-    v.fill(-1.0)
-    np.divide(num, denom, out=v, where=pos)
-    np.multiply(d00, d21, out=num)
-    np.multiply(d01, d20, out=tmp)
-    num -= tmp
-    w = d01
-    w.fill(-1.0)
-    np.divide(num, denom, out=w, where=pos)
-    interior = v >= 0
-    interior &= w >= 0
-    np.add(v, w, out=num)
-    interior &= num <= 1
-    # the plane distance where the projection lands inside the triangle; the
-    # normal n = v0 x v1 takes the spent rows of w, v and d21
-    n = (w, v, d21)
-    for axis, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.multiply(v0[i], v1[j], out=n[axis])
-        np.multiply(v0[j], v1[i], out=tmp)
-        np.subtract(n[axis], tmp, out=n[axis])
-    nn, pn = _dot_into(num, n, n, tmp), _dot_into(denom, v2, n, tmp)
-    pn *= pn
-    interior &= nn > 0
-    best = np.full(k, np.inf)
-    np.divide(pn, nn, out=best, where=interior)
-    # the edges: a-b reuses v0 = b - a, d00 and d20 = (p - a) . v0; b-c and
-    # c-a write theirs over rows spent by then
-    work = (w, v)
-    edge_ab = _segment_distance_sq_into(d21, p, a, v0, d00, d20, work)
-    edges = []
-    for start, end, ab, out in ((b, c, v1, d00), (c, a, v0, d20)):
-        np.subtract(end, start, out=ab)
-        np.subtract(p, start, out=v2)
-        _dot_into(num, ab, ab, tmp)
-        _dot_into(denom, v2, ab, tmp)
-        edges.append(_segment_distance_sq_into(out, p, start, ab, num, denom, work))
-    np.minimum(edges[0], edges[1], out=edges[0])
-    np.minimum(edge_ab, edges[0], out=edge_ab)
-    return np.minimum(best, edge_ab, out=best)
+    v = np.divide(d11 * d20 - d01 * d21, denom, out=np.full_like(denom, -1.0), where=pos)
+    w = np.divide(d00 * d21 - d01 * d20, denom, out=np.full_like(denom, -1.0), where=pos)
+    interior = (v >= 0) & (w >= 0) & (v + w <= 1)
+    # perpendicular distance where the projection lands inside the triangle
+    n = (v0[1] * v1[2] - v0[2] * v1[1],
+         v0[2] * v1[0] - v0[0] * v1[2],
+         v0[0] * v1[1] - v0[1] * v1[0])
+    nn = _dot(n, n)
+    pn = _dot(v2, n)
+    plane_sq = np.divide(pn * pn, nn, out=np.full_like(nn, np.inf), where=nn > 0)
+    plane_sq = np.where(interior, plane_sq, np.inf)
+    edge_sq = np.minimum(
+        _segment_distance_sq(p, a, b),
+        np.minimum(_segment_distance_sq(p, b, c), _segment_distance_sq(p, c, a)),
+    )
+    return np.minimum(plane_sq, edge_sq)
 
 
 def _edge_lengths(mesh: TriMesh) -> np.ndarray:
@@ -251,14 +193,16 @@ class _CellList:
         width = np.maximum(hi - lo + 1.0, 0.0)
         return lo, hi, width[:, 0] * width[:, 1] * (width[:, 2] > 0)
 
-    def pairs(self, points, reach, keys, order, budget):
+    def pairs(self, points, reach, keys, order):
         """(owner, item) pairs that hold every item within reach[owner] of
-        points[owner], grouped by owner, in chunks of fewer than 2 * budget.
+        points[owner], grouped by owner, in chunks of fewer than 2 * budget,
+        where budget = _PAIRS_PER_POINT * _HAUSDORFF_BLOCK.
 
         A point takes one run of the sorted `keys` per column its cube meets,
         or, past _MAX_COLUMNS columns, the run of every item.  The points go
         in blocks of about `budget` runs; order maps a run position to its item.
         """
+        budget = _PAIRS_PER_POINT * _HAUSDORFF_BLOCK
         lo, hi, columns = self._cubes(points, reach)
         scan = columns > _MAX_COLUMNS
         count = np.where(scan, 1.0, columns).astype(np.int64)
@@ -296,8 +240,7 @@ class _CellList:
 
         def search(idx, reach):
             """Lower best and arg over the vertices within reach of points idx."""
-            for owner, v in self.pairs(points[idx], reach, self.vertex_keys,
-                                       self.vertex_order, 32 * _HAUSDORFF_BLOCK):
+            for owner, v in self.pairs(points[idx], reach, self.vertex_keys, self.vertex_order):
                 o = idx[owner]
                 d = np.take(points_t, o, axis=1) - np.take(self.vertices_t, v, axis=1)
                 d_sq = _dot(d, d)
@@ -327,14 +270,14 @@ class _CellList:
             todo, reach = todo[empty], 4.0 * reach[empty]
         return np.sqrt(best), arg
 
-    def candidate_least_sq(self, points, points_t, idx, ub, budget):
+    def candidate_least_sq(self, points, points_t, idx, ub):
         """Least squared distance from each point idx[i] to the triangles that
         can be nearer than ub[idx[i]]: those whose centroid lies within
         ub + the triangle's reach; inf where there is none."""
         best = np.full(idx.size, np.inf)
         points_t, ub = points_t[:, idx], ub[idx]
         for owner, t in self.pairs(points[idx], ub + self.reach.max(), self.triangle_keys,
-                                   self.triangle_order, budget):
+                                   self.triangle_order):
             d = np.take(points_t, owner, axis=1) - np.take(self.centroids_t, t, axis=1)
             near = _dot(d, d) <= (ub[owner] + self.reach[t] + self.margin) ** 2
             _least_sq(best, points_t, self.corners, owner[near], t[near])
@@ -385,8 +328,7 @@ def _bounded_max(points: np.ndarray, cells: _CellList, floor: float):
     block = _HAUSDORFF_BLOCK
 
     def measure(idx):
-        # a point's pairs may span kernel calls of 32 pairs per block point
-        best = cells.candidate_least_sq(points, points_t, idx, ub, 32 * block)
+        best = cells.candidate_least_sq(points, points_t, idx, ub)
         bound[idx] = np.minimum(np.sqrt(best), ub[idx])
         return float(bound[idx].max())
 

@@ -38,6 +38,13 @@ from .model import (
 )
 from .sampler import ConstraintSet
 
+# the line search: Armijo constant, backtracking factor, the first
+# iteration's trial step and the most shrinks per search
+_ARMIJO_C1 = 1e-4
+_SHRINK = 0.5
+_FIRST_TAU = 1e-3
+_MAX_BACKTRACKS = 40
+
 
 class OptimizationError(RuntimeError):
     """Optimization aborted; .trace carries the partial iteration history."""
@@ -63,14 +70,9 @@ class OptimizerConfig:
     prune_interval: int = 20
     epsilon_floor: float = 0.01
     max_error_cap: float = 0.5
-    armijo_c1: float = 1e-4
-    shrink: float = 0.5
-    first_tau: float = 1e-3
-    max_backtracks: int = 40
 
     def __post_init__(self):
-        for name in ("prune_tol", "epsilon_floor", "max_error_cap", "armijo_c1", "shrink",
-                     "first_tau"):
+        for name in ("prune_tol", "epsilon_floor", "max_error_cap"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.max_iter < 0:
@@ -81,10 +83,6 @@ class OptimizerConfig:
             raise ValueError("tolerances must be positive")
         if self.prune_interval < 1:
             raise ValueError("prune_interval must be >= 1")
-        if not 0 < self.armijo_c1 < 1 or not 0 < self.shrink < 1:
-            raise ValueError("need 0 < armijo_c1 < 1 and 0 < shrink < 1")
-        if self.first_tau <= 0 or self.max_backtracks < 0:
-            raise ValueError("first_tau must be positive, max_backtracks >= 0")
 
 
 @dataclass(frozen=True)
@@ -187,12 +185,12 @@ def max_pointwise_error(residual: np.ndarray) -> float:
     return float(np.abs(residual).max())
 
 
-def line_search(objective, x, f0, grad, tau_init, c1=1e-4, shrink=0.5,
-                max_backtracks=40) -> tuple[float, float]:
+def line_search(objective, x, f0, grad, tau_init) -> tuple[float, float]:
     """Armijo backtracking along -grad from x.
 
-    Tries tau_init, then shrinks up to max_backtracks times, accepting the
-    first tau with objective(x - tau*grad) <= f0 - c1*tau*||grad||^2.
+    Tries tau_init, then shrinks by _SHRINK up to _MAX_BACKTRACKS times,
+    accepting the first tau with
+    objective(x - tau*grad) <= f0 - _ARMIJO_C1*tau*||grad||^2.
     Returns (tau, objective value at the step); a stalled search returns
     (0.0, f0) and the caller keeps the current point.
     """
@@ -200,14 +198,14 @@ def line_search(objective, x, f0, grad, tau_init, c1=1e-4, shrink=0.5,
     if gnorm2 == 0.0:
         raise ValueError("line search needs a nonzero gradient")
     tau = tau_init
-    for _ in range(max_backtracks + 1):
+    for _ in range(_MAX_BACKTRACKS + 1):
         f_trial = objective(x - tau * grad)
         # strict decrease required: when the gradient is so small that the
         # Armijo bound rounds to f0, accepting a no-progress step would let
         # the step seed grow without doing anything
-        if f_trial <= f0 - c1 * tau * gnorm2 and f_trial < f0:
+        if f_trial <= f0 - _ARMIJO_C1 * tau * gnorm2 and f_trial < f0:
             return tau, f_trial
-        tau *= shrink
+        tau *= _SHRINK
     return 0.0, f0
 
 
@@ -237,7 +235,7 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
 
     x = pack_parameters(model0)
     n = model0.n_bases
-    tau_seed = config.first_tau
+    tau_seed = _FIRST_TAU
     current = None   # (residual, moments) at x; None when it must be recomputed
     trial = None     # (residual, moments) at the line search's last trial point
 
@@ -303,11 +301,7 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
                 es_t, el1_t = energy_terms(trial_model, trial[0])
                 return ws * es_t + wl * el1_t
 
-        tau, f_new = line_search(
-            objective, x, f0, grad, tau_seed,
-            c1=config.armijo_c1, shrink=config.shrink,
-            max_backtracks=config.max_backtracks,
-        )
+        tau, f_new = line_search(objective, x, f0, grad, tau_seed)
         if tau > 0.0:
             # the accepted trial is the last one evaluated, at this same
             # x - tau*grad, so its residual and moments are bit-exact for the

@@ -483,8 +483,14 @@ def test_distance_kernel_matches_reference(rng, k):
     # points on an edge, and on a corner
     p[2::5] = a[2::5] + 0.25 * (c[2::5] - a[2::5])
     p[3::5] = b[3::5]
-    got = _point_triangle_distance_sq(*(np.ascontiguousarray(x.T) for x in (p, a, b, c)))
+    args = [np.ascontiguousarray(x.T) for x in (p, a, b, c)]
+    got = _point_triangle_distance_sq(*args)
     assert np.array_equal(got, _reference_point_triangle_distance_sq(p, a, b, c))
+    # the same bits in any block: the pairs cut into uneven chunks
+    cuts = [0, *np.unique(rng.integers(1, k, 4)), k]
+    pieces = [_point_triangle_distance_sq(*(np.ascontiguousarray(x[:, s:e]) for x in args))
+              for s, e in zip(cuts[:-1], cuts[1:])]
+    assert np.array_equal(got, np.concatenate(pieces))
 
 
 @pytest.mark.parametrize("pair", ["inflated", "translated", "bundled-standin"])
@@ -498,6 +504,46 @@ def test_hausdorff_matches_parent_pipeline(pair, molecule):
         b = _inflated_sphere_mesh() if pair == "inflated" else \
             a.translated(np.array([0.3, -0.2, 0.1]))
     assert hausdorff(a, b) == _reference_hausdorff(a, b)
+
+
+@pytest.mark.parametrize("pair", ["sphere", "bundled"])
+def test_nearest_vertex_is_the_same_for_any_pair_budget(monkeypatch, pair, molecule):
+    # the chunks of (point, vertex) pairs change with the budget, and a tie
+    # goes to the earliest pair that attains the minimum across chunks too;
+    # the 0.3 A sphere repeats vertices, so many of its points tie
+    if pair == "sphere":
+        a = _sphere_mesh(spacing=0.3)
+        assert np.unique(a.vertices, axis=0).shape[0] < a.vertices.shape[0]
+        directions = [(a, a)]
+    else:
+        a, b = _bundled_meshes(molecule)
+        directions = [(a, b), (b, a)]
+    side = max(float(erbfit.distance._edge_lengths(m).max()) for m in directions[0])
+    for source, target in directions:
+        points = _samples(source)
+        cells = erbfit.distance._CellList(
+            target, side, erbfit.distance._rounding_margin(side, points, target.vertices))
+        found = []
+        for per_point in (1, 16, 32):
+            monkeypatch.setattr(erbfit.distance, "_PAIRS_PER_POINT", per_point)
+            found.append(cells.nearest(points))
+        for distance, index in found[1:]:
+            assert np.array_equal(distance, found[0][0])
+            assert np.array_equal(index, found[0][1])
+
+
+def test_hausdorff_memory_on_the_bundled_pair(molecule):
+    # the pair budget bounds the chunks of both searches, the nearest-vertex
+    # one and the candidate-triangle one (numpy reports its buffers to
+    # tracemalloc)
+    a, b = _bundled_meshes(molecule)
+    tracemalloc.start()
+    try:
+        hausdorff(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_directed_hausdorff_point_without_candidates():
@@ -640,7 +686,7 @@ def _offset_pairs():
 
 @pytest.mark.parametrize("name", ["sphere+5", "pair+1000"])
 def test_hausdorff_splits_runs_longer_than_the_pair_budget(monkeypatch, name):
-    # a pair budget of 32: the runs of the cells a point searches, and the
+    # a pair budget of 16: the runs of the cells a point searches, and the
     # run of every item that a far point scans, are longer, so _pairs splits
     # them over chunks of fewer than 2 * budget pairs, which together hold
     # the unsplit pairs in their order; the distance is the same to the bit

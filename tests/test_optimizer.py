@@ -187,8 +187,7 @@ def test_line_search_exhausts_backtracks():
     # seed so large that the budget of halvings cannot reach a stable step
     objective = lambda v: 0.5 * float(v @ v)
     x = np.ones(3)
-    tau, f_new = line_search(objective, x, objective(x), x, tau_init=2.0**50,
-                             max_backtracks=40)
+    tau, f_new = line_search(objective, x, objective(x), x, tau_init=2.0**50)
     assert tau == 0.0
     assert f_new == objective(x)
 
@@ -432,10 +431,6 @@ def test_config_defaults():
     {"sparse_iter": 10, "max_iter": 5},
     {"prune_tol": 0.0},
     {"prune_interval": 0},
-    {"armijo_c1": 1.0},
-    {"shrink": 0.0},
-    {"first_tau": 0.0},
-    {"max_backtracks": -1},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
