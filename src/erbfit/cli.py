@@ -11,9 +11,13 @@ header lines, or a "config" object in JSON outputs).  Model and trace files
 contain nothing run-dependent, so two runs of the same command are
 byte-identical; wall time appears only in the human-readable summary and in
 `sparsify`'s timings.json (the wall time of each phase: parse, select, init,
-optimize, post and save; the fit's point passes and line-search trials; and
-block_pairs, the (block, basis) pairs its passes evaluated, against
-block_pairs_full, the bases times blocks a pass without the cutoff takes).
+optimize, post and save; the fit's point passes, 1 + line-search trials +
+prunes that removed bases, and its line-search trials; and block_pairs, the
+(block, basis) pairs its passes evaluated, against block_pairs_full, the
+bases times blocks a pass without the cutoff takes).  Selection evaluates
+the field on the grid path; post reads the final energies from the residual
+of the fit's last pass, so it makes no pass of its own, and a run with
+--max-iter 0 makes that one pass in optimize.
 
 Exit codes: 0 success, 2 unreadable or invalid input (including an empty
 constraint selection and a model with no bases), 3 optimization collapse,
@@ -42,7 +46,6 @@ from .optimizer import (
     OptimizationError,
     OptimizerConfig,
     energy_terms,
-    fit_residual,
     max_pointwise_error,
     optimize,
     write_weight_histogram,
@@ -278,9 +281,9 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
         return EXIT_COLLAPSE
     phase_done("optimize")
 
-    residual = fit_residual(model, constraints)
-    es, _ = energy_terms(model, residual)
-    max_err = max_pointwise_error(residual)
+    # the residual of the fit's last pass, at the final model
+    es, _ = energy_terms(model, trace.residual)
+    max_err = max_pointwise_error(trace.residual)
     ratio = model.n_bases / len(molecule)
     phase_done("post")
 

@@ -7,10 +7,11 @@ isolated atom is exactly its radius-r sphere.
 
 GaussianField.values evaluates the sum atom by atom.  At an (M, 3) array of
 points it is the exact sum: no kernel term is dropped, however far it is from
-its atom.  On a GridSpec, the uniform grid that meshing evaluates, each atom
-is summed only over the block of nodes where its term can reach GRID_TAU / N
-(N atoms), so the terms left out add up to less than GRID_TAU at any node.  A
-node that no block misses gets the same bits as the point path.
+its atom.  On a GridSpec, the uniform grid that meshing and constraint
+selection evaluate, each atom is summed only over the block of nodes where
+its term can reach GRID_TAU / N (N atoms), so the terms left out add up to
+less than GRID_TAU at any node.  A node that no block misses gets the same
+bits as the point path.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from erbfit.pqr import Molecule
 
 # bound on the sum of the kernel terms that a cutoff leaves out at any point:
 # each of N terms is left out only where it is below GRID_TAU / N.  It bounds
-# the field and model on a GridSpec and the model's passes over points that
+# the field and model on a GridSpec, and so the fit's constraint targets
+# (erbfit.sampler.select_constraints), and the model's passes over points that
 # span more than one block (erbfit.model._point_blocks), whose gradient slots
 # it bounds term by term as well
 GRID_TAU = 1e-13
@@ -225,8 +227,13 @@ class GaussianField:
         return out.ravel()
 
 
-def eval_phi_batch(field: GaussianField, points: np.ndarray) -> np.ndarray:
-    """phi at an (M, 3) array of points; the batch entry point of constraint selection."""
+def eval_phi_batch(field: GaussianField, points: np.ndarray | GridSpec) -> np.ndarray:
+    """phi at an (M, 3) array of points or at every node of a GridSpec (see values).
+
+    Constraint selection calls it, through erbfit.sampler's name, on the
+    grid; perfbench/traced_cli.py times selection's field pass by replacing
+    that name.
+    """
     return field.values(points)
 
 

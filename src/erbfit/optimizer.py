@@ -33,6 +33,7 @@ from .model import (
     _PointBlocks,
     _fused_pass,
     _objective_gradient_arrays,
+    _values_arrays,
     pack_parameters,
     unpack_parameters,
 )
@@ -116,12 +117,19 @@ class IterationTrace:
     block_pairs counts the (block, basis) pairs that the passes evaluated,
     block_pairs_full the pairs they would have without the cutoff (bases
     times blocks), both summed over the passes (see model._point_blocks).
+    residual is the final model's residual at the constraint points, from
+    the run's last pass at that model (None until optimize returns).  Its
+    passes go in blocks sized for the initial basis count, so after a prune
+    that removed bases, on points that span more than one block, it may
+    differ from fit_residual of the final model in the last bits, whose
+    blocks have other origins and cutoffs; otherwise it has its bits.
     """
 
     records: list = field(default_factory=list)
     point_passes: int = 0
     block_pairs: int = 0
     block_pairs_full: int = 0
+    residual: np.ndarray | None = None
 
     def append(self, rec: TraceRecord) -> None:
         self.records.append(rec)
@@ -220,7 +228,10 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
     point, so its energies come from the residual and its gradient from the
     moments by 3x3 algebra alone.  A pass at the current point runs only at
     the first iteration and after a prune that removed bases, so a run makes
-    1 + trials + prunes passes (trace.point_passes).
+    1 + trials + prunes passes (trace.point_passes).  The residual of the
+    last pass at the final point, the accepted trial's or, after a stalled
+    search, the current point's, is handed back as trace.residual; a run of
+    no iterations makes its one pass, a value pass, for that.
 
     Raises ModelCollapseError / NonFiniteObjectiveError with the partial
     trace attached if the run cannot continue.
@@ -311,6 +322,12 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             tau_seed = 2.0 * tau
         trace.append(TraceRecord(it, f0, es, el1, ws, wl, n, tau, f_new, trials))
 
+    if current is None:
+        # no iteration ran: one value pass gives the residual
+        trace.point_passes += 1
+        trace.residual = _values_arrays(x.reshape(n, PARAMS_PER_BASIS), blocks) - targets
+    else:
+        trace.residual = current[0]
     trace.block_pairs, trace.block_pairs_full = blocks.kept_pairs, blocks.all_pairs
     return unpack_parameters(x, n), trace
 

@@ -5,6 +5,11 @@ uniform grid over the molecule's bounding box: a grid point is kept when the
 field value there is within `band` of the isovalue, i.e. |phi(p) - c| <= band.
 Selection order is lexicographic in the (i, j, k) grid indices so that a given
 molecule and grid always produce the same constraint set.
+
+phi is evaluated on the grid path of erbfit.field, where each atom is summed
+only over the block of nodes it can reach, so a target differs from the exact
+sum at its node by less than GRID_TAU (1e-13), and membership is decided on
+that value.
 """
 
 from __future__ import annotations
@@ -67,20 +72,33 @@ def make_grid(box: Box, spacing: float) -> GridSpec:
 
 
 def select_constraints(field: GaussianField, grid: GridSpec, band: float = 1.0) -> ConstraintSet:
-    """Keep exactly the grid points with |phi(p) - isovalue| <= band, grid order.
+    """Keep exactly the grid nodes with |phi(p) - isovalue| <= band, in grid order.
+
+    phi comes from the field's grid path (eval_phi_batch(field, grid)), so
+    each target is within GRID_TAU of the exact sum at its node, and a node
+    is kept on that value.  Only the kept nodes' coordinates are built: the
+    selection holds the grid's phi and mask, then the (K, 3) points and K
+    targets, never the (n_points, 3) array of every node.
 
     Raises SamplingError when nothing is selected (use a finer grid or a
     larger band).
     """
     if not band > 0:
         raise SamplingError(f"band must be positive, got {band}")
-    points = grid.points()
-    phi = eval_phi_batch(field, points)
-    mask = np.abs(phi - field.isovalue) <= band
-    if not mask.any():
+    phi = eval_phi_batch(field, grid)
+    mask = (np.abs(phi - field.isovalue) <= band).reshape(grid.shape)
+    count = int(np.count_nonzero(mask))
+    if count == 0:
         raise SamplingError(
             "no grid point lies within the selection band; "
             "use a finer grid spacing or a larger band"
         )
-    return ConstraintSet(points=points[mask], targets=phi[mask])
-
+    targets = phi[mask.ravel()]
+    del phi
+    points = np.empty((count, 3))
+    for p in range(3):
+        # the node coordinates along axis p, broadcast over the grid as a view
+        along = [1, 1, 1]
+        along[p] = -1
+        points[:, p] = np.broadcast_to(grid.axis_coords(p).reshape(along), grid.shape)[mask]
+    return ConstraintSet(points=points, targets=targets)

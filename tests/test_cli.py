@@ -17,6 +17,7 @@ from erbfit.cli import main
 from erbfit.field import bounding_box
 from erbfit.initializer import init_model
 from erbfit.model import save_model
+from erbfit.optimizer import energy_terms, fit_residual, max_pointwise_error
 from erbfit.sampler import make_grid
 
 # generic radius: the meshing box is the atom center plus or minus
@@ -152,24 +153,48 @@ def test_sparsify_deterministic_outputs(atom_pqr, tmp_path):
 
 
 def test_sparsify_evaluates_the_final_model_once(atom_pqr, tmp_path, monkeypatch):
-    # after the optimizer returns, one value pass gives both E_s and the
-    # max pointwise error
-    calls = {"values": 0}
-    values_arrays = erbfit.model._values_arrays
+    # the final model is evaluated once, by the fit's last pass: after the
+    # optimizer returns, E_s and the max pointwise error come from the
+    # residual it hands back, with no pass over the points, and they have
+    # the bits of a fresh value pass (the points fit in one block)
+    calls = {"passes": 0}
+    point_blocks = erbfit.model._point_blocks
     optimize = erbfit.cli.optimize
+    fitted = {}
 
-    def counting_values(*args):
-        calls["values"] += 1
-        return values_arrays(*args)
+    def counting_blocks(*args):
+        calls["passes"] += 1
+        return point_blocks(*args)
 
-    def optimize_then_count(*args, **kwargs):
-        result = optimize(*args, **kwargs)
-        monkeypatch.setattr(erbfit.model, "_values_arrays", counting_values)
+    def optimize_then_count(model0, constraints, config=None):
+        result = optimize(model0, constraints, config)
+        fitted.update(model=result[0], constraints=constraints)
+        monkeypatch.setattr(erbfit.model, "_point_blocks", counting_blocks)
         return result
 
     monkeypatch.setattr(erbfit.cli, "optimize", optimize_then_count)
     assert main(["sparsify", str(atom_pqr), "--out", str(tmp_path), *QUICK_FIT]) == 0
-    assert calls["values"] == 1
+    assert calls["passes"] == 0
+    monkeypatch.undo()
+    final = json.loads((tmp_path / "model.json").read_text())["metadata"]["final"]
+    residual = fit_residual(fitted["model"], fitted["constraints"])
+    assert final["Es"] == energy_terms(fitted["model"], residual)[0]
+    assert final["max_pointwise_error"] == max_pointwise_error(residual)
+
+
+def test_sparsify_without_iterations_makes_one_pass(atom_pqr, tmp_path):
+    # --max-iter 0: optimize makes the one value pass that gives the final
+    # energies, so the rule of test_sparsify_writes_timings holds here too
+    assert main(["sparsify", str(atom_pqr), "--out", str(tmp_path),
+                 "--max-iter", "0", "--sparse-iter", "0",
+                 "--constraint-spacing", "0.7"]) == 0
+    doc = json.loads((tmp_path / "timings.json").read_text())
+    # no trials and no prunes
+    assert doc["line_search_trials"] == 0
+    assert doc["point_passes"] == 1
+    assert doc["block_pairs"] == doc["block_pairs_full"] == 1
+    final = json.loads((tmp_path / "model.json").read_text())["metadata"]["final"]
+    assert final["iterations"] == 0
 
 
 def test_mesh_from_pqr(atom_pqr, tmp_path, capsys):

@@ -413,6 +413,50 @@ def test_optimize_stationary_start_takes_no_step(rng, monkeypatch, point_passes)
     assert final == m0
 
 
+@pytest.mark.parametrize("case", ["pure-fit", "prune", "stall"])
+def test_optimize_returns_the_final_residual(molecule, rng, case):
+    # points in one block: the residual of the last pass, the accepted
+    # trial's or, after a stalled search, the current point's, has the bits
+    # of a fresh value pass at the final model
+    if case == "pure-fit":
+        m0 = init_model(molecule, decay=0.5)
+        m0 = _model(1.1 * m0.coeff_sqrt, m0.decay_sqrt, m0.centers, m0.angles)
+        cs, cfg = _bundled_constraints(molecule), OptimizerConfig(max_iter=7, sparse_iter=0)
+    elif case == "prune":
+        cs = _single_atom_constraints()
+        m0, cfg = _decoy_start(rng), OptimizerConfig(max_iter=25, sparse_iter=25)
+    else:
+        m0 = init_model(molecule, decay=0.5)
+        cs, cfg = _bundled_constraints(molecule), OptimizerConfig(max_iter=3, sparse_iter=0)
+    final, trace = optimize(m0, cs, cfg)
+    assert (trace[-1].tau == 0.0) == (case == "stall")
+    if case == "prune":
+        assert final.n_bases == 1
+    assert np.array_equal(trace.residual, fit_residual(final, cs))
+
+
+def test_optimize_residual_after_a_prune_over_blocks(rng, monkeypatch):
+    # the passes' blocks are sized for the five initial bases; fit_residual
+    # of the one survivor takes larger blocks about other origins, so the
+    # two agree to rounding, not bit for bit
+    cs = _single_atom_constraints()
+    monkeypatch.setattr(erbfit.model, "BLOCK_DOUBLES", 64 * (10 + 5))
+    final, trace = optimize(_decoy_start(rng), cs,
+                            OptimizerConfig(max_iter=25, sparse_iter=25))
+    assert final.n_bases == 1 and len(cs) > 2 * 64
+    assert np.abs(trace.residual - fit_residual(final, cs)).max() <= 1e-12
+
+
+def test_optimize_without_iterations_makes_one_value_pass(molecule, point_passes):
+    m0 = init_model(molecule, decay=0.5)
+    cs = _bundled_constraints(molecule)
+    final, trace = optimize(m0, cs, OptimizerConfig(max_iter=0, sparse_iter=0))
+    assert len(trace) == 0 and final == m0
+    assert trace.point_passes == point_passes["passes"] == 1
+    assert trace.block_pairs == trace.block_pairs_full == m0.n_bases
+    assert np.array_equal(trace.residual, fit_residual(m0, cs))
+
+
 # ---------------------------------------------------------------- config, io
 
 

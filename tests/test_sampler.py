@@ -1,9 +1,12 @@
 """Grid construction and near-surface constraint selection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from erbfit.field import Box, GaussianField, bounding_box
+import erbfit.sampler
+from erbfit.field import GRID_TAU, Box, GaussianField, bounding_box
 from erbfit.sampler import (
     MAX_GRID_POINTS,
     ConstraintSet,
@@ -162,3 +165,63 @@ def test_constraint_set_validation():
     with pytest.raises(ValueError):
         ConstraintSet(points=np.zeros((2, 3)), targets=np.zeros(3))
 
+
+def _spread_field(n_atoms=60, extent=40.0, seed=7):
+    """Atoms scattered over a cube of `extent` A: an atom's block (about 8.4 A
+    each way at decay 0.5) misses most of the grid."""
+    rng = np.random.default_rng(seed)
+    return GaussianField(centers=rng.uniform(0.0, extent, (n_atoms, 3)),
+                         radii=rng.uniform(1.4, 1.9, n_atoms), decay=0.5)
+
+
+@pytest.mark.parametrize("band", [1.0, 0.5])
+def test_grid_cutoff_moves_targets_not_the_selection(band):
+    # selection sums each atom over the nodes it can reach; against the
+    # exact sum at every node the targets move by less than GRID_TAU and
+    # the selected nodes stay the same
+    f = _spread_field()
+    g = make_grid(Box(lo=f.centers.min(axis=0) - 5.0, hi=f.centers.max(axis=0) + 5.0), 1.2)
+    cs = select_constraints(f, g, band=band)
+    points = g.points()
+    exact = f.values(points)
+    kept = np.abs(exact - 1.0) <= band
+    assert np.array_equal(cs.points, points[kept])
+    assert np.any(cs.targets != exact[kept])
+    assert np.abs(cs.targets - exact[kept]).max() < GRID_TAU
+
+
+def test_selection_evaluates_the_field_once_on_the_grid(molecule, monkeypatch):
+    # the benchmark times selection's field pass by replacing this module
+    # global, so selection calls it, once, on the grid
+    calls = []
+    eval_phi_batch = erbfit.sampler.eval_phi_batch
+
+    def recording(field, where):
+        calls.append(where)
+        return eval_phi_batch(field, where)
+
+    monkeypatch.setattr(erbfit.sampler, "eval_phi_batch", recording)
+    f = GaussianField.from_molecule(molecule, decay=0.5)
+    g = make_grid(bounding_box(molecule), 1.0)
+    select_constraints(f, g, band=1.0)
+    assert len(calls) == 1 and calls[0] is g
+
+
+def test_selection_memory_per_grid_node():
+    # the exact point path holds the (n_points, 3) nodes and its (3, n_points)
+    # squares beside the values, about 11 doubles per node; the grid path
+    # holds the values, the mask and then the kept nodes alone
+    rng = np.random.default_rng(3)
+    direction = rng.normal(size=(200, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    centers = direction * 9.0 * rng.uniform(0.0, 1.0, (200, 1)) ** (1 / 3)
+    f = GaussianField(centers=centers, radii=rng.uniform(1.4, 1.9, 200), decay=0.5)
+    g = make_grid(Box(lo=centers.min(axis=0) - 5.0, hi=centers.max(axis=0) + 5.0), 1.0)
+    tracemalloc.start()
+    try:
+        cs = select_constraints(f, g, band=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cs) > 0.8 * g.n_points
+    assert peak < 7 * 8 * g.n_points
