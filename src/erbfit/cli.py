@@ -41,7 +41,7 @@ import numpy as np
 from .field import Box, GaussianField, bounding_box
 from .initializer import init_model
 from .mesh import EmptyMeshError, MeshError, compare_surfaces, extract_isosurface, write_obj
-from .model import RbfModel, load_model, reach, rotations, save_model
+from .model import RbfModel, load_model, reach_boxes, save_model
 from .optimizer import (
     OptimizationError,
     OptimizerConfig,
@@ -208,22 +208,19 @@ def _model_box(meta: dict, model: RbfModel, isovalue: float, spacing: float) -> 
     """Meshing box for a bare model: the stored metadata box, else one that holds the surface.
 
     The model reaches the isovalue c only where some basis reaches c / n, so
-    only inside the ellipsoids u^T D u <= E_i = ln(n w_i / c) of the bases
-    with E_i > 0.  The box holds their boxes (see model.reach) and one mesh
-    spacing more, so the grid's outer nodes lie below the isovalue.
+    only inside the ellipsoids of model.reach_boxes at the floor c.  The box
+    holds their boxes and one mesh spacing more, so the grid's outer nodes
+    lie below the isovalue.
     """
     if "box_lo" in meta and "box_hi" in meta:
         return Box(lo=np.array(meta["box_lo"]), hi=np.array(meta["box_hi"]))
     for name, value in (("isovalue", isovalue), ("grid spacing", spacing)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    with np.errstate(divide="ignore"):
-        levels = np.log(model.n_bases * model.weights / isovalue)
-    kept = np.flatnonzero(levels > 0)
+    kept, _, half = reach_boxes(model.params, isovalue)
     if kept.size == 0:
         raise EmptyMeshError(f"the model stays below the isovalue {isovalue}: "
                              f"no basis weight exceeds isovalue / {model.n_bases}")
-    half = reach(levels[kept], rotations(model.angles[kept])[0], model.decay_sqrt[kept])
     unbounded = np.flatnonzero(np.isinf(half).any(axis=1))
     if unbounded.size:
         raise MeshError(f"basis {kept[unbounded[0]] + 1} does not decay along an axis, "

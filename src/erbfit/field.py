@@ -11,12 +11,12 @@ its atom.  On a GridSpec, the uniform grid that meshing and constraint
 selection evaluate, each atom is summed only over the block of nodes where
 its term can reach GRID_TAU / N (N atoms), so the terms left out add up to
 less than GRID_TAU at any node.  A node that no block misses gets the same
-bits as the point path.
+bits as the point path.  GridSpec.block_sum drives both grid sums, the
+field's and the model's (erbfit.model); each writes only its exponent.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,26 +103,34 @@ class GridSpec:
         gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
         return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
-    def node_blocks(self, centers: np.ndarray, half_widths: np.ndarray):
-        """The block of grid nodes around each center, as index slices.
+    def block_sum(self, centers: np.ndarray, half_widths: np.ndarray,
+                  weights: np.ndarray, exponent) -> np.ndarray:
+        """sum_k weights[k] exp(-E_k) at the grid's nodes in C order, kernel k over its block.
 
-        For center k the block is the smallest one holding every node within
+        The block of kernel k is the smallest one holding every node within
         half_widths[k, p] of centers[k, p] on each axis p, clipped to the
-        grid; an infinite half-width spans its axis.  Returns the list of
-        (k, (sx, sy, sz)) for the centers whose block holds a node, and the
-        node count of the largest block.
+        grid; an infinite half-width spans its axis.  exponent(k, x, y, z, out)
+        writes -E_k into out, a (len(x), len(y), len(z)) buffer shared by every
+        kernel, where x, y, z are the block's per-axis offsets from centers[k].
         """
         half_widths = np.broadcast_to(half_widths, centers.shape)
-        lo = np.empty(centers.shape, dtype=np.int64)
-        hi = np.empty(centers.shape, dtype=np.int64)
-        for p in range(3):
-            xs = self.axis_coords(p)
-            lo[:, p] = np.searchsorted(xs, centers[:, p] - half_widths[:, p], side="left")
-            hi[:, p] = np.searchsorted(xs, centers[:, p] + half_widths[:, p], side="right")
+        axes = [self.axis_coords(p) for p in range(3)]
+        lo = np.column_stack([np.searchsorted(x, c - h, side="left")
+                              for x, c, h in zip(axes, centers.T, half_widths.T)])
+        hi = np.column_stack([np.searchsorted(x, c + h, side="right")
+                              for x, c, h in zip(axes, centers.T, half_widths.T)])
         sizes = np.prod(np.maximum(hi - lo, 0), axis=1)
-        blocks = [(k, tuple(map(slice, lo[k].tolist(), hi[k].tolist())))
-                  for k in np.flatnonzero(sizes).tolist()]
-        return blocks, int(sizes.max(initial=0))
+        out = np.zeros(self.shape)
+        buf = np.empty(int(sizes.max(initial=0)))
+        for k in np.flatnonzero(sizes).tolist():
+            block = tuple(map(slice, lo[k].tolist(), hi[k].tolist()))
+            x, y, z = (axes[p][block[p]] - centers[k, p] for p in range(3))
+            g = buf[:sizes[k]].reshape(x.size, y.size, z.size)
+            exponent(k, x, y, z, g)
+            np.exp(g, out=g)
+            g *= weights[k]
+            out[block] += g
+        return out.ravel()
 
 
 def check_decay(decay: float, radii: np.ndarray) -> None:
@@ -205,26 +213,18 @@ class GaussianField:
 
         exp(-d(s^2 - r^2)) >= GRID_TAU / N exactly where s <= h with
         h = sqrt((d r^2 + ln(N / GRID_TAU)) / d); the block holds every node
-        within h of the atom on each axis.  Inside it the term is computed
-        with the operations of the point path, in the same order.
+        within h of the atom on each axis.  The term takes the point path's
+        operations in the same order, and its weight 1.0 multiplies exactly.
         """
         n = self.radii.shape[0]
         half = np.sqrt((self.decay * self.radii**2 + np.log(n / GRID_TAU)) / self.decay)
-        blocks, largest = grid.node_blocks(self.centers, half[:, None])
-        xs = [grid.axis_coords(p) for p in range(3)]
-        out = np.zeros(grid.shape)
-        buf = np.empty(largest)
-        for i, block in blocks:
-            center, radius = self.centers[i], self.radii[i]
-            sq = [(x[s] - c) ** 2 for x, s, c in zip(xs, block, center)]
-            shape = tuple(len(v) for v in sq)
-            term = buf[:math.prod(shape)].reshape(shape)
-            np.add(np.add.outer(sq[0], sq[1])[:, :, None], sq[2], out=term)
-            term -= radius * radius
+
+        def exponent(k, x, y, z, term):
+            np.add(np.add.outer(x**2, y**2)[:, :, None], z**2, out=term)
+            term -= self.radii[k] * self.radii[k]
             term *= -self.decay
-            np.exp(term, out=term)
-            out[block] += term
-        return out.ravel()
+
+        return grid.block_sum(self.centers, half[:, None], np.ones(n), exponent)
 
 
 def eval_phi_batch(field: GaussianField, points: np.ndarray | GridSpec) -> np.ndarray:

@@ -29,6 +29,8 @@ needs, so a gradient is 3x3 algebra on the moments of a pass that has
 already run.  On a GridSpec, the uniform grid that meshing evaluates, each
 basis covers only the block of nodes where it can reach GRID_TAU / N, so
 the terms left out add up to less than GRID_TAU (erbfit.field) at any node.
+The blocks come from reach_boxes, which also bounds a bare model's meshing
+box (erbfit.cli), and the sum from GridSpec.block_sum, as the field's does.
 """
 
 from __future__ import annotations
@@ -405,43 +407,42 @@ def _fused_pass(params, targets, blocks: _PointBlocks):
     return residual, (r, dr, a, s0, m1, cm)
 
 
+def reach_boxes(params, floor):
+    """(kept, R, half): the bases of the table that reach floor / n (n bases), and their boxes.
+
+    Basis i is below floor / n outside the ellipsoid u^T D u <= E_i, with
+    u = R_i (y - x_i), D = diag(d~_i^2) and E_i = ln(n c~_i^2 / floor), so
+    kept indexes the bases with E_i > 0 (c~_i = 0 is left out).  R holds
+    their rotations (k, 3, 3) and half their ellipsoids' boxes (see reach).
+    """
+    with np.errstate(divide="ignore"):
+        levels = np.log(params.shape[0] * params[:, _COEFF] ** 2 / floor)
+    kept = np.flatnonzero(levels > 0)
+    r = rotations(params[kept, _ANGLES])[0]
+    return kept, r, reach(levels[kept], r, params[kept, _DECAY])
+
+
 def _grid_values(params, grid: GridSpec) -> np.ndarray:
     """Model values at the grid's nodes in C order, each basis over the block it reaches.
 
-    Basis i is below GRID_TAU / n outside the ellipsoid u^T D u <= E_i, with
-    u = R_i (y - x_i), D = diag(d~_i^2) and E_i = ln(n c~_i^2 / GRID_TAU).
-    Its block holds the nodes in the ellipsoid's box (see reach), which
-    spans an axis that a zero decay leaves unbounded.  A basis with
-    E_i <= 0 (c~_i = 0 included) is below the bound everywhere and skipped.
-    The exponent is the point path's Q_i . phi with the monomials taken about
-    the basis center (s_i = 0), so only its quadratic part is used, and on
-    the lattice each monomial is an outer product of per-axis offsets.
+    A basis's block is the box of its ellipsoid at the floor GRID_TAU (see
+    reach_boxes).  The exponent is the point path's Q_i . phi with the
+    monomials taken about the basis center (s_i = 0), so only its quadratic
+    part is used; on the lattice each monomial is an outer product of
+    per-axis offsets.
     """
-    c, d, centers = params[:, _COEFF], params[:, _DECAY], params[:, _CENTER]
-    with np.errstate(divide="ignore"):
-        cut = np.log(params.shape[0] * c**2 / GRID_TAU)
-    kept = np.flatnonzero(cut > 0)
-    r = rotations(params[kept, _ANGLES])[0]
-    blocks, largest = grid.node_blocks(centers[kept], reach(cut[kept], r, d[kept]))
-    neg_q = _exponent_rows(_exponent_matrices(d[kept], r))[:, 4:]
-    axes = [grid.axis_coords(a) for a in range(3)]
-    out = np.zeros(grid.shape)
-    g_buf = np.empty(largest)  # sized for the largest block, shared by every basis
-    for j, block in blocks:
-        i = kept[j]
-        x, y, z = (axes[a][block[a]] - centers[i, a] for a in range(3))
-        q_xx, q_yy, q_zz, q_xy, q_xz, q_yz = neg_q[j]
-        g = g_buf[:x.size * y.size * z.size].reshape(x.size, y.size, z.size)
-        # on the lattice each monomial is an outer product of axis offsets:
+    kept, r, half = reach_boxes(params, GRID_TAU)
+    neg_q = _exponent_rows(_exponent_matrices(params[kept, _DECAY], r))[:, 4:]
+
+    def exponent(k, x, y, z, g):
+        q_xx, q_yy, q_zz, q_xy, q_xz, q_yz = neg_q[k]
         # -E = (q_xx x^2 + q_xy x y + q_yy y^2) + (q_xz x + q_yz y) z + q_zz z^2
         np.multiply(np.add.outer(q_xz * x, q_yz * y)[:, :, None], z, out=g)
         xy = np.add.outer(q_xx * x * x, q_yy * y * y) + q_xy * np.multiply.outer(x, y)
         g += xy[:, :, None]
         g += q_zz * z * z
-        np.exp(g, out=g)
-        g *= c[i] ** 2
-        out[block] += g
-    return out.ravel()
+
+    return grid.block_sum(params[kept, _CENTER], half, params[kept, _COEFF] ** 2, exponent)
 
 
 def _objective_gradient_arrays(params, moments, w_s, w_l) -> np.ndarray:
@@ -569,8 +570,8 @@ def load_model(path: str | Path) -> tuple[RbfModel, dict]:
     """Read a model document written by save_model; returns (model, metadata).
 
     Any document that is not a well-formed model (not UTF-8 text, not JSON,
-    missing keys, no bases, wrong vector lengths, non-finite numbers) raises
-    ValueError with a one-line message that names the file.
+    missing keys, no bases, wrong vector lengths, numbers or weights c~^2 and
+    decays d~^2 that are not finite) raises ValueError naming the file.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -602,4 +603,8 @@ def load_model(path: str | Path) -> tuple[RbfModel, dict]:
             if key not in basis:
                 raise ValueError(f"{path}: basis {i} has no {key!r}")
             params[i, cols] = _finite_numbers(basis[key], size, f"{path}: basis {i} {key!r}")
+    with np.errstate(over="ignore"):
+        big = np.flatnonzero(np.isinf(params[:, :_DECAY.stop] ** 2).any(axis=1))
+    if big.size:  # save_model refuses the same model
+        raise ValueError(f"{path}: basis {big[0]}: its weight or decay overflows a double")
     return RbfModel.from_params(params), metadata

@@ -33,7 +33,6 @@ from .model import (
     _PointBlocks,
     _fused_pass,
     _objective_gradient_arrays,
-    _values_arrays,
     pack_parameters,
     unpack_parameters,
 )
@@ -231,7 +230,7 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
     1 + trials + prunes passes (trace.point_passes).  The residual of the
     last pass at the final point, the accepted trial's or, after a stalled
     search, the current point's, is handed back as trace.residual; a run of
-    no iterations makes its one pass, a value pass, for that.
+    no iterations makes its one pass for that.
 
     Raises ModelCollapseError / NonFiniteObjectiveError with the partial
     trace attached if the run cannot continue.
@@ -322,12 +321,9 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             tau_seed = 2.0 * tau
         trace.append(TraceRecord(it, f0, es, el1, ws, wl, n, tau, f_new, trials))
 
-    if current is None:
-        # no iteration ran: one value pass gives the residual
-        trace.point_passes += 1
-        trace.residual = _values_arrays(x.reshape(n, PARAMS_PER_BASIS), blocks) - targets
-    else:
-        trace.residual = current[0]
+    if current is None:  # no iteration ran
+        current = point_pass(at(x))
+    trace.residual = current[0]
     trace.block_pairs, trace.block_pairs_full = blocks.kept_pairs, blocks.all_pairs
     return unpack_parameters(x, n), trace
 

@@ -16,7 +16,7 @@ from erbfit import __version__
 from erbfit.cli import main
 from erbfit.field import bounding_box
 from erbfit.initializer import init_model
-from erbfit.model import save_model
+from erbfit.model import RbfModel, reach, rotations, save_model
 from erbfit.optimizer import energy_terms, fit_residual, max_pointwise_error
 from erbfit.sampler import make_grid
 
@@ -75,6 +75,13 @@ def test_info_malformed_file(tmp_path, capsys):
     bad.write_text("ATOM 1 C UNK A 1 what 0.0 0.0 0.0 1.5\n")
     assert main(["info", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_info_malformed_serial(tmp_path, capsys):
+    bad = tmp_path / "serial.pqr"
+    bad.write_text("ATOM x1 C ALA A 1 0 0 0 0 1.5\n")
+    assert main(["info", str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: line 1: malformed serial 'x1'"]
 
 
 def test_sparsify_outputs(atom_pqr, fit_dir, capsys):
@@ -183,7 +190,7 @@ def test_sparsify_evaluates_the_final_model_once(atom_pqr, tmp_path, monkeypatch
 
 
 def test_sparsify_without_iterations_makes_one_pass(atom_pqr, tmp_path):
-    # --max-iter 0: optimize makes the one value pass that gives the final
+    # --max-iter 0: optimize makes the one pass that gives the final
     # energies, so the rule of test_sparsify_writes_timings holds here too
     assert main(["sparsify", str(atom_pqr), "--out", str(tmp_path),
                  "--max-iter", "0", "--sparse-iter", "0",
@@ -307,6 +314,12 @@ def test_out_directory_created(atom_pqr, tmp_path):
 
 
 EMPTY_MODEL = '{"format": "erbfit-model", "version": 1, "bases": []}'
+# a finite c~ or d~ whose square overflows: second basis, with and without a stored box
+OVERFLOW_BASES = ('[{"coeff_sqrt": 1.2, "decay_sqrt": [0.7, 0.7, 0.7], "center": [0, 0, 0], '
+                  '"angles": [0, 0, 0]}, {"coeff_sqrt": %s, "decay_sqrt": [0.7, %s, 0.7], '
+                  '"center": [0, 0, 0], "angles": [0, 0, 0]}]')
+OVERFLOW_MODEL = '{"format": "erbfit-model", "version": 1, %s"bases": %s}'
+OVERFLOW_REASON = "model.json: basis 1: its weight or decay overflows a double"
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(erbfit.__file__).parents[1])}
 
 
@@ -321,8 +334,13 @@ SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(erbfit.__file__).parents[1])}
     ("compare", EMPTY_MODEL[:51], "model.json: not valid JSON (line 1, column 52)"),
     ("mesh", b'{"format": "\xff\xfe"}', "model.json: not UTF-8 text"),
     ("compare", b'{"format": "\xff\xfe"}', "model.json: not UTF-8 text"),
+    ("mesh", OVERFLOW_MODEL % ("", OVERFLOW_BASES % ("1e200", "0.7")), OVERFLOW_REASON),
+    ("mesh", OVERFLOW_MODEL % ('"metadata": {"box_lo": [-3, -3, -3], "box_hi": [3, 3, 3]}, ',
+                               OVERFLOW_BASES % ("1e200", "0.7")), OVERFLOW_REASON),
+    ("compare", OVERFLOW_MODEL % ("", OVERFLOW_BASES % ("1.2", "1e155")), OVERFLOW_REASON),
 ], ids=["mesh-no-bases", "compare-nan-coeff", "mesh-empty-bases", "compare-empty-bases",
-        "mesh-truncated", "compare-truncated", "mesh-binary", "compare-binary"])
+        "mesh-truncated", "compare-truncated", "mesh-binary", "compare-binary",
+        "mesh-overflow-weight", "mesh-boxed-overflow-weight", "compare-overflow-decay"])
 def test_malformed_model_exits_2_with_one_line(atom_pqr, tmp_path, command, doc, reason):
     model = tmp_path / "model.json"
     model.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
@@ -467,6 +485,24 @@ def test_mesh_bare_model_box_follows_rotated_bases(tmp_path, gamma):
     long_axis = 1 if gamma else 0
     assert extent[long_axis] > 12.0
     assert extent[1 - long_axis] < 4.0 and extent[2] < 4.0
+
+
+def test_bare_model_box_is_the_reach_boxes_of_its_bases():
+    # rotated anisotropic bases; the third, with n w / c = 3 * 0.3 < 1, stays
+    # below the isovalue everywhere and is left out of the box
+    m = RbfModel(coeff_sqrt=np.sqrt([2.0, 5.0, 0.3]),
+                 decay_sqrt=[[0.3, 0.9, 1.2], [1.1, 0.4, 0.7], [0.5, 0.5, 0.5]],
+                 centers=[[0.0, 1.0, -2.0], [3.0, -1.0, 0.5], [9.0, 9.0, 9.0]],
+                 angles=[[0.4, -0.9, 1.3], [2.1, 0.3, -0.6], [0.0, 0.0, 0.0]])
+    box = erbfit.cli._model_box({}, m, 1.0, 0.5)
+    levels = np.log(3 * m.weights[:2])
+    r = rotations(m.angles[:2])[0]
+    half = reach(levels, r, m.decay_sqrt[:2])
+    assert np.array_equal(box.lo, (m.centers[:2] - half).min(axis=0) - 0.5)
+    assert np.array_equal(box.hi, (m.centers[:2] + half).max(axis=0) + 0.5)
+    # the box of the ellipsoid u^T D u <= E reaches sqrt(E (A^-1)_pp) along axis p
+    a_inv = np.linalg.inv(np.swapaxes(r, 1, 2) @ (m.decay_sqrt[:2, :, None] ** 2 * r))
+    assert np.allclose(half, np.sqrt(levels[:, None] * np.diagonal(a_inv, axis1=1, axis2=2)))
 
 
 @pytest.mark.parametrize("isovalue, reason", [

@@ -235,19 +235,28 @@ def test_grid_values_leave_out_less_than_tau():
     assert np.array_equal(f.values(grid), np.zeros(len(grid)))
 
 
-def test_node_blocks_clip_to_the_grid():
+def test_block_sum_clips_blocks_to_the_grid():
     grid = GridSpec(Box(lo=np.zeros(3), hi=np.full(3, 4.0)), (4, 4, 4))
     centers = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, 2.0], [9.0, 2.0, 2.0], [0.5, 3.5, 2.0]])
     half = np.array([[1.0, 0.5, 0.0], [np.inf, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-    blocks, largest = grid.node_blocks(centers, half)
+    offsets = {}
+
+    def exponent(k, x, y, z, out):
+        # exp(0) = 1: each kernel adds its weight at every node of its block
+        offsets[k] = (x.tolist(), y.tolist(), z.tolist())
+        out[...] = 0.0
+
+    got = grid.block_sum(centers, half, np.array([1.0, 10.0, 100.0, 1000.0]), exponent)
+    digits = [(got.reshape(grid.shape) // w % 10).astype(int) for w in (1, 10, 100, 1000)]
     # center 1 spans x (infinite half-width), center 2 reaches no node, and
     # center 3 is clipped below on x and above on y
-    assert blocks == [
-        (0, (slice(1, 4), slice(2, 3), slice(2, 3))),
-        (1, (slice(0, 5), slice(1, 4), slice(1, 4))),
-        (3, (slice(0, 2), slice(3, 5), slice(1, 4))),
-    ]
-    assert largest == 45
+    want = np.zeros((4, *grid.shape), dtype=int)
+    want[0, 1:4, 2:3, 2:3] = 1
+    want[1, 0:5, 1:4, 1:4] = 1
+    want[3, 0:2, 3:5, 1:4] = 1
+    assert np.array_equal(digits, want)
+    assert sorted(offsets) == [0, 1, 3]
+    assert offsets[3] == ([-0.5, 0.5], [-0.5, 0.5], [-1.0, 0.0, 1.0])
     assert len(grid) == grid.n_points == 125
 
 

@@ -22,6 +22,8 @@ from erbfit.model import (
     eval_model_gradient,
     load_model,
     pack_parameters,
+    reach,
+    reach_boxes,
     rotations,
     save_model,
     unpack_parameters,
@@ -264,6 +266,19 @@ def test_grid_values_skip_zero_and_tiny_weights():
     got, ref = _grid_and_reference(tiny, box, 0.5)
     assert ref.max() > 0.0
     assert np.array_equal(got, np.zeros(len(got)))
+
+
+def test_reach_boxes_drop_the_bases_below_the_floor():
+    # four bases against the floor 1: n c~^2 / floor is 4 c~^2, so c~ = 0 and
+    # c~^2 = 0.2 < 1 / 4 never reach the floor and are left out
+    rng = np.random.default_rng(3)
+    coeff = np.array([1.5, 0.0, np.sqrt(0.2), -2.0])
+    m = RbfModel(coeff_sqrt=coeff, decay_sqrt=rng.uniform(0.2, 1.5, (4, 3)),
+                 centers=rng.uniform(-5, 5, (4, 3)), angles=rng.uniform(-np.pi, np.pi, (4, 3)))
+    kept, r, half = reach_boxes(m.params, 1.0)
+    assert kept.tolist() == [0, 3]
+    assert np.array_equal(r, rotations(m.angles[kept])[0])
+    assert np.array_equal(half, reach(np.log(4 * coeff[kept] ** 2), r, m.decay_sqrt[kept]))
 
 
 def test_grid_values_of_an_empty_model():
@@ -762,6 +777,9 @@ def test_load_accepts_well_formed_document(tmp_path):
     pytest.param(_bad_basis("2.0]", "Infinity]"), id="inf-center"),
     pytest.param(_bad_basis("1.2", "true"), id="bool-coeff"),
     pytest.param(_bad_basis("1.2", "1" + "0" * 400), id="huge-int-coeff"),
+    # finite numbers whose weight c~^2 or decay d~^2 overflows, as save_model refuses
+    pytest.param(_bad_basis("1.2", "1e200"), id="overflowing-weight"),
+    pytest.param(_bad_basis("[0.7, 0.7, 0.7]", "[0.7, 1e155, 0.7]"), id="overflowing-decay"),
     pytest.param(_model_doc(metadata="[]"), id="metadata-not-object"),
     pytest.param(_model_doc(metadata='{"box_lo": [0, 0], "box_hi": [1, 1, 1]}'),
                  id="short-box"),
