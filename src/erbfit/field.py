@@ -10,9 +10,9 @@ points it is the exact sum: no kernel term is dropped, however far it is from
 its atom.  On a GridSpec, the uniform grid that meshing and constraint
 selection evaluate, each atom is summed only over the block of nodes where
 its term can reach GRID_TAU / N (N atoms), so the terms left out add up to
-less than GRID_TAU at any node.  A node that no block misses gets the same
-bits as the point path.  GridSpec.block_sum drives both grid sums, the
-field's and the model's (erbfit.model); each writes only its exponent.
+less than GRID_TAU at any node.  GridSpec.block_sum, the grid sum of the
+field and of the model (erbfit.model), takes the point path's operations in
+the same order, so a node that no block misses gets the point path's bits.
 """
 
 from __future__ import annotations
@@ -104,14 +104,21 @@ class GridSpec:
         return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
     def block_sum(self, centers: np.ndarray, half_widths: np.ndarray,
-                  weights: np.ndarray, exponent) -> np.ndarray:
-        """sum_k weights[k] exp(-E_k) at the grid's nodes in C order, kernel k over its block.
+                  log_weights: np.ndarray, neg_q: np.ndarray) -> np.ndarray:
+        """sum_k exp(log_weights[k] - E_k) at the grid's nodes in C order, kernel k over its block.
 
         The block of kernel k is the smallest one holding every node within
         half_widths[k, p] of centers[k, p] on each axis p, clipped to the
-        grid; an infinite half-width spans its axis.  exponent(k, x, y, z, out)
-        writes -E_k into out, a (len(x), len(y), len(z)) buffer shared by every
-        kernel, where x, y, z are the block's per-axis offsets from centers[k].
+        grid; an infinite half-width spans its axis.  Row k of neg_q (k, 6) is
+        (q_xx, q_yy, q_zz, q_xy, q_xz, q_yz): -E_k = q_xx x^2 + q_yy y^2 +
+        q_zz z^2 + q_xy x y + q_xz x z + q_yz y z at the node's offsets x, y, z
+        from centers[k].  The log-weight and the terms free of z are summed
+        once per block on its (x, y) plane as ((q_xx x) x + log_weight) +
+        (q_yy y) y + (q_xy x) y, GaussianField.values' order at points.  A row
+        with q_xz = q_yz = 0 (every atom, every basis rotated about z alone)
+        adds (q_zz z) z to the plane in one broadcast; any other adds its
+        z-coupled terms first, in two more passes over the block.  Those terms
+        would be +-0 in the first case, so the branch saves time, not bits.
         """
         half_widths = np.broadcast_to(half_widths, centers.shape)
         axes = [self.axis_coords(p) for p in range(3)]
@@ -124,11 +131,18 @@ class GridSpec:
         buf = np.empty(int(sizes.max(initial=0)))
         for k in np.flatnonzero(sizes).tolist():
             block = tuple(map(slice, lo[k].tolist(), hi[k].tolist()))
-            x, y, z = (axes[p][block[p]] - centers[k, p] for p in range(3))
+            x, y, z = (axes[p][block[p]] - c for p, c in enumerate(centers[k].tolist()))
+            q_xx, q_yy, q_zz, q_xy, q_xz, q_yz = neg_q[k].tolist()
+            plane = np.add.outer(q_xx * x * x + log_weights[k], q_yy * y * y)
+            plane += np.multiply.outer(q_xy * x, y)
             g = buf[:sizes[k]].reshape(x.size, y.size, z.size)
-            exponent(k, x, y, z, g)
+            if q_xz == 0.0 and q_yz == 0.0:
+                np.add(plane[:, :, None], q_zz * z * z, out=g)
+            else:
+                np.multiply(np.add.outer(q_xz * x, q_yz * y)[:, :, None], z, out=g)
+                g += plane[:, :, None]
+                g += q_zz * z * z
             np.exp(g, out=g)
-            g *= weights[k]
             out[block] += g
         return out.ravel()
 
@@ -182,49 +196,41 @@ class GaussianField:
     def values(self, points: np.ndarray | GridSpec) -> np.ndarray:
         """phi at an (M, 3) array of points, order preserved, or at every node of a GridSpec.
 
-        Sums atom by atom over the points held coordinate-major, (3, M), so
-        memory stays linear in M whatever the atom count.  The exponent is
-        -d(|p|^2 - r^2), which is exactly 0 on an atom's sphere.
+        At points it sums atom by atom over the points held coordinate-major,
+        (3, M), so memory stays linear in M whatever the atom count.  An
+        atom's exponent is ((-d x) x + d r^2) + (-d y) y + (-d z) z at the
+        offsets from its center; on a grid, GridSpec.block_sum takes the same
+        steps for the row (-d, -d, -d, 0, 0, 0) and log-weight d r^2 over the
+        nodes within h = sqrt((d r^2 + ln(N / GRID_TAU)) / d) of the atom on
+        each axis, since exp(-d(s^2 - r^2)) >= GRID_TAU / N exactly where s <= h.
         """
+        log_weights = self.decay * self.radii**2
         if isinstance(points, GridSpec):
-            return self._grid_values(points)
+            n = self.radii.shape[0]
+            half = np.sqrt((log_weights + np.log(n / GRID_TAU)) / self.decay)
+            neg_q = np.zeros((n, 6))
+            neg_q[:, :3] = -self.decay
+            return points.block_sum(self.centers, half[:, None], log_weights, neg_q)
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"expected (M, 3) points, got shape {pts.shape}")
         pts_t = np.ascontiguousarray(pts.T)
         # buffers reused across atoms: allocating M-sized temporaries per atom
         # costs page faults on every atom once M reaches tens of thousands
+        offset = np.empty_like(pts_t)
         sq = np.empty_like(pts_t)
         term = np.empty(pts.shape[0])
         out = np.zeros(pts.shape[0])
-        for center, radius in zip(self.centers, self.radii):
-            np.subtract(pts_t, center[:, None], out=sq)
-            sq *= sq
-            np.add(sq[0], sq[1], out=term)
+        for center, log_weight in zip(self.centers, log_weights):
+            np.subtract(pts_t, center[:, None], out=offset)
+            np.multiply(offset, -self.decay, out=sq)
+            sq *= offset
+            np.add(sq[0], log_weight, out=term)
+            term += sq[1]
             term += sq[2]
-            term -= radius * radius
-            term *= -self.decay
             np.exp(term, out=term)
             out += term
         return out
-
-    def _grid_values(self, grid: GridSpec) -> np.ndarray:
-        """phi at the grid's nodes in C order, each atom over the block it reaches.
-
-        exp(-d(s^2 - r^2)) >= GRID_TAU / N exactly where s <= h with
-        h = sqrt((d r^2 + ln(N / GRID_TAU)) / d); the block holds every node
-        within h of the atom on each axis.  The term takes the point path's
-        operations in the same order, and its weight 1.0 multiplies exactly.
-        """
-        n = self.radii.shape[0]
-        half = np.sqrt((self.decay * self.radii**2 + np.log(n / GRID_TAU)) / self.decay)
-
-        def exponent(k, x, y, z, term):
-            np.add(np.add.outer(x**2, y**2)[:, :, None], z**2, out=term)
-            term -= self.radii[k] * self.radii[k]
-            term *= -self.decay
-
-        return grid.block_sum(self.centers, half[:, None], np.ones(n), exponent)
 
 
 def eval_phi_batch(field: GaussianField, points: np.ndarray | GridSpec) -> np.ndarray:

@@ -30,7 +30,7 @@ already run.  On a GridSpec, the uniform grid that meshing evaluates, each
 basis covers only the block of nodes where it can reach GRID_TAU / N, so
 the terms left out add up to less than GRID_TAU (erbfit.field) at any node.
 The blocks come from reach_boxes, which also bounds a bare model's meshing
-box (erbfit.cli), and the sum from GridSpec.block_sum, as the field's does.
+box (erbfit.cli); the field's GridSpec.block_sum sums them from ln c~^2 and Q.
 """
 
 from __future__ import annotations
@@ -146,10 +146,15 @@ class RbfModel:
     def values(self, points: np.ndarray | GridSpec) -> np.ndarray:
         """Model value (sum over bases) at (M, 3) points or at every node of a GridSpec.
 
-        Zeros for an empty model.
+        Zeros for an empty model.  On a grid, GridSpec.block_sum sums each
+        basis that reaches GRID_TAU / n (reach_boxes) with log-weight ln c~^2
+        and the quadratic part of its row of Q about its center (_exponent_rows).
         """
         if isinstance(points, GridSpec):
-            return _grid_values(self.params, points)
+            kept, r, half = reach_boxes(self.params, GRID_TAU)
+            neg_q = _exponent_rows(_exponent_matrices(self.params[kept, _DECAY], r))[:, 4:]
+            return points.block_sum(self.params[kept, _CENTER], half,
+                                    np.log(self.params[kept, _COEFF] ** 2), neg_q)
         pts_t = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)).T)
         return _values_arrays(self.params, _PointBlocks(pts_t, self.n_bases))
 
@@ -420,29 +425,6 @@ def reach_boxes(params, floor):
     kept = np.flatnonzero(levels > 0)
     r = rotations(params[kept, _ANGLES])[0]
     return kept, r, reach(levels[kept], r, params[kept, _DECAY])
-
-
-def _grid_values(params, grid: GridSpec) -> np.ndarray:
-    """Model values at the grid's nodes in C order, each basis over the block it reaches.
-
-    A basis's block is the box of its ellipsoid at the floor GRID_TAU (see
-    reach_boxes).  The exponent is the point path's Q_i . phi with the
-    monomials taken about the basis center (s_i = 0), so only its quadratic
-    part is used; on the lattice each monomial is an outer product of
-    per-axis offsets.
-    """
-    kept, r, half = reach_boxes(params, GRID_TAU)
-    neg_q = _exponent_rows(_exponent_matrices(params[kept, _DECAY], r))[:, 4:]
-
-    def exponent(k, x, y, z, g):
-        q_xx, q_yy, q_zz, q_xy, q_xz, q_yz = neg_q[k]
-        # -E = (q_xx x^2 + q_xy x y + q_yy y^2) + (q_xz x + q_yz y) z + q_zz z^2
-        np.multiply(np.add.outer(q_xz * x, q_yz * y)[:, :, None], z, out=g)
-        xy = np.add.outer(q_xx * x * x, q_yy * y * y) + q_xy * np.multiply.outer(x, y)
-        g += xy[:, :, None]
-        g += q_zz * z * z
-
-    return grid.block_sum(params[kept, _CENTER], half, params[kept, _COEFF] ** 2, exponent)
 
 
 def _objective_gradient_arrays(params, moments, w_s, w_l) -> np.ndarray:

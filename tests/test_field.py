@@ -52,7 +52,8 @@ def test_value_at_atom_center():
 
 def test_on_sphere_value_is_exactly_isovalue():
     f = _single_atom(r=1.7, d=0.5)
-    # at distance r the exponent is -d(r^2 - r^2) = 0 exactly
+    # d = 0.5 scales exactly, so (-d r) r and d r^2 are both half of r r as
+    # rounded, and the exponent ((-d r) r + d r^2) + ... is 0 exactly
     assert f.values(np.array([1.7, 0.0, 0.0])[None])[0] == 1.0
 
 
@@ -208,10 +209,16 @@ def test_grid_values_match_point_values(n_atoms, seed, decay, spacing):
     assert np.all(np.abs(got - _reference_field(f, points)) <= 1e-12 * np.maximum(ref, 1.0))
 
 
-def test_grid_values_are_the_point_bits_when_nothing_is_dropped():
+@pytest.mark.parametrize("decay, center", [(0.5, (0.0, 0.0, 0.0)),
+                                           (0.45, (0.1, -0.23, 0.37)),
+                                           (0.37, (0.1, -0.23, 0.37))],
+                         ids=["lattice", "off-lattice-0.45", "off-lattice-0.37"])
+def test_grid_values_are_the_point_bits_when_nothing_is_dropped(decay, center):
     # one atom whose block holds the whole grid: every node gets the
-    # operations of the point path, in the same order
-    f = _single_atom(r=1.5, d=0.5)
+    # operations of the point path, in the same order.  At d = 0.5 about the
+    # origin every product on the 0.25 A lattice is exact, so only the other
+    # cases, off the lattice, see the order of the rounding
+    f = _single_atom(r=1.5, d=decay, center=center)
     grid = make_grid(Box(lo=np.full(3, -3.0), hi=np.full(3, 3.0)), 0.25)
     assert np.array_equal(f.values(grid), f.values(grid.points()))
 
@@ -239,24 +246,26 @@ def test_block_sum_clips_blocks_to_the_grid():
     grid = GridSpec(Box(lo=np.zeros(3), hi=np.full(3, 4.0)), (4, 4, 4))
     centers = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, 2.0], [9.0, 2.0, 2.0], [0.5, 3.5, 2.0]])
     half = np.array([[1.0, 0.5, 0.0], [np.inf, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-    offsets = {}
-
-    def exponent(k, x, y, z, out):
-        # exp(0) = 1: each kernel adds its weight at every node of its block
-        offsets[k] = (x.tolist(), y.tolist(), z.tolist())
-        out[...] = 0.0
-
-    got = grid.block_sum(centers, half, np.array([1.0, 10.0, 100.0, 1000.0]), exponent)
-    digits = [(got.reshape(grid.shape) // w % 10).astype(int) for w in (1, 10, 100, 1000)]
     # center 1 spans x (infinite half-width), center 2 reaches no node, and
     # center 3 is clipped below on x and above on y
-    want = np.zeros((4, *grid.shape), dtype=int)
-    want[0, 1:4, 2:3, 2:3] = 1
-    want[1, 0:5, 1:4, 1:4] = 1
-    want[3, 0:2, 3:5, 1:4] = 1
-    assert np.array_equal(digits, want)
-    assert sorted(offsets) == [0, 1, 3]
-    assert offsets[3] == ([-0.5, 0.5], [-0.5, 0.5], [-1.0, 0.0, 1.0])
+    blocks = [np.s_[1:4, 2:3, 2:3], np.s_[0:5, 1:4, 1:4], None, np.s_[0:2, 3:5, 1:4]]
+    for k, block in enumerate(blocks):
+        # a zero row and log-weight 0: exp(0) = 1 at every node of the block
+        got = grid.block_sum(centers[k:k + 1], half[k:k + 1], np.zeros(1), np.zeros((1, 6)))
+        want = np.zeros(grid.shape)
+        if block is not None:
+            want[block] = 1.0
+        assert np.array_equal(got.reshape(grid.shape), want)
+    # the offsets of center 3's nodes from it, read back through each column
+    # of the row: a 1 in column j alone, log-weight 0.25, gives exp(m_j + 0.25)
+    # for monomial m_j, every sum exact, in both the z-coupled case and not
+    x, y, z = np.meshgrid([-0.5, 0.5], [-0.5, 0.5], [-1.0, 0.0, 1.0], indexing="ij")
+    for j, monomial in enumerate([x * x, y * y, z * z, x * y, x * z, y * z]):
+        row = np.zeros((1, 6))
+        row[0, j] = 1.0
+        got = grid.block_sum(centers[3:], half[3:], np.full(1, 0.25), row).reshape(grid.shape)
+        assert np.array_equal(got[blocks[3]], np.exp(monomial + 0.25))
+        assert np.count_nonzero(got) == monomial.size
     assert len(grid) == grid.n_points == 125
 
 

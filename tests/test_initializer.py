@@ -57,6 +57,17 @@ def test_initial_model_reproduces_field(molecule, rng):
     assert np.max(np.abs(phi_tilde - phi)) < 1e-10
 
 
+@pytest.mark.parametrize("spacing", [1.0, 0.5])
+def test_grid_sum_serves_the_field_and_the_initial_model(molecule, spacing):
+    # the same GridSpec.block_sum, fed the field's atoms or the model's bases
+    grid = make_grid(bounding_box(molecule), spacing)
+    phi = GaussianField.from_molecule(molecule, decay=0.5).values(grid)
+    model = init_model(molecule, decay=0.5).values(grid)
+    assert np.max(np.abs(model - phi)) < 1e-12
+    for band in (1.0, 0.5):
+        assert np.array_equal(np.abs(model - 1.0) <= band, np.abs(phi - 1.0) <= band)
+
+
 def test_initial_fit_energy_is_zero(molecule):
     decay = 0.5
     m = init_model(molecule, decay=decay)
