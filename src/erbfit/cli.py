@@ -6,18 +6,21 @@ Typical round trip:
     erbfit mesh run/model.json --out run/
     erbfit compare mol.pqr run/model.json --out run/
 
-Every output file records the effective configuration (as '# key=value'
-header lines, or a "config" object in JSON outputs).  Model and trace files
-contain nothing run-dependent, so two runs of the same command are
-byte-identical; wall time appears only in the human-readable summary and in
-`sparsify`'s timings.json (the wall time of each phase: parse, select, init,
-optimize, post and save; the fit's point passes, 1 + line-search trials +
-prunes that removed bases, and its line-search trials; and block_pairs, the
-(block, basis) pairs its passes evaluated, against block_pairs_full, the
-bases times blocks a pass without the cutoff takes).  Selection evaluates
-the field on the grid path; post reads the final energies from the residual
-of the fit's last pass, so it makes no pass of its own, and a run with
---max-iter 0 makes that one pass in optimize.
+Each output records the settings of the command that wrote it, as
+'# key=value' header lines or a "config" object in JSON outputs: every flag
+its parser takes but --out and --deterministic, in the order it takes them.
+`sparsify` takes the field flags (--decay, --isovalue) and the fit flags;
+`mesh` and `compare` take the field flags and --mesh-spacing.  Model and
+trace files contain nothing run-dependent, so two runs of the same command
+are byte-identical; wall time appears only in the human-readable summary and
+in `sparsify`'s timings.json (the wall time of each phase: parse, select,
+init, optimize, post and save; the fit's point passes, 1 + line-search
+trials + prunes that removed bases, and its line-search trials; and
+block_pairs, the (block, basis) pairs its passes evaluated, against
+block_pairs_full, the bases times blocks a pass without the cutoff takes).
+Selection evaluates the field on the grid path; post reads the final
+energies from the residual of the fit's last pass, so it makes no pass of
+its own, and a run with --max-iter 0 makes that one pass in optimize.
 
 Exit codes: 0 success, 2 unreadable or invalid input (including an empty
 constraint selection and a model with no bases), 3 optimization collapse,
@@ -33,7 +36,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,88 +65,89 @@ EXIT_MESH = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a run's output content, in header-ready form.
+    """What a run's outputs record: the command, its inputs and its settings.
 
-    The output directory is deliberately not part of the recorded
-    configuration: it changes where files land, not what they contain, so
-    identical commands pointed at different directories stay byte-identical.
-    The field defaults are the command-line defaults, and a command that
-    lacks a flag records the default.
+    settings maps the name of each setting flag the command takes, its long
+    option with dashes as underscores (--error-cap as error_cap), to the
+    parsed value, in the order the command takes them.  The output directory
+    is deliberately not a setting: it changes where files land, not what they
+    contain, so identical commands pointed at different directories stay
+    byte-identical.
     """
 
     command: str
     inputs: tuple[str, ...]
-    decay: float = 0.5
-    isovalue: float = 1.0
-    band: float = 1.0
-    constraint_spacing: float = 1.0
-    mesh_spacing: float = 0.5
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    out_dir: str = "."
+    settings: dict
 
     def header_lines(self) -> list[str]:
-        d = self.as_dict()
-        return [f"erbfit {d.pop('version')}", f"command={d.pop('command')}",
-                *(f"input={p}" for p in d.pop("inputs")),
-                *(f"{key}={value!r}" for key, value in d.items())]
+        return [f"erbfit {__version__}", f"command={self.command}",
+                *(f"input={p}" for p in self.inputs),
+                *(f"{key}={value!r}" for key, value in self.settings.items())]
 
     def as_dict(self) -> dict:
-        return {
-            "version": __version__,
-            "command": self.command,
-            "inputs": list(self.inputs),
-            "decay": self.decay,
-            "isovalue": self.isovalue,
-            "band": self.band,
-            "constraint_spacing": self.constraint_spacing,
-            "mesh_spacing": self.mesh_spacing,
-            "max_iter": self.optimizer.max_iter,
-            "sparse_iter": self.optimizer.sparse_iter,
-            "prune_tol": self.optimizer.prune_tol,
-            "prune_interval": self.optimizer.prune_interval,
-            "epsilon": self.optimizer.epsilon_floor,
-            "error_cap": self.optimizer.max_error_cap,
-        }
+        return {"version": __version__, "command": self.command,
+                "inputs": list(self.inputs), **self.settings}
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--decay", type=float, default=RunConfig.decay,
-                   help="Gaussian kernel decay rate d (default %(default)s)")
-    p.add_argument("--isovalue", type=float, default=RunConfig.isovalue,
-                   help="level-set value c defining the surface (default %(default)s)")
-    p.add_argument("--mesh-spacing", type=float, default=RunConfig.mesh_spacing,
-                   help="grid spacing for isosurface meshing in Angstrom "
-                        "(default %(default)s)")
-    p.add_argument("--out", dest="out_dir", default=RunConfig.out_dir, metavar="DIR",
+def _field_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [
+        p.add_argument("--decay", type=float, default=0.5,
+                       help="Gaussian kernel decay rate d (default %(default)s)"),
+        p.add_argument("--isovalue", type=float, default=1.0,
+                       help="level-set value c defining the surface (default %(default)s)"),
+    ]
+
+
+def _fit_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
+    """The selection flags, then one flag per OptimizerConfig field, its dest the field's name."""
+    return [
+        p.add_argument("--band", type=float, default=1.0,
+                       help="half-width of the |phi - c| band selecting constraint "
+                            "points (default %(default)s)"),
+        p.add_argument("--constraint-spacing", type=float, default=1.0,
+                       help="grid spacing for constraint sampling in Angstrom "
+                            "(default %(default)s)"),
+        p.add_argument("--max-iter", type=int, default=OptimizerConfig.max_iter,
+                       help="total optimizer iterations (default %(default)s)"),
+        p.add_argument("--sparse-iter", type=int, default=OptimizerConfig.sparse_iter,
+                       help="iterations before the permanent pure-accuracy phase "
+                            "(default %(default)s)"),
+        p.add_argument("--prune-tol", type=float, default=OptimizerConfig.prune_tol,
+                       help="coefficient magnitude below which a basis is deleted "
+                            "(default %(default)s)"),
+        p.add_argument("--prune-interval", type=int, default=OptimizerConfig.prune_interval,
+                       help="prune every this many iterations (default %(default)s)"),
+        p.add_argument("--epsilon", dest="epsilon_floor", metavar="EPSILON", type=float,
+                       default=OptimizerConfig.epsilon_floor,
+                       help="floor for the accuracy weight w_s (default %(default)s)"),
+        p.add_argument("--error-cap", dest="max_error_cap", metavar="ERROR_CAP", type=float,
+                       default=OptimizerConfig.max_error_cap,
+                       help="max pointwise error that forces a pure-accuracy "
+                            "iteration (default %(default)s)"),
+    ]
+
+
+def _mesh_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [p.add_argument("--mesh-spacing", type=float, default=0.5,
+                           help="grid spacing for isosurface meshing in Angstrom "
+                                "(default %(default)s)")]
+
+
+def _add_command(sub, name: str, summary: str, inputs: dict[str, str], *setting_flags) -> None:
+    """A subcommand taking `inputs`, the flags that setting_flags add, --out and --deterministic.
+
+    args.settings maps each setting's recorded name to its flag's dest.
+    """
+    p = sub.add_parser(name, help=summary)
+    for dest, text in inputs.items():
+        p.add_argument(dest, help=text)
+    settings = [action for add_flags in setting_flags for action in add_flags(p)]
+    p.add_argument("--out", dest="out_dir", default=".", metavar="DIR",
                    help="output directory (default: current directory)")
     p.add_argument("--deterministic", action="store_true",
                    help="accepted and ignored: every run is deterministic")
-
-
-def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--band", type=float, default=RunConfig.band,
-                   help="half-width of the |phi - c| band selecting constraint "
-                        "points (default %(default)s)")
-    p.add_argument("--constraint-spacing", type=float, default=RunConfig.constraint_spacing,
-                   help="grid spacing for constraint sampling in Angstrom "
-                        "(default %(default)s)")
-    p.add_argument("--max-iter", type=int, default=OptimizerConfig.max_iter,
-                   help="total optimizer iterations (default %(default)s)")
-    p.add_argument("--sparse-iter", type=int, default=OptimizerConfig.sparse_iter,
-                   help="iterations before the permanent pure-accuracy phase "
-                        "(default %(default)s)")
-    p.add_argument("--prune-tol", type=float, default=OptimizerConfig.prune_tol,
-                   help="coefficient magnitude below which a basis is deleted "
-                        "(default %(default)s)")
-    p.add_argument("--prune-interval", type=int, default=OptimizerConfig.prune_interval,
-                   help="prune every this many iterations (default %(default)s)")
-    p.add_argument("--epsilon", dest="epsilon_floor", metavar="EPSILON", type=float,
-                   default=OptimizerConfig.epsilon_floor,
-                   help="floor for the accuracy weight w_s (default %(default)s)")
-    p.add_argument("--error-cap", dest="max_error_cap", metavar="ERROR_CAP", type=float,
-                   default=OptimizerConfig.max_error_cap,
-                   help="max pointwise error that forces a pure-accuracy "
-                        "iteration (default %(default)s)")
+    p.set_defaults(settings={a.option_strings[0][2:].replace("-", "_"): a.dest
+                             for a in settings})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -157,40 +161,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_info = sub.add_parser("info", help="summarize a PQR file")
     p_info.add_argument("pqr", help="input PQR file")
 
-    p_sparse = sub.add_parser(
-        "sparsify", help="fit a sparse ellipsoid RBF model to a molecule")
-    p_sparse.add_argument("pqr", help="input PQR file")
-    _add_fit_flags(p_sparse)
-    _add_common_flags(p_sparse)
-
-    p_mesh = sub.add_parser(
-        "mesh", help="mesh the isosurface of a PQR field or a fitted model")
-    p_mesh.add_argument("source", help="PQR file or model JSON document")
-    _add_common_flags(p_mesh)
-
-    p_cmp = sub.add_parser(
-        "compare", help="mesh a molecule and a fitted model on one grid and "
-                        "report area/volume errors and Hausdorff distance")
-    p_cmp.add_argument("pqr", help="input PQR file")
-    p_cmp.add_argument("model", help="fitted model JSON document")
-    _add_common_flags(p_cmp)
-
+    _add_command(sub, "sparsify", "fit a sparse ellipsoid RBF model to a molecule",
+                 {"pqr": "input PQR file"}, _field_flags, _fit_flags)
+    _add_command(sub, "mesh", "mesh the isosurface of a PQR field or a fitted model",
+                 {"source": "PQR file or model JSON document"}, _field_flags, _mesh_flags)
+    _add_command(sub, "compare", "mesh a molecule and a fitted model on one grid and "
+                                 "report area/volume errors and Hausdorff distance",
+                 {"pqr": "input PQR file", "model": "fitted model JSON document"},
+                 _field_flags, _mesh_flags)
     return parser
 
 
 def _run_config(args: argparse.Namespace, inputs: tuple[str, ...]) -> RunConfig:
-    """Each flag's dest names the RunConfig or OptimizerConfig field it sets."""
-    given = vars(args)
-
-    def flags_of(cls) -> dict:
-        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
-
-    return RunConfig(inputs=inputs, optimizer=OptimizerConfig(**flags_of(OptimizerConfig)),
-                     **flags_of(RunConfig))
+    return RunConfig(args.command, inputs,
+                     {name: getattr(args, dest) for name, dest in args.settings.items()})
 
 
-def _out_dir(config: RunConfig) -> Path:
-    out = Path(config.out_dir)
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -243,8 +231,10 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_sparsify(args: argparse.Namespace) -> int:
+    optimizer_config = OptimizerConfig(
+        **{f.name: getattr(args, f.name) for f in fields(OptimizerConfig)})
     config = _run_config(args, (args.pqr,))
-    out = _out_dir(config)
+    out = _out_dir(args)
     header = config.header_lines()
     phases = {}  # wall time of each phase, in order
     since = time.perf_counter()
@@ -257,17 +247,17 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
 
     molecule = parse_pqr_file(args.pqr)
     phase_done("parse")
-    field = GaussianField.from_molecule(molecule, decay=config.decay,
-                                        isovalue=config.isovalue)
+    field = GaussianField.from_molecule(molecule, decay=args.decay,
+                                        isovalue=args.isovalue)
     box = bounding_box(molecule)
-    grid = make_grid(box, config.constraint_spacing)
-    constraints = select_constraints(field, grid, config.band)
+    grid = make_grid(box, args.constraint_spacing)
+    constraints = select_constraints(field, grid, args.band)
     phase_done("select")
-    model0 = init_model(molecule, config.decay)
+    model0 = init_model(molecule, args.decay)
     phase_done("init")
 
     try:
-        model, trace = optimize(model0, constraints, config.optimizer)
+        model, trace = optimize(model0, constraints, optimizer_config)
     except OptimizationError as exc:
         failed = [*header, f"FAILED: {exc}"]
         if exc.trace is not None:
@@ -332,20 +322,20 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
 
 def cmd_mesh(args: argparse.Namespace) -> int:
     config = _run_config(args, (args.source,))
-    out = _out_dir(config)
+    out = _out_dir(args)
 
     if _looks_like_model(args.source):
         model, meta = load_model(args.source)
         evaluator = model.values
-        box = _model_box(meta, model, config.isovalue, config.mesh_spacing)
+        box = _model_box(meta, model, args.isovalue, args.mesh_spacing)
     else:
         molecule = parse_pqr_file(args.source)
-        field = GaussianField.from_molecule(molecule, decay=config.decay,
-                                            isovalue=config.isovalue)
+        field = GaussianField.from_molecule(molecule, decay=args.decay,
+                                            isovalue=args.isovalue)
         evaluator = field.values
         box = bounding_box(molecule)
 
-    mesh = extract_isosurface(evaluator, box, config.mesh_spacing, config.isovalue)
+    mesh = extract_isosurface(evaluator, box, args.mesh_spacing, args.isovalue)
     write_obj(mesh, out / "mesh.obj", header_lines=config.header_lines())
     print(f"wrote {out / 'mesh.obj'} "
           f"({mesh.vertices.shape[0]} vertices, {mesh.n_f} triangles)")
@@ -354,16 +344,16 @@ def cmd_mesh(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _run_config(args, (args.pqr, args.model))
-    out = _out_dir(config)
+    out = _out_dir(args)
 
     molecule = parse_pqr_file(args.pqr)
-    field = GaussianField.from_molecule(molecule, decay=config.decay,
-                                        isovalue=config.isovalue)
+    field = GaussianField.from_molecule(molecule, decay=args.decay,
+                                        isovalue=args.isovalue)
     model, _ = load_model(args.model)
     box = bounding_box(molecule)
 
     report = compare_surfaces(field.values, model.values, box,
-                              config.mesh_spacing, config.isovalue)
+                              args.mesh_spacing, args.isovalue)
     doc = {"config": config.as_dict(), "report": report}
     (out / "compare.json").write_text(json.dumps(doc, indent=2) + "\n")
     for key in ("A_original", "A_our", "Error_A",

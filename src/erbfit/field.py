@@ -215,21 +215,11 @@ class GaussianField:
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"expected (M, 3) points, got shape {pts.shape}")
         pts_t = np.ascontiguousarray(pts.T)
-        # buffers reused across atoms: allocating M-sized temporaries per atom
-        # costs page faults on every atom once M reaches tens of thousands
-        offset = np.empty_like(pts_t)
-        sq = np.empty_like(pts_t)
-        term = np.empty(pts.shape[0])
+        d = self.decay
         out = np.zeros(pts.shape[0])
         for center, log_weight in zip(self.centers, log_weights):
-            np.subtract(pts_t, center[:, None], out=offset)
-            np.multiply(offset, -self.decay, out=sq)
-            sq *= offset
-            np.add(sq[0], log_weight, out=term)
-            term += sq[1]
-            term += sq[2]
-            np.exp(term, out=term)
-            out += term
+            x, y, z = pts_t - center[:, None]
+            out += np.exp((-d * x) * x + log_weight + (-d * y) * y + (-d * z) * z)
         return out
 
 
@@ -243,17 +233,14 @@ def eval_phi_batch(field: GaussianField, points: np.ndarray | GridSpec) -> np.nd
     return field.values(points)
 
 
-def bounding_box(molecule: Molecule, padding: float | None = None) -> Box:
+def bounding_box(molecule: Molecule) -> Box:
     """Axis-aligned box holding every atom sphere plus padding on all sides.
 
-    Default padding is max atom radius + 3 Angstrom so the near-surface band
+    The padding is max atom radius + 3 Angstrom, so the near-surface band
     sampled for fitting lies well inside the grid.
     """
     radii = molecule.radii
-    if padding is None:
-        padding = float(radii.max()) + 3.0
-    if padding < 0:
-        raise ValueError(f"padding must be nonnegative, got {padding}")
+    padding = float(radii.max()) + 3.0
     centers = molecule.centers
     lo = (centers - radii[:, None]).min(axis=0) - padding
     hi = (centers + radii[:, None]).max(axis=0) + padding

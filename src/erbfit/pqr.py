@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -112,7 +111,7 @@ def _parse_record(tokens: list[str], line_number: int) -> Atom:
     return atom
 
 
-def parse_pqr(text: str | Iterable[str], source_path: str = "<memory>") -> Molecule:
+def parse_pqr(text: str, source_path: str = "<memory>") -> Molecule:
     """Parse PQR text into a Molecule.
 
     Only ATOM/HETATM records are consumed; all other lines are ignored.
@@ -120,12 +119,8 @@ def parse_pqr(text: str | Iterable[str], source_path: str = "<memory>") -> Molec
     PqrValidationError on a radius that is not finite and positive, and
     PqrError if no atoms remain.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = list(text)
     atoms = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0] not in ("ATOM", "HETATM"):
             continue

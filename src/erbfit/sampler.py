@@ -30,7 +30,12 @@ MAX_GRID_POINTS = 2**25
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Constrained points y_k with the target field values phi(y_k)."""
+    """Constrained points y_k with the target field values phi(y_k).
+
+    select_constraints holds the points coordinate-major and hands over the
+    (M, 3) transpose view of its (3, M) array, which the model's passes over
+    the points (np.ascontiguousarray(points.T)) then use without a copy.
+    """
 
     points: np.ndarray   # (M, 3)
     targets: np.ndarray  # (M,)
@@ -79,7 +84,7 @@ def select_constraints(field: GaussianField, grid: GridSpec, band: float = 1.0) 
     phi comes from the field's grid path (eval_phi_batch(field, grid)), so
     each target is within GRID_TAU of the exact sum at its node, and a node
     is kept on that value.  Only the kept nodes' coordinates are built: the
-    selection holds the grid's phi and mask, then the (K, 3) points and K
+    selection holds the grid's phi and mask, then the (3, K) points and K
     targets, never the (n_points, 3) array of every node.
 
     Raises SamplingError when nothing is selected (use a finer grid or a
@@ -97,10 +102,10 @@ def select_constraints(field: GaussianField, grid: GridSpec, band: float = 1.0) 
         )
     targets = phi[mask.ravel()]
     del phi
-    points = np.empty((count, 3))
+    points_t = np.empty((3, count))
     for p in range(3):
         # the node coordinates along axis p, broadcast over the grid as a view
         along = [1, 1, 1]
         along[p] = -1
-        points[:, p] = np.broadcast_to(grid.axis_coords(p).reshape(along), grid.shape)[mask]
-    return ConstraintSet(points=points, targets=targets)
+        points_t[p] = np.broadcast_to(grid.axis_coords(p).reshape(along), grid.shape)[mask]
+    return ConstraintSet(points=points_t.T, targets=targets)

@@ -266,10 +266,11 @@ def test_compare_fitted_model(atom_pqr, fit_dir, tmp_path, capsys):
 
 
 def test_recorded_config_is_pinned(atom_pqr, fit_dir, tmp_path):
-    # every output records the configuration; these bytes must not drift
+    # every output records the settings of the command that wrote it, and
+    # only those; these bytes must not drift
     header = [f"erbfit {__version__}", "command=sparsify", f"input={atom_pqr}",
               "decay=0.5", "isovalue=1.0", "band=1.0", "constraint_spacing=0.7",
-              "mesh_spacing=0.5", "max_iter=60", "sparse_iter=40", "prune_tol=0.001",
+              "max_iter=60", "sparse_iter=40", "prune_tol=0.001",
               "prune_interval=20", "epsilon=0.01", "error_cap=0.5"]
     for name in ("trace.csv", "weights.txt", "summary.txt"):
         lines = (fit_dir / name).read_text().splitlines()
@@ -278,12 +279,32 @@ def test_recorded_config_is_pinned(atom_pqr, fit_dir, tmp_path):
     assert main(["compare", str(atom_pqr), model, "--out", str(tmp_path),
                  "--mesh-spacing", "0.4"]) == 0
     config = json.loads((tmp_path / "compare.json").read_text())["config"]
-    assert config == {
-        "version": __version__, "command": "compare", "inputs": [str(atom_pqr), model],
-        "decay": 0.5, "isovalue": 1.0, "band": 1.0, "constraint_spacing": 1.0,
-        "mesh_spacing": 0.4, "max_iter": 8000, "sparse_iter": 6000, "prune_tol": 0.001,
-        "prune_interval": 20, "epsilon": 0.01, "error_cap": 0.5,
-    }
+    assert list(config.items()) == [
+        ("version", __version__), ("command", "compare"), ("inputs", [str(atom_pqr), model]),
+        ("decay", 0.5), ("isovalue", 1.0), ("mesh_spacing", 0.4),
+    ]
+    assert main(["mesh", model, "--out", str(tmp_path), "--isovalue", "0.9"]) == 0
+    lines = (tmp_path / "mesh.obj").read_text().splitlines()
+    assert [ln[2:] for ln in lines if ln.startswith("# ")] == [
+        f"erbfit {__version__}", "command=mesh", f"input={model}",
+        "decay=0.5", "isovalue=0.9", "mesh_spacing=0.5"]
+
+
+def test_sparsify_takes_no_mesh_spacing(atom_pqr, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sparsify", str(atom_pqr), "--out", str(tmp_path), "--mesh-spacing", "0.4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mesh-spacing 0.4" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_default_sparsify_config_has_the_selection_settings():
+    # perfbench/microbench.py rebuilds a model's constraint set from this
+    # record when the model carries none
+    config = erbfit.cli._run_config(
+        erbfit.cli._build_parser().parse_args(["sparsify", "mol.pqr"]), ("mol.pqr",)).as_dict()
+    assert {key: config[key] for key in ("decay", "isovalue", "constraint_spacing", "band")} \
+        == {"decay": 0.5, "isovalue": 1.0, "constraint_spacing": 1.0, "band": 1.0}
 
 
 def test_compare_open_model_surface_exits_4(bundled_pqr, molecule, tmp_path):

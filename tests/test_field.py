@@ -270,19 +270,21 @@ def test_block_sum_clips_blocks_to_the_grid():
 
 
 def test_bounding_box_single_atom():
+    # padding: the radius 1.5 + 3 A
     mol = parse_pqr("ATOM 1 C ALA 1 0.0 0.0 0.0 0.0 1.5")
-    box = bounding_box(mol, padding=2.0)
-    assert np.allclose(box.lo, -3.5)
-    assert np.allclose(box.hi, 3.5)
+    box = bounding_box(mol)
+    assert np.allclose(box.lo, -6.0)
+    assert np.allclose(box.hi, 6.0)
 
 
-def test_bounding_box_two_atoms_zero_padding():
+def test_bounding_box_two_atoms():
+    # the spheres span x in [-1, 11]; padding: the largest radius 1.0 + 3 A
     mol = parse_pqr(
         "ATOM 1 C ALA 1 0.0 0.0 0.0 0.0 1.0\n"
         "ATOM 2 C ALA 1 10.0 0.0 0.0 0.0 1.0\n")
-    box = bounding_box(mol, padding=0.0)
-    assert box.lo[0] == -1.0
-    assert box.hi[0] == 11.0
+    box = bounding_box(mol)
+    assert box.lo[0] == -5.0
+    assert box.hi[0] == 15.0
 
 
 def test_bounding_box_contains_inflated_atoms(rng, molecule):

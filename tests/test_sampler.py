@@ -152,6 +152,13 @@ def test_selected_points_inside_box(molecule):
     assert np.all((box.lo <= cs.points) & (cs.points <= box.hi))
 
 
+def test_selected_points_are_a_view_of_coordinate_major_points(molecule):
+    # the model's passes take the points (3, M), so they copy nothing
+    f = GaussianField.from_molecule(molecule, decay=0.5)
+    cs = select_constraints(f, make_grid(bounding_box(molecule), 1.0), band=1.0)
+    assert np.shares_memory(np.ascontiguousarray(cs.points.T), cs.points)
+
+
 def test_empty_selection_reports_remedy():
     f = _single_atom_field()
     g = make_grid(_box([-6, -6, -6], [6, 6, 6]), spacing=6.0)
