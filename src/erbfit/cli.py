@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import Box, GaussianField, bounding_box
+from .field import Box, GaussianField, bounding_box, check_decay
 from .initializer import init_model
 from .mesh import EmptyMeshError, MeshError, compare_surfaces, extract_isosurface, write_obj
 from .model import RbfModel, load_model, reach_boxes, save_model
@@ -326,6 +326,7 @@ def cmd_mesh(args: argparse.Namespace) -> int:
 
     if _looks_like_model(args.source):
         model, meta = load_model(args.source)
+        check_decay(args.decay, ())  # unused by a model, but recorded
         evaluator = model.values
         box = _model_box(meta, model, args.isovalue, args.mesh_spacing)
     else:

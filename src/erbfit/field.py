@@ -27,7 +27,7 @@ from erbfit.pqr import Molecule
 # each of N terms is left out only where it is below GRID_TAU / N.  It bounds
 # the field and model on a GridSpec, and so the fit's constraint targets
 # (erbfit.sampler.select_constraints), and the model's passes over points that
-# span more than one block (erbfit.model._point_blocks), whose gradient slots
+# span more than one block (erbfit.model._fused_pass), whose gradient slots
 # it bounds term by term as well
 GRID_TAU = 1e-13
 

@@ -16,19 +16,20 @@ length 10N, and a gradient comes back in the same order.
 Every evaluation, values and gradient alike, writes the exponent of every
 basis as one product E = Q phi: phi holds the ten quadratic monomials
 [1, z_a, z_a z_b] of the points about a local origin and Q (n x 10) comes
-from A = R^T diag(d~^2) R and the centers (derivation in `_point_blocks`).
+from A = R^T diag(d~^2) R and the centers (derivation in `_fused_pass`).
 At an (M, 3) array of points a pass goes one block of points at a time, so
 it holds a block's (10, b) monomials and (k, b) exponents, never an n x M
 array.  When the points fit in one block every basis covers every point;
 with more blocks each block takes only the k bases whose reach box meets
 its box of points, so each term left out is below GRID_TAU / N (N bases)
-in the value and in every gradient slot (the bound is in `_point_blocks`).
-The fit's passes are fused (_fused_pass): each gives the residual at the
-points and, from the same exponentials, the moments that the gradient
-needs, so a gradient is 3x3 algebra on the moments of a pass that has
-already run.  On a GridSpec, the uniform grid that meshing evaluates, each
-basis covers only the block of nodes where it can reach GRID_TAU / N, so
-the terms left out add up to less than GRID_TAU (erbfit.field) at any node.
+in the value and in every gradient slot (the bound is in `_fused_pass`).
+Every pass at points is a _fused_pass: it gives the residual at the points
+and, from the same exponentials, the moments that the gradient needs, so a
+gradient is 3x3 algebra on the moments of a pass that has already run, and
+values at points are the residual at zero targets.  On a GridSpec, the
+uniform grid that meshing evaluates, each basis covers only the block of
+nodes where it can reach GRID_TAU / N, so the terms left out add up to less
+than GRID_TAU (erbfit.field) at any node.
 The blocks come from reach_boxes, which also bounds a bare model's meshing
 box (erbfit.cli); the field's GridSpec.block_sum sums them from ln c~^2 and Q.
 """
@@ -146,17 +147,21 @@ class RbfModel:
     def values(self, points: np.ndarray | GridSpec) -> np.ndarray:
         """Model value (sum over bases) at (M, 3) points or at every node of a GridSpec.
 
-        Zeros for an empty model.  On a grid, GridSpec.block_sum sums each
-        basis that reaches GRID_TAU / n (reach_boxes) with log-weight ln c~^2
-        and the quadratic part of its row of Q about its center (_exponent_rows).
+        Zeros for an empty model.  At points, the residual of a _fused_pass
+        at zero targets.  On a grid, GridSpec.block_sum sums each basis that
+        reaches GRID_TAU / n (reach_boxes) with log-weight ln c~^2 and the
+        quadratic part of its row of Q about its center (_exponent_rows).
         """
         if isinstance(points, GridSpec):
             kept, r, half = reach_boxes(self.params, GRID_TAU)
             neg_q = _exponent_rows(_exponent_matrices(self.params[kept, _DECAY], r))[:, 4:]
             return points.block_sum(self.params[kept, _CENTER], half,
                                     np.log(self.params[kept, _COEFF] ** 2), neg_q)
-        pts_t = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)).T)
-        return _values_arrays(self.params, _PointBlocks(pts_t, self.n_bases))
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValueError(f"expected (M, 3) points, got shape {pts.shape}")
+        blocks = _PointBlocks(np.ascontiguousarray(pts.T), self.n_bases)
+        return _fused_pass(self.params, np.zeros(pts.shape[0]), blocks)[0]
 
     def __eq__(self, other):
         if not isinstance(other, RbfModel):
@@ -187,7 +192,7 @@ def _exponent_matrices(d, r):
 def _exponent_rows(a):
     """-Q (n, 10) of every basis with the monomials taken about its own center.
 
-    Only the quadratic part (columns 4-9) is nonzero; _point_blocks fills
+    Only the quadratic part (columns 4-9) is nonzero; _fused_pass fills
     columns 0-3 for the origin of each block.  The rows are kept negated so
     that -E = (-Q) phi needs no pass of its own.
     """
@@ -246,7 +251,7 @@ class _PointBlocks:
 
 
 def _blocks_met(params, r, blocks: _PointBlocks) -> np.ndarray:
-    """(blocks, n) bool: whether each block of `blocks` takes each basis (see _point_blocks).
+    """(blocks, n) bool: whether each block of `blocks` takes each basis (see _fused_pass).
 
     True where the basis's reach box meets the block's box of points, and
     for a basis with a parameter that is not finite, so that a pass at an
@@ -273,22 +278,34 @@ def _blocks_met(params, r, blocks: _PointBlocks) -> np.ndarray:
     return met
 
 
-def _point_blocks(params, r, a, blocks: _PointBlocks):
-    """The bases of the table, with R (n, 3, 3) and A = R^T diag(d~^2) R, over `blocks`.
+def _fused_pass(params, targets, blocks: _PointBlocks):
+    """Residual and gradient moments of every basis, in one pass over the points.
 
-    `blocks` holds the points and the buffers for at least the n bases,
-    and sets the block size b.  Yields (start, idx, s, phi, g) for the block
-    of points y_k, k = start .. start + b - 1 (fewer in the last block),
-    whose centroid is o: idx selects the bases the block evaluates
-    (slice(None) for all of them, else an increasing index array),
-    s = centers[idx] - o, phi (10, b) the monomials of z_k = y_k - o, and
-    g (len(idx), b) with g_ik = exp(-(y_k - x_i)^T A_i (y_k - x_i)).  phi and
-    g live in the buffers, which the next block overwrites; a caller may
-    overwrite g, not phi.  The only place an ellipsoid Gaussian is evaluated
-    at points: every pass goes through it, and the grid path uses the same Q
-    and monomials.
+    Returns (residual, moments).  residual_k = sum_i c~_i^2 g_ik - target_k
+    at the points y_k of `blocks`, with g_ik = exp(-(y_k - x_i)^T A_i (y_k - x_i))
+    and A = R^T diag(d~^2) R; at zero targets it is the model's values
+    (x - 0.0 = x).  moments is (R, dR, A, s0, m1, C): the rotations and
+    their angle derivatives (see rotations), A, and the residual-weighted
+    moments of every basis about its center,
 
-    The exponent as one GEMM.  With p = y - x_i = z - s_i,
+        s0 = sum_k w_k,   m1 = sum_k w_k p_k,   C = sum_k w_k p_k p_k^T,
+        p_k = y_k - x_i,  w_k = residual_k g_ik,
+
+    from which _objective_gradient_arrays forms the gradient with 3x3
+    algebra alone.  The only place an ellipsoid Gaussian is evaluated at
+    points; the grid path uses the same Q and monomials.
+
+    `blocks` holds the points and the buffers for at least the n bases, and
+    sets the block size b; the pass overwrites the buffers.  It goes one
+    block of points at a time, y_k for k = start .. start + b - 1 (fewer in
+    the last block), about the block's centroid o: the block builds the
+    monomials phi (10, b) of z_k = y_k - o (unless the buffer holds them
+    already), takes the bases idx of its cutoff, writes their exponents
+    E = Q phi and exp(-E) into g (k, b), then its residual, then its
+    moments.  Each block's residual is complete before its moments are
+    taken, so both come from the same exponentials.
+
+    The exponent as one GEMM.  With p = y - x_i = z - s_i, s_i = x_i - o,
 
         p^T A p = z^T A z - 2 (A s)^T z + s^T A s = Q_i . phi(z),
         phi(z) = [1, z_1, z_2, z_3, z_1^2, z_2^2, z_3^2, z_1 z_2, z_1 z_3, z_2 z_3],
@@ -301,7 +318,7 @@ def _point_blocks(params, r, a, blocks: _PointBlocks):
     The cutoff.  Points that fit in one block take every basis, with no
     test.  Otherwise a block takes the bases whose reach box (see reach) at
     the level E_i = L_i + ln(1 + 2 L_i), L_i = ln(n s_i / GRID_TAU), meets
-    the block's box of points, where
+    the block's box of points (_blocks_met), where
 
         s_i = 2 max(|c~|, c~^2 max(1, d_max) / d_min, c~^2 d_max)
 
@@ -314,23 +331,30 @@ def _point_blocks(params, r, a, blocks: _PointBlocks):
     |p| <= sqrt(t) / d_min; and s_i max(1, t) e^-t < GRID_TAU / n for
     t >= E_i (there t - ln t >= L_i, since 1 + 2 L >= L + ln(1 + 2 L)).
     So at any point the value terms left out sum to less than GRID_TAU, and
-    a gradient slot that weighs point k by its residual r_k (see _fused_pass)
-    leaves out less than GRID_TAU / n * sum_k |r_k|, on top of the
-    residual's own error.  A basis with a zero decay has infinite reach and
-    meets every block, as does one with a parameter that is not finite; one
-    with L_i <= 0 (c~ = 0 included) is below the bound everywhere and meets
-    none.
+    a gradient slot that weighs point k by its residual r_k leaves out less
+    than GRID_TAU / n * sum_k |r_k|, on top of the residual's own error.  A
+    basis with a zero decay has infinite reach and meets every block, as
+    does one with a parameter that is not finite; one with L_i <= 0
+    (c~ = 0 included) is below the bound everywhere and meets none.
 
-    Moments, shifted.  A pass that weighs each point by w_ik gets its
-    moments about the block origin as one product, B = w phi^T (k, 10):
-    b0 = sum_k w_k, b1 = sum_k w_k z_k and b2_ab = sum_k w_k z_ka z_kb
-    (column _SYMMETRIC_MONOMIALS[a, b] of B).  About the basis center, p = z - s,
+    Moments, shifted.  A block gets its moments about its origin as one
+    product, B = w phi^T (k, 10): b0 = sum_k w_k, b1 = sum_k w_k z_k and
+    b2_ab = sum_k w_k z_ka z_kb (column _SYMMETRIC_MONOMIALS[a, b] of B).
+    About the basis center, p = z - s,
 
-        s0 = b0,   m1 = b1 - b0 s,   C = b2 - s b1^T - b1 s^T + b0 s s^T.
+        s0 = b0,   m1 = b1 - b0 s,   C = b2 - s b1^T - b1 s^T + b0 s s^T,
+
+    added to the bases the block evaluated: idx holds each basis once, so a
+    fancy-index += is exact.
     """
-    n, m = a.shape[0], blocks.points_t.shape[1]
-    centers = params[:, _CENTER]
+    r, dr = rotations(params[:, _ANGLES])
+    a = _exponent_matrices(params[:, _DECAY], r)  # R^T D R
     neg_q = _exponent_rows(a)
+    c2 = params[:, _COEFF] ** 2
+    centers = params[:, _CENTER]
+    n, m = params.shape[0], blocks.points_t.shape[1]
+    residual = np.empty(m)
+    s0, m1, cm = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3))
     block = blocks.phi.size // 10
     met = None if blocks.lo is None else _blocks_met(params, r, blocks)
     for i, start in enumerate(range(0, m, block)):
@@ -359,48 +383,9 @@ def _point_blocks(params, r, a, blocks: _PointBlocks):
         np.exp(g, out=g)
         blocks.kept_pairs += k
         blocks.all_pairs += n
-        yield start, idx, s, phi, g
-
-
-def _values_arrays(params, blocks: _PointBlocks) -> np.ndarray:
-    """Model values sum_i c~_i^2 g_i at the points of `blocks`; the pass overwrites its buffers."""
-    r = rotations(params[:, _ANGLES])[0]
-    a = _exponent_matrices(params[:, _DECAY], r)
-    c2 = params[:, _COEFF] ** 2
-    out = np.empty(blocks.points_t.shape[1])
-    for start, idx, _, _, g in _point_blocks(params, r, a, blocks):
-        np.matmul(c2[idx], g, out=out[start:start + g.shape[1]])
-    return out
-
-
-def _fused_pass(params, targets, blocks: _PointBlocks):
-    """Residual and gradient moments of every basis, in one pass over the points.
-
-    Returns (residual, moments).  residual_k = sum_i c~_i^2 g_ik - target_k
-    at the points of `blocks`, whose buffers the pass overwrites.  moments is
-    (R, dR, A, s0, m1, C): the rotations and their angle derivatives (see
-    rotations), A = R^T diag(d~^2) R, and the residual-weighted moments of
-    every basis about its center,
-
-        s0 = sum_k w_k,   m1 = sum_k w_k p_k,   C = sum_k w_k p_k p_k^T,
-        p_k = y_k - x_i,  w_k = residual_k g_ik,
-
-    from which _objective_gradient_arrays forms the gradient with 3x3
-    algebra alone.  Each block's residual is complete before its moments are
-    taken, so one sweep of _point_blocks gives both, with the same bits as a
-    value pass followed by a gradient pass.  A block adds its moments to the
-    bases it evaluated: idx holds each basis once, so a fancy-index += is exact.
-    """
-    r, dr = rotations(params[:, _ANGLES])
-    a = _exponent_matrices(params[:, _DECAY], r)  # R^T D R
-    c2 = params[:, _COEFF] ** 2
-    n = params.shape[0]
-    residual = np.empty(blocks.points_t.shape[1])
-    s0, m1, cm = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3))
-    for start, idx, s, phi, g in _point_blocks(params, r, a, blocks):
-        res = residual[start:start + g.shape[1]]
+        res = residual[start:start + b]
         np.matmul(c2[idx], g, out=res)
-        res -= targets[start:start + g.shape[1]]
+        res -= targets[start:start + b]
         g *= res                                 # w = residual * g
         raw = g @ phi.T                          # moments about the block origin
         b0, b1, b2 = raw[:, 0], raw[:, 1:4], raw[:, _SYMMETRIC_MONOMIALS]

@@ -115,7 +115,7 @@ class IterationTrace:
 
     block_pairs counts the (block, basis) pairs that the passes evaluated,
     block_pairs_full the pairs they would have without the cutoff (bases
-    times blocks), both summed over the passes (see model._point_blocks).
+    times blocks), both summed over the passes (see model._fused_pass).
     residual is the final model's residual at the constraint points, from
     the run's last pass at that model (None until optimize returns).  Its
     passes go in blocks sized for the initial basis count, so after a prune
@@ -158,7 +158,7 @@ class IterationTrace:
 
 
 def fit_residual(model: RbfModel, constraints: ConstraintSet) -> np.ndarray:
-    """model(y_k) - phi(y_k) at the constraint points: one value pass."""
+    """model(y_k) - phi(y_k) at the constraint points: one pass."""
     return model.values(constraints.points) - constraints.targets
 
 

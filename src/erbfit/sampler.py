@@ -41,7 +41,9 @@ class ConstraintSet:
     targets: np.ndarray  # (M,)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        pts = np.asarray(self.points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValueError(f"expected (M, 3) points, got shape {pts.shape}")
         tgt = np.asarray(self.targets, dtype=np.float64).ravel()
         if pts.shape[0] != tgt.shape[0]:
             raise ValueError("points and targets disagree in length")

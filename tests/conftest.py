@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import erbfit.model
+import erbfit.optimizer
 from erbfit.pqr import parse_pqr_file
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -26,19 +27,21 @@ def rng():
 
 @pytest.fixture()
 def point_passes(monkeypatch):
-    """Counts of the passes over the points (erbfit.model._point_blocks) and of
-    the rotations calls, kept up to date for the rest of the test."""
+    """Counts of the passes over the points (erbfit.model._fused_pass, under
+    both the names that call it) and of the rotations calls, kept up to date
+    for the rest of the test."""
     calls = {"passes": 0, "rotations": 0}
-    point_blocks, rotations = erbfit.model._point_blocks, erbfit.model.rotations
+    fused_pass, rotations = erbfit.model._fused_pass, erbfit.model.rotations
 
-    def counting_blocks(*args):
+    def counting_pass(*args):
         calls["passes"] += 1
-        return point_blocks(*args)
+        return fused_pass(*args)
 
     def counting_rotations(*args):
         calls["rotations"] += 1
         return rotations(*args)
 
-    monkeypatch.setattr(erbfit.model, "_point_blocks", counting_blocks)
+    monkeypatch.setattr(erbfit.model, "_fused_pass", counting_pass)
+    monkeypatch.setattr(erbfit.optimizer, "_fused_pass", counting_pass)
     monkeypatch.setattr(erbfit.model, "rotations", counting_rotations)
     return calls

@@ -12,6 +12,7 @@ import pytest
 import erbfit
 import erbfit.cli
 import erbfit.model
+import erbfit.optimizer
 from erbfit import __version__
 from erbfit.cli import main
 from erbfit.field import bounding_box
@@ -163,20 +164,21 @@ def test_sparsify_evaluates_the_final_model_once(atom_pqr, tmp_path, monkeypatch
     # the final model is evaluated once, by the fit's last pass: after the
     # optimizer returns, E_s and the max pointwise error come from the
     # residual it hands back, with no pass over the points, and they have
-    # the bits of a fresh value pass (the points fit in one block)
+    # the bits of a fresh pass (the points fit in one block)
     calls = {"passes": 0}
-    point_blocks = erbfit.model._point_blocks
+    fused_pass = erbfit.model._fused_pass
     optimize = erbfit.cli.optimize
     fitted = {}
 
-    def counting_blocks(*args):
+    def counting_pass(*args):
         calls["passes"] += 1
-        return point_blocks(*args)
+        return fused_pass(*args)
 
     def optimize_then_count(model0, constraints, config=None):
         result = optimize(model0, constraints, config)
         fitted.update(model=result[0], constraints=constraints)
-        monkeypatch.setattr(erbfit.model, "_point_blocks", counting_blocks)
+        monkeypatch.setattr(erbfit.model, "_fused_pass", counting_pass)
+        monkeypatch.setattr(erbfit.optimizer, "_fused_pass", counting_pass)
         return result
 
     monkeypatch.setattr(erbfit.cli, "optimize", optimize_then_count)
@@ -417,6 +419,24 @@ def test_benchmark_hooks_and_public_names_resolve(bundled_pqr, molecule, tmp_pat
         assert [s["points"] for s in spans if s["name"] == name] == [n_points], name
 
 
+def test_benchmark_microbench_runs(bundled_pqr, molecule, tmp_path):
+    # perfbench/microbench.py times RbfModel.values at points and
+    # eval_model_gradient on the constraint set that the CLI's default
+    # sparsify flags select, here for a model that records no settings
+    microbench = Path(__file__).parents[1] / "perfbench" / "microbench.py"
+    save_model(init_model(molecule, decay=0.5), tmp_path / "model.json")
+    proc = subprocess.run(
+        [sys.executable, str(microbench), str(bundled_pqr), str(tmp_path / "model.json"),
+         str(tmp_path / "micro.json")],
+        capture_output=True, text=True, env=SRC_ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "micro.json").read_text())
+    assert doc["points"] > 0
+    for label in ("initial", "final"):
+        assert doc[label]["bases"] == len(molecule)
+        assert doc[label]["values_s"] > 0 and doc[label]["gradient_s"] > 0
+
+
 def test_cli_import_loads_no_scipy(bundled_pqr, molecule, tmp_path):
     # erbfit depends on numpy alone: a `compare`, which meshes both surfaces
     # and measures their Hausdorff distance, ends with no scipy module loaded
@@ -445,11 +465,15 @@ def test_cli_import_loads_no_scipy(bundled_pqr, molecule, tmp_path):
     ("compare", ["--decay", "nan"], "decay must be finite and positive, got nan"),
     ("mesh", ["--isovalue", "inf"], "isovalue must be finite and positive, got inf"),
     ("mesh-model", ["--isovalue", "nan"], "isovalue must be finite, got nan"),
+    ("mesh-model", ["--decay", "nan"], "decay must be finite and positive, got nan"),
+    ("mesh-model", ["--decay", "-1"], "decay must be finite and positive, got -1.0"),
+    ("mesh", ["--decay", "nan"], "decay must be finite and positive, got nan"),
     *((f"{command}-radius", [radius], f"atom serial 1: radius must be finite and positive, "
                                       f"got {radius}")
       for radius in ("nan", "inf") for command in ("info", "sparsify", "compare")),
 ], ids=["epsilon-nan", "prune-tol-nan", "error-cap-inf", "band-nan", "decay-inf",
         "big-atom", "compare-decay-nan", "mesh-isovalue-inf", "mesh-model-isovalue-nan",
+        "mesh-model-decay-nan", "mesh-model-decay-negative", "mesh-decay-nan",
         "info-radius-nan", "sparsify-radius-nan", "compare-radius-nan",
         "info-radius-inf", "sparsify-radius-inf", "compare-radius-inf"])
 def test_non_finite_number_exits_2_with_one_line(atom_pqr, fit_dir, tmp_path, command,

@@ -549,7 +549,7 @@ def _spread_case(rng, n, n_points, shift):
 
 
 def _reference_met(m, pts, size):
-    """The cutoff rule of the _point_blocks docstring, one (block, basis) pair at a time."""
+    """The cutoff rule of the _fused_pass docstring, one (block, basis) pair at a time."""
     met = np.zeros((-(-len(pts) // size), m.n_bases), dtype=bool)
     for i, row in enumerate(m.params):
         c, d, x, ang = abs(row[0]), np.abs(row[1:4]), row[4:7], row[7:10]
@@ -588,7 +588,8 @@ def test_gathered_passes_match_the_reference_oracles(n, seed, blocks, shift):
         values = m.values(pts)
         g = eval_model_gradient(m, cs, weights)
         pass_blocks = erbfit.model._PointBlocks(np.ascontiguousarray(pts.T), n)
-        assert np.array_equal(erbfit.model._values_arrays(m.params, pass_blocks), values)
+        residual, _ = erbfit.model._fused_pass(m.params, cs.targets, pass_blocks)
+        assert np.array_equal(values - cs.targets, residual)
     met = erbfit.model._blocks_met(m.params, rotations(m.angles)[0], pass_blocks)
     assert met[:, 1].all() and not met[:, 0].any()
     assert np.array_equal(met, _reference_met(m, pts, _SMALL_BLOCK))
@@ -624,6 +625,18 @@ def test_eval_model_gradient_makes_one_point_pass(rng, point_passes):
     cs = ConstraintSet(points=rng.uniform(-4, 4, (300, 3)), targets=rng.uniform(0, 2, 300))
     eval_model_gradient(m, cs, (0.6, 0.4))
     assert point_passes == {"passes": 1, "rotations": 1}
+
+
+def test_values_at_points_make_one_point_pass(rng, point_passes):
+    m = _random_model(rng, 4)
+    m.values(rng.uniform(-4, 4, (300, 3)))
+    assert point_passes == {"passes": 1, "rotations": 1}
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (3,)])
+def test_values_refuse_points_that_are_not_m_by_3(rng, shape):
+    with pytest.raises(ValueError, match=r"expected \(M, 3\) points, got shape"):
+        _random_model(rng, 2).values(np.zeros(shape))
 
 
 def test_gathered_gradient_makes_one_point_pass(rng, point_passes, monkeypatch):

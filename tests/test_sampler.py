@@ -171,6 +171,9 @@ def test_constraint_set_validation():
         ConstraintSet(points=np.zeros((0, 3)), targets=np.zeros(0))
     with pytest.raises(ValueError):
         ConstraintSet(points=np.zeros((2, 3)), targets=np.zeros(3))
+    # a coordinate-major (3, K) array is not read as scrambled (K, 3) rows
+    with pytest.raises(ValueError, match=r"expected \(M, 3\) points, got shape \(3, 4\)"):
+        ConstraintSet(points=np.arange(12.0).reshape(3, 4), targets=np.zeros(4))
 
 
 def _spread_field(n_atoms=60, extent=40.0, seed=7):
