@@ -10,7 +10,8 @@ Each output records the settings of the command that wrote it, as
 '# key=value' header lines or a "config" object in JSON outputs: every flag
 its parser takes but --out and --deterministic, in the order it takes them.
 `sparsify` takes the field flags (--decay, --isovalue) and the fit flags;
-`mesh` and `compare` take the field flags and --mesh-spacing.  Model and
+`mesh` and `compare` take the field flags and --mesh-spacing, but `mesh` of
+a model records no decay, since a model's decays are its own.  Model and
 trace files contain nothing run-dependent, so two runs of the same command
 are byte-identical; wall time appears only in the human-readable summary and
 in `sparsify`'s timings.json (the wall time of each phase: parse, select,
@@ -321,12 +322,16 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
 
 
 def cmd_mesh(args: argparse.Namespace) -> int:
+    is_model = _looks_like_model(args.source)
+    if is_model:
+        # a model's decays are its own: --decay is checked but not recorded
+        check_decay(args.decay, ())
+        args.settings = {k: v for k, v in args.settings.items() if k != "decay"}
     config = _run_config(args, (args.source,))
     out = _out_dir(args)
 
-    if _looks_like_model(args.source):
+    if is_model:
         model, meta = load_model(args.source)
-        check_decay(args.decay, ())  # unused by a model, but recorded
         evaluator = model.values
         box = _model_box(meta, model, args.isovalue, args.mesh_spacing)
     else:

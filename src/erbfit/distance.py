@@ -1,17 +1,23 @@
-"""Exact distances from points to a triangle mesh surface, and their maximum.
+"""Exact distances from points to a triangle mesh, and the symmetric
+Hausdorff estimate between two meshes.
 
-The distance kernels run coordinate-major on (3, K) arrays with explicit
-x + y + z sums in place of row reductions.  _bounded_max takes the largest
-distance from a set of points to a mesh and measures a point exactly only
-while an upper bound on its distance exceeds the running maximum, the early
-break of Taha & Hanbury (TPAMI 2015).  Nearest vertices and candidate
-triangles come from a _CellList of the mesh: cubic cells whose items are
-sorted by cell key once, so memory is O(V + F) for any geometry.  A search
-meets the few cells around a point first; a point those cells do not settle
-searches farther, down to a scan of every item, and every pass makes its
-(point, item) pairs in chunks of fewer than 32768 (2 * 16 pairs per point of
-a 1024-point block).  A (point, triangle) pair takes about 390 bytes in the
-distance kernel, its gathered coordinates included, so a chunk about 13 MB.
+hausdorff is a Metro-style estimate (Cignoni, Rocchini & Scopigno, CGF
+1998): sampled points on one mesh, its vertices and a barycentric lattice on
+each triangle (_triangle_samples, each distinct point once), against exact
+point-to-triangle distances on the other.  Since it is a maximum over
+points, _bounded_max measures a point exactly only while an upper bound on
+its distance exceeds the running maximum, the early break of Taha & Hanbury
+(TPAMI 2015), and hausdorff extends the break to whole triangles; the bounds
+are >= the exact distances to the bit, so H is unchanged.  Nearest vertices
+and candidate triangles come from a _CellList of the target mesh: cubic
+cells whose items are sorted by cell key once, so memory is O(V + F) for any
+geometry.  A search meets the few cells around a point first; a point those
+cells do not settle searches farther, down to a scan of every item, and
+every pass makes its (point, item) pairs in chunks of fewer than 16384
+(2 * 8 pairs per point of a 1024-point block).  The distance kernels run
+coordinate-major on (3, K) arrays with explicit x + y + z sums; a
+(point, triangle) pair takes about 390 bytes there, its 96 bytes of gathered
+coordinates included, so a chunk about 6.5 MB.
 """
 
 from __future__ import annotations
@@ -25,12 +31,9 @@ if TYPE_CHECKING:
     from .mesh import TriMesh
 
 # sample points per distance pass of _bounded_max, and the most its seed
-# pass measures.  Every pass makes its (point, item) pairs in chunks of fewer
-# than 2 * _PAIRS_PER_POINT pairs per block point, 32768 pairs, which bounds
-# memory: a (point, triangle) pair holds its 96 bytes of gathered coordinates
-# and about 290 bytes of kernel temporaries, so a chunk at most about 13 MB
+# pass measures; with _PAIRS_PER_POINT it bounds the chunks of every pass
 _HAUSDORFF_BLOCK = 1024
-_PAIRS_PER_POINT = 16
+_PAIRS_PER_POINT = 8
 # the rounding margin of the Hausdorff bounds, relative to the coordinate
 # scale: many orders above the few ulps a distance is off by, and still far
 # below any distance that matters
@@ -371,3 +374,87 @@ def _directed_hausdorff(points: np.ndarray, target: TriMesh, floor: float = 0.0)
     side = float(_edge_lengths(target).max())
     cells = _CellList(target, side, _rounding_margin(side, points, target.vertices))
     return _bounded_max(points, cells, floor)[0]
+
+
+def _triangle_samples(mesh: TriMesh, per_triangle: int, triangles=None) -> np.ndarray:
+    """The nodes of a deterministic barycentric lattice on the given triangles
+    (all by default) that are not triangle corners, each point once.
+
+    per_triangle = 10 uses the degree-3 lattice (i+j+k = 3), which has exactly
+    10 nodes; other counts take the first nodes of the next large-enough
+    lattice.  A lattice corner is a copy of a mesh vertex and is left out: the
+    vertices are measured on their own.  A node on an edge is the same point,
+    to the bit, in every triangle that holds the edge (its two weights are the
+    same numbers and the third adds 0 * x), so it is taken once, from the
+    first of the given triangles that holds it; this also holds on open and
+    non-manifold meshes.  Every interior node is taken.  The directed
+    Hausdorff distance is a max over points, so it is the same over these
+    points and the vertices as over the full lattice on every triangle.
+    """
+    degree = 1
+    while (degree + 1) * (degree + 2) // 2 < per_triangle:
+        degree += 1
+    i, j = np.indices((degree + 1, degree + 1)).reshape(2, -1)
+    keep = i + j <= degree
+    i, j = i[keep], j[keep]
+    lattice = np.stack([i, j, degree - i - j], axis=1)[:per_triangle]
+    t = mesh.triangles if triangles is None else mesh.triangles[triangles]
+    zeros = (lattice == 0).sum(axis=1)
+    take = np.zeros((t.shape[0], lattice.shape[0]), dtype=bool)
+    take[:, zeros == 0] = True
+    # an edge node is named by its edge, the sorted vertex pair (lo, hi), and
+    # its weight on lo
+    edge_nodes = np.flatnonzero(zeros == 1)
+    nodes = lattice[edge_nodes]
+    a = (np.argmin(nodes, axis=1) + 1) % 3
+    b = (a + 1) % 3
+    ta, tb = t[:, a], t[:, b]
+    lo, hi = np.minimum(ta, tb), np.maximum(ta, tb)
+    rows = np.arange(len(nodes))
+    weight_lo = np.where(ta < tb, nodes[rows, a], nodes[rows, b])
+    _, first = np.unique((lo * mesh.vertices.shape[0] + hi) * (degree + 1) + weight_lo,
+                         return_index=True)
+    on_edge = np.zeros(lo.size, dtype=bool)
+    on_edge[first] = True
+    take[:, edge_nodes] = on_edge.reshape(lo.shape)
+    tri, node = np.nonzero(take)
+    bary = lattice[node] / degree
+    v = mesh.vertices
+    return (bary[:, 0, None] * v[t[tri, 0]]
+            + bary[:, 1, None] * v[t[tri, 1]]
+            + bary[:, 2, None] * v[t[tri, 2]])
+
+
+def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) -> float:
+    """Symmetric Hausdorff estimate between two mesh surfaces: the max over
+    the sample points of each mesh (its vertices and _triangle_samples) of
+    the distance to the other, to the bit.
+
+    Both cell lists take the longest edge of either mesh as their side.  A
+    direction measures the source mesh's vertices first, with _bounded_max.
+    A lattice point of a triangle lies within the longer of the two edges at
+    a corner c of that corner, and the distance to a surface grows no faster
+    than the point moves, so the triangle's points cannot exceed min over
+    corners of (c's bound + longer edge at c); only the triangles whose
+    bound, plus a rounding margin at the meshes' coordinate scale, exceeds
+    the running maximum get lattice points.  The second direction starts
+    from the first one's maximum.  Raises ValueError when a mesh has no
+    triangle.
+    """
+    if mesh_a.n_f == 0 or mesh_b.n_f == 0:
+        raise ValueError("hausdorff needs two non-empty meshes")
+    edges = [_edge_lengths(m) for m in (mesh_a, mesh_b)]
+    side = max(float(e.max()) for e in edges)
+    margin = _rounding_margin(side, mesh_a.vertices, mesh_b.vertices)
+    lo = 0.0
+    for source, target, e in ((mesh_a, mesh_b, edges[0]), (mesh_b, mesh_a, edges[1])):
+        cells = _CellList(target, side, margin)
+        lo, bound = _bounded_max(source.vertices, cells, lo)
+        # corner c of a triangle holds its edges c and c - 1 (mod 3)
+        tri_bound = np.minimum.reduce([bound[source.triangles[:, c]] + np.maximum(e[c], e[c - 1])
+                                       for c in range(3)]) + margin
+        tris = np.flatnonzero(tri_bound > lo)
+        if tris.size:
+            lo = _bounded_max(_triangle_samples(source, samples_per_triangle, tris),
+                              cells, lo)[0]
+    return lo

@@ -1,4 +1,4 @@
-"""Isosurface meshing and surface-comparison metrics.
+"""Isosurface meshing, and the area and volume of a mesh.
 
 extract_isosurface runs classic 256-case marching cubes over a uniform grid
 as array passes: cube corners are numbered 0-3 around the bottom face
@@ -13,22 +13,9 @@ C order, and triangles follow the cells in C order.  A surface that reaches
 the box boundary is refused, because its mesh would be open and its volume
 meaningless.
 
-Metrics follow the mesh itself: area as the summed triangle areas, enclosed
-volume as |sum of signed tetrahedron volumes| against the origin, and a
-Metro-style symmetric Hausdorff estimate (Cignoni, Rocchini & Scopigno, CGF
-1998): sampled points on one mesh (its vertices and a barycentric lattice on
-each triangle, each distinct point once) against exact point-to-triangle
-distances on the other.  Since the estimate is a maximum over points, a point
-is measured exactly only while an upper bound on its distance (its nearest
-target vertex, then the triangles around that vertex) exceeds the running
-maximum, the early break of Taha & Hanbury (TPAMI 2015); the bounds are >= the
-exact value to the bit, so H is unchanged.  The break extends to whole
-triangles: each direction measures the source mesh's vertices first, and a
-triangle gets its lattice points only if min over its corners c of (c's bound
-+ the longer edge at c), plus a margin for rounding at the meshes' coordinate
-scale, still exceeds the maximum.  The distances, the bounds and the cell
-list of each target mesh that finds nearest vertices and candidate triangles
-are in erbfit.distance; the cell side is the longest edge of either mesh.
+Area is the summed triangle areas and volume |sum of signed tetrahedron
+volumes| against the origin.  The Hausdorff distance that compare_surfaces
+reports is erbfit.distance.hausdorff.
 """
 
 from __future__ import annotations
@@ -39,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ._mc_tables import TRI_TABLE
-from .distance import _bounded_max, _CellList, _edge_lengths, _rounding_margin
+from .distance import hausdorff
 from .field import Box
 from .sampler import make_grid
 
@@ -129,9 +116,14 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
         raise MeshError("the surface reaches the box boundary; the mesh would be open")
 
     # one vertex per cut grid edge (np.diff of a bool array is "not equal"),
-    # numbered x-edges, then y-edges, then z-edges, each in C order
+    # numbered x-edges, then y-edges, then z-edges, each in C order: a cut
+    # edge's id is its axis's first id plus the rank of its C-order key among
+    # the axis's cut edges.  An edge that is not cut gets an id too, which no
+    # triangle-table row reads
     xs = [grid.axis_coords(p) for p in range(3)]
-    vertex_id, vertices, n = [], [], 0
+    ci, cj, ck = np.unravel_index(cells, (nx, ny, nz))
+    edge_vertex = np.empty((cells.size, 12), dtype=np.int64)
+    vertices, n = [], 0
     for axis in range(3):
         cut = np.diff(below, axis=axis)
         lo = np.nonzero(cut)
@@ -141,13 +133,13 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
         coords = [xs[p][lo[p]] for p in range(3)]
         coords[axis] = coords[axis] + t * (xs[axis][hi[axis]] - coords[axis])
         vertices.append(np.stack(coords, axis=1))
-        vertex_id.append(np.full(cut.shape, -1, dtype=np.int64))
-        vertex_id[axis][lo] = np.arange(n, n + t.size)
+        keys = np.ravel_multi_index(lo, cut.shape)
+        for e, (edge_axis, (dx, dy, dz)) in enumerate(_CUBE_EDGES):
+            if edge_axis == axis:
+                edge_vertex[:, e] = n + np.searchsorted(
+                    keys, np.ravel_multi_index((ci + dx, cj + dy, ck + dz), cut.shape))
         n += t.size
 
-    ci, cj, ck = np.unravel_index(cells, (nx, ny, nz))
-    edge_vertex = np.stack([vertex_id[axis][ci + dx, cj + dy, ck + dz]
-                            for axis, (dx, dy, dz) in _CUBE_EDGES], axis=1)
     rows = _TRIANGLES[case.ravel()[cells]]
     # -1 pads each row; take_along_axis reads it as the last column, which
     # the mask then drops
@@ -174,92 +166,6 @@ def mesh_volume(mesh: TriMesh) -> float:
     cross = np.cross(v2 - v1, v3 - v1)
     to_origin = -(v1 + v2 + v3) / 3.0
     return float(abs((cross * to_origin).sum() / 6.0))
-
-
-def _triangle_samples(mesh: TriMesh, per_triangle: int, triangles=None) -> np.ndarray:
-    """The nodes of a deterministic barycentric lattice on the given triangles
-    (all by default) that are not triangle corners, each point once.
-
-    per_triangle = 10 uses the degree-3 lattice (i+j+k = 3), which has exactly
-    10 nodes; other counts take the first nodes of the next large-enough
-    lattice.  A lattice corner is a copy of a mesh vertex and is left out: the
-    vertices are measured on their own.  A node on an edge is the same point,
-    to the bit, in every triangle that holds the edge (its two weights are the
-    same numbers and the third adds 0 * x), so it is taken once, from the
-    first of the given triangles that holds it; this also holds on open and
-    non-manifold meshes.  Every interior node is taken.  The directed
-    Hausdorff distance is a max over points, so it is the same over these
-    points and the vertices as over the full lattice on every triangle.
-    """
-    degree = 1
-    while (degree + 1) * (degree + 2) // 2 < per_triangle:
-        degree += 1
-    i, j = np.indices((degree + 1, degree + 1)).reshape(2, -1)
-    keep = i + j <= degree
-    i, j = i[keep], j[keep]
-    lattice = np.stack([i, j, degree - i - j], axis=1)[:per_triangle]
-    t = mesh.triangles if triangles is None else mesh.triangles[triangles]
-    zeros = (lattice == 0).sum(axis=1)
-    take = np.zeros((t.shape[0], lattice.shape[0]), dtype=bool)
-    take[:, zeros == 0] = True
-    # an edge node is named by its edge (the sorted vertex pair) and its
-    # weight on the edge's lower vertex
-    edge_nodes = np.flatnonzero(zeros == 1)
-    nodes = lattice[edge_nodes]
-    a = (np.argmin(nodes, axis=1) + 1) % 3
-    b = (a + 1) % 3
-    ta, tb = t[:, a], t[:, b]
-    lo, hi = np.minimum(ta, tb), np.maximum(ta, tb)
-    _, edge = np.unique(lo * mesh.vertices.shape[0] + hi, return_inverse=True)
-    rows = np.arange(len(nodes))
-    weight_lo = np.where(ta < tb, nodes[rows, a], nodes[rows, b])
-    _, first = np.unique(edge.reshape(lo.shape) * (degree + 1) + weight_lo,
-                         return_index=True)
-    on_edge = np.zeros(lo.size, dtype=bool)
-    on_edge[first] = True
-    take[:, edge_nodes] = on_edge.reshape(lo.shape)
-    tri, node = np.nonzero(take)
-    bary = lattice[node] / degree
-    v = mesh.vertices
-    return (bary[:, 0, None] * v[t[tri, 0]]
-            + bary[:, 1, None] * v[t[tri, 1]]
-            + bary[:, 2, None] * v[t[tri, 2]])
-
-
-def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) -> float:
-    """Symmetric Hausdorff estimate between two mesh surfaces.
-
-    Samples each mesh (vertices plus a fixed barycentric lattice per triangle,
-    each distinct point once) and takes the max of the two directed
-    sample-to-surface maxima, each as in _bounded_max.  A direction measures
-    the source mesh's vertices first.  A lattice point of a triangle lies
-    within the longer of the two edges at a corner c of that corner, and the
-    distance to a surface grows no faster than the point moves, so the
-    triangle's points cannot exceed min over corners of (c's bound + longer
-    edge at c); only the triangles whose bound, plus a rounding margin, exceeds
-    the running maximum get lattice points.  The second direction starts from
-    the first one's maximum.  Every point that can raise the maximum is
-    measured as it would be alone, so the result is max(d_ab, d_ba) over every
-    sample point, to the bit.
-    """
-    if mesh_a.n_f == 0 or mesh_b.n_f == 0:
-        raise MeshError("hausdorff needs two non-empty meshes")
-    edges = [_edge_lengths(m) for m in (mesh_a, mesh_b)]
-    # one cell side for both cell lists: the longest edge of either mesh
-    side = max(float(e.max()) for e in edges)
-    margin = _rounding_margin(side, mesh_a.vertices, mesh_b.vertices)
-    lo = 0.0
-    for source, target, e in ((mesh_a, mesh_b, edges[0]), (mesh_b, mesh_a, edges[1])):
-        cells = _CellList(target, side, margin)
-        lo, bound = _bounded_max(source.vertices, cells, lo)
-        # corner c of a triangle holds its edges c and c - 1 (mod 3)
-        tri_bound = np.minimum.reduce([bound[source.triangles[:, c]] + np.maximum(e[c], e[c - 1])
-                                       for c in range(3)]) + margin
-        tris = np.flatnonzero(tri_bound > lo)
-        if tris.size:
-            lo = _bounded_max(_triangle_samples(source, samples_per_triangle, tris),
-                              cells, lo)[0]
-    return lo
 
 
 def compare_surfaces(eval_a, eval_b, box: Box, spacing: float, isovalue: float) -> dict:

@@ -289,7 +289,7 @@ def test_recorded_config_is_pinned(atom_pqr, fit_dir, tmp_path):
     lines = (tmp_path / "mesh.obj").read_text().splitlines()
     assert [ln[2:] for ln in lines if ln.startswith("# ")] == [
         f"erbfit {__version__}", "command=mesh", f"input={model}",
-        "decay=0.5", "isovalue=0.9", "mesh_spacing=0.5"]
+        "isovalue=0.9", "mesh_spacing=0.5"]
 
 
 def test_sparsify_takes_no_mesh_spacing(atom_pqr, tmp_path, capsys):

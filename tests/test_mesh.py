@@ -9,16 +9,18 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 import erbfit.distance
-import erbfit.mesh
 from erbfit._mc_tables import TRI_TABLE
-from erbfit.distance import _directed_hausdorff, _point_triangle_distance_sq
+from erbfit.distance import (
+    _directed_hausdorff,
+    _point_triangle_distance_sq,
+    _triangle_samples,
+)
 from erbfit.field import Box, GaussianField, bounding_box
 from erbfit.initializer import init_model
 from erbfit.mesh import (
     EmptyMeshError,
     MeshError,
     TriMesh,
-    _triangle_samples,
     compare_surfaces,
     extract_isosurface,
     hausdorff,
@@ -655,13 +657,13 @@ def test_lattice_only_on_triangles_that_can_raise_the_maximum(monkeypatch):
     a = _sphere_mesh(spacing=0.5)
     b = a.translated(np.array([2.0, 0.3, -0.2]))
     handed = []
-    samples = erbfit.mesh._triangle_samples
+    samples = erbfit.distance._triangle_samples
 
     def counting(mesh, per_triangle, triangles=None):
         handed.append(len(triangles))
         return samples(mesh, per_triangle, triangles)
 
-    monkeypatch.setattr(erbfit.mesh, "_triangle_samples", counting)
+    monkeypatch.setattr(erbfit.distance, "_triangle_samples", counting)
     pairs = _counting_distance(monkeypatch)
     assert hausdorff(a, b) == _reference_hausdorff(a, b)
     assert a.n_f == b.n_f == 344

@@ -533,17 +533,18 @@ def test_fused_pass_matches_the_oracles_and_carries_the_gradient(n, seed, blocks
     assert np.array_equal(searches[1][0], at_step)
 
 
-def _spread_case(rng, n, n_points, shift):
-    """n rotated anisotropic bases and n_points points over about 60 A, the
-    points in x order as the grid gives them: the first basis has weight 0,
-    the second no decay along one axis."""
+def _spread_case(rng, n, n_points, shift, extent=(60.0, 60.0, 60.0)):
+    """n rotated anisotropic bases and n_points points in a box of the given
+    extent (A) centred at shift, the points in x order as the grid gives
+    them: the first basis has weight 0, the second no decay along one axis."""
+    half = 0.5 * np.asarray(extent)
     c = rng.uniform(0.2, 2.0, n)
     c[0] = 0.0
     d = rng.uniform(0.4, 1.2, (n, 3))
     d[1, rng.integers(3)] = 0.0
-    m = RbfModel(coeff_sqrt=c, decay_sqrt=d, centers=rng.uniform(-30, 30, (n, 3)) + shift,
+    m = RbfModel(coeff_sqrt=c, decay_sqrt=d, centers=rng.uniform(-half, half, (n, 3)) + shift,
                  angles=rng.uniform(-np.pi, np.pi, (n, 3)))
-    pts = rng.uniform(-30, 30, (n_points, 3))
+    pts = rng.uniform(-half, half, (n_points, 3))
     pts = pts[np.argsort(pts[:, 0], kind="stable")] + shift
     return m, ConstraintSet(points=pts, targets=rng.uniform(0, 2, n_points))
 
@@ -572,15 +573,18 @@ def _reference_met(m, pts, size):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
        blocks=st.sampled_from([(2, 0), (3, 7), (9, 1), (20, 13)]),
-       shift=st.sampled_from([0.0, 1000.0]))
-def test_gathered_passes_match_the_reference_oracles(n, seed, blocks, shift):
+       shift=st.sampled_from([0.0, 1000.0]),
+       extent=st.sampled_from([(60.0, 60.0, 60.0), (600.0, 6.0, 6.0)]))
+def test_gathered_passes_match_the_reference_oracles(n, seed, blocks, shift, extent):
     # blocks of _SMALL_BLOCK points in x order: each block takes only the
     # bases whose reach box meets its box of points.  The zero weight meets
     # no block and the zero decay, of infinite reach, every block; the values
-    # and the gradient agree with the exact loops as the full passes do
+    # and the gradient agree with the exact loops as the full passes do.  On
+    # the 600 A rod a block's points lie hundreds of A from the points'
+    # centroid, so one origin shared by every block would lose about 1e-11
     rng = np.random.default_rng(seed)
     k, r = blocks
-    m, cs = _spread_case(rng, n, k * _SMALL_BLOCK + r, shift)
+    m, cs = _spread_case(rng, n, k * _SMALL_BLOCK + r, shift, extent)
     pts = cs.points
     weights = (float(rng.uniform(0.01, 1)), float(rng.uniform(0, 1)))
     with pytest.MonkeyPatch.context() as patch:
