@@ -365,17 +365,6 @@ def _bounded_max(points: np.ndarray, cells: _CellList, floor: float):
     return lo, bound
 
 
-def _directed_hausdorff(points: np.ndarray, target: TriMesh, floor: float = 0.0) -> float:
-    """max(floor, max over points of the distance to the target mesh surface).
-
-    The distances are those of _bounded_max, on a cell list whose side is the
-    target's longest edge.
-    """
-    side = float(_edge_lengths(target).max())
-    cells = _CellList(target, side, _rounding_margin(side, points, target.vertices))
-    return _bounded_max(points, cells, floor)[0]
-
-
 def _triangle_samples(mesh: TriMesh, per_triangle: int, triangles=None) -> np.ndarray:
     """The nodes of a deterministic barycentric lattice on the given triangles
     (all by default) that are not triangle corners, each point once.
@@ -457,4 +446,7 @@ def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) 
         if tris.size:
             lo = _bounded_max(_triangle_samples(source, samples_per_triangle, tris),
                               cells, lo)[0]
+        # free this direction's cell list and bounds before the next one is
+        # built: holding both would set the peak memory of a compare
+        del cells, bound, tri_bound, tris
     return lo

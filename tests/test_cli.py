@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: arguments, outputs, exit codes."""
 
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -344,6 +346,27 @@ OVERFLOW_BASES = ('[{"coeff_sqrt": 1.2, "decay_sqrt": [0.7, 0.7, 0.7], "center":
 OVERFLOW_MODEL = '{"format": "erbfit-model", "version": 1, %s"bases": %s}'
 OVERFLOW_REASON = "model.json: basis 1: its weight or decay overflows a double"
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(erbfit.__file__).parents[1])}
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(bundled_pqr, tmp_path):
+    # erbfit runs OpenBLAS on one thread whatever OPENBLAS_NUM_THREADS says;
+    # at two threads the fit's products and the grid sum's GEMMs would sum in
+    # another order and every output below would differ in its bits.  Both
+    # runs name their files by the same relative paths, which the outputs record
+    digests = []
+    for threads in ("1", "2"):
+        run = tmp_path / threads
+        run.mkdir()
+        shutil.copyfile(bundled_pqr, run / "mol.pqr")
+        for args in (["sparsify", "mol.pqr", "--max-iter", "200", "--sparse-iter", "150"],
+                     ["compare", "mol.pqr", "out/model.json", "--mesh-spacing", "0.5"]):
+            proc = subprocess.run([sys.executable, "-m", "erbfit.cli", *args, "--out", "out"],
+                                  cwd=run, capture_output=True, text=True, timeout=120,
+                                  env={**SRC_ENV, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+        digests.append({name: hashlib.sha256((run / "out" / name).read_bytes()).hexdigest()
+                        for name in ("model.json", "trace.csv", "weights.txt", "compare.json")})
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("command, doc, reason", [

@@ -214,13 +214,15 @@ def test_grid_values_match_point_values(n_atoms, seed, decay, spacing):
                                            (0.37, (0.1, -0.23, 0.37))],
                          ids=["lattice", "off-lattice-0.45", "off-lattice-0.37"])
 def test_grid_values_are_the_point_bits_when_nothing_is_dropped(decay, center):
-    # one atom whose block holds the whole grid: every node gets the
-    # operations of the point path, in the same order.  At d = 0.5 about the
-    # origin every product on the 0.25 A lattice is exact, so only the other
-    # cases, off the lattice, see the order of the rounding
+    # one atom whose block holds the whole grid: every node gets the terms of
+    # the point path, as exp(plane) * exp(z part) in place of the exp of
+    # their sum, so a node is within rounding of the point path's value.  At
+    # d = 0.5 about the origin every product on the 0.25 A lattice is exact,
+    # so only the other cases, off the lattice, see the order of the rounding
     f = _single_atom(r=1.5, d=decay, center=center)
     grid = make_grid(Box(lo=np.full(3, -3.0), hi=np.full(3, 3.0)), 0.25)
-    assert np.array_equal(f.values(grid), f.values(grid.points()))
+    got, ref = f.values(grid), f.values(grid.points())
+    assert np.all(np.abs(got - ref) <= 1e-14 * ref)
 
 
 def test_grid_values_keep_the_below_isovalue_bits_on_bundled_grid(molecule):
@@ -258,15 +260,76 @@ def test_block_sum_clips_blocks_to_the_grid():
         assert np.array_equal(got.reshape(grid.shape), want)
     # the offsets of center 3's nodes from it, read back through each column
     # of the row: a 1 in column j alone, log-weight 0.25, gives exp(m_j + 0.25)
-    # for monomial m_j, every sum exact, in both the z-coupled case and not
+    # for monomial m_j, every sum exact, in both the z-coupled case and not;
+    # a row free of z coupling takes z^2 as its own factor, exp(0.25) exp(z^2)
     x, y, z = np.meshgrid([-0.5, 0.5], [-0.5, 0.5], [-1.0, 0.0, 1.0], indexing="ij")
     for j, monomial in enumerate([x * x, y * y, z * z, x * y, x * z, y * z]):
         row = np.zeros((1, 6))
         row[0, j] = 1.0
         got = grid.block_sum(centers[3:], half[3:], np.full(1, 0.25), row).reshape(grid.shape)
-        assert np.array_equal(got[blocks[3]], np.exp(monomial + 0.25))
+        want = np.exp(0.25) * np.exp(monomial) if j == 2 else np.exp(monomial + 0.25)
+        assert np.array_equal(got[blocks[3]], want)
         assert np.count_nonzero(got) == monomial.size
     assert len(grid) == grid.n_points == 125
+
+
+def _reference_block_sum(grid, centers, half_widths, log_weights, neg_q, out=None):
+    """The per-kernel block loop, the reference of GridSpec.block_sum: each
+    kernel's exp(log_weight - E) over its block, one exponential per node,
+    added in row order to out (zeros by default); C-order node values."""
+    axes = [grid.axis_coords(p) for p in range(3)]
+    out = np.zeros(grid.shape) if out is None else out.reshape(grid.shape).copy()
+    for k in range(centers.shape[0]):
+        block = tuple(slice(np.searchsorted(a, c - h, side="left"),
+                            np.searchsorted(a, c + h, side="right"))
+                      for a, c, h in zip(axes, centers[k], half_widths[k]))
+        x, y, z = (axes[p][block[p]] - c for p, c in enumerate(centers[k].tolist()))
+        if 0 in (x.size, y.size, z.size):
+            continue
+        q_xx, q_yy, q_zz, q_xy, q_xz, q_yz = neg_q[k].tolist()
+        plane = np.add.outer(q_xx * x * x + log_weights[k], q_yy * y * y)
+        plane += np.multiply.outer(q_xy * x, y)
+        if q_xz == 0.0 and q_yz == 0.0:
+            g = plane[:, :, None] + q_zz * z * z
+        else:
+            g = np.multiply(np.add.outer(q_xz * x, q_yz * y)[:, :, None], z)
+            g += plane[:, :, None]
+            g += q_zz * z * z
+        out[block] += np.exp(g)
+    return out.ravel()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_factored_rows_match_the_block_loop(seed):
+    # random rows over a grid that clips many blocks and misses some: rows
+    # free of z coupling, with and without an x y term, some with infinite
+    # half-widths, are summed by the factored path within rounding of the
+    # block loop and with its zeros; z-coupled rows keep its bits, alone and
+    # added after the factored rows
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(Box(lo=rng.uniform(-5, -3, 3), hi=rng.uniform(3, 5, 3)),
+                    tuple(rng.integers(6, 15, 3)))
+    n = 16
+    centers = rng.uniform(-7, 7, (n, 3))
+    half = rng.uniform(0.5, 6.0, (n, 3))
+    half[rng.random((n, 3)) < 0.15] = np.inf
+    log_weights = rng.uniform(-2, 2, n)
+    neg_q = np.zeros((n, 6))
+    neg_q[:, :3] = -rng.uniform(0.05, 0.5, (n, 3))
+    neg_q[::2, 3] = rng.uniform(-0.5, 0.5, n // 2) * np.sqrt(neg_q[::2, 0] * neg_q[::2, 1])
+    coupled = rng.random(n) < 0.4
+    coupled[:2] = True, False
+    neg_q[coupled, 4:] = rng.uniform(-0.1, 0.1, (coupled.sum(), 2))
+    free = ~coupled
+
+    got = grid.block_sum(centers[free], half[free], log_weights[free], neg_q[free])
+    want = _reference_block_sum(grid, centers[free], half[free], log_weights[free], neg_q[free])
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(want, 1.0))
+    assert np.array_equal(got == 0.0, want == 0.0)
+    rows = (centers[coupled], half[coupled], log_weights[coupled], neg_q[coupled])
+    assert np.array_equal(grid.block_sum(*rows), _reference_block_sum(grid, *rows))
+    mixed = grid.block_sum(centers, half, log_weights, neg_q)
+    assert np.array_equal(mixed, _reference_block_sum(grid, *rows, out=got))
 
 
 def test_bounding_box_single_atom():

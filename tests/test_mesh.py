@@ -1,5 +1,6 @@
 """Iso-surface extraction, area/volume, Hausdorff distance, surface comparison."""
 
+import hashlib
 import time
 import tracemalloc
 
@@ -11,11 +12,14 @@ from scipy.spatial import cKDTree
 import erbfit.distance
 from erbfit._mc_tables import TRI_TABLE
 from erbfit.distance import (
-    _directed_hausdorff,
+    _bounded_max,
+    _CellList,
+    _edge_lengths,
     _point_triangle_distance_sq,
+    _rounding_margin,
     _triangle_samples,
 )
-from erbfit.field import Box, GaussianField, bounding_box
+from erbfit.field import Box, GaussianField, GridSpec, bounding_box
 from erbfit.initializer import init_model
 from erbfit.mesh import (
     EmptyMeshError,
@@ -39,10 +43,21 @@ def _sphere_field():
     return GaussianField(centers=np.zeros((1, 3)), radii=np.array([SPHERE_R]), decay=0.5)
 
 
+def _point_path(f):
+    """f's evaluator by the point path, at the nodes of a GridSpec or at (M, 3) points.
+
+    On the 0.25 and 0.5 A lattices about the sphere's center phi is exactly
+    1 at 30 nodes.  The grid sum's factored product, within rounding of the
+    point path, puts 8 of them below 1, so the sphere is meshed from the
+    point path's values, which keep those ties on the isovalue.
+    """
+    return lambda where: f.values(where.points() if isinstance(where, GridSpec) else where)
+
+
 def _sphere_mesh(spacing=0.2):
     f = _sphere_field()
     box = Box(lo=np.full(3, -3.0), hi=np.full(3, 3.0))
-    return extract_isosurface(lambda pts: f.values(pts), box, spacing, 1.0)
+    return extract_isosurface(_point_path(f), box, spacing, 1.0)
 
 
 def _unit_cube_mesh():
@@ -103,6 +118,13 @@ def _reference_extract(evaluator, box, spacing, isovalue):
                 triangles.extend([edge_vertex[e] for e in row[n:n + 3]]
                                  for n in range(0, len(row), 3))
     return TriMesh(vertices=np.array(vertices), triangles=np.array(triangles))
+
+
+def test_triangle_table_is_the_published_one():
+    # decoded at import from its string form: 16 edge indices per case, -1 padded
+    assert len(TRI_TABLE) == 256 and all(len(case) == 16 for case in TRI_TABLE)
+    digest = hashlib.sha256(np.array(TRI_TABLE, dtype=np.int64).tobytes()).hexdigest()
+    assert digest == "82ede6f8851e2effa39ae5f7fc5997f7d8e40adb5710b50dc9090fd04c026c94"
 
 
 def _assert_same_mesh(evaluator, box, spacing, isovalue):
@@ -173,7 +195,7 @@ def test_surface_reaching_the_box_is_refused():
 
 def test_matches_reference_on_sphere():
     f = _sphere_field()
-    _assert_same_mesh(f.values, Box(lo=np.full(3, -3.0), hi=np.full(3, 3.0)), 0.25, 1.0)
+    _assert_same_mesh(_point_path(f), Box(lo=np.full(3, -3.0), hi=np.full(3, 3.0)), 0.25, 1.0)
 
 
 def test_matches_reference_on_bundled_field(molecule):
@@ -366,6 +388,17 @@ def _reference_directed_hausdorff(points, target):
 def _reference_hausdorff(a, b, per_triangle=10):
     return max(_reference_directed_hausdorff(_reference_triangle_samples(a, per_triangle), b),
                _reference_directed_hausdorff(_reference_triangle_samples(b, per_triangle), a))
+
+
+def _directed_hausdorff(points, target, floor=0.0):
+    """max(floor, max over points of the distance to the target mesh surface).
+
+    The distances are those of _bounded_max, on a cell list whose side is the
+    target's longest edge.
+    """
+    side = float(_edge_lengths(target).max())
+    cells = _CellList(target, side, _rounding_margin(side, points, target.vertices))
+    return _bounded_max(points, cells, floor)[0]
 
 
 def _samples(mesh, per_triangle=10):

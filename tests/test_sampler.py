@@ -123,7 +123,9 @@ def test_selection_equals_brute_force(molecule):
             kept_points.append(p)
             kept_phi.append(phi)
     assert np.array_equal(cs.points, np.array(kept_points))
-    assert np.array_equal(cs.targets, np.array(kept_phi))
+    # the grid sum is within rounding of the point path at a node
+    kept_phi = np.array(kept_phi)
+    assert np.all(np.abs(cs.targets - kept_phi) <= 1e-14 * np.maximum(kept_phi, 1.0))
 
 
 def test_band_monotonicity(molecule):
