@@ -208,6 +208,18 @@ def _factored_sum(out, axes, lo, hi, centers, log_weights, neg_q):
         np.matmul(plane.T, z_exp[k, z0:z1], out=out[i, y0:y1, z0:z1])
 
 
+def coordinate_major(points) -> np.ndarray:
+    """(M, 3) points as the C-contiguous (3, M) float64 array that the point kernels read.
+
+    The one check of a point array: any other shape raises ValueError.  The
+    transpose view of such a (3, M) array comes back as that array, no copy.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected (M, 3) points, got shape {pts.shape}")
+    return np.ascontiguousarray(pts.T)
+
+
 def check_decay(decay: float, radii: np.ndarray) -> None:
     """Refuse a decay that is not finite and positive, a radius that is not finite and
     non-negative, or an atom weight e^{d r^2} that overflows.
@@ -245,6 +257,9 @@ class GaussianField:
     def __post_init__(self):
         object.__setattr__(self, "centers", np.asarray(self.centers, dtype=np.float64))
         object.__setattr__(self, "radii", np.asarray(self.radii, dtype=np.float64))
+        if self.radii.ndim != 1 or self.centers.shape != (self.radii.size, 3):
+            raise ValueError(f"expected (N, 3) centers and (N,) radii, got shapes "
+                             f"{self.centers.shape} and {self.radii.shape}")
         check_decay(self.decay, self.radii)
         if not (np.isfinite(self.isovalue) and self.isovalue > 0):
             raise ValueError(f"isovalue must be finite and positive, got {self.isovalue}")
@@ -277,12 +292,9 @@ class GaussianField:
             neg_q = np.zeros((n, 6))
             neg_q[:, :3] = -self.decay
             return points.block_sum(self.centers, half[:, None], log_weights, neg_q)
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"expected (M, 3) points, got shape {pts.shape}")
-        pts_t = np.ascontiguousarray(pts.T)
+        pts_t = coordinate_major(points)
         d = self.decay
-        out = np.zeros(pts.shape[0])
+        out = np.zeros(pts_t.shape[1])
         for center, log_weight in zip(self.centers, log_weights):
             x, y, z = pts_t - center[:, None]
             out += np.exp((-d * x) * x + log_weight + (-d * y) * y + (-d * z) * z)

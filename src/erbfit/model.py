@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import GRID_TAU, GridSpec
+from .field import GRID_TAU, GridSpec, coordinate_major
 
 MODEL_FORMAT = "erbfit-model"
 MODEL_VERSION = 1
@@ -54,6 +54,7 @@ _COEFF, _DECAY, _CENTER, _ANGLES = 0, slice(1, 4), slice(4, 7), slice(7, 10)
 # the quadratic monomials z_a * z_b of the exponent expansion, as (a, b) pairs:
 # monomial 4 + j holds pair j, the squares first
 _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_PAIR_U, _PAIR_V = np.array(_PAIRS).T
 # monomial of each entry (a, b) of a symmetric 3x3 matrix
 _SYMMETRIC_MONOMIALS = np.array([[4, 7, 8], [7, 5, 9], [8, 9, 6]])
 
@@ -157,11 +158,8 @@ class RbfModel:
             neg_q = _exponent_rows(_exponent_matrices(self.params[kept, _DECAY], r))[:, 4:]
             return points.block_sum(self.params[kept, _CENTER], half,
                                     np.log(self.params[kept, _COEFF] ** 2), neg_q)
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"expected (M, 3) points, got shape {pts.shape}")
-        blocks = _PointBlocks(np.ascontiguousarray(pts.T), self.n_bases)
-        return _fused_pass(self.params, np.zeros(pts.shape[0]), blocks)[0]
+        blocks = _PointBlocks(points, self.n_bases)
+        return _fused_pass(self.params, np.zeros(blocks.points_t.shape[1]), blocks)[0]
 
     def __eq__(self, other):
         if not isinstance(other, RbfModel):
@@ -197,8 +195,7 @@ def _exponent_rows(a):
     that -E = (-Q) phi needs no pass of its own.
     """
     neg_q = np.zeros((a.shape[0], 10))
-    for j, (u, v) in enumerate(_PAIRS):
-        neg_q[:, 4 + j] = -a[:, u, v] if u == v else -2.0 * a[:, u, v]
+    neg_q[:, 4:] = -(1 + (_PAIR_U != _PAIR_V)) * a[:, _PAIR_U, _PAIR_V]
     return neg_q
 
 
@@ -221,6 +218,7 @@ def reach(levels, r, d):
 class _PointBlocks:
     """Coordinate-major (3, M) points and the buffers of passes of up to n bases over them.
 
+    It takes (M, 3) points and holds them in the gate's layout (field.coordinate_major).
     A pass takes the points in blocks of b = BLOCK_DOUBLES // (10 + n) points
     (M at most): a (10 * b) buffer holds a block's monomials and an (n * b)
     one its exponents, which also serve any pass over fewer bases.  The fit
@@ -235,8 +233,8 @@ class _PointBlocks:
     evaluated and that they would have evaluated without the cutoff.
     """
 
-    def __init__(self, points_t: np.ndarray, n: int):
-        self.points_t = points_t
+    def __init__(self, points: np.ndarray, n: int):
+        self.points_t = points_t = coordinate_major(points)
         m = points_t.shape[1]
         size = max(1, min(m, BLOCK_DOUBLES // (10 + n)))
         self.phi = np.empty(10 * size)
@@ -370,8 +368,7 @@ def _fused_pass(params, targets, blocks: _PointBlocks):
         if blocks.phi_start != start:
             phi[0] = 1.0
             np.subtract(y, origin[:, None], out=phi[1:4])
-            np.square(phi[1:4], out=phi[4:7])
-            for j, (u, v) in enumerate(_PAIRS[3:], start=3):
+            for j, (u, v) in enumerate(_PAIRS):
                 np.multiply(phi[1 + u], phi[1 + v], out=phi[4 + j])
             blocks.phi_start = start
         s = centers[idx] - origin
@@ -468,12 +465,14 @@ def eval_model_gradient(model: RbfModel, constraints, weights) -> np.ndarray:
     """
     if model.n_bases == 0:
         raise ValueError("gradient of an empty model")
-    points = np.asarray(constraints.points, dtype=np.float64)
+    blocks = _PointBlocks(constraints.points, model.n_bases)
     targets = np.asarray(constraints.targets, dtype=np.float64)
-    if points.shape[0] == 0:
+    m = blocks.points_t.shape[1]
+    if m == 0:
         raise ValueError("gradient needs at least one constrained point")
+    if targets.shape != (m,):
+        raise ValueError("points and targets disagree in length")
     w_s, w_l = weights
-    blocks = _PointBlocks(np.ascontiguousarray(points.T), model.n_bases)
     _, moments = _fused_pass(model.params, targets, blocks)
     return _objective_gradient_arrays(model.params, moments, w_s, w_l)
 

@@ -22,7 +22,7 @@ sums over arrays in a fixed order, so a run is deterministic for fixed inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -109,9 +109,8 @@ class TraceRecord:
     trials: int = 0
 
 
-@dataclass
-class IterationTrace:
-    """The iteration records of a run, and its passes over the constraint points.
+class IterationTrace(list):
+    """The TraceRecords of a run, in order, and its passes over the constraint points.
 
     block_pairs counts the (block, basis) pairs that the passes evaluated,
     block_pairs_full the pairs they would have without the cutoff (bases
@@ -124,32 +123,19 @@ class IterationTrace:
     blocks have other origins and cutoffs; otherwise it has its bits.
     """
 
-    records: list = field(default_factory=list)
-    point_passes: int = 0
-    block_pairs: int = 0
-    block_pairs_full: int = 0
+    point_passes = 0
+    block_pairs = 0
+    block_pairs_full = 0
     residual: np.ndarray | None = None
-
-    def append(self, rec: TraceRecord) -> None:
-        self.records.append(rec)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
 
     @property
     def n_stalls(self) -> int:
-        return sum(1 for r in self.records if r.tau == 0.0)
+        return sum(1 for r in self if r.tau == 0.0)
 
     def to_csv(self, path, header_lines=()) -> None:
         lines = [f"# {h}" for h in header_lines]
         lines.append("iter,f,Es,El1,ws,wl,nbasis,tau")
-        for r in self.records:
+        for r in self:
             lines.append(
                 f"{r.iteration},{r.f!r},{r.es!r},{r.el1!r},"
                 f"{r.ws!r},{r.wl!r},{r.nbasis},{r.tau!r}"
@@ -240,7 +226,7 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
         raise ModelCollapseError("initial model has no bases")
     targets = constraints.targets
     # sized for the initial bases, so they serve every pass after a prune too
-    blocks = _PointBlocks(np.ascontiguousarray(constraints.points.T), model0.n_bases)
+    blocks = _PointBlocks(constraints.points, model0.n_bases)
     trace = IterationTrace()
 
     x = pack_parameters(model0)

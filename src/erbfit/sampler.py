@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Box, GaussianField, GridSpec, SamplingError, eval_phi_batch
+from .field import Box, GaussianField, GridSpec, SamplingError, coordinate_major, eval_phi_batch
 
 
-# largest grid make_grid builds.  Traced on 0.05-1.3 M node grids, meshing peaks
-# at 41-53 bytes a node (values, masks, vertex ids) and selection at 39-40 (phi,
-# mask, kept points and targets), so 1.3-1.8 GB at this size, while the 0.5 A
+# largest grid make_grid builds.  Traced on 0.05-3.2 M node grids, meshing peaks
+# at 55-23 bytes a node (values, cell cases, masks) and selection at 37 (phi,
+# mask, kept points and targets), so 0.8-1.2 GB at this size, while the 0.5 A
 # mesh of a 400-atom molecule needs about half a million points
 MAX_GRID_POINTS = 2**25
 
@@ -32,24 +32,21 @@ MAX_GRID_POINTS = 2**25
 class ConstraintSet:
     """Constrained points y_k with the target field values phi(y_k).
 
-    select_constraints holds the points coordinate-major and hands over the
-    (M, 3) transpose view of its (3, M) array, which the model's passes over
-    the points (np.ascontiguousarray(points.T)) then use without a copy.
+    points is the transpose view of the gate's (3, M) array
+    (erbfit.field.coordinate_major), whatever layout it was given in.
     """
 
     points: np.ndarray   # (M, 3)
     targets: np.ndarray  # (M,)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"expected (M, 3) points, got shape {pts.shape}")
+        pts_t = coordinate_major(self.points)
         tgt = np.asarray(self.targets, dtype=np.float64).ravel()
-        if pts.shape[0] != tgt.shape[0]:
+        if pts_t.shape[1] != tgt.shape[0]:
             raise ValueError("points and targets disagree in length")
-        if pts.shape[0] == 0:
+        if tgt.shape[0] == 0:
             raise ValueError("constraint set must contain at least one point")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", pts_t.T)
         object.__setattr__(self, "targets", tgt)
 
     def __len__(self) -> int:

@@ -369,6 +369,22 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(bundled_pqr, tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_commands_run_without_scipy(atom_pqr, tmp_path):
+    # numpy is the one runtime dependency, but the test extra installs scipy:
+    # with scipy blocked, a stray import of it fails the run
+    script = ("import sys; sys.modules['scipy'] = None; from erbfit.cli import main; "
+              "sys.exit(main(sys.argv[1:]))")
+    for args in (["sparsify", str(atom_pqr), *QUICK_FIT],
+                 ["compare", str(atom_pqr), "out/model.json"],
+                 ["mesh", "out/model.json"]):
+        proc = subprocess.run([sys.executable, "-c", script, *args, "--out", "out"],
+                              cwd=tmp_path, capture_output=True, text=True, env=SRC_ENV,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "compare.json").exists()
+    assert (tmp_path / "out" / "mesh.obj").exists()
+
+
 @pytest.mark.parametrize("command, doc, reason", [
     ("mesh", '{"format": "erbfit-model", "version": 1}', "'bases' must be a list"),
     ("compare", '{"format": "erbfit-model", "version": 1, "bases": [{"coeff_sqrt": NaN, '

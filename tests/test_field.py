@@ -171,6 +171,17 @@ def test_field_validation():
         _single_atom(c=-1.0)
 
 
+@pytest.mark.parametrize("centers, radii, shapes", [
+    # 4 radii for 5 centers would evaluate 4 atoms: 4 e^0.5 at the origin
+    (np.zeros((5, 3)), np.ones(4), "(5, 3) and (4,)"),
+    (np.zeros((3, 2)), np.ones(3), "(3, 2) and (3,)"),
+])
+def test_field_refuses_atom_arrays_that_disagree(centers, radii, shapes):
+    with pytest.raises(ValueError, match=re.escape(f"(N, 3) centers and (N,) radii, "
+                                                   f"got shapes {shapes}")):
+        GaussianField(centers=centers, radii=radii, decay=0.5)
+
+
 @pytest.mark.parametrize("kwargs, reason", [
     ({"d": np.nan}, "decay must be finite and positive, got nan"),
     ({"d": np.inf}, "decay must be finite and positive, got inf"),

@@ -517,7 +517,7 @@ def test_fused_pass_matches_the_oracles_and_carries_the_gradient(n, seed, blocks
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * (10 + n))
-        blocks_ = erbfit.model._PointBlocks(np.ascontiguousarray(pts.T), n)
+        blocks_ = erbfit.model._PointBlocks(pts, n)
         residual, moments = erbfit.model._fused_pass(m.params, cs.targets, blocks_)
         g = erbfit.model._objective_gradient_arrays(m.params, moments, *weights)
         patch.setattr(erbfit.optimizer, "line_search", recording_line_search)
@@ -591,7 +591,7 @@ def test_gathered_passes_match_the_reference_oracles(n, seed, blocks, shift, ext
         patch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * (10 + n))
         values = m.values(pts)
         g = eval_model_gradient(m, cs, weights)
-        pass_blocks = erbfit.model._PointBlocks(np.ascontiguousarray(pts.T), n)
+        pass_blocks = erbfit.model._PointBlocks(pts, n)
         residual, _ = erbfit.model._fused_pass(m.params, cs.targets, pass_blocks)
         assert np.array_equal(values - cs.targets, residual)
     met = erbfit.model._blocks_met(m.params, rotations(m.angles)[0], pass_blocks)
@@ -618,7 +618,7 @@ def test_gathered_pass_keeps_a_non_finite_basis():
         params[3, col] = value
         with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
             patch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * 18)
-            blocks_ = erbfit.model._PointBlocks(np.ascontiguousarray(cs.points.T), 8)
+            blocks_ = erbfit.model._PointBlocks(cs.points, 8)
             residual, _ = erbfit.model._fused_pass(params, cs.targets, blocks_)
         assert not np.isfinite(residual).all(), name
         assert blocks_.kept_pairs < blocks_.all_pairs
@@ -672,6 +672,18 @@ def test_gradient_needs_points(rng):
     no_points = SimpleNamespace(points=np.zeros((0, 3)), targets=np.zeros(0))
     with pytest.raises(ValueError, match="at least one constrained point"):
         eval_model_gradient(_random_model(rng, 2), no_points, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("points, n_targets, message", [
+    (np.zeros((5, 2)), 5, r"expected \(M, 3\) points, got shape \(5, 2\)"),
+    (np.zeros(15), 15, r"expected \(M, 3\) points, got shape \(15,\)"),
+    (np.zeros((5, 3)), 4, "disagree in length"),
+    (np.zeros((5, 3)), 6, "disagree in length"),
+])
+def test_gradient_refuses_points_and_targets_that_do_not_fit(rng, points, n_targets, message):
+    constraints = SimpleNamespace(points=points, targets=np.zeros(n_targets))
+    with pytest.raises(ValueError, match=message):
+        eval_model_gradient(_random_model(rng, 2), constraints, (1.0, 0.0))
 
 
 def test_gradient_empty_rejected():

@@ -7,6 +7,7 @@ import pytest
 
 import erbfit.sampler
 from erbfit.field import GRID_TAU, Box, GaussianField, bounding_box
+from erbfit.model import _PointBlocks
 from erbfit.sampler import (
     MAX_GRID_POINTS,
     ConstraintSet,
@@ -159,6 +160,18 @@ def test_selected_points_are_a_view_of_coordinate_major_points(molecule):
     f = GaussianField.from_molecule(molecule, decay=0.5)
     cs = select_constraints(f, make_grid(bounding_box(molecule), 1.0), band=1.0)
     assert np.shares_memory(np.ascontiguousarray(cs.points.T), cs.points)
+
+
+@pytest.mark.parametrize("layout", ["list", "C", "F"])
+def test_constraint_points_are_a_view_of_the_pass_layout(layout):
+    # whatever the input's layout, the points are the transpose of the gate's
+    # (3, M) array, which a pass over them reads without a copy
+    pts = np.arange(30.0).reshape(10, 3)
+    given = pts.tolist() if layout == "list" else np.asarray(pts, order=layout)
+    cs = ConstraintSet(points=given, targets=np.zeros(10))
+    assert np.array_equal(cs.points, pts)
+    assert cs.points.T.flags.c_contiguous
+    assert np.shares_memory(_PointBlocks(cs.points, 4).points_t, cs.points)
 
 
 def test_empty_selection_reports_remedy():
