@@ -23,12 +23,12 @@ Selection evaluates the field on the grid path; post reads the final
 energies from the residual of the fit's last pass, so it makes no pass of
 its own, and a run with --max-iter 0 makes that one pass in optimize.
 
-Exit codes: 0 success, 2 unreadable or invalid input (including an empty
-constraint selection and a model with no bases), 3 optimization collapse,
-4 meshing failure (including a surface that reaches the meshing box, whose
-mesh would be open, and a model meshed without a stored box that has a
-basis above isovalue / n with a zero decay, whose surface no finite box is
-known to hold).
+Exit codes go by the error's base class: 0 success; 2 any OSError or
+ValueError, an unreadable or invalid input, such as a setting that is not a
+finite number above 0 (whatever the source), an empty selection or a model
+with no bases; 3 optimization collapse; 4 any MeshError, such as a surface
+that reaches the meshing box or, in a model without a stored box, a basis
+above isovalue / n with a zero decay, whose surface no finite box holds.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import Box, GaussianField, bounding_box, check_decay
+from .field import Box, GaussianField, bounding_box, positive
 from .initializer import init_model
 from .mesh import EmptyMeshError, MeshError, compare_surfaces, extract_isosurface, write_obj
 from .model import RbfModel, load_model, reach_boxes, save_model
@@ -54,8 +54,8 @@ from .optimizer import (
     optimize,
     write_weight_histogram,
 )
-from .pqr import PqrError, parse_pqr_file
-from .sampler import SamplingError, make_grid, select_constraints
+from .pqr import parse_pqr_file
+from .sampler import make_grid, select_constraints
 from . import __version__
 
 EXIT_OK = 0
@@ -201,11 +201,10 @@ def _model_box(meta: dict, model: RbfModel, isovalue: float, spacing: float) -> 
     holds their boxes and one mesh spacing more, so the grid's outer nodes
     lie below the isovalue.
     """
+    positive("isovalue", isovalue)
+    positive("grid spacing", spacing)
     if "box_lo" in meta and "box_hi" in meta:
         return Box(lo=np.array(meta["box_lo"]), hi=np.array(meta["box_hi"]))
-    for name, value in (("isovalue", isovalue), ("grid spacing", spacing)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
     kept, _, half = reach_boxes(model.params, isovalue)
     if kept.size == 0:
         raise EmptyMeshError(f"the model stays below the isovalue {isovalue}: "
@@ -325,7 +324,7 @@ def cmd_mesh(args: argparse.Namespace) -> int:
     is_model = _looks_like_model(args.source)
     if is_model:
         # a model's decays are its own: --decay is checked but not recorded
-        check_decay(args.decay, ())
+        positive("decay", args.decay)
         args.settings = {k: v for k, v in args.settings.items() if k != "decay"}
     config = _run_config(args, (args.source,))
     out = _out_dir(args)
@@ -371,20 +370,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "info": cmd_info,
-        "sparsify": cmd_sparsify,
-        "mesh": cmd_mesh,
-        "compare": cmd_compare,
-    }
+    handlers = {"info": cmd_info, "sparsify": cmd_sparsify, "mesh": cmd_mesh,
+                "compare": cmd_compare}
     try:
         return handlers[args.command](args)
-    except (PqrError, SamplingError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OptimizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COLLAPSE
     except MeshError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MESH

@@ -168,7 +168,7 @@ class _CellList:
         self.side = max(side, span * 2.0 ** -20) or 1.0
         self.margin = margin
         self.mesh = mesh
-        self.vertices_t = np.ascontiguousarray(mesh.vertices.T)
+        self.vertices_t = mesh.vertices.T
         cells = [self._cell(mesh.vertices), self._cell(centroids)]
         self.dims = (np.maximum(cells[0].max(axis=0), cells[1].max(axis=0)) + 1).astype(np.int64)
         (self.vertex_order, self.vertex_keys), (self.triangle_order, self.triangle_keys) = (

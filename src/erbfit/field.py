@@ -211,13 +211,22 @@ def _factored_sum(out, axes, lo, hi, centers, log_weights, neg_q):
 def coordinate_major(points) -> np.ndarray:
     """(M, 3) points as the C-contiguous (3, M) float64 array that the point kernels read.
 
-    The one check of a point array: any other shape raises ValueError.  The
+    The one check of a point array: another shape or a non-finite coordinate
+    raises ValueError (min and max carry a nan, with no temporary).  The
     transpose view of such a (3, M) array comes back as that array, no copy.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (M, 3) points, got shape {pts.shape}")
+    if pts.size and not (np.isfinite(pts.min()) and np.isfinite(pts.max())):
+        raise ValueError("coordinates must be finite")
     return np.ascontiguousarray(pts.T)
+
+
+def positive(name: str, value: float, error: type[ValueError] = ValueError) -> None:
+    """The one check of a numeric setting: anything but a finite number above 0 raises `error`."""
+    if not (np.isfinite(value) and value > 0):
+        raise error(f"{name} must be finite and positive, got {value}")
 
 
 def check_decay(decay: float, radii: np.ndarray) -> None:
@@ -227,8 +236,7 @@ def check_decay(decay: float, radii: np.ndarray) -> None:
     A zero radius is a point-like atom of weight 1; PQR input refuses it, the
     formula does not.
     """
-    if not (np.isfinite(decay) and decay > 0):
-        raise ValueError(f"decay must be finite and positive, got {decay}")
+    positive("decay", decay)
     radii = np.asarray(radii, dtype=np.float64)
     bad = np.flatnonzero(~(np.isfinite(radii) & (radii >= 0)))
     if bad.size:
@@ -255,14 +263,14 @@ class GaussianField:
     isovalue: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=np.float64))
+        centers = np.asarray(self.centers, dtype=np.float64)
         object.__setattr__(self, "radii", np.asarray(self.radii, dtype=np.float64))
-        if self.radii.ndim != 1 or self.centers.shape != (self.radii.size, 3):
+        if self.radii.ndim != 1 or centers.shape != (self.radii.size, 3):
             raise ValueError(f"expected (N, 3) centers and (N,) radii, got shapes "
-                             f"{self.centers.shape} and {self.radii.shape}")
+                             f"{centers.shape} and {self.radii.shape}")
+        object.__setattr__(self, "centers", coordinate_major(centers).T)
         check_decay(self.decay, self.radii)
-        if not (np.isfinite(self.isovalue) and self.isovalue > 0):
-            raise ValueError(f"isovalue must be finite and positive, got {self.isovalue}")
+        positive("isovalue", self.isovalue)
 
     @classmethod
     def from_molecule(cls, molecule: Molecule, decay: float,

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._mc_tables import TRI_TABLE
 from .distance import hausdorff
-from .field import Box
+from .field import Box, coordinate_major
 from .sampler import make_grid
 
 
@@ -55,15 +55,23 @@ _TRIANGLES = np.array(TRI_TABLE, dtype=np.int64)
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Triangle mesh; indices are 0-based rows into vertices."""
+    """Triangle mesh: (F, 3) integer rows, 0-based, into finite (V, 3) vertices.
+
+    vertices is the transpose view of the gate's (3, V) array (field.coordinate_major).
+    """
 
     vertices: np.ndarray   # (V, 3) float
 
     triangles: np.ndarray  # (F, 3) int
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        v = coordinate_major(self.vertices).T
+        t = np.asarray(self.triangles)
+        if t.size == 0:
+            t = np.empty((0, 3), dtype=np.int64)
+        if t.ndim != 2 or t.shape[1] != 3 or not np.issubdtype(t.dtype, np.integer):
+            raise ValueError(f"expected (F, 3) integer triangles, got {t.dtype} {t.shape}")
+        t = t.astype(np.int64, copy=False)
         if t.size and (t.min() < 0 or t.max() >= v.shape[0]):
             raise ValueError("triangle index out of range")
         if t.size and ((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])).any():
@@ -132,7 +140,7 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
         t = (isovalue - va) / (vals[hi] - va)
         coords = [xs[p][lo[p]] for p in range(3)]
         coords[axis] = coords[axis] + t * (xs[axis][hi[axis]] - coords[axis])
-        vertices.append(np.stack(coords, axis=1))
+        vertices.append(np.stack(coords))
         keys = np.ravel_multi_index(lo, cut.shape)
         for e, (edge_axis, (dx, dy, dz)) in enumerate(_CUBE_EDGES):
             if edge_axis == axis:
@@ -144,7 +152,7 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
     # -1 pads each row; take_along_axis reads it as the last column, which
     # the mask then drops
     triangles = np.take_along_axis(edge_vertex, rows, axis=1)[rows >= 0]
-    return TriMesh(vertices=np.concatenate(vertices),
+    return TriMesh(vertices=np.concatenate(vertices, axis=1).T,
                    triangles=triangles.reshape(-1, 3))
 
 

@@ -42,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .field import GRID_TAU, GridSpec, coordinate_major
+from .sampler import ConstraintSet
 
 MODEL_FORMAT = "erbfit-model"
 MODEL_VERSION = 1
@@ -459,22 +460,16 @@ def eval_model_gradient(model: RbfModel, constraints, weights) -> np.ndarray:
     """Gradient of f = w_s*E_s + w_l*E_l1 over all packed parameters.
 
     `constraints` provides the fitting points and their target values
-    (any object with .points (M, 3) and .targets (M,)); `weights` is the
-    pair (w_s, w_l).  Flat, row by row like the model's table.  One pass
-    over the points (_fused_pass), then 3x3 algebra.
+    (any object with .points and .targets that make a ConstraintSet);
+    `weights` is the pair (w_s, w_l).  Flat, row by row like the model's
+    table.  One pass over the points (_fused_pass), then 3x3 algebra.
     """
     if model.n_bases == 0:
         raise ValueError("gradient of an empty model")
-    blocks = _PointBlocks(constraints.points, model.n_bases)
-    targets = np.asarray(constraints.targets, dtype=np.float64)
-    m = blocks.points_t.shape[1]
-    if m == 0:
-        raise ValueError("gradient needs at least one constrained point")
-    if targets.shape != (m,):
-        raise ValueError("points and targets disagree in length")
-    w_s, w_l = weights
-    _, moments = _fused_pass(model.params, targets, blocks)
-    return _objective_gradient_arrays(model.params, moments, w_s, w_l)
+    constraints = ConstraintSet(constraints.points, constraints.targets)
+    _, moments = _fused_pass(model.params, constraints.targets,
+                             _PointBlocks(constraints.points, model.n_bases))
+    return _objective_gradient_arrays(model.params, moments, *weights)
 
 
 def save_model(model: RbfModel, path: str | Path, metadata: dict | None = None) -> None:

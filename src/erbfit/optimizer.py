@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .field import positive
 from .model import (
     PARAMS_PER_BASIS,
     RbfModel,
@@ -73,14 +74,11 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("prune_tol", "epsilon_floor", "max_error_cap"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            positive(name, getattr(self, name))
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
         if not 0 <= self.sparse_iter <= self.max_iter:
             raise ValueError("need 0 <= sparse_iter <= max_iter")
-        if self.prune_tol <= 0 or self.epsilon_floor <= 0 or self.max_error_cap <= 0:
-            raise ValueError("tolerances must be positive")
         if self.prune_interval < 1:
             raise ValueError("prune_interval must be >= 1")
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Box, GaussianField, GridSpec, SamplingError, coordinate_major, eval_phi_batch
+from .field import (Box, GaussianField, GridSpec, SamplingError, coordinate_major, eval_phi_batch,
+                    positive)
 
 
 # largest grid make_grid builds.  Traced on 0.05-3.2 M node grids, meshing peaks
@@ -60,8 +61,7 @@ def make_grid(box: Box, spacing: float) -> GridSpec:
     finite and positive, and the grid may hold at most MAX_GRID_POINTS
     points; the count is checked before anything is allocated.
     """
-    if not np.isfinite(spacing) or spacing <= 0:
-        raise SamplingError(f"grid spacing must be finite and positive, got {spacing}")
+    positive("grid spacing", spacing, SamplingError)
     extent = box.extent
     if np.any(extent <= 0):
         raise SamplingError(f"degenerate box: extent {extent} has a non-positive axis")
@@ -89,8 +89,7 @@ def select_constraints(field: GaussianField, grid: GridSpec, band: float = 1.0) 
     Raises SamplingError when nothing is selected (use a finer grid or a
     larger band).
     """
-    if not band > 0:
-        raise SamplingError(f"band must be positive, got {band}")
+    positive("band", band, SamplingError)
     phi = eval_phi_batch(field, grid)
     mask = (np.abs(phi - field.isovalue) <= band).reshape(grid.shape)
     count = int(np.count_nonzero(mask))

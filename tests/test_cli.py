@@ -17,7 +17,7 @@ import erbfit.model
 import erbfit.optimizer
 from erbfit import __version__
 from erbfit.cli import main
-from erbfit.field import bounding_box
+from erbfit.field import GaussianField, bounding_box
 from erbfit.initializer import init_model
 from erbfit.model import RbfModel, reach, rotations, save_model
 from erbfit.optimizer import energy_terms, fit_residual, max_pointwise_error
@@ -494,16 +494,16 @@ def test_cli_import_loads_no_scipy(bundled_pqr, molecule, tmp_path):
 
 
 @pytest.mark.parametrize("command, flags, reason", [
-    ("sparsify", ["--epsilon", "nan"], "epsilon_floor must be finite, got nan"),
-    ("sparsify", ["--prune-tol", "nan"], "prune_tol must be finite, got nan"),
-    ("sparsify", ["--error-cap", "inf"], "max_error_cap must be finite, got inf"),
-    ("sparsify", ["--band", "nan"], "band must be positive, got nan"),
+    ("sparsify", ["--epsilon", "nan"], "epsilon_floor must be finite and positive, got nan"),
+    ("sparsify", ["--prune-tol", "nan"], "prune_tol must be finite and positive, got nan"),
+    ("sparsify", ["--error-cap", "inf"], "max_error_cap must be finite and positive, got inf"),
+    ("sparsify", ["--band", "nan"], "band must be finite and positive, got nan"),
     ("sparsify", ["--decay", "inf"], "decay must be finite and positive, got inf"),
     ("sparsify-big-atom", [], "atom 1: the weight e^(d r^2) overflows at decay 0.5 "
                               "and radius 40.0"),
     ("compare", ["--decay", "nan"], "decay must be finite and positive, got nan"),
     ("mesh", ["--isovalue", "inf"], "isovalue must be finite and positive, got inf"),
-    ("mesh-model", ["--isovalue", "nan"], "isovalue must be finite, got nan"),
+    ("mesh-model", ["--isovalue", "nan"], "isovalue must be finite and positive, got nan"),
     ("mesh-model", ["--decay", "nan"], "decay must be finite and positive, got nan"),
     ("mesh-model", ["--decay", "-1"], "decay must be finite and positive, got -1.0"),
     ("mesh", ["--decay", "nan"], "decay must be finite and positive, got nan"),
@@ -543,6 +543,45 @@ def test_non_finite_number_exits_2_with_one_line(atom_pqr, fit_dir, tmp_path, co
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert lines[0].endswith(reason)
+
+
+# every float flag, the name the settings rule gives it and the commands that
+# take it; mesh-model meshes the quick fit's model.json, which stores its box
+_SETTING_FLAGS = [
+    ("--decay", "decay", ("sparsify", "mesh", "compare", "mesh-model")),
+    ("--isovalue", "isovalue", ("sparsify", "mesh", "compare", "mesh-model")),
+    ("--band", "band", ("sparsify",)),
+    ("--constraint-spacing", "grid spacing", ("sparsify",)),
+    ("--mesh-spacing", "grid spacing", ("mesh", "compare", "mesh-model")),
+    ("--prune-tol", "prune_tol", ("sparsify",)),
+    ("--epsilon", "epsilon_floor", ("sparsify",)),
+    ("--error-cap", "max_error_cap", ("sparsify",)),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, flag, name, value", [
+    pytest.param(command, flag, name, value, id=f"{command}{flag}={value}")
+    for flag, name, commands in _SETTING_FLAGS for command in commands
+    for value in ("nan", "inf", "0", "-1")])
+def test_every_setting_is_finite_and_positive(atom_pqr, fit_dir, tmp_path, capsys, monkeypatch,
+                                              command, flag, name, value):
+    # the rule refuses the setting before the field or the model is evaluated
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{command} {flag} {value} got past the settings check")
+
+    monkeypatch.setattr(erbfit.cli, "optimize", must_not_run)
+    monkeypatch.setattr(GaussianField, "values", must_not_run)
+    monkeypatch.setattr(RbfModel, "values", must_not_run)
+    inputs = {"sparsify": [atom_pqr], "mesh": [atom_pqr], "mesh-model": [fit_dir / "model.json"],
+              "compare": [atom_pqr, fit_dir / "model.json"]}[command]
+    code = main([command.removesuffix("-model"), *map(str, inputs), flag, value,
+                 "--out", str(tmp_path)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert lines[0].endswith(f"{name} must be finite and positive, got {float(value)}")
+    assert not any(tmp_path.iterdir())
 
 
 def _bare_model(tmp_path, coeff_sqrt, decay_sqrt, angles):

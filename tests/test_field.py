@@ -14,6 +14,7 @@ from erbfit.field import (
     GaussianField,
     GridSpec,
     bounding_box,
+    coordinate_major,
     eval_phi_batch,
 )
 from erbfit.pqr import parse_pqr
@@ -180,6 +181,34 @@ def test_field_refuses_atom_arrays_that_disagree(centers, radii, shapes):
     with pytest.raises(ValueError, match=re.escape(f"(N, 3) centers and (N,) radii, "
                                                    f"got shapes {shapes}")):
         GaussianField(centers=centers, radii=radii, decay=0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_refuses_non_finite_centers(bad):
+    # a nan center used to make phi nan everywhere
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        GaussianField(centers=[[0.0, 1.0, 2.0], [bad, 0.0, 0.0]], radii=[1.5, 1.5], decay=0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_gate_refuses_non_finite_coordinates(bad):
+    pts = np.zeros((4, 3))
+    pts[2, 1] = bad
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        coordinate_major(pts)
+
+
+def test_point_gate_makes_no_temporary():
+    # the finiteness check reads the array, it does not build a mask of it
+    pts = np.ascontiguousarray(np.random.default_rng(3).normal(size=(3, 100_000))).T
+    tracemalloc.start()
+    try:
+        out = coordinate_major(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(out, pts)
+    assert peak < pts.nbytes / 100
 
 
 @pytest.mark.parametrize("kwargs, reason", [

@@ -150,6 +150,36 @@ def test_trimesh_rejects_degenerate_triangle():
         TriMesh(vertices=np.zeros((3, 3)), triangles=np.array([[0, 1, 1]]))
 
 
+@pytest.mark.parametrize("vertices, triangles, message", [
+    # (3, 4) vertices used to be read as 4 scrambled rows
+    (np.arange(12.0).reshape(3, 4), [[0, 1, 2]], r"expected \(M, 3\) points, got shape \(3, 4\)"),
+    # a fractional index used to be truncated to 2
+    (np.eye(3), [[0, 1, 2.7]], r"expected \(F, 3\) integer triangles, got float64 \(1, 3\)"),
+    (np.eye(3), [0, 1, 2], r"expected \(F, 3\) integer triangles, got int64 \(3,\)"),
+    # a nan vertex used to make mesh_area nan
+    ([[0.0, 0, 0], [1.0, 0, 0], [0.0, np.nan, 0]], [[0, 1, 2]], "coordinates must be finite"),
+    ([[0.0, 0, 0], [np.inf, 0, 0], [0.0, 1.0, 0]], [[0, 1, 2]], "coordinates must be finite"),
+], ids=["vertices-3x4", "fractional-index", "flat-triangles", "nan-vertex", "inf-vertex"])
+def test_trimesh_refuses_what_the_point_gate_refuses(vertices, triangles, message):
+    with pytest.raises(ValueError, match=message):
+        TriMesh(vertices=vertices, triangles=triangles)
+
+
+def test_trimesh_takes_an_empty_triangle_list():
+    m = TriMesh(vertices=np.eye(3), triangles=[])
+    assert m.triangles.shape == (0, 3) and m.triangles.dtype == np.int64
+
+
+def test_extracted_vertices_are_a_view_of_the_coordinate_major_array():
+    # the gate and the Hausdorff cell list read (3, V) without a copy
+    mesh = _sphere_mesh(spacing=0.3)
+    assert mesh.vertices.T.flags.c_contiguous
+    rebuilt = TriMesh(vertices=mesh.vertices, triangles=mesh.triangles)
+    assert np.shares_memory(rebuilt.vertices, mesh.vertices)
+    assert np.shares_memory(_CellList(mesh, 1.0, 0.0).vertices_t, mesh.vertices)
+    assert mesh.corners()[0].shape == (mesh.n_f, 3)
+
+
 def test_translated_moves_vertices_only():
     m = _unit_cube_mesh()
     shifted = m.translated(np.array([1.0, 2.0, 3.0]))

@@ -670,7 +670,7 @@ def test_passes_allocate_no_bases_by_points_temporary():
 def test_gradient_needs_points(rng):
     # any object with points and targets serves; a ConstraintSet is never empty
     no_points = SimpleNamespace(points=np.zeros((0, 3)), targets=np.zeros(0))
-    with pytest.raises(ValueError, match="at least one constrained point"):
+    with pytest.raises(ValueError, match="constraint set must contain at least one point"):
         eval_model_gradient(_random_model(rng, 2), no_points, (1.0, 0.0))
 
 

@@ -162,6 +162,13 @@ def test_selected_points_are_a_view_of_coordinate_major_points(molecule):
     assert np.shares_memory(np.ascontiguousarray(cs.points.T), cs.points)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constraint_set_refuses_non_finite_points(bad):
+    # a nan point used to reach the fit, which met it only as a non-finite objective
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        ConstraintSet(points=[[0.0, 0.0, 0.0], [bad, 0.0, 0.0]], targets=[1.0, 0.5])
+
+
 @pytest.mark.parametrize("layout", ["list", "C", "F"])
 def test_constraint_points_are_a_view_of_the_pass_layout(layout):
     # whatever the input's layout, the points are the transpose of the gate's
