@@ -26,7 +26,11 @@ in the value and in every gradient slot (the bound is in `_fused_pass`).
 Every pass at points is a _fused_pass: it gives the residual at the points
 and, from the same exponentials, the moments that the gradient needs, so a
 gradient is 3x3 algebra on the moments of a pass that has already run, and
-values at points are the residual at zero targets.  On a GridSpec, the
+values at points are the residual at zero targets.  A pass is split in a
+value part (the residual) and a moment part; when the points fit in one
+block the moment part runs only when its moments are asked for, from the
+buffers the value part left, and a later pass over the same buffers makes
+a late request raise instead of reading another pass's numbers.  On a GridSpec, the
 uniform grid that meshing evaluates, each basis covers only the block of
 nodes where it can reach GRID_TAU / N, so the terms left out add up to less
 than GRID_TAU (erbfit.field) at any node.
@@ -230,8 +234,10 @@ class _PointBlocks:
     whose monomials the buffer already holds: when the points fit in one
     block, they are built once for all passes.  With more than one block,
     lo and hi (blocks, 3) hold each block's box of points, for the cutoff.
-    kept_pairs and all_pairs count the (block, basis) pairs that the passes
-    evaluated and that they would have evaluated without the cutoff.
+    passes counts the passes made over the buffers, so that a pass's deferred
+    moment part can tell that a later pass has overwritten them.  kept_pairs
+    and all_pairs count the (block, basis) pairs that the passes evaluated
+    and that they would have evaluated without the cutoff.
     """
 
     def __init__(self, points: np.ndarray, n: int):
@@ -246,7 +252,7 @@ class _PointBlocks:
             starts = np.arange(0, m, size)
             self.lo = np.minimum.reduceat(points_t, starts, axis=1).T
             self.hi = np.maximum.reduceat(points_t, starts, axis=1).T
-        self.kept_pairs = self.all_pairs = 0
+        self.passes = self.kept_pairs = self.all_pairs = 0
 
 
 def _blocks_met(params, r, blocks: _PointBlocks) -> np.ndarray:
@@ -280,12 +286,12 @@ def _blocks_met(params, r, blocks: _PointBlocks) -> np.ndarray:
 def _fused_pass(params, targets, blocks: _PointBlocks):
     """Residual and gradient moments of every basis, in one pass over the points.
 
-    Returns (residual, moments).  residual_k = sum_i c~_i^2 g_ik - target_k
+    Returns (residual, moment_part).  residual_k = sum_i c~_i^2 g_ik - target_k
     at the points y_k of `blocks`, with g_ik = exp(-(y_k - x_i)^T A_i (y_k - x_i))
     and A = R^T diag(d~^2) R; at zero targets it is the model's values
-    (x - 0.0 = x).  moments is (R, dR, A, s0, m1, C): the rotations and
-    their angle derivatives (see rotations), A, and the residual-weighted
-    moments of every basis about its center,
+    (x - 0.0 = x).  moment_part() returns the moments (R, dR, A, s0, m1, C):
+    the rotations and their angle derivatives (see rotations), A, and the
+    residual-weighted moments of every basis about its center,
 
         s0 = sum_k w_k,   m1 = sum_k w_k p_k,   C = sum_k w_k p_k p_k^T,
         p_k = y_k - x_i,  w_k = residual_k g_ik,
@@ -297,12 +303,20 @@ def _fused_pass(params, targets, blocks: _PointBlocks):
     `blocks` holds the points and the buffers for at least the n bases, and
     sets the block size b; the pass overwrites the buffers.  It goes one
     block of points at a time, y_k for k = start .. start + b - 1 (fewer in
-    the last block), about the block's centroid o: the block builds the
-    monomials phi (10, b) of z_k = y_k - o (unless the buffer holds them
-    already), takes the bases idx of its cutoff, writes their exponents
-    E = Q phi and exp(-E) into g (k, b), then its residual, then its
-    moments.  Each block's residual is complete before its moments are
-    taken, so both come from the same exponentials.
+    the last block), about the block's centroid o.  Each block has a value
+    part and a moment part.  The value part builds the monomials phi (10, b)
+    of z_k = y_k - o (unless the buffer holds them already), takes the bases
+    idx of its cutoff, writes their exponents E = Q phi and exp(-E) into
+    g (k, b), then its residual.  The moment part (_moment_part) weighs g by
+    that residual and takes the moments from phi, so both come from the same
+    exponentials.  With more than one block each block's moment part runs
+    right after its value part, before the next block reuses the buffers.
+    When the points fit in one block the moment part waits for the first
+    moment_part() call, which reads the buffers the value part left: so the
+    fit's rejected line-search trials, whose moments are never asked for,
+    cost their value parts alone.  The call runs it once and keeps the
+    moments; a call made first after a later pass over the same `blocks`,
+    whose buffers that pass overwrote, raises RuntimeError.
 
     The exponent as one GEMM.  With p = y - x_i = z - s_i, s_i = x_i - o,
 
@@ -353,9 +367,11 @@ def _fused_pass(params, targets, blocks: _PointBlocks):
     centers = params[:, _CENTER]
     n, m = params.shape[0], blocks.points_t.shape[1]
     residual = np.empty(m)
-    s0, m1, cm = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3))
+    moments = (r, dr, a, np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3)))
     block = blocks.phi.size // 10
     met = None if blocks.lo is None else _blocks_met(params, r, blocks)
+    blocks.passes += 1
+    this_pass, deferred = blocks.passes, None
     for i, start in enumerate(range(0, m, block)):
         y = blocks.points_t[:, start:start + block]
         b = y.shape[1]
@@ -384,15 +400,39 @@ def _fused_pass(params, targets, blocks: _PointBlocks):
         res = residual[start:start + b]
         np.matmul(c2[idx], g, out=res)
         res -= targets[start:start + b]
-        g *= res                                 # w = residual * g
-        raw = g @ phi.T                          # moments about the block origin
-        b0, b1, b2 = raw[:, 0], raw[:, 1:4], raw[:, _SYMMETRIC_MONOMIALS]
-        sb1 = s[:, :, None] * b1[:, None, :]
-        s0[idx] += b0
-        m1[idx] += b1 - b0[:, None] * s
-        cm[idx] += b2 - sb1 - np.swapaxes(sb1, 1, 2)
-        cm[idx] += b0[:, None, None] * (s[:, :, None] * s[:, None, :])
-    return residual, (r, dr, a, s0, m1, cm)
+        deferred = (moments, idx, s, phi, g, res)
+        if met is not None:  # more than one block: the moments now, from this block's buffers
+            _moment_part(*deferred)
+            deferred = None
+
+    def moment_part():
+        nonlocal deferred
+        if deferred is not None:
+            if blocks.passes != this_pass:
+                raise RuntimeError("the moments of a pass were asked for after a later "
+                                   "pass over the same points overwrote its buffers")
+            _moment_part(*deferred)
+            deferred = None
+        return moments
+    return residual, moment_part
+
+
+def _moment_part(moments, idx, s, phi, g, res):
+    """Add one block's residual-weighted moments to `moments` (see _fused_pass).
+
+    g holds the block's exponentials of the bases idx and turns into the
+    weights w = res * g in place; s holds those bases' centers less the
+    block's origin.
+    """
+    s0, m1, cm = moments[3:]
+    g *= res                                 # w = residual * g
+    raw = g @ phi.T                          # moments about the block origin
+    b0, b1, b2 = raw[:, 0], raw[:, 1:4], raw[:, _SYMMETRIC_MONOMIALS]
+    sb1 = s[:, :, None] * b1[:, None, :]
+    s0[idx] += b0
+    m1[idx] += b1 - b0[:, None] * s
+    cm[idx] += b2 - sb1 - np.swapaxes(sb1, 1, 2)
+    cm[idx] += b0[:, None, None] * (s[:, :, None] * s[:, None, :])
 
 
 def reach_boxes(params, floor):
@@ -416,7 +456,8 @@ def _objective_gradient_arrays(params, moments, w_s, w_l) -> np.ndarray:
     E_s = sum_k residual_k^2 with residual = model(y_k) - target_k;
     E_l1 = sum_i c~_i^2 + sum_{i,p} d~_ip^2 (smooth in the tilde variables).
 
-    `moments` = (R, dR, A, s0, m1, C) of the pass at the same table.  The
+    `moments` is the moment part that the _fused_pass at the same table
+    returned; it gives (R, dR, A, s0, m1, C).  The
     gradient is flat, row by row like the table's ravel.  Every gradient slot
     is 3x3 algebra on them, done for all bases at once on (n, 3, 3) arrays,
     with no pass over the points.  For basis i write c2 = c~_i^2,
@@ -445,7 +486,7 @@ def _objective_gradient_arrays(params, moments, w_s, w_l) -> np.ndarray:
     to each decay slot.  The rotation derivatives touch only 3x3 matrices.
     """
     c, d = params[:, _COEFF], params[:, _DECAY]
-    r, dr, a, s0, m1, cm = moments
+    r, dr, a, s0, m1, cm = moments()
     rc = r @ cm                                  # R C
     scale = 4.0 * w_s * c * c
     gc = 4.0 * w_s * c * s0 + 2.0 * w_l * c

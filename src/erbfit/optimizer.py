@@ -206,12 +206,17 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
 
     Each iteration costs one pass over the constraint points per line-search
     trial, and nothing more.  A pass (model._fused_pass) gives the trial's
-    residual together with the residual-weighted moments of every basis; the
-    accepted trial's residual and moments are those of the next iteration's
-    point, so its energies come from the residual and its gradient from the
-    moments by 3x3 algebra alone.  A pass at the current point runs only at
-    the first iteration and after a prune that removed bases, so a run makes
-    1 + trials + prunes passes (trace.point_passes).  The residual of the
+    residual and its moment part, the residual-weighted moments of every
+    basis; the accepted trial's residual and moments are those of the next
+    iteration's point, so its energies come from the residual and its
+    gradient from the moments by 3x3 algebra alone.  A pass at the current
+    point runs only at the first iteration and after a prune that removed
+    bases, so a run makes 1 + trials + prunes passes (trace.point_passes).
+    When the points fit in one block, the moment part runs only when the
+    gradient asks for it: once for each pass at the current point and once
+    for each accepted trial that becomes the next iteration's point, never
+    for a rejected trial.  With more than one block every pass runs its
+    moment part, block by block.  The residual of the
     last pass at the final point, the accepted trial's or, after a stalled
     search, the current point's, is handed back as trace.residual; a run of
     no iterations makes its one pass for that.
@@ -230,8 +235,8 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
     x = pack_parameters(model0)
     n = model0.n_bases
     tau_seed = _FIRST_TAU
-    current = None   # (residual, moments) at x; None when it must be recomputed
-    trial = None     # (residual, moments) at the line search's last trial point
+    current = None   # (residual, moment part) at x; None when it must be recomputed
+    trial = None     # (residual, moment part) at the line search's last trial point
 
     def at(x):
         """The model over x, reshaped as a view."""
@@ -272,7 +277,8 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             ws, wl = 1.0, 0.0
 
         f0 = ws * es + wl * el1
-        grad = _objective_gradient_arrays(model.params, moments, ws, wl)
+        with np.errstate(over="ignore", invalid="ignore"):  # the moments of a trial step
+            grad = _objective_gradient_arrays(model.params, moments, ws, wl)
         if not np.isfinite(grad).all():
             raise NonFiniteObjectiveError(
                 f"gradient not finite at iteration {it}", trace=trace)

@@ -28,20 +28,22 @@ def rng():
 @pytest.fixture()
 def point_passes(monkeypatch):
     """Counts of the passes over the points (erbfit.model._fused_pass, under
-    both the names that call it) and of the rotations calls, kept up to date
-    for the rest of the test."""
-    calls = {"passes": 0, "rotations": 0}
-    fused_pass, rotations = erbfit.model._fused_pass, erbfit.model.rotations
+    both the names that call it), of their moment parts (one per block that
+    ran it) and of the rotations calls, kept up to date for the rest of the
+    test."""
+    calls = {"passes": 0, "moments": 0, "rotations": 0}
+    fused_pass, moment_part = erbfit.model._fused_pass, erbfit.model._moment_part
+    rotations = erbfit.model.rotations
 
-    def counting_pass(*args):
-        calls["passes"] += 1
-        return fused_pass(*args)
+    def counting(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counted
 
-    def counting_rotations(*args):
-        calls["rotations"] += 1
-        return rotations(*args)
-
+    counting_pass = counting("passes", fused_pass)
     monkeypatch.setattr(erbfit.model, "_fused_pass", counting_pass)
     monkeypatch.setattr(erbfit.optimizer, "_fused_pass", counting_pass)
-    monkeypatch.setattr(erbfit.model, "rotations", counting_rotations)
+    monkeypatch.setattr(erbfit.model, "_moment_part", counting("moments", moment_part))
+    monkeypatch.setattr(erbfit.model, "rotations", counting("rotations", rotations))
     return calls

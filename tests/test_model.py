@@ -467,10 +467,19 @@ def test_block_passes_match_the_reference_oracles(n, seed, blocks, shift):
     pts = rng.uniform(-6, 6, (k * _SMALL_BLOCK + r, 3)) + shift
     cs = ConstraintSet(points=pts, targets=rng.uniform(0, 2, len(pts)))
     weights = (float(rng.uniform(0.01, 1)), float(rng.uniform(0, 1)))
+    moment_parts = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * (10 + n))
+        moment_part = erbfit.model._moment_part
+        patch.setattr(erbfit.model, "_moment_part",
+                      lambda *args: moment_parts.append(1) or moment_part(*args))
         values = m.values(pts)
         g = eval_model_gradient(m, cs, weights)
+    # one block: the gradient's pass runs its moment part when asked, from
+    # the buffers, and the values' pass never does; more blocks: each pass
+    # runs it for every block
+    n_blocks = -(-len(pts) // _SMALL_BLOCK)
+    assert len(moment_parts) == (1 if n_blocks == 1 else 2 * n_blocks)
     ref = _reference_values(m.params, pts)
     assert np.max(np.abs(values - ref)) <= 1e-12
     ref_g = _reference_gradient(m.params, pts, values - cs.targets, *weights)
@@ -628,13 +637,14 @@ def test_eval_model_gradient_makes_one_point_pass(rng, point_passes):
     m = _random_model(rng, 4)
     cs = ConstraintSet(points=rng.uniform(-4, 4, (300, 3)), targets=rng.uniform(0, 2, 300))
     eval_model_gradient(m, cs, (0.6, 0.4))
-    assert point_passes == {"passes": 1, "rotations": 1}
+    assert point_passes == {"passes": 1, "moments": 1, "rotations": 1}
 
 
 def test_values_at_points_make_one_point_pass(rng, point_passes):
+    # one block: nothing asks for the moments, so the moment part never runs
     m = _random_model(rng, 4)
     m.values(rng.uniform(-4, 4, (300, 3)))
-    assert point_passes == {"passes": 1, "rotations": 1}
+    assert point_passes == {"passes": 1, "moments": 0, "rotations": 1}
 
 
 @pytest.mark.parametrize("shape", [(5, 2), (3,)])
@@ -644,11 +654,35 @@ def test_values_refuse_points_that_are_not_m_by_3(rng, shape):
 
 
 def test_gathered_gradient_makes_one_point_pass(rng, point_passes, monkeypatch):
-    # the cutoff takes its rotations from the pass: still one pass, one call
+    # the cutoff takes its rotations from the pass: still one pass, one
+    # call, and one moment part for each of the 60 blocks, run in the pass
     m, cs = _spread_case(rng, 6, 300, 0.0)
     monkeypatch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * 16)
     eval_model_gradient(m, cs, (0.6, 0.4))
-    assert point_passes == {"passes": 1, "rotations": 1}
+    assert point_passes == {"passes": 1, "moments": 60, "rotations": 1}
+
+
+@pytest.mark.parametrize("blocks", [1, 4])
+def test_moments_asked_for_after_a_later_pass_raise(rng, blocks, monkeypatch):
+    # one block: the moment part reads the value part's buffers, so once a
+    # later pass has overwritten them the moments of the earlier pass raise;
+    # moments already taken are kept, and several blocks take theirs in the pass
+    m = _random_model(rng, 4)
+    pts = rng.uniform(-4, 4, (40, 3))
+    monkeypatch.setattr(erbfit.model, "BLOCK_DOUBLES", (40 // blocks) * (10 + 4))
+    pass_blocks = erbfit.model._PointBlocks(pts, 4)
+    _, first = erbfit.model._fused_pass(m.params, np.zeros(40), pass_blocks)
+    _, second = erbfit.model._fused_pass(m.params, np.ones(40), pass_blocks)
+    kept = second()
+    erbfit.model._fused_pass(m.params, np.zeros(40), pass_blocks)
+    assert second() is kept
+    if blocks == 1:
+        with pytest.raises(RuntimeError, match="after a later pass"):
+            first()
+    else:
+        fresh = erbfit.model._fused_pass(m.params, np.zeros(40),
+                                         erbfit.model._PointBlocks(pts, 4))[1]()
+        assert all(np.array_equal(a, b) for a, b in zip(first(), fresh))
 
 
 def test_passes_allocate_no_bases_by_points_temporary():

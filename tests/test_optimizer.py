@@ -301,10 +301,13 @@ def test_optimize_reused_residual_is_bit_exact(molecule, rng, case):
 
 def test_optimize_point_passes_one_per_trial(rng, monkeypatch, point_passes):
     # one fused pass per line-search trial, plus one at the current point at
-    # the start and after each prune that removed bases; the gradient reads
-    # the moments of the pass at its point and makes no pass of its own
+    # the start and after each prune that removed bases.  The points fit in
+    # one block, so a pass's moment part runs only inside the gradient that
+    # asks for it: one for each pass at the current point and one for each
+    # accepted step that the next iteration starts from, none for a rejected
+    # trial; after a stalled search the next gradient reuses the moments
     searches = []           # objective evaluations of each line search
-    in_gradient = []        # passes and rotations made inside each gradient step
+    in_gradient = []        # (passes, moment parts) made inside each gradient step
     line_search = erbfit.optimizer.line_search
     gradient = erbfit.optimizer._objective_gradient_arrays
 
@@ -319,7 +322,7 @@ def test_optimize_point_passes_one_per_trial(rng, monkeypatch, point_passes):
     def watched_gradient(*args):
         before = dict(point_passes)
         result = gradient(*args)
-        in_gradient.append(sum(point_passes[k] - before[k] for k in before))
+        in_gradient.append(tuple(point_passes[k] - before[k] for k in ("passes", "moments")))
         return result
 
     monkeypatch.setattr(erbfit.optimizer, "line_search", counting_line_search)
@@ -333,7 +336,13 @@ def test_optimize_point_passes_one_per_trial(rng, monkeypatch, point_passes):
     assert point_passes["passes"] == point_passes["rotations"] == expected
     assert trace.point_passes == expected
     assert [r.trials for r in trace] == searches
-    assert in_gradient == [0] * len(trace)
+    accepted = sum(1 for r in trace if r.tau > 0.0)
+    assert sum(searches) > accepted > 0  # some trials were rejected
+    new_point = [1] + [int(prev.tau > 0.0 or cur.nbasis < prev.nbasis)
+                       for prev, cur in zip(trace, trace[1:])]
+    assert in_gradient == [(0, m) for m in new_point]
+    assert point_passes["moments"] == sum(new_point) == 1 + prunes + sum(
+        1 for prev, cur in zip(trace, trace[1:]) if prev.tau > 0.0 and cur.nbasis == prev.nbasis)
 
 
 def test_optimize_cutoff_counts_pairs_and_keeps_the_trace(monkeypatch):
