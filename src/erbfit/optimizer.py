@@ -15,9 +15,14 @@ permanent switch to (1, 0) once the iteration count passes `sparse_iter`
 coefficient magnitude falls below `prune_tol` are deleted every
 `prune_interval` iterations during the sparse phase.
 
-Steps use the negative gradient with Armijo backtracking; a failed search
-records a zero step and the run continues.  All reductions are plain numpy
-sums over arrays in a fixed order, so a run is deterministic for fixed inputs.
+Steps use the negative gradient with Armijo backtracking (Nocedal & Wright,
+Numerical Optimization, 2nd ed., 3.5): a rejected trial step tau is replaced
+by the minimiser of the quadratic through f0, the slope -|grad|^2 and the
+trial's value, clamped to [0.1 tau, 0.5 tau]; a trial whose value is not
+finite halves the step.  Each search starts from twice the last accepted
+step.  A failed search records a zero step and the run continues.  All
+reductions are plain numpy sums over arrays in a fixed order, so a run is
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -39,10 +44,11 @@ from .model import (
 )
 from .sampler import ConstraintSet
 
-# the line search: Armijo constant, backtracking factor, the first
-# iteration's trial step and the most shrinks per search
+# the line search: Armijo constant, the clamps of a backtrack as fractions
+# of the rejected step, the first iteration's trial step and the most
+# backtracks per search
 _ARMIJO_C1 = 1e-4
-_SHRINK = 0.5
+_SHRINK_MIN, _SHRINK_MAX = 0.1, 0.5
 _FIRST_TAU = 1e-3
 _MAX_BACKTRACKS = 40
 
@@ -177,13 +183,21 @@ def max_pointwise_error(residual: np.ndarray) -> float:
 
 
 def line_search(objective, x, f0, grad, tau_init) -> tuple[float, float]:
-    """Armijo backtracking along -grad from x.
+    """Armijo backtracking along -grad from x, by quadratic interpolation.
 
-    Tries tau_init, then shrinks by _SHRINK up to _MAX_BACKTRACKS times,
-    accepting the first tau with
-    objective(x - tau*grad) <= f0 - _ARMIJO_C1*tau*||grad||^2.
-    Returns (tau, objective value at the step); a stalled search returns
-    (0.0, f0) and the caller keeps the current point.
+    Tries tau_init, then backtracks up to _MAX_BACKTRACKS times, accepting
+    the first tau with objective(x - tau*grad) <= f0 - _ARMIJO_C1*tau*||grad||^2.
+    A rejected tau with a finite value f_t is replaced by the minimiser of
+    the quadratic q with q(0) = f0, q'(0) = -||grad||^2 and q(tau) = f_t,
+
+        tau * 0.5 ||grad||^2 tau / (f_t - f0 + ||grad||^2 tau),
+
+    clamped to [_SHRINK_MIN tau, _SHRINK_MAX tau]: the lower clamp keeps a
+    far overshoot from collapsing the step, the upper one makes each
+    backtrack at least halve it.  A value that is not finite (an overflowed
+    step), or a denominator that is not positive, halves tau.  Returns
+    (tau, objective value at the step); a stalled search returns (0.0, f0)
+    and the caller keeps the current point.
     """
     gnorm2 = float(grad @ grad)
     if gnorm2 == 0.0:
@@ -196,7 +210,10 @@ def line_search(objective, x, f0, grad, tau_init) -> tuple[float, float]:
         # the step seed grow without doing anything
         if f_trial <= f0 - _ARMIJO_C1 * tau * gnorm2 and f_trial < f0:
             return tau, f_trial
-        tau *= _SHRINK
+        slope = gnorm2 * tau
+        curvature = f_trial - f0 + slope  # q(tau) - q(0) - q'(0) tau
+        shrink = 0.5 * slope / curvature if 0.0 < curvature < np.inf else _SHRINK_MAX
+        tau *= min(max(shrink, _SHRINK_MIN), _SHRINK_MAX)
     return 0.0, f0
 
 

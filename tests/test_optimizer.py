@@ -184,12 +184,51 @@ def test_line_search_never_accepts_zero_progress():
 
 
 def test_line_search_exhausts_backtracks():
-    # seed so large that the budget of halvings cannot reach a stable step
+    # a seed so large that 40 backtracks, each at most a tenth of the step
+    # on this quadratic, cannot bring it to a stable step: 1e45 * 0.1**40 = 1e5
     objective = lambda v: 0.5 * float(v @ v)
     x = np.ones(3)
-    tau, f_new = line_search(objective, x, objective(x), x, tau_init=2.0**50)
+    tau, f_new = line_search(objective, x, objective(x), x, tau_init=1e45)
     assert tau == 0.0
     assert f_new == objective(x)
+
+
+def _recorded_trials(objective, x, grad, tau_init):
+    """The steps that line_search tries along -grad from x, and its result."""
+    steps = []
+
+    def recording(v):
+        steps.append(float((x - v) @ grad / (grad @ grad)))
+        return objective(v)
+    return steps, line_search(recording, x, objective(x), grad, tau_init)
+
+
+@pytest.mark.parametrize("tau_init, steps", [
+    (3.0, [3.0, 1.0]),           # the quadratic's minimiser, tau / 3
+    (40.0, [40.0, 4.0, 1.0]),    # tau / 40 clamped to tau / 10, then tau / 4
+    (1.9999, [1.9999, 0.99995]),  # 1 / 1.9999 clamped to one half
+])
+def test_line_search_backtracks_to_the_clamped_quadratic_minimiser(tau_init, steps):
+    # on 1/2 |v|^2 from x along -x the interpolating quadratic is the
+    # objective itself, so a backtrack from tau lands on its minimiser 1,
+    # a fraction 1 / tau of the step, clamped to [0.1, 0.5]
+    objective = lambda v: 0.5 * float(v @ v)
+    x = np.array([1.0, -2.0, 0.5])
+    tried, (tau, f_new) = _recorded_trials(objective, x, x, tau_init)
+    assert tried == pytest.approx(steps, rel=1e-12)
+    assert tau == pytest.approx(steps[-1], rel=1e-12) and f_new == objective(x - tau * x)
+
+
+def test_line_search_halves_an_overflowed_trial():
+    # the first trial's objective overflows to inf: no quadratic through it,
+    # so the step halves (the clamped minimiser would cut it to a tenth)
+    def objective(v):
+        with np.errstate(over="ignore"):
+            return 0.5 * float(v @ v)
+    x = np.ones(3)
+    tried, _ = _recorded_trials(objective, x, x, 1e160)
+    assert objective(x - 1e160 * x) == np.inf
+    assert tried[:2] == [1e160, 5e159]
 
 
 def test_line_search_rejects_zero_gradient():
