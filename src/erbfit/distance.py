@@ -89,9 +89,16 @@ def _point_triangle_distance_sq(p, a, b, c):
     return np.minimum(plane_sq, edge_sq)
 
 
+def _corners_t(mesh: TriMesh) -> list[np.ndarray]:
+    """Each triangle's three corners as three (3, F) arrays, gathered from
+    the coordinate-major vertices (mesh.vertices is a view of a (3, V) array)."""
+    v_t = mesh.vertices.T
+    return [np.take(v_t, mesh.triangles[:, c], axis=1) for c in range(3)]
+
+
 def _edge_lengths(mesh: TriMesh) -> np.ndarray:
     """(3, F) lengths of each triangle's edges 0-1, 1-2 and 2-0."""
-    v1, v2, v3 = (np.ascontiguousarray(v.T) for v in mesh.corners())
+    v1, v2, v3 = _corners_t(mesh)
     return np.sqrt([_dot(b - a, b - a) for a, b in ((v1, v2), (v2, v3), (v3, v1))])
 
 
@@ -155,7 +162,7 @@ class _CellList:
     """
 
     def __init__(self, mesh: TriMesh, side: float, margin: float):
-        self.corners = [np.ascontiguousarray(v.T) for v in mesh.corners()]
+        self.corners = _corners_t(mesh)
         v1, v2, v3 = self.corners
         self.centroids_t = (v1 + v2 + v3) / 3.0
         # largest distance from each triangle's centroid to one of its corners
