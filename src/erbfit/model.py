@@ -26,12 +26,9 @@ in the value and in every gradient slot (the bound is in `_fused_pass`).
 Every pass at points is a _fused_pass: it gives the residual at the points
 and, from the same exponentials, the moments that the gradient needs, so a
 gradient is 3x3 algebra on the moments of a pass that has already run, and
-values at points are the residual at zero targets.  A pass is split in a
-value part (the residual) and a moment part; when the points fit in one
-block the moment part runs only when its moments are asked for, from the
-buffers the value part left, and a later pass over the same buffers makes
-a late request raise instead of reading another pass's numbers.  On a GridSpec, the
-uniform grid that meshing evaluates, each basis covers only the block of
+values at points are the residual at zero targets.  On one block of points
+the moment part runs only when asked for (see _fused_pass).  On a GridSpec,
+the uniform grid that meshing evaluates, each basis covers only the block of
 nodes where it can reach GRID_TAU / N, so the terms left out add up to less
 than GRID_TAU (erbfit.field) at any node.
 The blocks come from reach_boxes, which also bounds a bare model's meshing
@@ -234,8 +231,7 @@ class _PointBlocks:
     whose monomials the buffer already holds: when the points fit in one
     block, they are built once for all passes.  With more than one block,
     lo and hi (blocks, 3) hold each block's box of points, for the cutoff.
-    passes counts the passes made over the buffers, so that a pass's deferred
-    moment part can tell that a later pass has overwritten them.  kept_pairs
+    passes counts the passes, for _fused_pass's buffer guard.  kept_pairs
     and all_pairs count the (block, basis) pairs that the passes evaluated
     and that they would have evaluated without the cutoff.
     """
@@ -303,20 +299,15 @@ def _fused_pass(params, targets, blocks: _PointBlocks):
     `blocks` holds the points and the buffers for at least the n bases, and
     sets the block size b; the pass overwrites the buffers.  It goes one
     block of points at a time, y_k for k = start .. start + b - 1 (fewer in
-    the last block), about the block's centroid o.  Each block has a value
-    part and a moment part.  The value part builds the monomials phi (10, b)
-    of z_k = y_k - o (unless the buffer holds them already), takes the bases
-    idx of its cutoff, writes their exponents E = Q phi and exp(-E) into
-    g (k, b), then its residual.  The moment part (_moment_part) weighs g by
-    that residual and takes the moments from phi, so both come from the same
-    exponentials.  With more than one block each block's moment part runs
-    right after its value part, before the next block reuses the buffers.
-    When the points fit in one block the moment part waits for the first
-    moment_part() call, which reads the buffers the value part left: so the
-    fit's rejected line-search trials, whose moments are never asked for,
-    cost their value parts alone.  The call runs it once and keeps the
-    moments; a call made first after a later pass over the same `blocks`,
-    whose buffers that pass overwrote, raises RuntimeError.
+    the last block), about the block's centroid o.  Its value part builds
+    the monomials phi (10, b) of z_k = y_k - o (unless the buffer holds them
+    already), takes the bases idx of its cutoff, writes their exponents
+    E = Q phi and exp(-E) into g (k, b), then its residual; its moment part
+    (_moment_part) takes the moments from the same phi and g.  With more
+    blocks each moment part runs before the next block reuses the buffers.
+    On one block it runs at the first moment_part() call, so a line-search
+    trial whose moments are never asked for costs its value part alone; a
+    first call after a later pass over `blocks` raises RuntimeError.
 
     The exponent as one GEMM.  With p = y - x_i = z - s_i, s_i = x_i - o,
 
@@ -418,11 +409,10 @@ def _fused_pass(params, targets, blocks: _PointBlocks):
 
 
 def _moment_part(moments, idx, s, phi, g, res):
-    """Add one block's residual-weighted moments to `moments` (see _fused_pass).
+    """Add one block's moments of the bases idx to `moments` (see _fused_pass).
 
-    g holds the block's exponentials of the bases idx and turns into the
-    weights w = res * g in place; s holds those bases' centers less the
-    block's origin.
+    g (their exponentials) becomes w = res * g in place; s is their centers
+    less the block's origin.
     """
     s0, m1, cm = moments[3:]
     g *= res                                 # w = residual * g
@@ -456,8 +446,8 @@ def _objective_gradient_arrays(params, moments, w_s, w_l) -> np.ndarray:
     E_s = sum_k residual_k^2 with residual = model(y_k) - target_k;
     E_l1 = sum_i c~_i^2 + sum_{i,p} d~_ip^2 (smooth in the tilde variables).
 
-    `moments` is the moment part that the _fused_pass at the same table
-    returned; it gives (R, dR, A, s0, m1, C).  The
+    moments() gives (R, dR, A, s0, m1, C): the moment part of the
+    _fused_pass at the same table.  The
     gradient is flat, row by row like the table's ravel.  Every gradient slot
     is 3x3 algebra on them, done for all bases at once on (n, 3, 3) arrays,
     with no pass over the points.  For basis i write c2 = c~_i^2,

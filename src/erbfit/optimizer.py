@@ -15,13 +15,10 @@ permanent switch to (1, 0) once the iteration count passes `sparse_iter`
 coefficient magnitude falls below `prune_tol` are deleted every
 `prune_interval` iterations during the sparse phase.
 
-Steps use the negative gradient with Armijo backtracking (Nocedal & Wright,
-Numerical Optimization, 2nd ed., 3.5): a rejected trial step tau is replaced
-by the minimiser of the quadratic through f0, the slope -|grad|^2 and the
-trial's value, clamped to [0.1 tau, 0.5 tau]; a trial whose value is not
-finite halves the step.  Each search starts from twice the last accepted
-step.  A failed search records a zero step and the run continues.  All
-reductions are plain numpy sums over arrays in a fixed order, so a run is
+Steps use the negative gradient with Armijo backtracking by quadratic
+interpolation (line_search), seeded at twice the last accepted step; a
+failed search records a zero step and the run continues.  All reductions
+are plain numpy sums over arrays in a fixed order, so a run is
 deterministic for fixed inputs.
 """
 
@@ -44,9 +41,8 @@ from .model import (
 )
 from .sampler import ConstraintSet
 
-# the line search: Armijo constant, the clamps of a backtrack as fractions
-# of the rejected step, the first iteration's trial step and the most
-# backtracks per search
+# the line search: Armijo constant, the clamps of a backtrack (fractions of
+# the step), the first iteration's trial step and the most backtracks
 _ARMIJO_C1 = 1e-4
 _SHRINK_MIN, _SHRINK_MAX = 0.1, 0.5
 _FIRST_TAU = 1e-3
@@ -183,21 +179,16 @@ def max_pointwise_error(residual: np.ndarray) -> float:
 
 
 def line_search(objective, x, f0, grad, tau_init) -> tuple[float, float]:
-    """Armijo backtracking along -grad from x, by quadratic interpolation.
+    """Armijo backtracking along -grad from x (Nocedal & Wright, 2nd ed., 3.5).
 
     Tries tau_init, then backtracks up to _MAX_BACKTRACKS times, accepting
     the first tau with objective(x - tau*grad) <= f0 - _ARMIJO_C1*tau*||grad||^2.
-    A rejected tau with a finite value f_t is replaced by the minimiser of
-    the quadratic q with q(0) = f0, q'(0) = -||grad||^2 and q(tau) = f_t,
-
-        tau * 0.5 ||grad||^2 tau / (f_t - f0 + ||grad||^2 tau),
-
-    clamped to [_SHRINK_MIN tau, _SHRINK_MAX tau]: the lower clamp keeps a
-    far overshoot from collapsing the step, the upper one makes each
-    backtrack at least halve it.  A value that is not finite (an overflowed
-    step), or a denominator that is not positive, halves tau.  Returns
-    (tau, objective value at the step); a stalled search returns (0.0, f0)
-    and the caller keeps the current point.
+    A rejected tau with value f_t goes to the minimiser of the quadratic
+    through f0, the slope -||grad||^2 and f_t,
+    tau * 0.5 ||grad||^2 tau / (f_t - f0 + ||grad||^2 tau), clamped to
+    [0.1 tau, 0.5 tau]; a value that is not finite (an overflowed step)
+    halves tau.  Returns (tau, objective value at the step); a stalled
+    search returns (0.0, f0) and the caller keeps the current point.
     """
     gnorm2 = float(grad @ grad)
     if gnorm2 == 0.0:
@@ -229,11 +220,8 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
     gradient from the moments by 3x3 algebra alone.  A pass at the current
     point runs only at the first iteration and after a prune that removed
     bases, so a run makes 1 + trials + prunes passes (trace.point_passes).
-    When the points fit in one block, the moment part runs only when the
-    gradient asks for it: once for each pass at the current point and once
-    for each accepted trial that becomes the next iteration's point, never
-    for a rejected trial.  With more than one block every pass runs its
-    moment part, block by block.  The residual of the
+    On one block only the gradient runs moment parts, so a rejected trial
+    makes none.  The residual of the
     last pass at the final point, the accepted trial's or, after a stalled
     search, the current point's, is handed back as trace.residual; a run of
     no iterations makes its one pass for that.
@@ -294,7 +282,7 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             ws, wl = 1.0, 0.0
 
         f0 = ws * es + wl * el1
-        with np.errstate(over="ignore", invalid="ignore"):  # the moments of a trial step
+        with np.errstate(over="ignore", invalid="ignore"):
             grad = _objective_gradient_arrays(model.params, moments, ws, wl)
         if not np.isfinite(grad).all():
             raise NonFiniteObjectiveError(
