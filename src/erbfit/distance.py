@@ -93,7 +93,7 @@ def _corners_t(mesh: TriMesh) -> list[np.ndarray]:
     """Each triangle's three corners as three (3, F) arrays, gathered from
     the coordinate-major vertices (mesh.vertices is a view of a (3, V) array)."""
     v_t = mesh.vertices.T
-    return [np.take(v_t, mesh.triangles[:, c], axis=1) for c in range(3)]
+    return [np.take(v_t, t, axis=1) for t in np.ascontiguousarray(mesh.triangles.T)]
 
 
 def _edge_lengths(mesh: TriMesh) -> np.ndarray:
