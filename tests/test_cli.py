@@ -493,30 +493,49 @@ def test_cli_import_loads_no_scipy(bundled_pqr, molecule, tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
-# the numbers of the input files; every float flag is checked in process by
-# test_every_setting_is_finite_and_positive
 @pytest.mark.parametrize("command, flags, reason", [
+    ("sparsify", ["--epsilon", "nan"], "epsilon_floor must be finite and positive, got nan"),
+    ("sparsify", ["--prune-tol", "nan"], "prune_tol must be finite and positive, got nan"),
+    ("sparsify", ["--error-cap", "inf"], "max_error_cap must be finite and positive, got inf"),
+    ("sparsify", ["--band", "nan"], "band must be finite and positive, got nan"),
+    ("sparsify", ["--decay", "inf"], "decay must be finite and positive, got inf"),
     ("sparsify-big-atom", [], "atom 1: the weight e^(d r^2) overflows at decay 0.5 "
                               "and radius 40.0"),
+    ("compare", ["--decay", "nan"], "decay must be finite and positive, got nan"),
+    ("mesh", ["--isovalue", "inf"], "isovalue must be finite and positive, got inf"),
+    ("mesh-model", ["--isovalue", "nan"], "isovalue must be finite and positive, got nan"),
+    ("mesh-model", ["--decay", "nan"], "decay must be finite and positive, got nan"),
+    ("mesh-model", ["--decay", "-1"], "decay must be finite and positive, got -1.0"),
+    ("mesh", ["--decay", "nan"], "decay must be finite and positive, got nan"),
     *((f"{command}-radius", [radius], f"atom serial 1: radius must be finite and positive, "
                                       f"got {radius}")
       for radius in ("nan", "inf") for command in ("info", "sparsify", "compare")),
-], ids=["big-atom", "info-radius-nan", "sparsify-radius-nan", "compare-radius-nan",
+], ids=["epsilon-nan", "prune-tol-nan", "error-cap-inf", "band-nan", "decay-inf",
+        "big-atom", "compare-decay-nan", "mesh-isovalue-inf", "mesh-model-isovalue-nan",
+        "mesh-model-decay-nan", "mesh-model-decay-negative", "mesh-decay-nan",
+        "info-radius-nan", "sparsify-radius-nan", "compare-radius-nan",
         "info-radius-inf", "sparsify-radius-inf", "compare-radius-inf"])
-def test_non_finite_number_exits_2_with_one_line(fit_dir, tmp_path, command, flags, reason):
+def test_non_finite_number_exits_2_with_one_line(atom_pqr, fit_dir, tmp_path, command,
+                                                 flags, reason):
     if command == "sparsify-big-atom":
         big = tmp_path / "big.pqr"
         big.write_text("ATOM      1 C    UNK A   1       0.000   0.000   0.000  0.0000 40.0000\n")
         command, inputs = "sparsify", [str(big)]
-    else:
+    elif command.endswith("-radius"):
         # the one flag is the radius written into the PQR file
         bad = tmp_path / "radius.pqr"
         bad.write_text(f"ATOM 1 C UNK A 1 0.000 0.000 0.000 0.0000 {flags[0]}\n")
-        command = command.removesuffix("-radius")
+        command, flags = command.removesuffix("-radius"), []
         inputs = [str(bad)] + ([str(fit_dir / "model.json")] if command == "compare" else [])
+    elif command == "mesh-model":
+        command, inputs = "mesh", [str(fit_dir / "model.json")]
+    elif command == "compare":
+        inputs = [str(atom_pqr), str(fit_dir / "model.json")]
+    else:
+        inputs = [str(atom_pqr)]
     out = [] if command == "info" else ["--out", str(tmp_path)]
     proc = subprocess.run(
-        [sys.executable, "-m", "erbfit.cli", command, *inputs, *out],
+        [sys.executable, "-m", "erbfit.cli", command, *inputs, *flags, *out],
         capture_output=True, text=True, env=SRC_ENV, timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
