@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import Box, GaussianField, bounding_box, positive
+from .field import Box, GaussianField, bounding_box, positive, write_lines
 from .initializer import init_model
 from .mesh import EmptyMeshError, MeshError, compare_surfaces, extract_isosurface, write_obj
 from .model import RbfModel, load_model, reach_boxes, save_model
@@ -262,8 +262,7 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
         failed = [*header, f"FAILED: {exc}"]
         if exc.trace is not None:
             exc.trace.to_csv(out / "trace.csv", header_lines=failed)
-        (out / "summary.txt").write_text(
-            "\n".join(f"# {h}" for h in failed) + "\nstatus=FAILED\n")
+        write_lines(out / "summary.txt", failed, ["status=FAILED"])
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLLAPSE
     phase_done("optimize")
@@ -303,8 +302,7 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
         f"iterations={len(trace)}",
         f"wall_time_s={phases['optimize']:.2f}",
     ]
-    (out / "summary.txt").write_text(
-        "\n".join(f"# {h}" for h in header) + "\n" + "\n".join(summary) + "\n")
+    write_lines(out / "summary.txt", header, summary)
     phase_done("save")
     # run-dependent, so kept apart from the byte-identical outputs
     timings = {"config": config.as_dict(), "phases_s": phases,

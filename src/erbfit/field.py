@@ -23,6 +23,7 @@ atom at d = 0.5, 8 of the 30 nodes at phi = 1 come out below 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -227,6 +228,11 @@ def positive(name: str, value: float, error: type[ValueError] = ValueError) -> N
     """The one check of a numeric setting: anything but a finite number above 0 raises `error`."""
     if not (np.isfinite(value) and value > 0):
         raise error(f"{name} must be finite and positive, got {value}")
+
+
+def write_lines(path, header_lines, lines) -> None:
+    """Write a text output: each header line as a '# ' comment, then `lines`, one per line."""
+    Path(path).write_text("\n".join([*(f"# {h}" for h in header_lines), *lines]) + "\n")
 
 
 def check_decay(decay: float, radii: np.ndarray) -> None:

@@ -21,13 +21,12 @@ reports is erbfit.distance.hausdorff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ._mc_tables import TRI_TABLE
 from .distance import hausdorff
-from .field import Box, coordinate_major
+from .field import Box, coordinate_major, write_lines
 from .sampler import make_grid
 
 
@@ -200,7 +199,6 @@ def compare_surfaces(eval_a, eval_b, box: Box, spacing: float, isovalue: float) 
 
 def write_obj(mesh: TriMesh, path, header_lines=()) -> None:
     """OBJ export: comment header, v records, 1-based f records."""
-    lines = [f"# {h}" for h in header_lines]
-    lines += [f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
-    lines += [f"f {a} {b} {c}" for a, b, c in (mesh.triangles + 1).tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, header_lines,
+                [*(f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()),
+                 *(f"f {a} {b} {c}" for a, b, c in (mesh.triangles + 1).tolist())])

@@ -26,8 +26,8 @@ in the value and in every gradient slot (the bound is in `_fused_pass`).
 Every pass at points is a _fused_pass: it gives the residual at the points
 and, from the same exponentials, the moments that the gradient needs, so a
 gradient is 3x3 algebra on the moments of a pass that has already run, and
-values at points are the residual at zero targets.  On one block of points
-the moment part runs only when asked for (see _fused_pass).  On a GridSpec,
+values at points are the residual at zero targets.  The last block's moment
+part runs only when asked for (see _fused_pass).  On a GridSpec,
 the uniform grid that meshing evaluates, each basis covers only the block of
 nodes where it can reach GRID_TAU / N, so the terms left out add up to less
 than GRID_TAU (erbfit.field) at any node.
@@ -230,7 +230,7 @@ class _PointBlocks:
     depend on the points alone, so a pass does not rebuild them for the block
     whose monomials the buffer already holds: when the points fit in one
     block, they are built once for all passes.  With more than one block,
-    lo and hi (blocks, 3) hold each block's box of points, for the cutoff.
+    lo and hi (blocks, 3, 1) hold each block's box of points, for the cutoff.
     passes counts the passes, for _fused_pass's buffer guard.  kept_pairs
     and all_pairs count the (block, basis) pairs that the passes evaluated
     and that they would have evaluated without the cutoff.
@@ -246,37 +246,33 @@ class _PointBlocks:
         self.lo = self.hi = None
         if m > size:
             starts = np.arange(0, m, size)
-            self.lo = np.minimum.reduceat(points_t, starts, axis=1).T
-            self.hi = np.maximum.reduceat(points_t, starts, axis=1).T
+            self.lo = np.minimum.reduceat(points_t, starts, axis=1).T[:, :, None]
+            self.hi = np.maximum.reduceat(points_t, starts, axis=1).T[:, :, None]
         self.passes = self.kept_pairs = self.all_pairs = 0
 
 
-def _blocks_met(params, r, blocks: _PointBlocks) -> np.ndarray:
-    """(blocks, n) bool: whether each block of `blocks` takes each basis (see _fused_pass).
+def _cutoff_boxes(params, r):
+    """(lo, hi), each (3, n): the box of points that each basis takes (see _fused_pass).
 
-    True where the basis's reach box meets the block's box of points, and
-    for a basis with a parameter that is not finite, so that a pass at an
-    overflowed trial step is not finite either, as without the cutoff.
-    The boxes are compared one axis at a time into the one (blocks, n) array.
+    Empty for a basis with L_i <= 0, and the whole space for one with a
+    parameter that is not finite, so that a pass at an overflowed trial step
+    is not finite either, as without the cutoff.
     """
     n = params.shape[0]
-    d, centers = params[:, _DECAY], params[:, _CENTER]
+    d = params[:, _DECAY]
     with np.errstate(all="ignore"):
         c_abs, d_abs = np.abs(params[:, _COEFF]), np.abs(d)
         d_min, d_max = d_abs.min(axis=1), d_abs.max(axis=1)
         scale = 2.0 * np.maximum.reduce([c_abs, c_abs**2 * np.maximum(d_max, 1.0) / d_min,
                                          c_abs**2 * d_max])
         cut = np.log(n * scale / GRID_TAU)
-        half = reach(cut + np.log1p(2.0 * cut), r, d)
-        lo, hi = centers - half, centers + half
-        apart = np.zeros((blocks.lo.shape[0], n), dtype=bool)
-        for p in range(3):
-            apart |= lo[:, p] > blocks.hi[:, p, None]
-            apart |= hi[:, p] < blocks.lo[:, p, None]
-    met = np.logical_not(apart, out=apart)
-    met &= cut > 0
-    met |= ~np.isfinite(params).all(axis=1)
-    return met
+        half = reach(cut + np.log1p(2.0 * cut), r, d).T
+        centers = params[:, _CENTER].T
+        lo, hi = np.subtract(centers, half, order="C"), np.add(centers, half, order="C")
+    empty, whole = ~(cut > 0), ~np.isfinite(params).all(axis=1)
+    lo[:, empty], hi[:, empty] = np.inf, -np.inf
+    lo[:, whole], hi[:, whole] = -np.inf, np.inf
+    return lo, hi
 
 
 def _fused_pass(params, targets, blocks: _PointBlocks):
@@ -303,11 +299,11 @@ def _fused_pass(params, targets, blocks: _PointBlocks):
     the monomials phi (10, b) of z_k = y_k - o (unless the buffer holds them
     already), takes the bases idx of its cutoff, writes their exponents
     E = Q phi and exp(-E) into g (k, b), then its residual; its moment part
-    (_moment_part) takes the moments from the same phi and g.  With more
-    blocks each moment part runs before the next block reuses the buffers.
-    On one block it runs at the first moment_part() call, so a line-search
-    trial whose moments are never asked for costs its value part alone; a
-    first call after a later pass over `blocks` raises RuntimeError.
+    (_moment_part) takes the moments from the same phi and g.  Each block's
+    moment part runs just before the next block reuses the buffers, and the
+    last block's at the first moment_part() call, so a pass over one block
+    whose moments are never asked for costs its value part alone; a first
+    call after a later pass over `blocks` raises RuntimeError.
 
     The exponent as one GEMM.  With p = y - x_i = z - s_i, s_i = x_i - o,
 
@@ -322,7 +318,7 @@ def _fused_pass(params, targets, blocks: _PointBlocks):
     The cutoff.  Points that fit in one block take every basis, with no
     test.  Otherwise a block takes the bases whose reach box (see reach) at
     the level E_i = L_i + ln(1 + 2 L_i), L_i = ln(n s_i / GRID_TAU), meets
-    the block's box of points (_blocks_met), where
+    the block's box of points (_cutoff_boxes), where
 
         s_i = 2 max(|c~|, c~^2 max(1, d_max) / d_min, c~^2 d_max)
 
@@ -360,16 +356,20 @@ def _fused_pass(params, targets, blocks: _PointBlocks):
     residual = np.empty(m)
     moments = (r, dr, a, np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3)))
     block = blocks.phi.size // 10
-    met = None if blocks.lo is None else _blocks_met(params, r, blocks)
+    boxes = None if blocks.lo is None else _cutoff_boxes(params, r)
     blocks.passes += 1
     this_pass, deferred = blocks.passes, None
     for i, start in enumerate(range(0, m, block)):
+        if deferred is not None:  # the previous block's moments, before its buffers are reused
+            _moment_part(*deferred)
         y = blocks.points_t[:, start:start + block]
         b = y.shape[1]
         idx, k = slice(None), n
-        if met is not None and not met[i].all():
-            idx = np.flatnonzero(met[i])
-            k = idx.size
+        if boxes is not None:
+            met = ~((boxes[0] > blocks.hi[i]) | (boxes[1] < blocks.lo[i])).any(axis=0)
+            if not met.all():
+                idx = np.flatnonzero(met)
+                k = idx.size
         phi = blocks.phi[:10 * b].reshape(10, b)
         g = blocks.g[:k * b].reshape(k, b)
         origin = y.sum(axis=1) / b
@@ -392,9 +392,6 @@ def _fused_pass(params, targets, blocks: _PointBlocks):
         np.matmul(c2[idx], g, out=res)
         res -= targets[start:start + b]
         deferred = (moments, idx, s, phi, g, res)
-        if met is not None:  # more than one block: the moments now, from this block's buffers
-            _moment_part(*deferred)
-            deferred = None
 
     def moment_part():
         nonlocal deferred

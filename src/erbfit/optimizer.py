@@ -25,11 +25,10 @@ deterministic for fixed inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .field import positive
+from .field import positive, write_lines
 from .model import (
     PARAMS_PER_BASIS,
     RbfModel,
@@ -133,14 +132,9 @@ class IterationTrace(list):
         return sum(1 for r in self if r.tau == 0.0)
 
     def to_csv(self, path, header_lines=()) -> None:
-        lines = [f"# {h}" for h in header_lines]
-        lines.append("iter,f,Es,El1,ws,wl,nbasis,tau")
-        for r in self:
-            lines.append(
-                f"{r.iteration},{r.f!r},{r.es!r},{r.el1!r},"
-                f"{r.ws!r},{r.wl!r},{r.nbasis},{r.tau!r}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_lines(path, header_lines, ["iter,f,Es,El1,ws,wl,nbasis,tau", *(
+            f"{r.iteration},{r.f!r},{r.es!r},{r.el1!r},{r.ws!r},{r.wl!r},{r.nbasis},{r.tau!r}"
+            for r in self)])
 
 
 def fit_residual(model: RbfModel, constraints: ConstraintSet) -> np.ndarray:
@@ -213,18 +207,18 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
     """Run the full loop from an initial model; returns (final model, trace).
 
     Each iteration costs one pass over the constraint points per line-search
-    trial, and nothing more.  A pass (model._fused_pass) gives the trial's
-    residual and its moment part, the residual-weighted moments of every
-    basis; the accepted trial's residual and moments are those of the next
-    iteration's point, so its energies come from the residual and its
-    gradient from the moments by 3x3 algebra alone.  A pass at the current
-    point runs only at the first iteration and after a prune that removed
-    bases, so a run makes 1 + trials + prunes passes (trace.point_passes).
-    On one block only the gradient runs moment parts, so a rejected trial
-    makes none.  The residual of the
-    last pass at the final point, the accepted trial's or, after a stalled
-    search, the current point's, is handed back as trace.residual; a run of
-    no iterations makes its one pass for that.
+    trial, and nothing more.  One evaluation of a point (evaluate) makes a
+    pass (model._fused_pass), for its residual and moment part, the
+    residual-weighted moments of every basis, and takes its energies from
+    the residual; the accepted trial's evaluation is the next iteration's,
+    whose gradient comes from the moments by 3x3 algebra alone.  The current
+    point is evaluated only at the first iteration and after a prune that
+    removed bases, so a run makes 1 + trials + prunes passes
+    (trace.point_passes).  The last block's moment part runs only in the
+    gradient, so on one block a rejected trial makes none.  The residual of
+    the last pass at the final point, the accepted trial's or, after a
+    stalled search, the current point's, is handed back as trace.residual; a
+    run of no iterations makes its one pass for that.
 
     Raises ModelCollapseError / NonFiniteObjectiveError with the partial
     trace attached if the run cannot continue.
@@ -240,22 +234,23 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
     x = pack_parameters(model0)
     n = model0.n_bases
     tau_seed = _FIRST_TAU
-    current = None   # (residual, moment part) at x; None when it must be recomputed
-    trial = None     # (residual, moment part) at the line search's last trial point
+    current = None   # evaluate(x); None when it must be recomputed
+    trial = None     # evaluate at the line search's last trial point
 
     def at(x):
         """The model over x, reshaped as a view."""
         return RbfModel.from_params(x.reshape(n, PARAMS_PER_BASIS))
 
-    def point_pass(model):
-        trace.point_passes += 1
-        return _fused_pass(model.params, targets, blocks)
+    def evaluate(x):
+        """(residual, moment part, E_s, E_l1) of the model over x: one pass."""
+        model = at(x)
+        residual, moments = _fused_pass(model.params, targets, blocks)
+        return (residual, moments, *energy_terms(model, residual))
 
     for it in range(1, config.max_iter + 1):
-        model = at(x)
         if it % config.prune_interval == 0 and it <= config.sparse_iter:
             try:
-                model = prune(model, config.prune_tol)
+                model = prune(at(x), config.prune_tol)
             except ModelCollapseError:
                 raise ModelCollapseError(
                     f"pruning removed every basis at iteration {it}", trace=trace) from None
@@ -267,9 +262,8 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
         # overflow here is handled by the explicit finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
             if current is None:
-                current = point_pass(model)
-            residual, moments = current
-            es, el1 = energy_terms(model, residual)
+                current = evaluate(x)
+        residual, moments, es, el1 = current
         if not (np.isfinite(es) and np.isfinite(el1)):
             raise NonFiniteObjectiveError(
                 f"objective not finite at iteration {it} (Es={es}, El1={el1})",
@@ -283,7 +277,7 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
 
         f0 = ws * es + wl * el1
         with np.errstate(over="ignore", invalid="ignore"):
-            grad = _objective_gradient_arrays(model.params, moments, ws, wl)
+            grad = _objective_gradient_arrays(at(x).params, moments, ws, wl)
         if not np.isfinite(grad).all():
             raise NonFiniteObjectiveError(
                 f"gradient not finite at iteration {it}", trace=trace)
@@ -301,10 +295,8 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             nonlocal trial, trials
             trials += 1
             with np.errstate(over="ignore", invalid="ignore"):
-                trial_model = at(x_trial)
-                trial = point_pass(trial_model)
-                es_t, el1_t = energy_terms(trial_model, trial[0])
-                return ws * es_t + wl * el1_t
+                trial = evaluate(x_trial)
+            return ws * trial[2] + wl * trial[3]
 
         tau, f_new = line_search(objective, x, f0, grad, tau_seed)
         if tau > 0.0:
@@ -317,14 +309,13 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
         trace.append(TraceRecord(it, f0, es, el1, ws, wl, n, tau, f_new, trials))
 
     if current is None:  # no iteration ran
-        current = point_pass(at(x))
+        current = evaluate(x)
     trace.residual = current[0]
+    trace.point_passes = blocks.passes
     trace.block_pairs, trace.block_pairs_full = blocks.kept_pairs, blocks.all_pairs
     return unpack_parameters(x, n), trace
 
 
 def write_weight_histogram(model: RbfModel, path, header_lines=()) -> None:
     """Per-basis effective weights c~_i^2, one per line."""
-    lines = [f"# {h}" for h in header_lines]
-    lines.extend(f"{float(w)!r}" for w in model.weights)
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, header_lines, (f"{float(w)!r}" for w in model.weights))

@@ -475,11 +475,11 @@ def test_block_passes_match_the_reference_oracles(n, seed, blocks, shift):
                       lambda *args: moment_parts.append(1) or moment_part(*args))
         values = m.values(pts)
         g = eval_model_gradient(m, cs, weights)
-    # one block: the gradient's pass runs its moment part when asked, from
-    # the buffers, and the values' pass never does; more blocks: each pass
-    # runs it for every block
+    # each block's moment part runs before the next block reuses the buffers
+    # and the last block's when asked for: the values' pass runs all but the
+    # last, the gradient's every one
     n_blocks = -(-len(pts) // _SMALL_BLOCK)
-    assert len(moment_parts) == (1 if n_blocks == 1 else 2 * n_blocks)
+    assert len(moment_parts) == 2 * n_blocks - 1
     ref = _reference_values(m.params, pts)
     assert np.max(np.abs(values - ref)) <= 1e-12
     ref_g = _reference_gradient(m.params, pts, values - cs.targets, *weights)
@@ -586,11 +586,12 @@ def _reference_met(m, pts, size):
        extent=st.sampled_from([(60.0, 60.0, 60.0), (600.0, 6.0, 6.0)]))
 def test_gathered_passes_match_the_reference_oracles(n, seed, blocks, shift, extent):
     # blocks of _SMALL_BLOCK points in x order: each block takes only the
-    # bases whose reach box meets its box of points.  The zero weight meets
-    # no block and the zero decay, of infinite reach, every block; the values
-    # and the gradient agree with the exact loops as the full passes do.  On
-    # the 600 A rod a block's points lie hundreds of A from the points'
-    # centroid, so one origin shared by every block would lose about 1e-11
+    # bases whose reach box (_cutoff_boxes) meets its box of points.  The
+    # zero weight meets no block and the zero decay, of infinite reach, every
+    # block; the values and the gradient agree with the exact loops as the
+    # full passes do.  On the 600 A rod a block's points lie hundreds of A
+    # from the points' centroid, so one origin shared by every block would
+    # lose about 1e-11
     rng = np.random.default_rng(seed)
     k, r = blocks
     m, cs = _spread_case(rng, n, k * _SMALL_BLOCK + r, shift, extent)
@@ -603,7 +604,8 @@ def test_gathered_passes_match_the_reference_oracles(n, seed, blocks, shift, ext
         pass_blocks = erbfit.model._PointBlocks(pts, n)
         residual, _ = erbfit.model._fused_pass(m.params, cs.targets, pass_blocks)
         assert np.array_equal(values - cs.targets, residual)
-    met = erbfit.model._blocks_met(m.params, rotations(m.angles)[0], pass_blocks)
+    lo, hi = erbfit.model._cutoff_boxes(m.params, rotations(m.angles)[0])
+    met = ~((lo > pass_blocks.hi) | (hi < pass_blocks.lo)).any(axis=1)
     assert met[:, 1].all() and not met[:, 0].any()
     assert np.array_equal(met, _reference_met(m, pts, _SMALL_BLOCK))
     assert pass_blocks.all_pairs == met.size
@@ -655,18 +657,27 @@ def test_values_refuse_points_that_are_not_m_by_3(rng, shape):
 
 def test_gathered_gradient_makes_one_point_pass(rng, point_passes, monkeypatch):
     # the cutoff takes its rotations from the pass: still one pass, one
-    # call, and one moment part for each of the 60 blocks, run in the pass
+    # call, and one moment part for each of the 60 blocks
     m, cs = _spread_case(rng, 6, 300, 0.0)
     monkeypatch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * 16)
     eval_model_gradient(m, cs, (0.6, 0.4))
     assert point_passes == {"passes": 1, "moments": 60, "rotations": 1}
 
 
+def test_gathered_values_leave_the_last_moment_part_unrun(rng, point_passes, monkeypatch):
+    # a block's moment part runs when the next block comes, the last block's
+    # only when asked for, which values never do: 59 of the 60 blocks
+    m, cs = _spread_case(rng, 6, 300, 0.0)
+    monkeypatch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * 16)
+    m.values(cs.points)
+    assert point_passes == {"passes": 1, "moments": 59, "rotations": 1}
+
+
 @pytest.mark.parametrize("blocks", [1, 4])
 def test_moments_asked_for_after_a_later_pass_raise(rng, blocks, monkeypatch):
-    # one block: the moment part reads the value part's buffers, so once a
-    # later pass has overwritten them the moments of the earlier pass raise;
-    # moments already taken are kept, and several blocks take theirs in the pass
+    # the last block's moment part reads the value part's buffers, so once a
+    # later pass has overwritten them the moments of the earlier pass raise,
+    # whatever the block count; moments already taken are kept
     m = _random_model(rng, 4)
     pts = rng.uniform(-4, 4, (40, 3))
     monkeypatch.setattr(erbfit.model, "BLOCK_DOUBLES", (40 // blocks) * (10 + 4))
@@ -676,13 +687,8 @@ def test_moments_asked_for_after_a_later_pass_raise(rng, blocks, monkeypatch):
     kept = second()
     erbfit.model._fused_pass(m.params, np.zeros(40), pass_blocks)
     assert second() is kept
-    if blocks == 1:
-        with pytest.raises(RuntimeError, match="after a later pass"):
-            first()
-    else:
-        fresh = erbfit.model._fused_pass(m.params, np.zeros(40),
-                                         erbfit.model._PointBlocks(pts, 4))[1]()
-        assert all(np.array_equal(a, b) for a, b in zip(first(), fresh))
+    with pytest.raises(RuntimeError, match="after a later pass"):
+        first()
 
 
 def test_passes_allocate_no_bases_by_points_temporary():
@@ -699,6 +705,25 @@ def test_passes_allocate_no_bases_by_points_temporary():
     finally:
         tracemalloc.stop()
     assert peak < n * n_points * 8 / 4  # bytes; an (n, M) array alone would be n * M doubles
+
+
+def test_a_pass_over_many_blocks_holds_no_blocks_by_bases_table(monkeypatch):
+    # 2000 blocks of 5 points against 1000 bases: the cutoff tests each block
+    # against per-basis boxes, so the pass holds less than a (blocks, bases)
+    # bool table would on its own
+    rng = np.random.default_rng(11)
+    n, n_blocks = 1000, 2000
+    m, cs = _spread_case(rng, n, n_blocks * _SMALL_BLOCK, 0.0)
+    monkeypatch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * (10 + n))
+    pass_blocks = erbfit.model._PointBlocks(cs.points, n)
+    tracemalloc.start()
+    try:
+        erbfit.model._fused_pass(m.params, cs.targets, pass_blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pass_blocks.lo.shape[0] == n_blocks
+    assert peak < n_blocks * n  # bytes
 
 
 def test_gradient_needs_points(rng):

@@ -384,6 +384,22 @@ def test_optimize_point_passes_one_per_trial(rng, monkeypatch, point_passes):
         1 for prev, cur in zip(trace, trace[1:]) if prev.tau > 0.0 and cur.nbasis == prev.nbasis)
 
 
+def test_optimize_takes_the_energies_once_per_pass(rng, monkeypatch, point_passes):
+    # one evaluation per point: each pass's energies are taken once, and the
+    # accepted trial's serve the next iteration, so 1 + trials + prunes calls
+    calls = []
+    energy_terms_ = erbfit.optimizer.energy_terms
+    monkeypatch.setattr(erbfit.optimizer, "energy_terms",
+                        lambda *args: calls.append(1) or energy_terms_(*args))
+    cfg = OptimizerConfig(max_iter=45, sparse_iter=45, prune_interval=20)
+    _, trace = optimize(_decoy_start(rng), _single_atom_constraints(), cfg)
+    nbasis = [r.nbasis for r in trace]
+    prunes = sum(1 for a, b in zip(nbasis, nbasis[1:]) if b < a)
+    assert prunes == 1
+    expected = 1 + sum(r.trials for r in trace) + prunes
+    assert len(calls) == trace.point_passes == point_passes["passes"] == expected
+
+
 def test_optimize_cutoff_counts_pairs_and_keeps_the_trace(monkeypatch):
     # two atoms 30 A apart: with blocks of 64 constraint points, a block near
     # one atom does not take the other's basis.  The trace agrees with the
