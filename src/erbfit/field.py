@@ -12,12 +12,13 @@ selection evaluate, each atom is summed only over the block of nodes where
 its term can reach GRID_TAU / N (N atoms), so the terms left out add up to
 less than GRID_TAU at any node.  GridSpec.block_sum, the grid sum of the
 field and of the model (erbfit.model), sums those same (kernel, node) terms.
-An atom's term factors by axis, so the grid sum takes it as the product of
-an (x, y) plane factor and a z factor and sums each x node's plane as one
-matrix product: a node is within rounding of the point path's value, not on
-its bits.  Where the point path gives exactly the isovalue the grid sum can
-fall on either side of it: on the 0.25 A lattice about a lone radius-1.5
-atom at d = 0.5, 8 of the 30 nodes at phi = 1 come out below 1.
+An atom's term, like an unrotated basis's, factors by axis, so the grid sum
+takes it as the product of an (x, y) plane factor and a z factor and sums
+each x node's plane as one matrix product: a node is within rounding of
+the point path's value, not on its bits.  Where the point path gives
+exactly the isovalue the grid sum can fall on either side of it: on the
+0.25 A lattice about a lone radius-1.5 atom at d = 0.5, 8 of the 30 nodes
+at phi = 1 come out below 1.
 """
 
 from __future__ import annotations
@@ -121,20 +122,21 @@ class GridSpec:
         from centers[k].  Each kernel adds its term at the nodes of its block
         and nowhere else.
 
-        A row with q_xz = q_yz = 0 (every atom, every basis rotated about z
-        alone) factors by axis: its term is P_k(x, y) Z_k(z) with
-        P_k = exp(((q_xx x) x + log_weight) + (q_yy y) y + (q_xy x) y), the
-        point path's order, and Z_k = exp((q_zz z) z), each exactly 0 off the
-        block.  These rows are summed first, one x node at a time: the
-        (y, z) plane of node i is the product P^T Z (one GEMM) over the rows
+        A row with no off-diagonal term (every atom, every unrotated basis)
+        factors by axis: its term is P_k(x, y) Z_k(z) with
+        P_k = exp(((q_xx x) x + log_weight) + (q_yy y) y), the point path's
+        order, and Z_k = exp((q_zz z) z), each exactly 0 off the block.
+        These rows are summed first, one x node at a time: the (y, z)
+        plane of node i is the product P^T Z (one GEMM) over the rows
         whose block holds i on x, through _factored_sum.  A product of two
         exponentials in place of the exponential of the sum, and the GEMM's
         own order of summation, put such a node within rounding of the point
         path's sum of the same terms, not on its bits.  That order depends on
         the BLAS thread count, which importing erbfit pins to one, so the
         result does not depend on the environment.  Every other row is
-        then added block by block in row order: its plane as above, plus
-        (q_xz x + q_yz y) z, plus (q_zz z) z, one exponential per node.
+        then added block by block in row order: its plane as above plus
+        (q_xy x) y, plus (q_xz x + q_yz y) z, plus (q_zz z) z, one
+        exponential per node.
         """
         half_widths = np.broadcast_to(half_widths, centers.shape)
         axes = [self.axis_coords(p) for p in range(3)]
@@ -144,7 +146,7 @@ class GridSpec:
                               for x, c, h in zip(axes, centers.T, half_widths.T)])
         sizes = np.prod(np.maximum(hi - lo, 0), axis=1)
         out = np.zeros(self.shape)
-        free = (neg_q[:, 4] == 0.0) & (neg_q[:, 5] == 0.0) & (sizes > 0)
+        free = ~neg_q[:, 3:].any(axis=1) & (sizes > 0)
         if free.any():
             _factored_sum(out, axes, lo[free], hi[free], centers[free],
                           log_weights[free], neg_q[free])
@@ -166,13 +168,13 @@ class GridSpec:
 
 
 def _factored_sum(out, axes, lo, hi, centers, log_weights, neg_q):
-    """Set out (n_x, n_y, n_z) to the sum of the rows free of z coupling (see GridSpec.block_sum).
+    """Set out (n_x, n_y, n_z) to the sum of the axis-aligned rows (see GridSpec.block_sum).
 
     Two factor arrays are built in place, with the plane buffer as scratch:
     (q_yy y) y per row and node of the y axis and exp((q_zz z) z) per row
     and node of the z axis, -inf and 0 off the row's block.  Node i of x
     then takes the rows whose block holds it on x, writes their plane
-    factors exp(((q_xx x) x + log_weight) + (q_yy y) y + (q_xy x) y) into
+    factors exp(((q_xx x) x + log_weight) + (q_yy y) y) into
     the buffer (0 off the y block, since exp(-inf) = 0) and sets
     out[i] = P^T Z on the y and z ranges that those blocks span; out keeps
     its zeros elsewhere, so the pages of nodes that no block reaches are
@@ -202,9 +204,6 @@ def _factored_sum(out, axes, lo, hi, centers, log_weights, neg_q):
         plane = np.take(y_sq[:, y0:y1], k, axis=0,
                         out=scratch[:k.size * (y1 - y0)].reshape(k.size, y1 - y0))
         plane += ((neg_q[k, 0] * x) * x + log_weights[k])[:, None]
-        cross = neg_q[k, 3] * x
-        if cross.any():
-            plane += cross[:, None] * (axes[1][y0:y1] - centers[k, 1, None])
         np.exp(plane, out=plane)
         np.matmul(plane.T, z_exp[k, z0:z1], out=out[i, y0:y1, z0:z1])
 
@@ -293,7 +292,7 @@ class GaussianField:
         (-d, -d, -d, 0, 0, 0) and log-weight d r^2 over the nodes within
         h = sqrt((d r^2 + ln(N / GRID_TAU)) / d) of the atom on each axis,
         since exp(-d(s^2 - r^2)) >= GRID_TAU / N exactly where s <= h.  The
-        row is free of z coupling, so a node's term is
+        row has no off-diagonal term, so a node's term is
         exp(((-d x) x + d r^2) + (-d y) y) exp((-d z) z), summed over the
         atoms by a matrix product: within rounding of the point path's value,
         so a node where the point path gives exactly the isovalue can come out

@@ -10,8 +10,8 @@ in the order of the JSON record's fields:
 
     [ c~ | d~_1 d~_2 d~_3 | x y z | alpha beta gamma ]
 
-The flat parameter vector that the optimizer steps is the table's ravel,
-length 10N, and a gradient comes back in the same order.
+The optimizer steps the table itself, and a gradient comes back as an
+(N, 10) table of the same slots.
 
 Every evaluation, values and gradient alike, writes the exponent of every
 basis as one product E = Q phi: phi holds the ten quadratic monomials
@@ -38,6 +38,7 @@ box (erbfit.cli); the field's GridSpec.block_sum sums them from ln c~^2 and Q.
 from __future__ import annotations
 
 import json
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -218,22 +219,22 @@ def reach(levels, r, d):
 
 
 class _PointBlocks:
-    """Coordinate-major (3, M) points and the buffers of passes of up to n bases over them.
+    """Coordinate-major (3, M) points, their block layout and the buffers of passes over them.
 
     It takes (M, 3) points and holds them in the gate's layout (field.coordinate_major).
-    A pass takes the points in blocks of b = BLOCK_DOUBLES // (10 + n) points
-    (M at most): a (10 * b) buffer holds a block's monomials and an (n * b)
-    one its exponents, which also serve any pass over fewer bases.  The fit
-    makes one and reuses it in every pass: allocating and freeing the buffers
-    per pass lets malloc return the memory to the system and fault it back in
-    on the next pass, about one fault per 4 kB on every pass.  The monomials
-    depend on the points alone, so a pass does not rebuild them for the block
-    whose monomials the buffer already holds: when the points fit in one
-    block, they are built once for all passes.  With more than one block,
-    lo and hi (blocks, 3, 1) hold each block's box of points, for the cutoff.
-    passes counts the passes, for _fused_pass's buffer guard.  kept_pairs
-    and all_pairs count the (block, basis) pairs that the passes evaluated
-    and that they would have evaluated without the cutoff.
+    The block layout is fixed here, once per fit, in blocks of
+    b = BLOCK_DOUBLES // (10 + n) points (M at most) in point order: block j
+    holds points bounds[j] .. bounds[j + 1] - 1, origins[j] is its origin,
+    the centroid of its points, and with more than one block lo[j] and hi[j]
+    (3, 1) bound its points, for the cutoff.  A (10 * b) buffer holds a
+    block's monomials and an (n * b) one its exponents, which also serve any
+    pass over fewer bases.  The fit makes one and reuses it in every pass:
+    allocating and freeing the buffers per pass lets malloc return the
+    memory to the system and fault it back in on the next pass, about one
+    fault per 4 kB on every pass.  passes counts the passes, for
+    _fused_pass's buffer guard and its monomials (built once on one block).
+    kept_pairs and all_pairs count the (block, basis) pairs that the passes
+    evaluated and that they would have evaluated without the cutoff.
     """
 
     def __init__(self, points: np.ndarray, n: int):
@@ -242,12 +243,14 @@ class _PointBlocks:
         size = max(1, min(m, BLOCK_DOUBLES // (10 + n)))
         self.phi = np.empty(10 * size)
         self.g = np.empty(n * size)
-        self.phi_start = None  # first point of the block whose monomials phi holds
+        self.bounds = np.append(np.arange(0, m, size), m)
+        self.origins = np.empty((self.bounds.size - 1, 3))
+        for j, (start, stop) in enumerate(pairwise(self.bounds.tolist())):
+            self.origins[j] = points_t[:, start:stop].sum(axis=1) / (stop - start)
         self.lo = self.hi = None
         if m > size:
-            starts = np.arange(0, m, size)
-            self.lo = np.minimum.reduceat(points_t, starts, axis=1).T[:, :, None]
-            self.hi = np.maximum.reduceat(points_t, starts, axis=1).T[:, :, None]
+            self.lo = np.minimum.reduceat(points_t, self.bounds[:-1], axis=1).T[:, :, None]
+            self.hi = np.maximum.reduceat(points_t, self.bounds[:-1], axis=1).T[:, :, None]
         self.passes = self.kept_pairs = self.all_pairs = 0
 
 
@@ -292,12 +295,12 @@ def _fused_pass(params, targets, blocks: _PointBlocks):
     algebra alone.  The only place an ellipsoid Gaussian is evaluated at
     points; the grid path uses the same Q and monomials.
 
-    `blocks` holds the points and the buffers for at least the n bases, and
-    sets the block size b; the pass overwrites the buffers.  It goes one
-    block of points at a time, y_k for k = start .. start + b - 1 (fewer in
-    the last block), about the block's centroid o.  Its value part builds
-    the monomials phi (10, b) of z_k = y_k - o (unless the buffer holds them
-    already), takes the bases idx of its cutoff, writes their exponents
+    `blocks` holds the points, their block layout and the buffers for at
+    least the n bases; the pass overwrites the buffers.  It walks the
+    layout, one block of b points y_k at a time, about the block's origin o.
+    Its value part builds the monomials phi (10, b) of z_k = y_k - o (on
+    every block of a pass over more than one, on the first pass over one),
+    takes the bases idx of its cutoff, writes their exponents
     E = Q phi and exp(-E) into g (k, b), then its residual; its moment part
     (_moment_part) takes the moments from the same phi and g.  Each block's
     moment part runs just before the next block reuses the buffers, and the
@@ -355,15 +358,13 @@ def _fused_pass(params, targets, blocks: _PointBlocks):
     n, m = params.shape[0], blocks.points_t.shape[1]
     residual = np.empty(m)
     moments = (r, dr, a, np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3)))
-    block = blocks.phi.size // 10
     boxes = None if blocks.lo is None else _cutoff_boxes(params, r)
     blocks.passes += 1
     this_pass, deferred = blocks.passes, None
-    for i, start in enumerate(range(0, m, block)):
+    for i, (start, stop) in enumerate(pairwise(blocks.bounds.tolist())):
         if deferred is not None:  # the previous block's moments, before its buffers are reused
             _moment_part(*deferred)
-        y = blocks.points_t[:, start:start + block]
-        b = y.shape[1]
+        y, origin, b = blocks.points_t[:, start:stop], blocks.origins[i], stop - start
         idx, k = slice(None), n
         if boxes is not None:
             met = ~((boxes[0] > blocks.hi[i]) | (boxes[1] < blocks.lo[i])).any(axis=0)
@@ -372,13 +373,11 @@ def _fused_pass(params, targets, blocks: _PointBlocks):
                 k = idx.size
         phi = blocks.phi[:10 * b].reshape(10, b)
         g = blocks.g[:k * b].reshape(k, b)
-        origin = y.sum(axis=1) / b
-        if blocks.phi_start != start:
+        if boxes is not None or this_pass == 1:  # one block's monomials serve every pass
             phi[0] = 1.0
             np.subtract(y, origin[:, None], out=phi[1:4])
             for j, (u, v) in enumerate(_PAIRS):
                 np.multiply(phi[1 + u], phi[1 + v], out=phi[4 + j])
-            blocks.phi_start = start
         s = centers[idx] - origin
         a_s = (a[idx] @ s[:, :, None])[:, :, 0]
         q = neg_q[idx]  # neg_q itself for slice(None), else a copy of its rows
@@ -388,9 +387,9 @@ def _fused_pass(params, targets, blocks: _PointBlocks):
         np.exp(g, out=g)
         blocks.kept_pairs += k
         blocks.all_pairs += n
-        res = residual[start:start + b]
+        res = residual[start:stop]
         np.matmul(c2[idx], g, out=res)
-        res -= targets[start:start + b]
+        res -= targets[start:stop]
         deferred = (moments, idx, s, phi, g, res)
 
     def moment_part():
@@ -444,10 +443,10 @@ def _objective_gradient_arrays(params, moments, w_s, w_l) -> np.ndarray:
     E_l1 = sum_i c~_i^2 + sum_{i,p} d~_ip^2 (smooth in the tilde variables).
 
     moments() gives (R, dR, A, s0, m1, C): the moment part of the
-    _fused_pass at the same table.  The
-    gradient is flat, row by row like the table's ravel.  Every gradient slot
-    is 3x3 algebra on them, done for all bases at once on (n, 3, 3) arrays,
-    with no pass over the points.  For basis i write c2 = c~_i^2,
+    _fused_pass at the same table.  The gradient is an (n, 10) table, slot
+    for slot like the parameters.  Every gradient slot is 3x3 algebra on
+    them, done for all bases at once on (n, 3, 3) arrays, with no pass over
+    the points.  For basis i write c2 = c~_i^2,
     D = diag(d~_i^2), R = R(alpha_i, beta_i, gamma_i) and, per point k,
 
         p_k = y_k - x_i,   u_k = R p_k,   g_k = exp(-u_k^T D u_k),
@@ -481,11 +480,11 @@ def _objective_gradient_arrays(params, moments, w_s, w_l) -> np.ndarray:
     gx = scale[:, None] * np.einsum("nab,nb->na", a, m1)
     drc = (d * d)[:, :, None] * rc               # D R C
     gang = -scale[:, None] * np.einsum("nab,jnab->nj", drc, dr)
-    return np.column_stack([gc, gd, gx, gang]).ravel()
+    return np.column_stack([gc, gd, gx, gang])
 
 
 def eval_model_gradient(model: RbfModel, constraints, weights) -> np.ndarray:
-    """Gradient of f = w_s*E_s + w_l*E_l1 over all packed parameters.
+    """Gradient of f = w_s*E_s + w_l*E_l1 over all the model's parameters.
 
     `constraints` provides the fitting points and their target values
     (any object with .points and .targets that make a ConstraintSet);
@@ -497,7 +496,7 @@ def eval_model_gradient(model: RbfModel, constraints, weights) -> np.ndarray:
     constraints = ConstraintSet(constraints.points, constraints.targets)
     _, moments = _fused_pass(model.params, constraints.targets,
                              _PointBlocks(constraints.points, model.n_bases))
-    return _objective_gradient_arrays(model.params, moments, *weights)
+    return _objective_gradient_arrays(model.params, moments, *weights).ravel()
 
 
 def save_model(model: RbfModel, path: str | Path, metadata: dict | None = None) -> None:

@@ -1,6 +1,6 @@
 """Sparse fitting loop: gradient descent with pruning and adaptive weights.
 
-Minimizes f = w_s * E_s + w_l * E_l1 over the packed model parameters, where
+Minimizes f = w_s * E_s + w_l * E_l1 over the model's (n, 10) parameter table, where
 
     E_s  = sum_k (model(y_k) - phi(y_k))^2       (fit at the constraint points)
     E_l1 = sum_i c~_i^2 + sum_{i,p} d~_ip^2      (sparsity; L1 of the effective
@@ -29,15 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import positive, write_lines
-from .model import (
-    PARAMS_PER_BASIS,
-    RbfModel,
-    _PointBlocks,
-    _fused_pass,
-    _objective_gradient_arrays,
-    pack_parameters,
-    unpack_parameters,
-)
+from .model import RbfModel, _PointBlocks, _fused_pass, _objective_gradient_arrays
 from .sampler import ConstraintSet
 
 # the line search: Armijo constant, the clamps of a backtrack (fractions of
@@ -181,10 +173,11 @@ def line_search(objective, x, f0, grad, tau_init) -> tuple[float, float]:
     through f0, the slope -||grad||^2 and f_t,
     tau * 0.5 ||grad||^2 tau / (f_t - f0 + ||grad||^2 tau), clamped to
     [0.1 tau, 0.5 tau]; a value that is not finite (an overflowed step)
-    halves tau.  Returns (tau, objective value at the step); a stalled
-    search returns (0.0, f0) and the caller keeps the current point.
+    halves tau.  x and grad are arrays of one shape, any shape.  Returns
+    (tau, objective value at the step); a stalled search returns (0.0, f0)
+    and the caller keeps the current point.
     """
-    gnorm2 = float(grad @ grad)
+    gnorm2 = float(np.vdot(grad, grad))
     if gnorm2 == 0.0:
         raise ValueError("line search needs a nonzero gradient")
     tau = tau_init
@@ -202,18 +195,23 @@ def line_search(objective, x, f0, grad, tau_init) -> tuple[float, float]:
     return 0.0, f0
 
 
+# a trial step may overflow: the inf or nan it gives fails the line search's
+# test and the step is backtracked, and the finiteness checks stop the run
+# when the current point's objective or gradient is not finite
+@np.errstate(over="ignore", invalid="ignore")
 def optimize(model0: RbfModel, constraints: ConstraintSet,
              config: OptimizerConfig | None = None) -> tuple[RbfModel, IterationTrace]:
     """Run the full loop from an initial model; returns (final model, trace).
 
-    Each iteration costs one pass over the constraint points per line-search
-    trial, and nothing more.  One evaluation of a point (evaluate) makes a
-    pass (model._fused_pass), for its residual and moment part, the
-    residual-weighted moments of every basis, and takes its energies from
-    the residual; the accepted trial's evaluation is the next iteration's,
-    whose gradient comes from the moments by 3x3 algebra alone.  The current
-    point is evaluated only at the first iteration and after a prune that
-    removed bases, so a run makes 1 + trials + prunes passes
+    The loop steps the model's (n, 10) table, x, by gradient tables of the
+    same shape.  Each iteration costs one pass over the constraint points
+    per line-search trial, and nothing more.  One evaluation of a point
+    (evaluate) makes a pass (model._fused_pass), for its residual and moment
+    part, the residual-weighted moments of every basis, and takes its
+    energies from the residual; the accepted trial's evaluation is the next
+    iteration's, whose gradient comes from the moments by 3x3 algebra alone.
+    The current point is evaluated only at the first iteration and after a
+    prune that removed bases, so a run makes 1 + trials + prunes passes
     (trace.point_passes).  The last block's moment part runs only in the
     gradient, so on one block a rejected trial makes none.  The residual of
     the last pass at the final point, the accepted trial's or, after a
@@ -231,38 +229,29 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
     blocks = _PointBlocks(constraints.points, model0.n_bases)
     trace = IterationTrace()
 
-    x = pack_parameters(model0)
-    n = model0.n_bases
+    x = model0.params.copy()
     tau_seed = _FIRST_TAU
     current = None   # evaluate(x); None when it must be recomputed
     trial = None     # evaluate at the line search's last trial point
 
-    def at(x):
-        """The model over x, reshaped as a view."""
-        return RbfModel.from_params(x.reshape(n, PARAMS_PER_BASIS))
-
     def evaluate(x):
-        """(residual, moment part, E_s, E_l1) of the model over x: one pass."""
-        model = at(x)
-        residual, moments = _fused_pass(model.params, targets, blocks)
-        return (residual, moments, *energy_terms(model, residual))
+        """(residual, moment part, E_s, E_l1) of the model over the table x: one pass."""
+        residual, moments = _fused_pass(x, targets, blocks)
+        return (residual, moments, *energy_terms(RbfModel.from_params(x), residual))
 
     for it in range(1, config.max_iter + 1):
         if it % config.prune_interval == 0 and it <= config.sparse_iter:
             try:
-                model = prune(at(x), config.prune_tol)
+                model = prune(RbfModel.from_params(x), config.prune_tol)
             except ModelCollapseError:
                 raise ModelCollapseError(
                     f"pruning removed every basis at iteration {it}", trace=trace) from None
-            if model.n_bases < n:
-                n = model.n_bases
-                x = model.params.ravel()
+            if model.n_bases < len(x):
+                x = model.params
                 current = None
 
-        # overflow here is handled by the explicit finiteness check below
-        with np.errstate(over="ignore", invalid="ignore"):
-            if current is None:
-                current = evaluate(x)
+        if current is None:
+            current = evaluate(x)
         residual, moments, es, el1 = current
         if not (np.isfinite(es) and np.isfinite(el1)):
             raise NonFiniteObjectiveError(
@@ -276,26 +265,22 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             ws, wl = 1.0, 0.0
 
         f0 = ws * es + wl * el1
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = _objective_gradient_arrays(at(x).params, moments, ws, wl)
+        grad = _objective_gradient_arrays(x, moments, ws, wl)
         if not np.isfinite(grad).all():
             raise NonFiniteObjectiveError(
                 f"gradient not finite at iteration {it}", trace=trace)
 
-        if float(grad @ grad) == 0.0:
+        if np.vdot(grad, grad) == 0.0:
             # stationary for the in-force weights (e.g. exact start); no step
-            trace.append(TraceRecord(it, f0, es, el1, ws, wl, n, 0.0, f0))
+            trace.append(TraceRecord(it, f0, es, el1, ws, wl, len(x), 0.0, f0))
             continue
 
         trials = 0
 
         def objective(x_trial, ws=ws, wl=wl):
-            # oversized trial steps may overflow; the resulting inf/nan simply
-            # fails the acceptance test and the step is backtracked
             nonlocal trial, trials
             trials += 1
-            with np.errstate(over="ignore", invalid="ignore"):
-                trial = evaluate(x_trial)
+            trial = evaluate(x_trial)
             return ws * trial[2] + wl * trial[3]
 
         tau, f_new = line_search(objective, x, f0, grad, tau_seed)
@@ -306,14 +291,14 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
             x = x - tau * grad
             current = trial
             tau_seed = 2.0 * tau
-        trace.append(TraceRecord(it, f0, es, el1, ws, wl, n, tau, f_new, trials))
+        trace.append(TraceRecord(it, f0, es, el1, ws, wl, len(x), tau, f_new, trials))
 
     if current is None:  # no iteration ran
         current = evaluate(x)
     trace.residual = current[0]
     trace.point_passes = blocks.passes
     trace.block_pairs, trace.block_pairs_full = blocks.kept_pairs, blocks.all_pairs
-    return unpack_parameters(x, n), trace
+    return RbfModel.from_params(x), trace
 
 
 def write_weight_histogram(model: RbfModel, path, header_lines=()) -> None:

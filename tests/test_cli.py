@@ -417,6 +417,17 @@ def test_malformed_model_exits_2_with_one_line(atom_pqr, tmp_path, command, doc,
     assert lines[0].endswith(reason)
 
 
+@pytest.mark.parametrize("command, name", [
+    ("mesh", "nope.pqr"), ("mesh", "nope.json"), ("compare", "nope.json")])
+def test_missing_input_exits_2_with_one_line(atom_pqr, tmp_path, capsys, command, name):
+    # a missing molecule or model for mesh, a missing model for compare
+    missing = tmp_path / name
+    inputs = [str(missing)] if command == "mesh" else [str(atom_pqr), str(missing)]
+    assert main([command, *inputs, "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(missing) in lines[0]
+
+
 @pytest.mark.parametrize("command", ["info", "sparsify", "mesh"])
 def test_binary_pqr_exits_2_with_one_line(tmp_path, command):
     pqr = tmp_path / "binary.pqr"

@@ -300,8 +300,9 @@ def test_block_sum_clips_blocks_to_the_grid():
         assert np.array_equal(got.reshape(grid.shape), want)
     # the offsets of center 3's nodes from it, read back through each column
     # of the row: a 1 in column j alone, log-weight 0.25, gives exp(m_j + 0.25)
-    # for monomial m_j, every sum exact, in both the z-coupled case and not;
-    # a row free of z coupling takes z^2 as its own factor, exp(0.25) exp(z^2)
+    # for monomial m_j, every sum exact, in both the block loop and the
+    # factored path; an axis-aligned row takes z^2 as its own factor,
+    # exp(0.25) exp(z^2)
     x, y, z = np.meshgrid([-0.5, 0.5], [-0.5, 0.5], [-1.0, 0.0, 1.0], indexing="ij")
     for j, monomial in enumerate([x * x, y * y, z * z, x * y, x * z, y * z]):
         row = np.zeros((1, 6))
@@ -341,11 +342,11 @@ def _reference_block_sum(grid, centers, half_widths, log_weights, neg_q, out=Non
 
 @pytest.mark.parametrize("seed", range(12))
 def test_factored_rows_match_the_block_loop(seed):
-    # random rows over a grid that clips many blocks and misses some: rows
-    # free of z coupling, with and without an x y term, some with infinite
-    # half-widths, are summed by the factored path within rounding of the
-    # block loop and with its zeros; z-coupled rows keep its bits, alone and
-    # added after the factored rows
+    # random rows over a grid that clips many blocks and misses some:
+    # axis-aligned rows, some with infinite half-widths, are summed by the
+    # factored path within rounding of the block loop and with its zeros;
+    # rows with an off-diagonal term (x y alone, or z coupling) keep its
+    # bits, alone and added after the factored rows
     rng = np.random.default_rng(seed)
     grid = GridSpec(Box(lo=rng.uniform(-5, -3, 3), hi=rng.uniform(3, 5, 3)),
                     tuple(rng.integers(6, 15, 3)))
@@ -356,10 +357,11 @@ def test_factored_rows_match_the_block_loop(seed):
     log_weights = rng.uniform(-2, 2, n)
     neg_q = np.zeros((n, 6))
     neg_q[:, :3] = -rng.uniform(0.05, 0.5, (n, 3))
-    neg_q[::2, 3] = rng.uniform(-0.5, 0.5, n // 2) * np.sqrt(neg_q[::2, 0] * neg_q[::2, 1])
-    coupled = rng.random(n) < 0.4
-    coupled[:2] = True, False
-    neg_q[coupled, 4:] = rng.uniform(-0.1, 0.1, (coupled.sum(), 2))
+    xy, z_coupled = rng.random((2, n)) < 0.3
+    xy[:3], z_coupled[:3] = (True, False, False), (False, True, False)
+    neg_q[xy, 3] = rng.uniform(-0.5, 0.5, xy.sum()) * np.sqrt(neg_q[xy, 0] * neg_q[xy, 1])
+    neg_q[z_coupled, 4:] = rng.uniform(-0.1, 0.1, (z_coupled.sum(), 2))
+    coupled = xy | z_coupled
     free = ~coupled
 
     got = grid.block_sum(centers[free], half[free], log_weights[free], neg_q[free])

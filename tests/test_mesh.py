@@ -223,6 +223,19 @@ def test_surface_reaching_the_box_is_refused():
         extract_isosurface(f.values, box, 0.25, 1.0)
 
 
+@pytest.mark.parametrize("isovalue", [np.nan, np.inf])
+def test_non_finite_isovalue_is_refused(isovalue):
+    box = Box(lo=np.zeros(3), hi=np.ones(3))
+    with pytest.raises(ValueError, match="isovalue must be finite"):
+        extract_isosurface(lambda grid: np.zeros(len(grid)), box, 0.5, isovalue)
+
+
+def test_non_finite_field_values_are_refused():
+    box = Box(lo=np.zeros(3), hi=np.ones(3))
+    with pytest.raises(MeshError, match="non-finite values"):
+        extract_isosurface(lambda grid: np.full(len(grid), np.nan), box, 0.5, 1.0)
+
+
 def test_matches_reference_on_sphere():
     f = _sphere_field()
     _assert_same_mesh(_point_path(f), Box(lo=np.full(3, -3.0), hi=np.full(3, 3.0)), 0.25, 1.0)
@@ -302,6 +315,14 @@ def test_sphere_area_volume_converge():
 def test_hausdorff_self_is_zero():
     m = _sphere_mesh(spacing=0.3)
     assert hausdorff(m, m) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_hausdorff_refuses_a_mesh_without_triangles():
+    mesh = _sphere_mesh(spacing=0.5)
+    empty = TriMesh(vertices=np.eye(3), triangles=[])
+    for pair in ((mesh, empty), (empty, mesh), (empty, empty)):
+        with pytest.raises(ValueError, match="needs two non-empty meshes"):
+            hausdorff(*pair)
 
 
 def test_hausdorff_symmetric():

@@ -244,8 +244,8 @@ def test_grid_values_of_the_bundled_standin(molecule):
     assert np.max(np.abs(got - ref)) < 1e-12
 
 
-# a rotation about z alone leaves the exponent free of xz and yz terms, so
-# the grid sum takes its one-add case with a nonzero xy term
+# a rotation about z alone leaves an xy term alone, which the grid sum adds
+# in its block loop, as it does every rotated row
 @pytest.mark.parametrize("angles", [[0.0, 0.0, 0.0], [0.4, -0.9, 1.3], [0.0, 0.0, 0.7]])
 def test_grid_values_with_a_zero_decay(angles):
     # no decay along a principal axis: the basis never falls off along it,
@@ -312,6 +312,12 @@ def test_unpack_copies_the_vector(rng):
     back = unpack_parameters(x, 3)
     x[:] = 0.0
     assert back == m
+
+
+def test_model_equals_only_a_model(rng):
+    m = _random_model(rng, 2)
+    assert (m == object()) is False
+    assert m != "model"
 
 
 def test_pack_layout_rows(rng):
@@ -491,10 +497,10 @@ def test_block_passes_match_the_reference_oracles(n, seed, blocks, shift):
        blocks=st.sampled_from([(0, 1), (1, 0), (1, 3), (4, 2)]),
        shift=st.sampled_from([0.0, 1000.0]))
 def test_fused_pass_matches_the_oracles_and_carries_the_gradient(n, seed, blocks, shift):
-    # M = k B + r points: the fused pass's residual and gradient agree with
-    # the reference loops, and the gradient the fit takes from the moments of
-    # its accepted trial, after a rejected one, is eval_model_gradient at the
-    # accepted point to the bit
+    # M = k B + r points: the fused pass's residual and gradient table agree
+    # with the reference loops, and the gradient table the fit takes from the
+    # moments of its accepted trial, after a rejected one, is
+    # eval_model_gradient at the accepted point to the bit, raveled
     rng = np.random.default_rng(seed)
     m = RbfModel(coeff_sqrt=rng.uniform(0.2, 2.0, n), decay_sqrt=rng.uniform(0.2, 1.2, (n, 3)),
                  centers=rng.uniform(-4, 4, (n, 3)) + shift,
@@ -528,7 +534,7 @@ def test_fused_pass_matches_the_oracles_and_carries_the_gradient(n, seed, blocks
         patch.setattr(erbfit.model, "BLOCK_DOUBLES", _SMALL_BLOCK * (10 + n))
         blocks_ = erbfit.model._PointBlocks(pts, n)
         residual, moments = erbfit.model._fused_pass(m.params, cs.targets, blocks_)
-        g = erbfit.model._objective_gradient_arrays(m.params, moments, *weights)
+        g = erbfit.model._objective_gradient_arrays(m.params, moments, *weights).ravel()
         patch.setattr(erbfit.optimizer, "line_search", recording_line_search)
         one_step, _ = run(1)
         _, trace = run(2)
@@ -539,7 +545,7 @@ def test_fused_pass_matches_the_oracles_and_carries_the_gradient(n, seed, blocks
     assert np.max(np.abs(g - ref_g)) <= 1e-12 * np.max(np.abs(ref_g))
     assert trace[0].tau > 0.0 and trace[0].trials >= 2
     assert [r.trials for r in trace] == [t for _, t in searches]
-    assert np.array_equal(searches[1][0], at_step)
+    assert np.array_equal(searches[1][0].ravel(), at_step)
 
 
 def _spread_case(rng, n, n_points, shift, extent=(60.0, 60.0, 60.0)):

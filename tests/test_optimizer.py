@@ -443,6 +443,9 @@ def test_optimize_rejects_empty_model():
         optimize(empty, cs, OptimizerConfig(max_iter=5, sparse_iter=0))
 
 
+# the overflows that make a point not finite warn nothing: the loop runs under
+# one error state, and a warning that escaped it would fail these tests
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_optimize_nonfinite_objective():
     m0 = _model([1e200], np.full((1, 3), np.sqrt(0.5)), np.zeros((1, 3)))
     cs = ConstraintSet(points=np.zeros((1, 3)), targets=np.ones(1))
@@ -450,6 +453,7 @@ def test_optimize_nonfinite_objective():
         optimize(m0, cs, OptimizerConfig(max_iter=5, sparse_iter=0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_optimize_nonfinite_gradient(rng):
     # a basis 1e200 A away is exactly zero at the points, so the objective is
     # finite, but its moments about its own center hold 0 * (1e200)^2 = nan
