@@ -234,7 +234,6 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
     optimizer_config = OptimizerConfig(
         **{f.name: getattr(args, f.name) for f in fields(OptimizerConfig)})
     config = _run_config(args, (args.pqr,))
-    out = _out_dir(args)
     header = config.header_lines()
     phases = {}  # wall time of each phase, in order
     since = time.perf_counter()
@@ -254,6 +253,7 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
     constraints = select_constraints(field, grid, args.band)
     phase_done("select")
     model0 = init_model(molecule, args.decay)
+    out = _out_dir(args)
     phase_done("init")
 
     try:
@@ -325,8 +325,6 @@ def cmd_mesh(args: argparse.Namespace) -> int:
         positive("decay", args.decay)
         args.settings = {k: v for k, v in args.settings.items() if k != "decay"}
     config = _run_config(args, (args.source,))
-    out = _out_dir(args)
-
     if is_model:
         model, meta = load_model(args.source)
         evaluator = model.values
@@ -337,6 +335,7 @@ def cmd_mesh(args: argparse.Namespace) -> int:
                                             isovalue=args.isovalue)
         evaluator = field.values
         box = bounding_box(molecule)
+    out = _out_dir(args)
 
     mesh = extract_isosurface(evaluator, box, args.mesh_spacing, args.isovalue)
     write_obj(mesh, out / "mesh.obj", header_lines=config.header_lines())
@@ -347,12 +346,11 @@ def cmd_mesh(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _run_config(args, (args.pqr, args.model))
-    out = _out_dir(args)
-
     molecule = parse_pqr_file(args.pqr)
     field = GaussianField.from_molecule(molecule, decay=args.decay,
                                         isovalue=args.isovalue)
     model, _ = load_model(args.model)
+    out = _out_dir(args)
     box = bounding_box(molecule)
 
     report = compare_surfaces(field.values, model.values, box,

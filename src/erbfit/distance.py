@@ -14,10 +14,11 @@ cells whose items are sorted by cell key once, so memory is O(V + F) for any
 geometry.  A search meets the few cells around a point first; a point those
 cells do not settle searches farther, down to a scan of every item, and
 every pass makes its (point, item) pairs in chunks of fewer than 16384
-(2 * 8 pairs per point of a 1024-point block).  The distance kernels run
-coordinate-major on (3, K) arrays with explicit x + y + z sums; a
-(point, triangle) pair takes about 390 bytes there, its 96 bytes of gathered
-coordinates included, so a chunk about 6.5 MB.
+(2 * 8 pairs per point of a 1024-point block).  Every point array is
+coordinate-major (3, K), the vertices as mesh.vertices.T, the gate's own
+array, and the kernels sum x + y + z explicitly; a (point, triangle) pair
+takes about 390 bytes, its 96 bytes of gathered coordinates included, so a
+chunk about 6.5 MB.
 """
 
 from __future__ import annotations
@@ -89,16 +90,9 @@ def _point_triangle_distance_sq(p, a, b, c):
     return np.minimum(plane_sq, edge_sq)
 
 
-def _corners_t(mesh: TriMesh) -> list[np.ndarray]:
-    """Each triangle's three corners as three (3, F) arrays, gathered from
-    the coordinate-major vertices (mesh.vertices is a view of a (3, V) array)."""
-    v_t = mesh.vertices.T
-    return [np.take(v_t, t, axis=1) for t in np.ascontiguousarray(mesh.triangles.T)]
-
-
 def _edge_lengths(mesh: TriMesh) -> np.ndarray:
     """(3, F) lengths of each triangle's edges 0-1, 1-2 and 2-0."""
-    v1, v2, v3 = _corners_t(mesh)
+    v1, v2, v3 = mesh.corners_t()
     return np.sqrt([_dot(b - a, b - a) for a, b in ((v1, v2), (v2, v3), (v3, v1))])
 
 
@@ -162,22 +156,24 @@ class _CellList:
     """
 
     def __init__(self, mesh: TriMesh, side: float, margin: float):
-        self.corners = _corners_t(mesh)
+        self.corners = mesh.corners_t()
         v1, v2, v3 = self.corners
         self.centroids_t = (v1 + v2 + v3) / 3.0
         # largest distance from each triangle's centroid to one of its corners
         self.reach = np.sqrt(np.maximum.reduce([_dot(v - self.centroids_t, v - self.centroids_t)
                                                 for v in self.corners]))
-        centroids = self.centroids_t.T
-        self.origin = np.minimum(mesh.vertices.min(axis=0), centroids.min(axis=0))
-        span = float((mesh.vertices.max(axis=0) - self.origin).max())
+        self.vertices_t = mesh.vertices.T
+        # (3, 1) columns, like every per-axis quantity of the cells
+        self.origin = np.minimum(self.vertices_t.min(axis=1, keepdims=True),
+                                 self.centroids_t.min(axis=1, keepdims=True))
+        span = float((self.vertices_t.max(axis=1, keepdims=True) - self.origin).max())
         # at most about 2^20 cells along an axis, so that keys fit in int64
         self.side = max(side, span * 2.0 ** -20) or 1.0
         self.margin = margin
         self.mesh = mesh
-        self.vertices_t = mesh.vertices.T
-        cells = [self._cell(mesh.vertices), self._cell(centroids)]
-        self.dims = (np.maximum(cells[0].max(axis=0), cells[1].max(axis=0)) + 1).astype(np.int64)
+        cells = [self._cell(self.vertices_t), self._cell(self.centroids_t)]
+        self.dims = (np.maximum(cells[0].max(axis=1, keepdims=True),
+                                cells[1].max(axis=1, keepdims=True)) + 1).astype(np.int64)
         (self.vertex_order, self.vertex_keys), (self.triangle_order, self.triangle_keys) = (
             self._sorted(c) for c in cells)
 
@@ -185,27 +181,27 @@ class _CellList:
         return np.floor((x - self.origin) / self.side)
 
     def _sorted(self, cell):
-        key = self._key(*cell.astype(np.int64).T)
+        key = self._key(*cell.astype(np.int64))
         order = np.argsort(key, kind="stable")
         return order, key[order]
 
     def _key(self, x, y, z):
         return (x * self.dims[1] + y) * self.dims[2] + z
 
-    def _cubes(self, points, reach):
-        """Per point, the lowest and highest cell index on each axis of the
-        cells that meet the cube of half-width reach + margin around it (the
+    def _cubes(self, points_t, reach):
+        """Per point, the (3, K) lowest and highest cell index on each axis of
+        the cells that meet the cube of half-width reach + margin around it (the
         margin covers the rounding of the cell index), and the number of (x, y)
         columns among them."""
-        r = (reach + self.margin)[:, None]
-        lo = np.maximum(np.floor((points - r - self.origin) / self.side), 0.0)
-        hi = np.minimum(np.floor((points + r - self.origin) / self.side), self.dims - 1.0)
+        r = reach + self.margin
+        lo = np.maximum(np.floor((points_t - r - self.origin) / self.side), 0.0)
+        hi = np.minimum(np.floor((points_t + r - self.origin) / self.side), self.dims - 1.0)
         width = np.maximum(hi - lo + 1.0, 0.0)
-        return lo, hi, width[:, 0] * width[:, 1] * (width[:, 2] > 0)
+        return lo, hi, width[0] * width[1] * (width[2] > 0)
 
-    def pairs(self, points, reach, keys, order):
+    def pairs(self, points_t, reach, keys, order):
         """(owner, item) pairs that hold every item within reach[owner] of
-        points[owner], grouped by owner, in chunks of fewer than 2 * budget,
+        points_t[:, owner], grouped by owner, in chunks of fewer than 2 * budget,
         where budget = _PAIRS_PER_POINT * _HAUSDORFF_BLOCK.
 
         A point takes one run of the sorted `keys` per column its cube meets,
@@ -213,27 +209,27 @@ class _CellList:
         in blocks of about `budget` runs; order maps a run position to its item.
         """
         budget = _PAIRS_PER_POINT * _HAUSDORFF_BLOCK
-        lo, hi, columns = self._cubes(points, reach)
+        lo, hi, columns = self._cubes(points_t, reach)
         scan = columns > _MAX_COLUMNS
         count = np.where(scan, 1.0, columns).astype(np.int64)
         offset = np.cumsum(count) - count
-        bounds = np.append(np.flatnonzero(np.diff(offset // budget, prepend=-1)), len(points))
+        bounds = np.append(np.flatnonzero(np.diff(offset // budget, prepend=-1)), count.size)
         for p0, p1 in zip(bounds[:-1], bounds[1:]):
             n = count[p0:p1]
             owner = np.repeat(np.arange(p0, p1), n)
             j = np.arange(owner.size) - np.repeat(offset[p0:p1] - offset[p0], n)
-            lo_, hi_ = lo[owner].astype(np.int64), hi[owner].astype(np.int64)
-            ny = hi_[:, 1] - lo_[:, 1] + 1
-            base = self._key(lo_[:, 0] + j // ny, lo_[:, 1] + j % ny, 0)
-            start = np.searchsorted(keys, base + lo_[:, 2], side="left")
-            end = np.searchsorted(keys, base + hi_[:, 2], side="right")
+            lo_, hi_ = lo[:, owner].astype(np.int64), hi[:, owner].astype(np.int64)
+            ny = hi_[1] - lo_[1] + 1
+            base = self._key(lo_[0] + j // ny, lo_[1] + j % ny, 0)
+            start = np.searchsorted(keys, base + lo_[2], side="left")
+            end = np.searchsorted(keys, base + hi_[2], side="right")
             whole = scan[owner]
             start[whole], end[whole] = 0, keys.size
             some = start < end
             yield from _pairs(owner[some], start[some], end[some], order, budget)
 
-    def nearest(self, points: np.ndarray):
-        """(distance, index) of each point's nearest vertex.
+    def nearest(self, points_t: np.ndarray):
+        """(distance, index) of the nearest vertex to each of the (3, K) points_t.
 
         The distance has cKDTree's bits: squared differences summed x, y, z,
         then sqrt.  The first pass searches the cells within half a side of
@@ -244,13 +240,13 @@ class _CellList:
         distance does not rule out the cells beyond its search is searched
         once more, within that distance, which is then exact.
         """
-        points_t = np.ascontiguousarray(points.T)
-        best = np.full(len(points), np.inf)
-        arg = np.zeros(len(points), dtype=np.int64)
+        best = np.full(points_t.shape[1], np.inf)
+        arg = np.zeros(points_t.shape[1], dtype=np.int64)
 
         def search(idx, reach):
             """Lower best and arg over the vertices within reach of points idx."""
-            for owner, v in self.pairs(points[idx], reach, self.vertex_keys, self.vertex_order):
+            for owner, v in self.pairs(points_t[:, idx], reach, self.vertex_keys,
+                                       self.vertex_order):
                 o = idx[owner]
                 d = np.take(points_t, o, axis=1) - np.take(self.vertices_t, v, axis=1)
                 d_sq = _dot(d, d)
@@ -264,15 +260,16 @@ class _CellList:
                 best[o] = least[better]
                 arg[o] = v[first[better]]
 
-        todo = np.arange(len(points))
+        todo = np.arange(points_t.shape[1])
         # no vertex is nearer than the box of the cells
-        outside = np.maximum(self.origin - points, points - (self.origin + self.dims * self.side))
-        outside = np.maximum(outside, 0.0).T
+        outside = np.maximum(self.origin - points_t,
+                             points_t - (self.origin + self.dims * self.side))
+        outside = np.maximum(outside, 0.0)
         reach = np.maximum(np.sqrt(_dot(outside, outside)), 0.5 * self.side)
         while todo.size:
             search(todo, reach)
             found = np.sqrt(best[todo])
-            scanned = self._cubes(points[todo], reach)[2] > _MAX_COLUMNS
+            scanned = self._cubes(points_t[:, todo], reach)[2] > _MAX_COLUMNS
             again = ~scanned & (found + self.margin >= reach)
             empty = again & np.isinf(found)
             if (again & ~empty).any():
@@ -280,13 +277,13 @@ class _CellList:
             todo, reach = todo[empty], 4.0 * reach[empty]
         return np.sqrt(best), arg
 
-    def candidate_least_sq(self, points, points_t, idx, ub):
+    def candidate_least_sq(self, points_t, idx, ub):
         """Least squared distance from each point idx[i] to the triangles that
         can be nearer than ub[idx[i]]: those whose centroid lies within
         ub + the triangle's reach; inf where there is none."""
         best = np.full(idx.size, np.inf)
         points_t, ub = points_t[:, idx], ub[idx]
-        for owner, t in self.pairs(points[idx], ub + self.reach.max(), self.triangle_keys,
+        for owner, t in self.pairs(points_t, ub + self.reach.max(), self.triangle_keys,
                                    self.triangle_order):
             d = np.take(points_t, owner, axis=1) - np.take(self.centroids_t, t, axis=1)
             near = _dot(d, d) <= (ub[owner] + self.reach[t] + self.margin) ** 2
@@ -301,9 +298,9 @@ class _CellList:
         return np.argsort(flat, kind="stable") // 3, np.cumsum(count) - count, count
 
 
-def _bounded_max(points: np.ndarray, cells: _CellList, floor: float):
-    """(lo, bound): lo = max(floor, max over points of the distance to the
-    target surface), and bound[i] >= the distance of point i, every bound <= lo.
+def _bounded_max(points_t: np.ndarray, cells: _CellList, floor: float):
+    """(lo, bound): lo = max(floor, max over the (3, K) points_t of the distance
+    to the target surface), and bound[i] >= the distance of point i, every bound <= lo.
 
     A point's distance is min(sqrt(best), ub): ub is the distance to its
     nearest target vertex, and best the least squared distance to the
@@ -325,20 +322,18 @@ def _bounded_max(points: np.ndarray, cells: _CellList, floor: float):
     A point whose bound is <= lo therefore cannot change the result.
     """
     lo = float(floor)
-    if len(points) == 0:
+    if points_t.shape[1] == 0:
         return lo, np.empty(0)
-    ub, nearest = cells.nearest(points)
+    ub, nearest = cells.nearest(points_t)
     # each point's upper bound; a measured point's bound is its distance
     bound = ub.copy()
     above = np.flatnonzero(ub > lo)
     if above.size == 0:
         return lo, bound
-    # the distance passes run coordinate-major: one (3, K) gather per block
-    points_t = np.ascontiguousarray(points.T)
     block = _HAUSDORFF_BLOCK
 
     def measure(idx):
-        best = cells.candidate_least_sq(points, points_t, idx, ub)
+        best = cells.candidate_least_sq(points_t, idx, ub)
         bound[idx] = np.minimum(np.sqrt(best), ub[idx])
         return float(bound[idx].max())
 
@@ -373,8 +368,8 @@ def _bounded_max(points: np.ndarray, cells: _CellList, floor: float):
 
 
 def _triangle_samples(mesh: TriMesh, per_triangle: int, triangles=None) -> np.ndarray:
-    """The nodes of a deterministic barycentric lattice on the given triangles
-    (all by default) that are not triangle corners, each point once.
+    """The (3, K) nodes of a deterministic barycentric lattice on the given
+    triangles (all by default) that are not triangle corners, each point once.
 
     per_triangle = 10 uses the degree-3 lattice (i+j+k = 3), which has exactly
     10 nodes; other counts take the first nodes of the next large-enough
@@ -414,11 +409,11 @@ def _triangle_samples(mesh: TriMesh, per_triangle: int, triangles=None) -> np.nd
     on_edge[first] = True
     take[:, edge_nodes] = on_edge.reshape(lo.shape)
     tri, node = np.nonzero(take)
-    bary = lattice[node] / degree
-    v = mesh.vertices
-    return (bary[:, 0, None] * v[t[tri, 0]]
-            + bary[:, 1, None] * v[t[tri, 1]]
-            + bary[:, 2, None] * v[t[tri, 2]])
+    bary = lattice[node].T / degree
+    v_t = mesh.vertices.T
+    return (bary[0] * np.take(v_t, t[tri, 0], axis=1)
+            + bary[1] * np.take(v_t, t[tri, 1], axis=1)
+            + bary[2] * np.take(v_t, t[tri, 2], axis=1))
 
 
 def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) -> float:
@@ -445,7 +440,7 @@ def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) 
     lo = 0.0
     for source, target, e in ((mesh_a, mesh_b, edges[0]), (mesh_b, mesh_a, edges[1])):
         cells = _CellList(target, side, margin)
-        lo, bound = _bounded_max(source.vertices, cells, lo)
+        lo, bound = _bounded_max(source.vertices.T, cells, lo)
         # corner c of a triangle holds its edges c and c - 1 (mod 3)
         tri_bound = np.minimum.reduce([bound[source.triangles[:, c]] + np.maximum(e[c], e[c - 1])
                                        for c in range(3)]) + margin

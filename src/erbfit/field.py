@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from erbfit.pqr import Molecule
+if TYPE_CHECKING:
+    from .pqr import Molecule
 
 # bound on the sum of the kernel terms that a cutoff leaves out at any point:
 # each of N terms is left out only where it is below GRID_TAU / N.  It bounds
@@ -89,26 +91,27 @@ class GridSpec:
 
     @property
     def n_points(self) -> int:
-        return (self.counts[0] + 1) * (self.counts[1] + 1) * (self.counts[2] + 1)
+        return int(np.prod(self.shape))
 
     def __len__(self) -> int:
         return self.n_points
 
     def axis_coords(self, axis: int) -> np.ndarray:
-        a = self.box.lo[axis]
-        b = self.box.hi[axis]
-        n = self.counts[axis]
+        a, b, n = self.box.lo[axis], self.box.hi[axis], self.counts[axis]
         coords = a + np.arange(n + 1, dtype=np.float64) * ((b - a) / n)
         # a + n*step can overshoot b by a few ulp; the grid must end exactly
         # on the box corner so that every point lies in the closed box.
         coords[-1] = b
         return coords
 
-    def points(self) -> np.ndarray:
-        """All grid points as an (n_points, 3) array in lexicographic (i,j,k) order."""
-        xs, ys, zs = (self.axis_coords(p) for p in range(3))
-        gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    def points(self, mask=None) -> np.ndarray:
+        """The nodes where mask (of the grid's shape) is True, all by default, in C order:
+        the (K, 3) view of a C-contiguous (3, K) array, filled axis by axis."""
+        mask = np.ones(self.shape, dtype=bool) if mask is None else mask
+        points_t = np.empty((3, int(np.count_nonzero(mask))))
+        for p, coords in enumerate(np.ix_(*(self.axis_coords(a) for a in range(3)))):
+            points_t[p] = np.broadcast_to(coords, self.shape)[mask]
+        return points_t.T
 
     def block_sum(self, centers: np.ndarray, half_widths: np.ndarray,
                   log_weights: np.ndarray, neg_q: np.ndarray) -> np.ndarray:
@@ -292,11 +295,8 @@ class GaussianField:
         (-d, -d, -d, 0, 0, 0) and log-weight d r^2 over the nodes within
         h = sqrt((d r^2 + ln(N / GRID_TAU)) / d) of the atom on each axis,
         since exp(-d(s^2 - r^2)) >= GRID_TAU / N exactly where s <= h.  The
-        row has no off-diagonal term, so a node's term is
-        exp(((-d x) x + d r^2) + (-d y) y) exp((-d z) z), summed over the
-        atoms by a matrix product: within rounding of the point path's value,
-        so a node where the point path gives exactly the isovalue can come out
-        on either side of it (see the module docstring).
+        row factors by axis, so a node is within rounding of the point path's
+        value, not on its bits (see the module docstring).
         """
         log_weights = self.decay * self.radii**2
         if isinstance(points, GridSpec):
@@ -330,9 +330,8 @@ def bounding_box(molecule: Molecule) -> Box:
     The padding is max atom radius + 3 Angstrom, so the near-surface band
     sampled for fitting lies well inside the grid.
     """
-    radii = molecule.radii
+    centers, radii = molecule.centers, molecule.radii
     padding = float(radii.max()) + 3.0
-    centers = molecule.centers
     lo = (centers - radii[:, None]).min(axis=0) - padding
     hi = (centers + radii[:, None]).max(axis=0) + padding
     return Box(lo=lo, hi=hi)

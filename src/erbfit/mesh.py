@@ -13,9 +13,8 @@ C order, and triangles follow the cells in C order.  A surface that reaches
 the box boundary is refused, because its mesh would be open and its volume
 meaningless.
 
-Area is the summed triangle areas and volume |sum of signed tetrahedron
-volumes| against the origin.  The Hausdorff distance that compare_surfaces
-reports is erbfit.distance.hausdorff.
+compare_surfaces reports the area, volume and Hausdorff distance
+(erbfit.distance) of two meshes, all from TriMesh.corners_t.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ class TriMesh:
     """
 
     vertices: np.ndarray   # (V, 3) float
-
     triangles: np.ndarray  # (F, 3) int
 
     def __post_init__(self):
@@ -82,14 +80,17 @@ class TriMesh:
     def n_f(self) -> int:
         return self.triangles.shape[0]
 
-    def corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(V1, V2, V3) arrays of shape (F, 3)."""
-        v, t = self.vertices, self.triangles
-        return v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    def corners_t(self) -> list[np.ndarray]:
+        """(V1, V2, V3) as (3, F) arrays taken from the (3, V) vertices."""
+        v_t = self.vertices.T
+        return [np.take(v_t, t, axis=1) for t in np.ascontiguousarray(self.triangles.T)]
+
+    def corners(self) -> tuple[np.ndarray, ...]:
+        """The (F, 3) views of corners_t()."""
+        return tuple(c.T for c in self.corners_t())
 
     def translated(self, offset) -> "TriMesh":
-        return TriMesh(self.vertices + np.asarray(offset, dtype=np.float64),
-                       self.triangles.copy())
+        return TriMesh(self.vertices + offset, self.triangles.copy())
 
 
 def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> TriMesh:
@@ -158,16 +159,15 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
 def mesh_area(mesh: TriMesh) -> float:
     """Total surface area: half the summed cross-product magnitudes."""
     v1, v2, v3 = mesh.corners()
-    cross = np.cross(v2 - v1, v3 - v1)
-    return float(0.5 * np.linalg.norm(cross, axis=1).sum())
+    return float(0.5 * np.linalg.norm(np.cross(v2 - v1, v3 - v1), axis=1).sum())
 
 
 def mesh_volume(mesh: TriMesh) -> float:
     """Volume enclosed by a closed mesh.
 
     Sums the signed tetrahedron volumes spanned by each triangle and the
-    origin (written via the centroid-to-origin vector) and takes the absolute
-    value, so the result is orientation- and translation-invariant.
+    origin and takes the absolute value, so the result is orientation- and
+    translation-invariant.
     """
     v1, v2, v3 = mesh.corners()
     cross = np.cross(v2 - v1, v3 - v1)

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .field import positive
+
 
 class PqrError(ValueError):
     """Base class for PQR ingestion failures."""
@@ -94,7 +96,8 @@ def _parse_record(tokens: list[str], line_number: int) -> Atom:
     except ValueError:
         raise PqrParseError(f"malformed serial {head[1]!r}", line_number) from None
     chain = head[4] if len(head) >= 6 else ""
-    atom = Atom(
+    positive(f"atom serial {serial}: radius", radius, PqrValidationError)
+    return Atom(
         serial=serial,
         name=head[2],
         residue=head[3],
@@ -104,11 +107,6 @@ def _parse_record(tokens: list[str], line_number: int) -> Atom:
         charge=charge,
         radius=radius,
     )
-    if not (np.isfinite(radius) and radius > 0):
-        raise PqrValidationError(
-            f"atom serial {serial}: radius must be finite and positive, got {radius}"
-        )
-    return atom
 
 
 def parse_pqr(text: str, source_path: str = "<memory>") -> Molecule:

@@ -82,8 +82,8 @@ def select_constraints(field: GaussianField, grid: GridSpec, band: float = 1.0) 
 
     phi comes from the field's grid path (eval_phi_batch(field, grid)), so
     each target is within GRID_TAU of the exact sum at its node, and a node
-    is kept on that value.  Only the kept nodes' coordinates are built: the
-    selection holds the grid's phi and mask, then the (3, K) points and K
+    is kept on that value.  GridSpec.points(mask) builds only the kept nodes:
+    the selection holds the grid's phi and mask, then the (3, K) points and K
     targets, never the (n_points, 3) array of every node.
 
     Raises SamplingError when nothing is selected (use a finer grid or a
@@ -92,18 +92,11 @@ def select_constraints(field: GaussianField, grid: GridSpec, band: float = 1.0) 
     positive("band", band, SamplingError)
     phi = eval_phi_batch(field, grid)
     mask = (np.abs(phi - field.isovalue) <= band).reshape(grid.shape)
-    count = int(np.count_nonzero(mask))
-    if count == 0:
+    if not mask.any():
         raise SamplingError(
             "no grid point lies within the selection band; "
             "use a finer grid spacing or a larger band"
         )
     targets = phi[mask.ravel()]
     del phi
-    points_t = np.empty((3, count))
-    for p in range(3):
-        # the node coordinates along axis p, broadcast over the grid as a view
-        along = [1, 1, 1]
-        along[p] = -1
-        points_t[p] = np.broadcast_to(grid.axis_coords(p).reshape(along), grid.shape)[mask]
-    return ConstraintSet(points=points_t.T, targets=targets)
+    return ConstraintSet(grid.points(mask), targets)

@@ -418,14 +418,18 @@ def test_malformed_model_exits_2_with_one_line(atom_pqr, tmp_path, command, doc,
 
 
 @pytest.mark.parametrize("command, name", [
-    ("mesh", "nope.pqr"), ("mesh", "nope.json"), ("compare", "nope.json")])
+    ("mesh", "nope.pqr"), ("mesh", "nope.json"), ("compare", "nope.json"),
+    ("sparsify", "nope.pqr")])
 def test_missing_input_exits_2_with_one_line(atom_pqr, tmp_path, capsys, command, name):
-    # a missing molecule or model for mesh, a missing model for compare
+    # a missing molecule or model for mesh, a missing model for compare, a
+    # missing molecule for sparsify; the output directory is made only once
+    # the inputs are read, so none is left behind
     missing = tmp_path / name
-    inputs = [str(missing)] if command == "mesh" else [str(atom_pqr), str(missing)]
+    inputs = [str(atom_pqr), str(missing)] if command == "compare" else [str(missing)]
     assert main([command, *inputs, "--out", str(tmp_path / "out")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and str(missing) in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["info", "sparsify", "mesh"])

@@ -180,6 +180,20 @@ def test_extracted_vertices_are_a_view_of_the_coordinate_major_array():
     assert mesh.corners()[0].shape == (mesh.n_f, 3)
 
 
+def test_corners_are_one_gather_in_both_layouts(rng):
+    # the (F, 3) corners that area and volume read are the transpose views of
+    # the (3, F) ones that the Hausdorff distance reads, on the bits of plain
+    # row indexing
+    triangles = np.array([rng.choice(50, 3, replace=False) for _ in range(200)])
+    mesh = TriMesh(vertices=rng.normal(size=(50, 3)) * 10.0, triangles=triangles)
+    v, t = mesh.vertices, mesh.triangles
+    for c, corner in enumerate(mesh.corners()):
+        assert np.array_equal(corner, v[t[:, c]])
+        assert corner.T.flags.c_contiguous and corner.base is not None
+    for c, corner_t in enumerate(mesh.corners_t()):
+        assert np.array_equal(corner_t, v[t[:, c]].T)
+
+
 def test_translated_moves_vertices_only():
     m = _unit_cube_mesh()
     shifted = m.translated(np.array([1.0, 2.0, 3.0]))
@@ -449,12 +463,12 @@ def _directed_hausdorff(points, target, floor=0.0):
     """
     side = float(_edge_lengths(target).max())
     cells = _CellList(target, side, _rounding_margin(side, points, target.vertices))
-    return _bounded_max(points, cells, floor)[0]
+    return _bounded_max(points.T, cells, floor)[0]
 
 
 def _samples(mesh, per_triangle=10):
     """Every sample point of a mesh: its vertices, then its lattice nodes."""
-    return np.concatenate([mesh.vertices, _triangle_samples(mesh, per_triangle)])
+    return np.concatenate([mesh.vertices, _triangle_samples(mesh, per_triangle).T])
 
 
 def _brute_force_directed(points, target):
@@ -612,7 +626,7 @@ def test_nearest_vertex_is_the_same_for_any_pair_budget(monkeypatch, pair, molec
         found = []
         for per_point in (1, 16, 32):
             monkeypatch.setattr(erbfit.distance, "_PAIRS_PER_POINT", per_point)
-            found.append(cells.nearest(points))
+            found.append(cells.nearest(points.T))
         for distance, index in found[1:]:
             assert np.array_equal(distance, found[0][0])
             assert np.array_equal(index, found[0][1])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import erbfit.sampler
-from erbfit.field import GRID_TAU, Box, GaussianField, bounding_box
+from erbfit.field import GRID_TAU, Box, GaussianField, bounding_box, coordinate_major
 from erbfit.model import _PointBlocks
 from erbfit.sampler import (
     MAX_GRID_POINTS,
@@ -90,6 +90,19 @@ def test_grid_includes_both_corners():
     pts = g.points()
     assert np.array_equal(pts[0], np.zeros(3))
     assert np.array_equal(pts[-1], np.full(3, 2.0))
+
+
+def test_masked_nodes_are_the_masked_rows_of_every_node(rng):
+    # one builder for every node array: a mask keeps the same bits as the
+    # rows of the full array, in a (3, K) array that the point gate takes
+    # without a copy
+    g = make_grid(_box([-2.0, 1.0, 0.5], [3.0, 4.0, 9.5]), spacing=0.7)
+    mask = rng.random(g.shape) < 0.3
+    kept = g.points(mask)
+    assert kept.shape == (np.count_nonzero(mask), 3)
+    assert np.array_equal(kept, g.points()[mask.ravel()])
+    assert kept.T.flags.c_contiguous and kept.base.shape == (3, len(kept))
+    assert np.shares_memory(coordinate_major(kept), kept)
 
 
 def test_gridspec_rejects_small_counts():
