@@ -23,12 +23,13 @@ Selection evaluates the field on the grid path; post reads the final
 energies from the residual of the fit's last pass, so it makes no pass of
 its own, and a run with --max-iter 0 makes that one pass in optimize.
 
-Exit codes go by the error's base class: 0 success; 2 any OSError or
-ValueError, an unreadable or invalid input, such as a setting that is not a
-finite number above 0 (whatever the source), an empty selection or a model
-with no bases; 3 optimization collapse; 4 any MeshError, such as a surface
-that reaches the meshing box or, in a model without a stored box, a basis
-above isovalue / n with a zero decay, whose surface no finite box holds.
+Exit codes go by the error's base class, in main's one table EXIT_CODES: 0
+success; 2 any OSError or ValueError, an unreadable or invalid input, such
+as a setting that is not a finite number above 0 (whatever the source), an
+empty selection, a model with no bases or a molecule whose box overflows; 3
+any OptimizationError, a collapse of the fit; 4 any MeshError, such as a
+surface that reaches the meshing box or, in a model without a stored box, a
+basis above isovalue / n with a zero decay, whose surface no finite box holds.
 """
 
 from __future__ import annotations
@@ -58,10 +59,7 @@ from .pqr import parse_pqr_file
 from .sampler import make_grid, select_constraints
 from . import __version__
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_COLLAPSE = 3
-EXIT_MESH = 4
+EXIT_CODES = {OSError: 2, ValueError: 2, OptimizationError: 3, MeshError: 4}
 
 
 @dataclass(frozen=True)
@@ -193,6 +191,13 @@ def _looks_like_model(path: str) -> bool:
     return head.startswith(b"{")
 
 
+def _molecule_field_box(args: argparse.Namespace, pqr: str) -> tuple:
+    """The molecule of the PQR file, its field at --decay and --isovalue, and its bounding box."""
+    molecule = parse_pqr_file(pqr)
+    field = GaussianField.from_molecule(molecule, decay=args.decay, isovalue=args.isovalue)
+    return molecule, field, bounding_box(molecule)
+
+
 def _model_box(meta: dict, model: RbfModel, isovalue: float, spacing: float) -> Box:
     """Meshing box for a bare model: the stored metadata box, else one that holds the surface.
 
@@ -227,7 +232,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"bounding box lo: {box.lo[0]:.3f} {box.lo[1]:.3f} {box.lo[2]:.3f}")
     print(f"bounding box hi: {box.hi[0]:.3f} {box.hi[1]:.3f} {box.hi[2]:.3f}")
     print(f"radius range: {radii.min():.3f} .. {radii.max():.3f}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_sparsify(args: argparse.Namespace) -> int:
@@ -244,11 +249,8 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
         phases[name] = now - since
         since = now
 
-    molecule = parse_pqr_file(args.pqr)
+    molecule, field, box = _molecule_field_box(args, args.pqr)
     phase_done("parse")
-    field = GaussianField.from_molecule(molecule, decay=args.decay,
-                                        isovalue=args.isovalue)
-    box = bounding_box(molecule)
     grid = make_grid(box, args.constraint_spacing)
     constraints = select_constraints(field, grid, args.band)
     phase_done("select")
@@ -263,8 +265,7 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
         if exc.trace is not None:
             exc.trace.to_csv(out / "trace.csv", header_lines=failed)
         write_lines(out / "summary.txt", failed, ["status=FAILED"])
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COLLAPSE
+        raise
     phase_done("optimize")
 
     # the residual of the fit's last pass, at the final model
@@ -315,53 +316,44 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
         print(line)
     print(f"wrote {out / 'model.json'}, {out / 'trace.csv'}, "
           f"{out / 'weights.txt'}, {out / 'summary.txt'}, {out / 'timings.json'}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_mesh(args: argparse.Namespace) -> int:
-    is_model = _looks_like_model(args.source)
-    if is_model:
+    if _looks_like_model(args.source):
         # a model's decays are its own: --decay is checked but not recorded
         positive("decay", args.decay)
         args.settings = {k: v for k, v in args.settings.items() if k != "decay"}
-    config = _run_config(args, (args.source,))
-    if is_model:
         model, meta = load_model(args.source)
         evaluator = model.values
         box = _model_box(meta, model, args.isovalue, args.mesh_spacing)
     else:
-        molecule = parse_pqr_file(args.source)
-        field = GaussianField.from_molecule(molecule, decay=args.decay,
-                                            isovalue=args.isovalue)
+        _, field, box = _molecule_field_box(args, args.source)
         evaluator = field.values
-        box = bounding_box(molecule)
+    config = _run_config(args, (args.source,))
     out = _out_dir(args)
 
     mesh = extract_isosurface(evaluator, box, args.mesh_spacing, args.isovalue)
     write_obj(mesh, out / "mesh.obj", header_lines=config.header_lines())
     print(f"wrote {out / 'mesh.obj'} "
           f"({mesh.vertices.shape[0]} vertices, {mesh.n_f} triangles)")
-    return EXIT_OK
+    return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _run_config(args, (args.pqr, args.model))
-    molecule = parse_pqr_file(args.pqr)
-    field = GaussianField.from_molecule(molecule, decay=args.decay,
-                                        isovalue=args.isovalue)
+    _, field, box = _molecule_field_box(args, args.pqr)
     model, _ = load_model(args.model)
     out = _out_dir(args)
-    box = bounding_box(molecule)
 
     report = compare_surfaces(field.values, model.values, box,
                               args.mesh_spacing, args.isovalue)
     doc = {"config": config.as_dict(), "report": report}
     (out / "compare.json").write_text(json.dumps(doc, indent=2) + "\n")
-    for key in ("A_original", "A_our", "Error_A",
-                "V_original", "V_our", "Error_V", "H"):
-        print(f"{key}={report[key]:.6f}")
+    for key, value in report.items():
+        print(f"{key}={value:.6f}")
     print(f"wrote {out / 'compare.json'}")
-    return EXIT_OK
+    return 0
 
 
 def main(argv=None) -> int:
@@ -370,12 +362,9 @@ def main(argv=None) -> int:
                 "compare": cmd_compare}
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except MeshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MESH
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -301,7 +301,8 @@ class GaussianField:
         log_weights = self.decay * self.radii**2
         if isinstance(points, GridSpec):
             n = self.radii.shape[0]
-            half = np.sqrt((log_weights + np.log(n / GRID_TAU)) / self.decay)
+            with np.errstate(over="ignore"):
+                half = np.sqrt((log_weights + np.log(n / GRID_TAU)) / self.decay)
             neg_q = np.zeros((n, 6))
             neg_q[:, :3] = -self.decay
             return points.block_sum(self.centers, half[:, None], log_weights, neg_q)
@@ -332,6 +333,9 @@ def bounding_box(molecule: Molecule) -> Box:
     """
     centers, radii = molecule.centers, molecule.radii
     padding = float(radii.max()) + 3.0
-    lo = (centers - radii[:, None]).min(axis=0) - padding
-    hi = (centers + radii[:, None]).max(axis=0) + padding
+    with np.errstate(over="ignore"):
+        lo = (centers - radii[:, None]).min(axis=0) - padding
+        hi = (centers + radii[:, None]).max(axis=0) + padding
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError("the bounding box of the atoms is not finite")
     return Box(lo=lo, hi=hi)

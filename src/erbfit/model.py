@@ -426,10 +426,10 @@ def reach_boxes(params, floor):
 
     Basis i is below floor / n outside the ellipsoid u^T D u <= E_i, with
     u = R_i (y - x_i), D = diag(d~_i^2) and E_i = ln(n c~_i^2 / floor), so
-    kept indexes the bases with E_i > 0 (c~_i = 0 is left out).  R holds
-    their rotations (k, 3, 3) and half their ellipsoids' boxes (see reach).
+    kept indexes the bases with E_i > 0.  R holds their rotations (k, 3, 3)
+    and half their ellipsoids' boxes (see reach).
     """
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         levels = np.log(params.shape[0] * params[:, _COEFF] ** 2 / floor)
     kept = np.flatnonzero(levels > 0)
     r = rotations(params[kept, _ANGLES])[0]

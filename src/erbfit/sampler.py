@@ -62,14 +62,14 @@ def make_grid(box: Box, spacing: float) -> GridSpec:
     points; the count is checked before anything is allocated.
     """
     positive("grid spacing", spacing, SamplingError)
-    extent = box.extent
-    if np.any(extent <= 0):
-        raise SamplingError(f"degenerate box: extent {extent} has a non-positive axis")
-    # in floating point, where a tiny spacing gives inf instead of wrapping
-    # around in the integer cast
+    # in floating point, where an overflowing extent or a tiny spacing gives
+    # inf instead of wrapping around in the integer cast
     with np.errstate(over="ignore"):
+        extent = box.extent
         counts = np.maximum(np.ceil(extent / spacing), 2.0)
         n_points = float(np.prod(counts + 1.0))
+    if np.any(extent <= 0):
+        raise SamplingError(f"degenerate box: extent {extent} has a non-positive axis")
     if n_points > MAX_GRID_POINTS:
         raise SamplingError(
             f"grid spacing {spacing} needs {n_points:.3g} grid points over this box, "

@@ -19,8 +19,10 @@ from erbfit import __version__
 from erbfit.cli import main
 from erbfit.field import GaussianField, bounding_box
 from erbfit.initializer import init_model
+from erbfit.mesh import MeshError
 from erbfit.model import RbfModel, reach, rotations, save_model
-from erbfit.optimizer import energy_terms, fit_residual, max_pointwise_error
+from erbfit.optimizer import (OptimizationError, energy_terms, fit_residual,
+                              max_pointwise_error)
 from erbfit.sampler import make_grid
 
 # generic radius: the meshing box is the atom center plus or minus
@@ -698,3 +700,76 @@ def test_bad_grid_spacing_exits_2_with_one_line(atom_pqr, fit_dir, tmp_path, com
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert lines[0].endswith(reason)
+
+
+def _model_text(centers, coeff_sqrt=1.5, decay_sqrt=0.7, metadata=None):
+    """A model document with one unrotated basis of the given weight and decay per center."""
+    bases = [{"coeff_sqrt": coeff_sqrt, "decay_sqrt": [decay_sqrt] * 3, "center": center,
+              "angles": [0.0, 0.0, 0.0]} for center in centers]
+    return json.dumps({"format": "erbfit-model", "version": 1, "metadata": metadata or {},
+                       "bases": bases})
+
+
+# inputs whose numbers overflow a double along the way: atoms at x = +-1e308,
+# whose box extent is past the largest double; an atom whose radius puts its
+# box corners there; models whose stored box or bases lie at +-1e308; a basis
+# of weight 1e300, whose level against the grid cutoff overflows
+OVERFLOW_INPUTS = {
+    "far.pqr": "ATOM      1 C    UNK A   1    1e308  0.0  0.0  0.0 1.5\n"
+               "ATOM      2 C    UNK A   1   -1e308  0.0  0.0  0.0 1.5\n",
+    "wide.pqr": "ATOM      1 C    UNK A   1    0.0  0.0  0.0  0.0 1e308\n",
+    "boxed.json": _model_text([[0.0, 0.0, 0.0]],
+                              metadata={"box_lo": [-1e308] * 3, "box_hi": [1e308] * 3}),
+    "far.json": _model_text([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]]),
+    "heavy.json": _model_text([[0.0, 0.0, 0.0]], coeff_sqrt=1e150, decay_sqrt=3.0),
+}
+
+
+@pytest.mark.parametrize("command, inputs, flags, code", [
+    ("sparsify", ["far.pqr"], [], 2),
+    ("mesh", ["far.pqr"], [], 2),
+    ("compare", ["far.pqr", "heavy.json"], [], 2),
+    ("mesh", ["boxed.json"], [], 2),
+    ("mesh", ["far.json"], [], 2),
+    ("info", ["wide.pqr"], [], 2),
+    ("sparsify", ["bundled"], ["--decay", "1e-320"], 2),
+    ("mesh", ["atom"], ["--decay", "1e-320"], 4),
+    ("mesh", ["heavy.json"], [], 0),
+    ("compare", ["atom", "heavy.json"], [], 4),
+], ids=["sparsify-far-atoms", "mesh-far-atoms", "compare-far-atoms", "mesh-huge-stored-box",
+        "mesh-far-bases", "info-huge-radius", "sparsify-subnormal-decay",
+        "mesh-subnormal-decay", "mesh-huge-weight", "compare-huge-weight"])
+def test_overflowing_input_prints_no_numpy_warning(bundled_pqr, atom_pqr, tmp_path, capsys,
+                                                   command, inputs, flags, code):
+    # each overflow is computed under np.errstate, so the command ends with
+    # its exit code and at most its one error line, whatever numpy's warning
+    # filters are
+    for name, text in OVERFLOW_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    given = {"bundled": bundled_pqr, "atom": atom_pqr}
+    paths = [str(given.get(name, tmp_path / name)) for name in inputs]
+    out = [] if command == "info" else ["--out", str(tmp_path / "out")]
+    assert main([command, *paths, *flags, *out]) == code
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    lines = err.splitlines()
+    assert lines == [] if code == 0 else len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("error, code", [
+    (OSError("the disk is full"), 2),
+    (ValueError("a bad value"), 2),
+    (OptimizationError("the fit collapsed"), 3),
+    (MeshError("the mesh would be open"), 4),
+], ids=["OSError", "ValueError", "OptimizationError", "MeshError"])
+def test_exit_code_goes_by_the_error_class(atom_pqr, fit_dir, tmp_path, capsys, monkeypatch,
+                                           error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(erbfit.cli, "compare_surfaces", fail)
+    assert main(["compare", str(atom_pqr), str(fit_dir / "model.json"),
+                 "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"error: {error}"]
