@@ -25,17 +25,19 @@ its own, and a run with --max-iter 0 makes that one pass in optimize.
 
 Exit codes go by the error's base class, in main's one table EXIT_CODES: 0
 success; 2 any OSError or ValueError, an unreadable or invalid input, such
-as a setting that is not a finite number above 0 (whatever the source), an
-empty selection, a model with no bases or a molecule whose box overflows; 3
-any OptimizationError, a collapse of the fit; 4 any MeshError, such as a
-surface that reaches the meshing box or, in a model without a stored box, a
-basis above isovalue / n with a zero decay, whose surface no finite box holds.
+as a setting that is not a finite number above 0, an empty selection, a
+model with no bases or a box that overflows; 3 any OptimizationError, a
+collapse of the fit; 4 any MeshError, such as a surface that reaches the
+meshing box or, in a model without a stored box, a basis above isovalue / n
+with a zero decay; 130 an interrupt, SIGINT or (while main runs) SIGTERM.
+A collapse or an interrupt of the fit writes the partial trace.csv and summary.txt.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -59,7 +61,7 @@ from .pqr import parse_pqr_file
 from .sampler import make_grid, select_constraints
 from . import __version__
 
-EXIT_CODES = {OSError: 2, ValueError: 2, OptimizationError: 3, MeshError: 4}
+EXIT_CODES = {OSError: 2, ValueError: 2, OptimizationError: 3, MeshError: 4, KeyboardInterrupt: 130}
 
 
 @dataclass(frozen=True)
@@ -260,11 +262,12 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
 
     try:
         model, trace = optimize(model0, constraints, optimizer_config)
-    except OptimizationError as exc:
-        failed = [*header, f"FAILED: {exc}"]
-        if exc.trace is not None:
+    except (OptimizationError, KeyboardInterrupt) as exc:
+        status = "INTERRUPTED" if isinstance(exc, KeyboardInterrupt) else "FAILED"
+        failed = [*header, f"{status}: {exc}"]
+        if getattr(exc, "trace", None) is not None:
             exc.trace.to_csv(out / "trace.csv", header_lines=failed)
-        write_lines(out / "summary.txt", failed, ["status=FAILED"])
+        write_lines(out / "summary.txt", failed, [f"status={status}"])
         raise
     phase_done("optimize")
 
@@ -360,11 +363,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"info": cmd_info, "sparsify": cmd_sparsify, "mesh": cmd_mesh,
                 "compare": cmd_compare}
+    # a SIGTERM ends the run as Ctrl-C does
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return handlers[args.command](args)
     except tuple(EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        interrupted = isinstance(exc, KeyboardInterrupt)
+        print(f"error: {'interrupted' if interrupted else exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

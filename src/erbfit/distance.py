@@ -2,9 +2,10 @@
 Hausdorff estimate between two meshes.
 
 hausdorff is a Metro-style estimate (Cignoni, Rocchini & Scopigno, CGF
-1998): sampled points on one mesh, its vertices and a barycentric lattice on
-each triangle (_triangle_samples, each distinct point once), against exact
-point-to-triangle distances on the other.  Since it is a maximum over
+1998): the points of one mesh, its vertices and the degree-3 barycentric
+lattice of 10 per triangle (_triangle_samples: the third-points of each
+distinct edge, then the centroids), against exact point-to-triangle
+distances on the other.  Since it is a maximum over
 points, _bounded_max measures a point exactly only while an upper bound on
 its distance exceeds the running maximum, the early break of Taha & Hanbury
 (TPAMI 2015), and hausdorff extends the break to whole triangles; the bounds
@@ -367,59 +368,30 @@ def _bounded_max(points_t: np.ndarray, cells: _CellList, floor: float):
     return lo, bound
 
 
-def _triangle_samples(mesh: TriMesh, per_triangle: int, triangles=None) -> np.ndarray:
-    """The (3, K) nodes of a deterministic barycentric lattice on the given
-    triangles (all by default) that are not triangle corners, each point once.
-
-    per_triangle = 10 uses the degree-3 lattice (i+j+k = 3), which has exactly
-    10 nodes; other counts take the first nodes of the next large-enough
-    lattice.  A lattice corner is a copy of a mesh vertex and is left out: the
-    vertices are measured on their own.  A node on an edge is the same point,
-    to the bit, in every triangle that holds the edge (its two weights are the
-    same numbers and the third adds 0 * x), so it is taken once, from the
-    first of the given triangles that holds it; this also holds on open and
-    non-manifold meshes.  Every interior node is taken.  The directed
-    Hausdorff distance is a max over points, so it is the same over these
-    points and the vertices as over the full lattice on every triangle.
+def _triangle_samples(mesh: TriMesh, triangles=None) -> np.ndarray:
+    """The (3, K) nodes but the corners (mesh vertices) of the degree-3
+    barycentric lattice on the given triangles, all by default:
+    2/3 a + 1/3 b and 1/3 a + 2/3 b on each distinct edge (a, b), the same
+    bits in every triangle that holds it, then each centroid.  A max over
+    these and the vertices is the max over the full lattice of every triangle.
     """
-    degree = 1
-    while (degree + 1) * (degree + 2) // 2 < per_triangle:
-        degree += 1
-    i, j = np.indices((degree + 1, degree + 1)).reshape(2, -1)
-    keep = i + j <= degree
-    i, j = i[keep], j[keep]
-    lattice = np.stack([i, j, degree - i - j], axis=1)[:per_triangle]
     t = mesh.triangles if triangles is None else mesh.triangles[triangles]
-    zeros = (lattice == 0).sum(axis=1)
-    take = np.zeros((t.shape[0], lattice.shape[0]), dtype=bool)
-    take[:, zeros == 0] = True
-    # an edge node is named by its edge, the sorted vertex pair (lo, hi), and
-    # its weight on lo
-    edge_nodes = np.flatnonzero(zeros == 1)
-    nodes = lattice[edge_nodes]
-    a = (np.argmin(nodes, axis=1) + 1) % 3
-    b = (a + 1) % 3
-    ta, tb = t[:, a], t[:, b]
-    lo, hi = np.minimum(ta, tb), np.maximum(ta, tb)
-    rows = np.arange(len(nodes))
-    weight_lo = np.where(ta < tb, nodes[rows, a], nodes[rows, b])
-    _, first = np.unique((lo * mesh.vertices.shape[0] + hi) * (degree + 1) + weight_lo,
-                         return_index=True)
-    on_edge = np.zeros(lo.size, dtype=bool)
-    on_edge[first] = True
-    take[:, edge_nodes] = on_edge.reshape(lo.shape)
-    tri, node = np.nonzero(take)
-    bary = lattice[node].T / degree
     v_t = mesh.vertices.T
-    return (bary[0] * np.take(v_t, t[tri, 0], axis=1)
-            + bary[1] * np.take(v_t, t[tri, 1], axis=1)
-            + bary[2] * np.take(v_t, t[tri, 2], axis=1))
+    # edge e of a triangle joins its corners e and e + 1 (mod 3)
+    nxt = t[:, [1, 2, 0]]
+    lo, hi = np.minimum(t, nxt).ravel(), np.maximum(t, nxt).ravel()
+    _, first = np.unique(lo * v_t.shape[1] + hi, return_index=True)
+    a, b = np.take(v_t, lo[first], axis=1), np.take(v_t, hi[first], axis=1)
+    v0, v1, v2 = (np.take(v_t, c, axis=1) for c in t.T)
+    return np.concatenate([2 / 3 * a + 1 / 3 * b, 1 / 3 * a + 2 / 3 * b,
+                           1 / 3 * v0 + 1 / 3 * v1 + 1 / 3 * v2], axis=1)
 
 
 def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) -> float:
     """Symmetric Hausdorff estimate between two mesh surfaces: the max over
-    the sample points of each mesh (its vertices and _triangle_samples) of
-    the distance to the other, to the bit.
+    the sample points of each mesh (its vertices and the 10-point lattice of
+    _triangle_samples, the third-points of distinct edges and the centroids)
+    of the distance to the other, to the bit.
 
     Both cell lists take the longest edge of either mesh as their side.  A
     direction measures the source mesh's vertices first, with _bounded_max.
@@ -429,9 +401,11 @@ def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) 
     corners of (c's bound + longer edge at c); only the triangles whose
     bound, plus a rounding margin at the meshes' coordinate scale, exceeds
     the running maximum get lattice points.  The second direction starts
-    from the first one's maximum.  Raises ValueError when a mesh has no
-    triangle.
+    from the first one's maximum.  Raises ValueError for another
+    samples_per_triangle than 10 and when a mesh has no triangle.
     """
+    if samples_per_triangle != 10:
+        raise ValueError(f"hausdorff takes 10 samples per triangle, got {samples_per_triangle}")
     if mesh_a.n_f == 0 or mesh_b.n_f == 0:
         raise ValueError("hausdorff needs two non-empty meshes")
     edges = [_edge_lengths(m) for m in (mesh_a, mesh_b)]
@@ -446,8 +420,7 @@ def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) 
                                        for c in range(3)]) + margin
         tris = np.flatnonzero(tri_bound > lo)
         if tris.size:
-            lo = _bounded_max(_triangle_samples(source, samples_per_triangle, tris),
-                              cells, lo)[0]
+            lo = _bounded_max(_triangle_samples(source, tris), cells, lo)[0]
         # free this direction's cell list and bounds before the next one is
         # built: holding both would set the peak memory of a compare
         del cells, bound, tri_bound, tris

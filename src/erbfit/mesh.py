@@ -13,8 +13,8 @@ C order, and triangles follow the cells in C order.  A surface that reaches
 the box boundary is refused, because its mesh would be open and its volume
 meaningless.
 
-compare_surfaces reports the area, volume and Hausdorff distance
-(erbfit.distance) of two meshes, all from TriMesh.corners_t.
+compare_surfaces reports the area and volume (_area_volume) and the
+Hausdorff distance (erbfit.distance) of two meshes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from ._mc_tables import TRI_TABLE
 from .distance import hausdorff
 from .field import Box, coordinate_major, write_lines
-from .sampler import make_grid
+from .sampler import _inside_grid, make_grid
 
 
 class MeshError(RuntimeError):
@@ -120,7 +120,7 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
     if cells.size == 0:
         raise EmptyMeshError(
             f"isovalue {isovalue} is not crossed anywhere inside the box")
-    if not all(np.take(below, [0, -1], axis=a).all() for a in range(3)):
+    if not _inside_grid(below):
         raise MeshError("the surface reaches the box boundary; the mesh would be open")
 
     # one vertex per cut grid edge (np.diff of a bool array is "not equal"),
@@ -156,23 +156,24 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
                    triangles=triangles.reshape(-1, 3))
 
 
-def mesh_area(mesh: TriMesh) -> float:
-    """Total surface area: half the summed cross-product magnitudes."""
+def _area_volume(mesh: TriMesh) -> tuple[float, float]:
+    """(area, volume) from one corner gather and one cross product: half the
+    summed cross-product magnitudes, and the absolute sum of the signed
+    tetrahedra that each triangle spans with the origin, which is orientation-
+    and translation-invariant and is the enclosed volume of a closed mesh."""
     v1, v2, v3 = mesh.corners()
-    return float(0.5 * np.linalg.norm(np.cross(v2 - v1, v3 - v1), axis=1).sum())
+    cross = np.cross(v2 - v1, v3 - v1)
+    return (float(0.5 * np.linalg.norm(cross, axis=1).sum()),
+            float(abs((cross * (-(v1 + v2 + v3) / 3.0)).sum() / 6.0)))
+
+
+def mesh_area(mesh: TriMesh) -> float:
+    return _area_volume(mesh)[0]
 
 
 def mesh_volume(mesh: TriMesh) -> float:
-    """Volume enclosed by a closed mesh.
-
-    Sums the signed tetrahedron volumes spanned by each triangle and the
-    origin and takes the absolute value, so the result is orientation- and
-    translation-invariant.
-    """
-    v1, v2, v3 = mesh.corners()
-    cross = np.cross(v2 - v1, v3 - v1)
-    to_origin = -(v1 + v2 + v3) / 3.0
-    return float(abs((cross * to_origin).sum() / 6.0))
+    """Volume enclosed by a closed mesh."""
+    return _area_volume(mesh)[1]
 
 
 def compare_surfaces(eval_a, eval_b, box: Box, spacing: float, isovalue: float) -> dict:
@@ -184,8 +185,7 @@ def compare_surfaces(eval_a, eval_b, box: Box, spacing: float, isovalue: float) 
     """
     mesh_a = extract_isosurface(eval_a, box, spacing, isovalue)
     mesh_b = extract_isosurface(eval_b, box, spacing, isovalue)
-    area_a, area_b = mesh_area(mesh_a), mesh_area(mesh_b)
-    vol_a, vol_b = mesh_volume(mesh_a), mesh_volume(mesh_b)
+    (area_a, vol_a), (area_b, vol_b) = _area_volume(mesh_a), _area_volume(mesh_b)
     return {
         "A_original": area_a,
         "A_our": area_b,

@@ -43,9 +43,7 @@ _MAX_BACKTRACKS = 40
 class OptimizationError(RuntimeError):
     """Optimization aborted; .trace carries the partial iteration history."""
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    trace = None
 
 
 class ModelCollapseError(OptimizationError):
@@ -218,8 +216,9 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
     stalled search, the current point's, is handed back as trace.residual; a
     run of no iterations makes its one pass for that.
 
-    Raises ModelCollapseError / NonFiniteObjectiveError with the partial
-    trace attached if the run cannot continue.
+    A ModelCollapseError, NonFiniteObjectiveError or KeyboardInterrupt in
+    the loop leaves with " at iteration <it>" added to its message and the
+    partial trace as its .trace.
     """
     config = config or OptimizerConfig()
     if model0.n_bases == 0:
@@ -239,62 +238,60 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
         residual, moments = _fused_pass(x, targets, blocks)
         return (residual, moments, *energy_terms(RbfModel.from_params(x), residual))
 
-    for it in range(1, config.max_iter + 1):
-        if it % config.prune_interval == 0 and it <= config.sparse_iter:
-            try:
+    it = 0
+    try:
+        for it in range(1, config.max_iter + 1):
+            if it % config.prune_interval == 0 and it <= config.sparse_iter:
                 model = prune(RbfModel.from_params(x), config.prune_tol)
-            except ModelCollapseError:
-                raise ModelCollapseError(
-                    f"pruning removed every basis at iteration {it}", trace=trace) from None
-            if model.n_bases < len(x):
-                x = model.params
-                current = None
+                if model.n_bases < len(x):
+                    x = model.params
+                    current = None
 
-        if current is None:
+            if current is None:
+                current = evaluate(x)
+            residual, moments, es, el1 = current
+            if not (np.isfinite(es) and np.isfinite(el1)):
+                raise NonFiniteObjectiveError(f"objective not finite (Es={es}, El1={el1})")
+
+            ws, wl = adaptive_weights(es, el1, config.epsilon_floor)
+            if max_pointwise_error(residual) > config.max_error_cap:
+                ws, wl = 1.0, 0.0
+            if it > config.sparse_iter:
+                ws, wl = 1.0, 0.0
+
+            f0 = ws * es + wl * el1
+            grad = _objective_gradient_arrays(x, moments, ws, wl)
+            if not np.isfinite(grad).all():
+                raise NonFiniteObjectiveError("gradient not finite")
+
+            if np.vdot(grad, grad) == 0.0:
+                # stationary for the in-force weights (e.g. exact start); no step
+                trace.append(TraceRecord(it, f0, es, el1, ws, wl, len(x), 0.0, f0))
+                continue
+
+            trials = 0
+
+            def objective(x_trial, ws=ws, wl=wl):
+                nonlocal trial, trials
+                trials += 1
+                trial = evaluate(x_trial)
+                return ws * trial[2] + wl * trial[3]
+
+            tau, f_new = line_search(objective, x, f0, grad, tau_seed)
+            if tau > 0.0:
+                # the accepted trial is the last one evaluated, at this same
+                # x - tau*grad, so its residual and moments are bit-exact for the
+                # new point
+                x = x - tau * grad
+                current = trial
+                tau_seed = 2.0 * tau
+            trace.append(TraceRecord(it, f0, es, el1, ws, wl, len(x), tau, f_new, trials))
+
+        if current is None:  # no iteration ran
             current = evaluate(x)
-        residual, moments, es, el1 = current
-        if not (np.isfinite(es) and np.isfinite(el1)):
-            raise NonFiniteObjectiveError(
-                f"objective not finite at iteration {it} (Es={es}, El1={el1})",
-                trace=trace)
-
-        ws, wl = adaptive_weights(es, el1, config.epsilon_floor)
-        if max_pointwise_error(residual) > config.max_error_cap:
-            ws, wl = 1.0, 0.0
-        if it > config.sparse_iter:
-            ws, wl = 1.0, 0.0
-
-        f0 = ws * es + wl * el1
-        grad = _objective_gradient_arrays(x, moments, ws, wl)
-        if not np.isfinite(grad).all():
-            raise NonFiniteObjectiveError(
-                f"gradient not finite at iteration {it}", trace=trace)
-
-        if np.vdot(grad, grad) == 0.0:
-            # stationary for the in-force weights (e.g. exact start); no step
-            trace.append(TraceRecord(it, f0, es, el1, ws, wl, len(x), 0.0, f0))
-            continue
-
-        trials = 0
-
-        def objective(x_trial, ws=ws, wl=wl):
-            nonlocal trial, trials
-            trials += 1
-            trial = evaluate(x_trial)
-            return ws * trial[2] + wl * trial[3]
-
-        tau, f_new = line_search(objective, x, f0, grad, tau_seed)
-        if tau > 0.0:
-            # the accepted trial is the last one evaluated, at this same
-            # x - tau*grad, so its residual and moments are bit-exact for the
-            # new point
-            x = x - tau * grad
-            current = trial
-            tau_seed = 2.0 * tau
-        trace.append(TraceRecord(it, f0, es, el1, ws, wl, len(x), tau, f_new, trials))
-
-    if current is None:  # no iteration ran
-        current = evaluate(x)
+    except (OptimizationError, KeyboardInterrupt) as exc:
+        exc.args, exc.trace = (f"{exc} at iteration {it}".lstrip(),), trace
+        raise
     trace.residual = current[0]
     trace.point_passes = blocks.passes
     trace.block_pairs, trace.block_pairs_full = blocks.kept_pairs, blocks.all_pairs

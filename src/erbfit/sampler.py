@@ -57,7 +57,7 @@ class ConstraintSet:
 def make_grid(box: Box, spacing: float) -> GridSpec:
     """Grid over `box` with interval counts ceil(extent/spacing), clamped to >= 2.
 
-    The box must have positive extent on every axis, the spacing must be
+    The box needs a positive, finite extent on each axis, the spacing must be
     finite and positive, and the grid may hold at most MAX_GRID_POINTS
     points; the count is checked before anything is allocated.
     """
@@ -70,6 +70,8 @@ def make_grid(box: Box, spacing: float) -> GridSpec:
         n_points = float(np.prod(counts + 1.0))
     if np.any(extent <= 0):
         raise SamplingError(f"degenerate box: extent {extent} has a non-positive axis")
+    if not np.isfinite(extent).all():
+        raise SamplingError(f"the box from {box.lo} to {box.hi} has no finite extent")
     if n_points > MAX_GRID_POINTS:
         raise SamplingError(
             f"grid spacing {spacing} needs {n_points:.3g} grid points over this box, "
@@ -77,20 +79,28 @@ def make_grid(box: Box, spacing: float) -> GridSpec:
     return GridSpec(box=box, counts=(int(counts[0]), int(counts[1]), int(counts[2])))
 
 
+def _inside_grid(below: np.ndarray) -> bool:
+    """Whether every node on a face of a 3-D grid is below the isovalue, from
+    the grid's array of value < isovalue."""
+    return all(np.take(below, [0, -1], axis=a).all() for a in range(3))
+
+
 def select_constraints(field: GaussianField, grid: GridSpec, band: float = 1.0) -> ConstraintSet:
     """Keep exactly the grid nodes with |phi(p) - isovalue| <= band, in grid order.
 
-    phi comes from the field's grid path (eval_phi_batch(field, grid)), so
-    each target is within GRID_TAU of the exact sum at its node, and a node
-    is kept on that value.  GridSpec.points(mask) builds only the kept nodes:
-    the selection holds the grid's phi and mask, then the (3, K) points and K
+    phi is eval_phi_batch(field, grid), the grid path (see the module
+    docstring).  GridSpec.points(mask) builds only the kept nodes: the
+    selection holds the grid's phi and mask, then the (3, K) points and K
     targets, never the (n_points, 3) array of every node.
 
-    Raises SamplingError when nothing is selected (use a finer grid or a
-    larger band).
+    Raises SamplingError when a node on a face of the grid is not below the
+    isovalue (the surface is not inside the grid) and when nothing is
+    selected (use a finer grid or a larger band).
     """
     positive("band", band, SamplingError)
     phi = eval_phi_batch(field, grid)
+    if not _inside_grid(phi.reshape(grid.shape) < field.isovalue):
+        raise SamplingError("the surface reaches the constraint grid's boundary")
     mask = (np.abs(phi - field.isovalue) <= band).reshape(grid.shape)
     if not mask.any():
         raise SamplingError(

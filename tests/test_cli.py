@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +152,57 @@ def test_sparsify_collapse_reports_failure(atom_pqr, tmp_path, capsys):
     summary = (tmp_path / "summary.txt").read_text()
     assert "status=FAILED" in summary
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("how", ["KeyboardInterrupt", "SIGTERM"])
+def test_sparsify_interrupt_ends_like_a_collapse(atom_pqr, tmp_path, capsys, monkeypatch, how):
+    # an interrupt in the 20th pass over the points, raised there or by a
+    # SIGTERM to the process, ends the run with exit 130 and one line, the
+    # trace of the iterations before it and an INTERRUPTED summary; main's
+    # SIGTERM handler is gone when it returns
+    assert main(["sparsify", str(atom_pqr), "--out", str(tmp_path / "full"), *QUICK_FIT]) == 0
+    fused_pass, calls = erbfit.optimizer._fused_pass, []
+
+    def interrupting(*args):
+        calls.append(None)
+        if len(calls) == 20:
+            if how == "KeyboardInterrupt":
+                raise KeyboardInterrupt
+            assert signal.getsignal(signal.SIGTERM) is signal.default_int_handler
+            os.kill(os.getpid(), signal.SIGTERM)
+        return fused_pass(*args)
+
+    monkeypatch.setattr(erbfit.optimizer, "_fused_pass", interrupting)
+    handler = signal.getsignal(signal.SIGTERM)
+    capsys.readouterr()
+    out = tmp_path / "cut"
+    try:
+        code = main(["sparsify", str(atom_pqr), "--out", str(out), *QUICK_FIT])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped main")
+    assert code == 130
+    assert signal.getsignal(signal.SIGTERM) is handler
+    assert capsys.readouterr().err.splitlines() == ["error: interrupted"]
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[-1] == "status=INTERRUPTED"
+    stopped = next(line for line in summary if line.startswith("# INTERRUPTED: at iteration "))
+    rows = [line for line in (out / "trace.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    full = [line for line in (tmp_path / "full" / "trace.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert len(rows) == int(stopped.rsplit(" ", 1)[1]) > 1
+    assert rows == full[:len(rows)]
+    assert not (out / "model.json").exists()
+
+
+def test_sparsify_refuses_a_field_flat_over_the_grid(atom_pqr, tmp_path, capsys):
+    # at a subnormal decay phi is the atom count, 1, at every node, so no node
+    # on a face of the constraint grid is below the isovalue: the surface is
+    # not inside the grid, and the fit is refused before it starts
+    assert main(["sparsify", str(atom_pqr), "--decay", "1e-320", "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "constraint grid's boundary" in lines[0]
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_sparsify_deterministic_outputs(atom_pqr, tmp_path):
@@ -754,6 +806,26 @@ def test_overflowing_input_prints_no_numpy_warning(bundled_pqr, atom_pqr, tmp_pa
     assert "Warning" not in err
     lines = err.splitlines()
     assert lines == [] if code == 0 else len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("sparsify", ["far.pqr"]),
+    ("mesh", ["far.pqr"]),
+    ("compare", ["far.pqr", "heavy.json"]),
+    ("mesh", ["boxed.json"]),
+    ("mesh", ["far.json"]),
+], ids=["sparsify-far-atoms", "mesh-far-atoms", "compare-far-atoms", "mesh-huge-stored-box",
+        "mesh-far-bases"])
+def test_a_box_without_finite_extent_is_named(tmp_path, capsys, command, inputs):
+    # no grid spacing helps a box whose extent overflows a double, so the
+    # message names the box, not the spacing
+    for name, text in OVERFLOW_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    assert main([command, *(str(tmp_path / name) for name in inputs),
+                 "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].endswith("has no finite extent")
+    assert "spacing" not in lines[0]
 
 
 @pytest.mark.parametrize("error, code", [

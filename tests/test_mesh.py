@@ -466,9 +466,9 @@ def _directed_hausdorff(points, target, floor=0.0):
     return _bounded_max(points.T, cells, floor)[0]
 
 
-def _samples(mesh, per_triangle=10):
+def _samples(mesh):
     """Every sample point of a mesh: its vertices, then its lattice nodes."""
-    return np.concatenate([mesh.vertices, _triangle_samples(mesh, per_triangle).T])
+    return np.concatenate([mesh.vertices, _triangle_samples(mesh).T])
 
 
 def _brute_force_directed(points, target):
@@ -527,12 +527,12 @@ def _open_meshes():
     return {"triangle": tri, "strip": strip, "fin": fin}
 
 
-def _assert_distinct_reference_samples(mesh, per_triangle=10, distinct=True):
-    got = _samples(mesh, per_triangle)
+def _assert_distinct_reference_samples(mesh, distinct=True):
+    got = _samples(mesh)
     if distinct:
         assert np.unique(got, axis=0).shape[0] == got.shape[0], "a sample is repeated"
     assert np.array_equal(np.unique(got, axis=0),
-                          np.unique(_reference_triangle_samples(mesh, per_triangle), axis=0))
+                          np.unique(_reference_triangle_samples(mesh, 10), axis=0))
 
 
 def test_samples_on_a_mesh_with_coincident_vertices():
@@ -561,17 +561,21 @@ def test_samples_are_the_distinct_reference_points(name, molecule):
 
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(n_atoms=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
-       spacing=st.floats(0.45, 0.8), per_triangle=st.integers(1, 16))
-def test_samples_are_the_distinct_reference_points_on_random_meshes(
-        n_atoms, seed, spacing, per_triangle):
-    # per_triangle other than 10 takes a prefix of a larger lattice, so two
-    # triangles can hold different nodes of a shared edge
+       spacing=st.floats(0.45, 0.8))
+def test_samples_are_the_distinct_reference_points_on_random_meshes(n_atoms, seed, spacing):
     rng = np.random.default_rng(seed)
     f = GaussianField(centers=rng.uniform(-2.5, 2.5, (n_atoms, 3)),
                       radii=rng.uniform(1.0, 2.0, n_atoms), decay=0.5)
     mesh = extract_isosurface(f.values, Box(lo=np.full(3, -8.0), hi=np.full(3, 8.0)),
                               spacing, 1.0)
-    _assert_distinct_reference_samples(mesh, per_triangle)
+    _assert_distinct_reference_samples(mesh)
+
+
+def test_hausdorff_refuses_every_lattice_but_ten():
+    m = _unit_cube_mesh()
+    for k in (1, 4, 15):
+        with pytest.raises(ValueError, match="10 samples per triangle"):
+            hausdorff(m, m, k)
 
 
 @pytest.mark.parametrize("k", [7, 1000, 30000])
@@ -686,15 +690,12 @@ def _unbounded_pairs(a, b):
 @settings(derandomize=True, max_examples=12, deadline=None)
 @given(n_atoms=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
        spacing=st.floats(0.5, 0.8), block=st.integers(3, 64),
-       copy=st.sampled_from(["perturbed", "translated", "shifted"]),
-       per_triangle=st.sampled_from([1, 4, 10, 15]))
-def test_bounded_hausdorff_is_the_unbounded_one(n_atoms, seed, spacing, block, copy,
-                                                per_triangle):
+       copy=st.sampled_from(["perturbed", "translated", "shifted"]))
+def test_bounded_hausdorff_is_the_unbounded_one(n_atoms, seed, spacing, block, copy):
     # small blocks, so that the bound pass and the descending pass span many
     # blocks and the descending pass stops inside them; a copy shifted by
     # several edge lengths leaves many triangles whose lattice can still
-    # raise the maximum after the vertices, and other lattices than the
-    # default one put other points on them (none at all for 1)
+    # raise the maximum after the vertices
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-2.5, 2.5, (n_atoms, 3))
     radii = rng.uniform(1.0, 2.0, n_atoms)
@@ -712,9 +713,9 @@ def test_bounded_hausdorff_is_the_unbounded_one(n_atoms, seed, spacing, block, c
         b = a.translated(rng.uniform(2.0, 4.0) * direction / np.linalg.norm(direction))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(erbfit.distance, "_HAUSDORFF_BLOCK", block)
-        h = _reference_hausdorff(a, b, per_triangle)
-        assert hausdorff(a, b, per_triangle) == h
-        assert hausdorff(b, a, per_triangle) == h
+        h = _reference_hausdorff(a, b)
+        assert hausdorff(a, b) == h
+        assert hausdorff(b, a) == h
         d_ab = _reference_directed_hausdorff(_reference_triangle_samples(a, 10), b)
         points = _samples(a)
         # a floor below the maximum leaves it; a floor at or above every
@@ -757,9 +758,9 @@ def test_lattice_only_on_triangles_that_can_raise_the_maximum(monkeypatch):
     handed = []
     samples = erbfit.distance._triangle_samples
 
-    def counting(mesh, per_triangle, triangles=None):
+    def counting(mesh, triangles=None):
         handed.append(len(triangles))
-        return samples(mesh, per_triangle, triangles)
+        return samples(mesh, triangles)
 
     monkeypatch.setattr(erbfit.distance, "_triangle_samples", counting)
     pairs = _counting_distance(monkeypatch)
