@@ -6,31 +6,10 @@ Typical round trip:
     erbfit mesh run/model.json --out run/
     erbfit compare mol.pqr run/model.json --out run/
 
-Each output records the settings of the command that wrote it, as
-'# key=value' header lines or a "config" object in JSON outputs: every flag
-its parser takes but --out and --deterministic, in the order it takes them.
-`sparsify` takes the field flags (--decay, --isovalue) and the fit flags;
-`mesh` and `compare` take the field flags and --mesh-spacing, but `mesh` of
-a model records no decay, since a model's decays are its own.  Model and
-trace files contain nothing run-dependent, so two runs of the same command
-are byte-identical; wall time appears only in the human-readable summary and
-in `sparsify`'s timings.json (the wall time of each phase: parse, select,
-init, optimize, post and save; the fit's point passes, 1 + line-search
-trials + prunes that removed bases, and its line-search trials; and
-block_pairs, the (block, basis) pairs its passes evaluated, against
-block_pairs_full, the bases times blocks a pass without the cutoff takes).
-Selection evaluates the field on the grid path; post reads the final
-energies from the residual of the fit's last pass, so it makes no pass of
-its own, and a run with --max-iter 0 makes that one pass in optimize.
-
-Exit codes go by the error's base class, in main's one table EXIT_CODES: 0
-success; 2 any OSError or ValueError, an unreadable or invalid input, such
-as a setting that is not a finite number above 0, an empty selection, a
-model with no bases or a box that overflows; 3 any OptimizationError, a
-collapse of the fit; 4 any MeshError, such as a surface that reaches the
-meshing box or, in a model without a stored box, a basis above isovalue / n
-with a zero decay; 130 an interrupt, SIGINT or (while main runs) SIGTERM.
-A collapse or an interrupt of the fit writes the partial trace.csv and summary.txt.
+Each output records the settings of the command that wrote it (RunConfig).
+Only summary.txt and timings.json (cmd_sparsify) hold wall times, so two
+runs of one command write the same bytes otherwise.  main ends every command
+with the exit code of its error's class (EXIT_CODES).
 """
 
 from __future__ import annotations
@@ -39,6 +18,7 @@ import argparse
 import json
 import signal
 import sys
+import threading
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -61,12 +41,16 @@ from .pqr import parse_pqr_file
 from .sampler import make_grid, select_constraints
 from . import __version__
 
-EXIT_CODES = {OSError: 2, ValueError: 2, OptimizationError: 3, MeshError: 4, KeyboardInterrupt: 130}
+# 2 an unreadable or invalid input (ArgumentError: a flag value that is not a
+# number), 3 a collapse of the fit, 4 a mesh that cannot be made or measured,
+# 130 SIGINT or, while main runs, SIGTERM
+EXIT_CODES = {OSError: 2, ValueError: 2, argparse.ArgumentError: 2, OptimizationError: 3,
+              MeshError: 4, KeyboardInterrupt: 130}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """What a run's outputs record: the command, its inputs and its settings.
+    """What a run's outputs record, as '# key=value' header lines or a JSON "config".
 
     settings maps the name of each setting flag the command takes, its long
     option with dashes as underscores (--error-cap as error_cap), to the
@@ -139,7 +123,7 @@ def _add_command(sub, name: str, summary: str, inputs: dict[str, str], *setting_
 
     args.settings maps each setting's recorded name to its flag's dest.
     """
-    p = sub.add_parser(name, help=summary)
+    p = sub.add_parser(name, help=summary, exit_on_error=False)
     for dest, text in inputs.items():
         p.add_argument(dest, help=text)
     settings = [action for add_flags in setting_flags for action in add_flags(p)]
@@ -153,13 +137,13 @@ def _add_command(sub, name: str, summary: str, inputs: dict[str, str], *setting_
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="erbfit",
+        prog="erbfit", exit_on_error=False,
         description="Sparse ellipsoid-Gaussian RBF fitting of Gaussian "
                     "molecular surfaces.")
     parser.add_argument("--version", action="version", version=f"erbfit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_info = sub.add_parser("info", help="summarize a PQR file")
+    p_info = sub.add_parser("info", help="summarize a PQR file", exit_on_error=False)
     p_info.add_argument("pqr", help="input PQR file")
 
     _add_command(sub, "sparsify", "fit a sparse ellipsoid RBF model to a molecule",
@@ -238,6 +222,12 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_sparsify(args: argparse.Namespace) -> int:
+    """Fit a model; a collapse or an interrupt still writes trace.csv and summary.txt.
+
+    timings.json holds the wall time of each phase (parse, select, init,
+    optimize, post, save) and the fit's counts of passes, trials and
+    (block, basis) pairs (IterationTrace).
+    """
     optimizer_config = OptimizerConfig(
         **{f.name: getattr(args, f.name) for f in fields(OptimizerConfig)})
     config = _run_config(args, (args.pqr,))
@@ -360,19 +350,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {"info": cmd_info, "sparsify": cmd_sparsify, "mesh": cmd_mesh,
                 "compare": cmd_compare}
-    # a SIGTERM ends the run as Ctrl-C does
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    # a SIGTERM ends the run as Ctrl-C does; only the main thread may set it
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler) if on_main else None
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except tuple(EXIT_CODES) as exc:
         interrupted = isinstance(exc, KeyboardInterrupt)
         print(f"error: {'interrupted' if interrupted else exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -3,23 +3,13 @@ Hausdorff estimate between two meshes.
 
 hausdorff is a Metro-style estimate (Cignoni, Rocchini & Scopigno, CGF
 1998): the points of one mesh, its vertices and the degree-3 barycentric
-lattice of 10 per triangle (_triangle_samples: the third-points of each
-distinct edge, then the centroids), against exact point-to-triangle
-distances on the other.  Since it is a maximum over
+lattice of 10 per triangle (_triangle_samples), against exact
+point-to-triangle distances on the other.  Since it is a maximum over
 points, _bounded_max measures a point exactly only while an upper bound on
 its distance exceeds the running maximum, the early break of Taha & Hanbury
 (TPAMI 2015), and hausdorff extends the break to whole triangles; the bounds
 are >= the exact distances to the bit, so H is unchanged.  Nearest vertices
-and candidate triangles come from a _CellList of the target mesh: cubic
-cells whose items are sorted by cell key once, so memory is O(V + F) for any
-geometry.  A search meets the few cells around a point first; a point those
-cells do not settle searches farther, down to a scan of every item, and
-every pass makes its (point, item) pairs in chunks of fewer than 16384
-(2 * 8 pairs per point of a 1024-point block).  Every point array is
-coordinate-major (3, K), the vertices as mesh.vertices.T, the gate's own
-array, and the kernels sum x + y + z explicitly; a (point, triangle) pair
-takes about 390 bytes, its 96 bytes of gathered coordinates included, so a
-chunk about 6.5 MB.
+and candidate triangles come from a cell list of the target mesh (_CellList).
 """
 
 from __future__ import annotations
@@ -33,7 +23,9 @@ if TYPE_CHECKING:
     from .mesh import TriMesh
 
 # sample points per distance pass of _bounded_max, and the most its seed
-# pass measures; with _PAIRS_PER_POINT it bounds the chunks of every pass
+# pass measures; with _PAIRS_PER_POINT it bounds the chunks of every pass.
+# A (point, triangle) pair takes about 390 bytes in the distance kernel, its
+# 96 bytes of gathered coordinates included, so a chunk about 6.5 MB
 _HAUSDORFF_BLOCK = 1024
 _PAIRS_PER_POINT = 8
 # the rounding margin of the Hausdorff bounds, relative to the coordinate

@@ -5,20 +5,10 @@ atoms, with positive decay rate d.  The molecular surface is the level set
 {phi(x) = c} for a positive isovalue c; with c = 1 the level set of an
 isolated atom is exactly its radius-r sphere.
 
-GaussianField.values evaluates the sum atom by atom.  At an (M, 3) array of
-points it is the exact sum: no kernel term is dropped, however far it is from
-its atom.  On a GridSpec, the uniform grid that meshing and constraint
-selection evaluate, each atom is summed only over the block of nodes where
-its term can reach GRID_TAU / N (N atoms), so the terms left out add up to
-less than GRID_TAU at any node.  GridSpec.block_sum, the grid sum of the
-field and of the model (erbfit.model), sums those same (kernel, node) terms.
-An atom's term, like an unrotated basis's, factors by axis, so the grid sum
-takes it as the product of an (x, y) plane factor and a z factor and sums
-each x node's plane as one matrix product: a node is within rounding of
-the point path's value, not on its bits.  Where the point path gives
-exactly the isovalue the grid sum can fall on either side of it: on the
-0.25 A lattice about a lone radius-1.5 atom at d = 0.5, 8 of the 30 nodes
-at phi = 1 come out below 1.
+GaussianField.values is the exact sum at points and a cutoff sum on a
+GridSpec, the uniform grid that meshing and constraint selection evaluate.
+GridSpec.block_sum is the one grid sum of the field and of the model
+(erbfit.model): what it leaves out adds up to less than GRID_TAU at any node.
 """
 
 from __future__ import annotations
@@ -134,8 +124,10 @@ class GridSpec:
         whose block holds i on x, through _factored_sum.  A product of two
         exponentials in place of the exponential of the sum, and the GEMM's
         own order of summation, put such a node within rounding of the point
-        path's sum of the same terms, not on its bits.  That order depends on
-        the BLAS thread count, which importing erbfit pins to one, so the
+        path's sum of the same terms, not on its bits: on the 0.25 A lattice
+        about a lone radius-1.5 atom at d = 0.5, 8 of the 30 nodes where the
+        point path gives exactly 1 come out below 1.  The GEMM's order depends
+        on the BLAS thread count, which importing erbfit pins to one, so the
         result does not depend on the environment.  Every other row is
         then added block by block in row order: its plane as above plus
         (q_xy x) y, plus (q_xz x + q_yz y) z, plus (q_zz z) z, one
@@ -296,7 +288,7 @@ class GaussianField:
         h = sqrt((d r^2 + ln(N / GRID_TAU)) / d) of the atom on each axis,
         since exp(-d(s^2 - r^2)) >= GRID_TAU / N exactly where s <= h.  The
         row factors by axis, so a node is within rounding of the point path's
-        value, not on its bits (see the module docstring).
+        value, not on its bits (see GridSpec.block_sum).
         """
         log_weights = self.decay * self.radii**2
         if isinstance(points, GridSpec):
@@ -315,14 +307,9 @@ class GaussianField:
         return out
 
 
-def eval_phi_batch(field: GaussianField, points: np.ndarray | GridSpec) -> np.ndarray:
-    """phi at an (M, 3) array of points or at every node of a GridSpec (see values).
-
-    Constraint selection calls it, through erbfit.sampler's name, on the
-    grid; perfbench/traced_cli.py times selection's field pass by replacing
-    that name.
-    """
-    return field.values(points)
+# constraint selection calls the field through this name in erbfit.sampler,
+# where perfbench/traced_cli.py replaces it to time that pass
+eval_phi_batch = GaussianField.values
 
 
 def bounding_box(molecule: Molecule) -> Box:

@@ -1,15 +1,10 @@
 """Isosurface meshing, and the area and volume of a mesh.
 
 extract_isosurface runs classic 256-case marching cubes over a uniform grid
-as array passes: cube corners are numbered 0-3 around the bottom face
-(z = z_k) starting at the cell's min corner and going +x, +x+y, +y, with 4-7
-the matching top face, and edges 0-11 in the usual order (bottom ring, top
-ring, then the four verticals 0-4, 1-5, 2-6, 3-7).  A corner contributes its
-bit when the field value there is strictly below the isovalue.  Every grid
-edge whose two ends lie on opposite sides carries exactly one vertex, so the
-interpolation denominator is never zero and neighbouring cells share their
-vertices; vertices are numbered x-edges, then y-edges, then z-edges, each in
-C order, and triangles follow the cells in C order.  A surface that reaches
+as array passes.  A corner contributes its bit when the field value there is
+strictly below the isovalue.  Every grid edge whose two ends lie on opposite
+sides carries exactly one vertex, so the interpolation denominator is never
+zero and neighbouring cells share their vertices.  A surface that reaches
 the box boundary is refused, because its mesh would be open and its volume
 meaningless.
 
@@ -37,12 +32,15 @@ class EmptyMeshError(MeshError):
     """The isovalue is not crossed anywhere inside the box."""
 
 
+# cube corner i at its offset from the cell's min corner: 0-3 go round the
+# bottom face (z = z_k) by +x, +x+y, +y, and 4-7 are the top face above them
 _CORNER_OFFSETS = (
     (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
     (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
 )
 # cube edge e is the grid edge along axis _CUBE_EDGES[e][0] that starts at the
-# cell corner offset _CUBE_EDGES[e][1]
+# cell corner offset _CUBE_EDGES[e][1]: the bottom ring, the top ring, then
+# the four verticals 0-4, 1-5, 2-6, 3-7
 _CUBE_EDGES = (
     (0, (0, 0, 0)), (1, (1, 0, 0)), (0, (0, 1, 0)), (1, (0, 0, 0)),
     (0, (0, 0, 1)), (1, (1, 0, 1)), (0, (0, 1, 1)), (1, (0, 0, 1)),
@@ -98,10 +96,10 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
 
     `evaluator` maps the GridSpec of the mesh to its len(grid) node values
     in C order, as GaussianField.values and RbfModel.values do.  Triangles
-    come out oriented with normals pointing toward decreasing field values,
-    which is outward for a molecular density.  Raises EmptyMeshError when no
-    grid cell crosses the isovalue, MeshError when a grid node on the box
-    boundary is not below the isovalue, and ValueError for a non-finite
+    follow the cells in C order, with normals pointing toward decreasing
+    field values, outward for a molecular density.  Raises EmptyMeshError
+    when no grid cell crosses the isovalue, MeshError when a grid node on the
+    box boundary is not below the isovalue, and ValueError for a non-finite
     isovalue.
     """
     if not np.isfinite(isovalue):

@@ -1,38 +1,17 @@
 """Sparse ellipsoid-Gaussian RBF model in the squared-variable parameterization.
 
 One basis is  c~^2 * exp(-sum_p d~_p^2 * u_p^2)  with  u = R(alpha,beta,gamma) (y - x),
-so the effective weight c = c~^2 and effective per-axis decays d_p = d~_p^2 are
-nonnegative by construction, which turns the nonnegativity-constrained fitting
-problem into an unconstrained one.  The model is the sum of its bases.
-
-A model with N bases is one C-contiguous (N, 10) table, one row per basis
-in the order of the JSON record's fields:
+so its weight c~^2 and decays d~_p^2 are nonnegative by construction and the
+fit is unconstrained.  The model is the sum of its bases, held as one
+C-contiguous (N, 10) table, one row per basis in the order of its JSON record:
 
     [ c~ | d~_1 d~_2 d~_3 | x y z | alpha beta gamma ]
 
-The optimizer steps the table itself, and a gradient comes back as an
-(N, 10) table of the same slots.
-
-Every evaluation, values and gradient alike, writes the exponent of every
-basis as one product E = Q phi: phi holds the ten quadratic monomials
-[1, z_a, z_a z_b] of the points about a local origin and Q (n x 10) comes
-from A = R^T diag(d~^2) R and the centers (derivation in `_fused_pass`).
-At an (M, 3) array of points a pass goes one block of points at a time, so
-it holds a block's (10, b) monomials and (k, b) exponents, never an n x M
-array.  When the points fit in one block every basis covers every point;
-with more blocks each block takes only the k bases whose reach box meets
-its box of points, so each term left out is below GRID_TAU / N (N bases)
-in the value and in every gradient slot (the bound is in `_fused_pass`).
-Every pass at points is a _fused_pass: it gives the residual at the points
-and, from the same exponentials, the moments that the gradient needs, so a
-gradient is 3x3 algebra on the moments of a pass that has already run, and
-values at points are the residual at zero targets.  The last block's moment
-part runs only when asked for (see _fused_pass).  On a GridSpec,
-the uniform grid that meshing evaluates, each basis covers only the block of
-nodes where it can reach GRID_TAU / N, so the terms left out add up to less
-than GRID_TAU (erbfit.field) at any node.
-The blocks come from reach_boxes, which also bounds a bare model's meshing
-box (erbfit.cli); the field's GridSpec.block_sum sums them from ln c~^2 and Q.
+The optimizer steps the table itself, and a gradient is a table of the same
+slots.  At points every evaluation is one _fused_pass (the exponent product,
+the block cutoff and the moments are derived there), and the gradient is 3x3
+algebra on its moments (_objective_gradient_arrays).  On a grid the bases
+that reach_boxes keeps go to the field's GridSpec.block_sum.
 """
 
 from __future__ import annotations

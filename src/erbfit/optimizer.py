@@ -1,25 +1,16 @@
 """Sparse fitting loop: gradient descent with pruning and adaptive weights.
 
-Minimizes f = w_s * E_s + w_l * E_l1 over the model's (n, 10) parameter table, where
-
-    E_s  = sum_k (model(y_k) - phi(y_k))^2       (fit at the constraint points)
-    E_l1 = sum_i c~_i^2 + sum_{i,p} d~_ip^2      (sparsity; L1 of the effective
-                                                  values, smooth in the tilde
-                                                  variables)
-
-The weight pair is recomputed every iteration from the current energy split,
-with three overrides applied in order: a floor epsilon on w_s, a switch to
-pure accuracy (1, 0) whenever the worst pointwise error exceeds a cap, and a
-permanent switch to (1, 0) once the iteration count passes `sparse_iter`
-(after which the basis count is frozen: no more pruning).  Bases whose
-coefficient magnitude falls below `prune_tol` are deleted every
-`prune_interval` iterations during the sparse phase.
-
-Steps use the negative gradient with Armijo backtracking by quadratic
-interpolation (line_search), seeded at twice the last accepted step; a
-failed search records a zero step and the run continues.  All reductions
-are plain numpy sums over arrays in a fixed order, so a run is
-deterministic for fixed inputs.
+optimize minimizes f = w_s * E_s + w_l * E_l1 over the model's (n, 10)
+parameter table: E_s fits the constraint targets and E_l1, the L1 norm of
+the effective values, is smooth in the tilde variables (energy_terms).  The
+weight pair is recomputed every iteration from the current energy split
+(adaptive_weights), with three overrides applied in order: a floor epsilon on
+w_s, pure accuracy (1, 0) whenever the worst pointwise error exceeds a cap,
+and pure accuracy for good once the iteration count passes `sparse_iter`,
+after which the basis count is frozen.  Until then bases whose coefficient
+magnitude falls below `prune_tol` are deleted every `prune_interval`
+iterations (prune).  Steps follow the negative gradient (line_search).  All
+reductions are plain numpy sums in a fixed order, so a run is deterministic.
 """
 
 from __future__ import annotations
@@ -202,12 +193,14 @@ def optimize(model0: RbfModel, constraints: ConstraintSet,
     """Run the full loop from an initial model; returns (final model, trace).
 
     The loop steps the model's (n, 10) table, x, by gradient tables of the
-    same shape.  Each iteration costs one pass over the constraint points
-    per line-search trial, and nothing more.  One evaluation of a point
-    (evaluate) makes a pass (model._fused_pass), for its residual and moment
-    part, the residual-weighted moments of every basis, and takes its
-    energies from the residual; the accepted trial's evaluation is the next
-    iteration's, whose gradient comes from the moments by 3x3 algebra alone.
+    same shape; each line search starts at twice the last accepted step, and
+    a stalled one leaves x where it is.  Each iteration costs one pass over
+    the constraint points per line-search trial, and nothing more.  One
+    evaluation of a point (evaluate) makes a pass (model._fused_pass), for
+    its residual and moment part, the residual-weighted moments of every
+    basis, and takes its energies from the residual; the accepted trial's
+    evaluation is the next iteration's, whose gradient comes from the
+    moments by 3x3 algebra alone.
     The current point is evaluated only at the first iteration and after a
     prune that removed bases, so a run makes 1 + trials + prunes passes
     (trace.point_passes).  The last block's moment part runs only in the

@@ -7,6 +7,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import erbfit
 import erbfit.cli
 import erbfit.model
 import erbfit.optimizer
+import erbfit.sampler
 from erbfit import __version__
 from erbfit.cli import main
 from erbfit.field import GaussianField, bounding_box
@@ -69,6 +71,20 @@ def test_info(bundled_pqr, capsys):
     assert "N=21" in out
     assert "bounding box lo:" in out
     assert "radius range:" in out
+
+
+def test_main_runs_off_the_main_thread(bundled_pqr, capsys):
+    # only the main thread may set a signal handler, so elsewhere main runs
+    # the command without its SIGTERM handler and leaves the handler alone
+    handler = signal.getsignal(signal.SIGTERM)
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(main(["info", str(bundled_pqr)])))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert codes == [0]
+    assert "N=21" in capsys.readouterr().out
+    assert signal.getsignal(signal.SIGTERM) is handler
 
 
 def test_info_missing_file(tmp_path, capsys):
@@ -632,7 +648,7 @@ _SETTING_FLAGS = [
 @pytest.mark.parametrize("command, flag, name, value", [
     pytest.param(command, flag, name, value, id=f"{command}{flag}={value}")
     for flag, name, commands in _SETTING_FLAGS for command in commands
-    for value in ("nan", "inf", "0", "-1")])
+    for value in ("nan", "inf", "0", "-1", "word")])
 def test_every_setting_is_finite_and_positive(atom_pqr, fit_dir, tmp_path, capsys, monkeypatch,
                                               command, flag, name, value):
     # the rule refuses the setting before the field or the model is evaluated
@@ -641,6 +657,8 @@ def test_every_setting_is_finite_and_positive(atom_pqr, fit_dir, tmp_path, capsy
 
     monkeypatch.setattr(erbfit.cli, "optimize", must_not_run)
     monkeypatch.setattr(GaussianField, "values", must_not_run)
+    # selection calls the field through this name, not through values
+    monkeypatch.setattr(erbfit.sampler, "eval_phi_batch", must_not_run)
     monkeypatch.setattr(RbfModel, "values", must_not_run)
     inputs = {"sparsify": [atom_pqr], "mesh": [atom_pqr], "mesh-model": [fit_dir / "model.json"],
               "compare": [atom_pqr, fit_dir / "model.json"]}[command]
@@ -649,8 +667,27 @@ def test_every_setting_is_finite_and_positive(atom_pqr, fit_dir, tmp_path, capsy
     lines = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert lines[0].endswith(f"{name} must be finite and positive, got {float(value)}")
+    assert lines[0].endswith(f"argument {flag}: invalid float value: 'word'" if value == "word"
+                             else f"{name} must be finite and positive, got {float(value)}")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=f"{command}{flag}")
+    for flag, _, commands in _SETTING_FLAGS for command in commands])
+def test_a_huge_setting_ends_with_a_documented_exit(atom_pqr, fit_dir, tmp_path, capsys,
+                                                    command, flag):
+    # 1e308 passes the settings rule; what it does to the run must still end
+    # in an exit code of the table, with at most one error line
+    inputs = {"sparsify": [atom_pqr, *QUICK_FIT], "mesh": [atom_pqr],
+              "mesh-model": [fit_dir / "model.json"],
+              "compare": [atom_pqr, fit_dir / "model.json"]}[command]
+    code = main([command.removesuffix("-model"), *map(str, inputs), flag, "1e308",
+                 "--out", str(tmp_path)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code in (0, 2, 3, 4)
+    assert len(lines) == (code != 0) and all(ln.startswith("error:") for ln in lines)
 
 
 def _bare_model(tmp_path, coeff_sqrt, decay_sqrt, angles):
