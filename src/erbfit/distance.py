@@ -23,11 +23,12 @@ if TYPE_CHECKING:
     from .mesh import TriMesh
 
 # sample points per distance pass of _bounded_max, and the most its seed
-# pass measures; with _PAIRS_PER_POINT it bounds the chunks of every pass.
-# A (point, triangle) pair takes about 390 bytes in the distance kernel, its
-# 96 bytes of gathered coordinates included, so a chunk about 6.5 MB
+# pass measures
 _HAUSDORFF_BLOCK = 1024
-_PAIRS_PER_POINT = 8
+# the (point, item) pairs a chunk of _CellList.pairs holds, fewer than twice
+# this.  A (point, triangle) pair takes about 390 bytes in the distance
+# kernel, its 96 bytes of gathered coordinates included, so a chunk about 6.5 MB
+_PAIR_BUDGET = 8 * 1024
 # the rounding margin of the Hausdorff bounds, relative to the coordinate
 # scale: many orders above the few ulps a distance is off by, and still far
 # below any distance that matters
@@ -194,19 +195,18 @@ class _CellList:
 
     def pairs(self, points_t, reach, keys, order):
         """(owner, item) pairs that hold every item within reach[owner] of
-        points_t[:, owner], grouped by owner, in chunks of fewer than 2 * budget,
-        where budget = _PAIRS_PER_POINT * _HAUSDORFF_BLOCK.
+        points_t[:, owner], grouped by owner, in chunks of fewer than
+        2 * _PAIR_BUDGET.
 
         A point takes one run of the sorted `keys` per column its cube meets,
         or, past _MAX_COLUMNS columns, the run of every item.  The points go
-        in blocks of about `budget` runs; order maps a run position to its item.
+        in blocks of about _PAIR_BUDGET runs; order maps a run position to its item.
         """
-        budget = _PAIRS_PER_POINT * _HAUSDORFF_BLOCK
         lo, hi, columns = self._cubes(points_t, reach)
         scan = columns > _MAX_COLUMNS
         count = np.where(scan, 1.0, columns).astype(np.int64)
         offset = np.cumsum(count) - count
-        bounds = np.append(np.flatnonzero(np.diff(offset // budget, prepend=-1)), count.size)
+        bounds = np.append(np.flatnonzero(np.diff(offset // _PAIR_BUDGET, prepend=-1)), count.size)
         for p0, p1 in zip(bounds[:-1], bounds[1:]):
             n = count[p0:p1]
             owner = np.repeat(np.arange(p0, p1), n)
@@ -219,7 +219,7 @@ class _CellList:
             whole = scan[owner]
             start[whole], end[whole] = 0, keys.size
             some = start < end
-            yield from _pairs(owner[some], start[some], end[some], order, budget)
+            yield from _pairs(owner[some], start[some], end[some], order, _PAIR_BUDGET)
 
     def nearest(self, points_t: np.ndarray):
         """(distance, index) of the nearest vertex to each of the (3, K) points_t.

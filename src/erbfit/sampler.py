@@ -55,23 +55,29 @@ class ConstraintSet:
 
 
 def make_grid(box: Box, spacing: float) -> GridSpec:
-    """Grid over `box` with interval counts ceil(extent/spacing), clamped to >= 2.
+    """Grid over `box` with interval counts ceil(extent/spacing).
 
     The box needs a positive, finite extent on each axis, the spacing must be
-    finite and positive, and the grid may hold at most MAX_GRID_POINTS
-    points; the count is checked before anything is allocated.
+    finite and positive and give at least 2 intervals on each axis, and the
+    grid may hold at most MAX_GRID_POINTS points; the count is checked before
+    anything is allocated.
     """
     positive("grid spacing", spacing, SamplingError)
     # in floating point, where an overflowing extent or a tiny spacing gives
     # inf instead of wrapping around in the integer cast
     with np.errstate(over="ignore"):
         extent = box.extent
-        counts = np.maximum(np.ceil(extent / spacing), 2.0)
+        counts = np.ceil(extent / spacing)
         n_points = float(np.prod(counts + 1.0))
     if np.any(extent <= 0):
         raise SamplingError(f"degenerate box: extent {extent} has a non-positive axis")
     if not np.isfinite(extent).all():
         raise SamplingError(f"the box from {box.lo} to {box.hi} has no finite extent")
+    if counts.min() < 2:
+        axis = int(np.argmin(counts))
+        raise SamplingError(
+            f"grid spacing {spacing} does not fit twice on the {'xyz'[axis]} axis of the box, "
+            f"of extent {extent[axis]:.6g}; use a finer spacing")
     if n_points > MAX_GRID_POINTS:
         raise SamplingError(
             f"grid spacing {spacing} needs {n_points:.3g} grid points over this box, "

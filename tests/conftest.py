@@ -1,3 +1,6 @@
+import contextlib
+import io
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 
 import erbfit.model
 import erbfit.optimizer
+from erbfit.cli import main
 from erbfit.pqr import parse_pqr_file
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -18,6 +22,27 @@ def bundled_pqr() -> Path:
 @pytest.fixture(scope="session")
 def molecule(bundled_pqr):
     return parse_pqr_file(bundled_pqr)
+
+
+def _run_main(argv) -> tuple[int, list[str]]:
+    err = io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
+          contextlib.redirect_stdout(io.StringIO())):
+        warnings.simplefilter("always")
+        try:
+            code = main([str(a) for a in argv])
+        except BaseException as exc:
+            pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    assert [str(w.message) for w in caught] == []
+    return code, err.getvalue().splitlines()
+
+
+@pytest.fixture(scope="session")
+def run_main():
+    """main(argv) in process, its arguments taken as str: (exit code, stderr
+    lines), stdout dropped.  The test fails when an exception escapes main or
+    main emits any warning."""
+    return _run_main
 
 
 @pytest.fixture()

@@ -87,23 +87,22 @@ def test_main_runs_off_the_main_thread(bundled_pqr, capsys):
     assert signal.getsignal(signal.SIGTERM) is handler
 
 
-def test_info_missing_file(tmp_path, capsys):
-    assert main(["info", str(tmp_path / "nope.pqr")]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_info_missing_file(tmp_path, run_main):
+    code, lines = run_main(["info", tmp_path / "nope.pqr"])
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error:")
 
 
-def test_info_malformed_file(tmp_path, capsys):
+def test_info_malformed_file(tmp_path, run_main):
     bad = tmp_path / "bad.pqr"
     bad.write_text("ATOM 1 C UNK A 1 what 0.0 0.0 0.0 1.5\n")
-    assert main(["info", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    code, lines = run_main(["info", bad])
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error:")
 
 
-def test_info_malformed_serial(tmp_path, capsys):
+def test_info_malformed_serial(tmp_path, run_main):
     bad = tmp_path / "serial.pqr"
     bad.write_text("ATOM x1 C ALA A 1 0 0 0 0 1.5\n")
-    assert main(["info", str(bad)]) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: line 1: malformed serial 'x1'"]
+    assert run_main(["info", bad]) == (2, ["error: line 1: malformed serial 'x1'"])
 
 
 def test_sparsify_outputs(atom_pqr, fit_dir, capsys):
@@ -150,19 +149,17 @@ def test_sparsify_writes_timings(fit_dir):
     assert f"wall_time_s={doc['phases_s']['optimize']:.2f}" in summary
 
 
-def test_sparsify_empty_selection(atom_pqr, tmp_path, capsys):
-    code = main(["sparsify", str(atom_pqr), "--out", str(tmp_path),
-                 "--band", "1e-12", "--constraint-spacing", "2.0"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+def test_sparsify_empty_selection(atom_pqr, tmp_path, run_main):
+    code, lines = run_main(["sparsify", atom_pqr, "--out", tmp_path,
+                            "--band", "1e-12", "--constraint-spacing", "2.0"])
+    assert code == 2 and len(lines) == 1 and "selection band" in lines[0]
 
 
-def test_sparsify_collapse_reports_failure(atom_pqr, tmp_path, capsys):
-    code = main(["sparsify", str(atom_pqr), "--out", str(tmp_path),
-                 "--prune-tol", "100", "--max-iter", "40",
-                 "--sparse-iter", "40", "--constraint-spacing", "0.7"])
-    assert code == 3
-    assert "error:" in capsys.readouterr().err
+def test_sparsify_collapse_reports_failure(atom_pqr, tmp_path, run_main):
+    code, lines = run_main(["sparsify", atom_pqr, "--out", tmp_path,
+                            "--prune-tol", "100", "--max-iter", "40",
+                            "--sparse-iter", "40", "--constraint-spacing", "0.7"])
+    assert code == 3 and len(lines) == 1 and lines[0].startswith("error:")
     trace = (tmp_path / "trace.csv").read_text()
     assert "FAILED" in trace
     summary = (tmp_path / "summary.txt").read_text()
@@ -171,7 +168,7 @@ def test_sparsify_collapse_reports_failure(atom_pqr, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("how", ["KeyboardInterrupt", "SIGTERM"])
-def test_sparsify_interrupt_ends_like_a_collapse(atom_pqr, tmp_path, capsys, monkeypatch, how):
+def test_sparsify_interrupt_ends_like_a_collapse(atom_pqr, tmp_path, run_main, monkeypatch, how):
     # an interrupt in the 20th pass over the points, raised there or by a
     # SIGTERM to the process, ends the run with exit 130 and one line, the
     # trace of the iterations before it and an INTERRUPTED summary; main's
@@ -190,15 +187,10 @@ def test_sparsify_interrupt_ends_like_a_collapse(atom_pqr, tmp_path, capsys, mon
 
     monkeypatch.setattr(erbfit.optimizer, "_fused_pass", interrupting)
     handler = signal.getsignal(signal.SIGTERM)
-    capsys.readouterr()
     out = tmp_path / "cut"
-    try:
-        code = main(["sparsify", str(atom_pqr), "--out", str(out), *QUICK_FIT])
-    except KeyboardInterrupt:
-        pytest.fail("the interrupt escaped main")
-    assert code == 130
+    assert run_main(["sparsify", atom_pqr, "--out", out, *QUICK_FIT]) \
+        == (130, ["error: interrupted"])
     assert signal.getsignal(signal.SIGTERM) is handler
-    assert capsys.readouterr().err.splitlines() == ["error: interrupted"]
     summary = (out / "summary.txt").read_text().splitlines()
     assert summary[-1] == "status=INTERRUPTED"
     stopped = next(line for line in summary if line.startswith("# INTERRUPTED: at iteration "))
@@ -211,13 +203,12 @@ def test_sparsify_interrupt_ends_like_a_collapse(atom_pqr, tmp_path, capsys, mon
     assert not (out / "model.json").exists()
 
 
-def test_sparsify_refuses_a_field_flat_over_the_grid(atom_pqr, tmp_path, capsys):
+def test_sparsify_refuses_a_field_flat_over_the_grid(atom_pqr, tmp_path, run_main):
     # at a subnormal decay phi is the atom count, 1, at every node, so no node
     # on a face of the constraint grid is below the isovalue: the surface is
     # not inside the grid, and the fit is refused before it starts
-    assert main(["sparsify", str(atom_pqr), "--decay", "1e-320", "--out", str(tmp_path)]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and "constraint grid's boundary" in lines[0]
+    code, lines = run_main(["sparsify", atom_pqr, "--decay", "1e-320", "--out", tmp_path])
+    assert code == 2 and len(lines) == 1 and "constraint grid's boundary" in lines[0]
     assert not (tmp_path / "trace.csv").exists()
 
 
@@ -298,11 +289,9 @@ def test_mesh_from_model(fit_dir, tmp_path, capsys):
     assert n_v > 50  # a sphere-like surface, not a degenerate sliver
 
 
-def test_mesh_no_surface_in_box(atom_pqr, tmp_path, capsys):
-    code = main(["mesh", str(atom_pqr), "--out", str(tmp_path),
-                 "--isovalue", "1000.0"])
-    assert code == 4
-    assert "error:" in capsys.readouterr().err
+def test_mesh_no_surface_in_box(atom_pqr, tmp_path, run_main):
+    code, lines = run_main(["mesh", atom_pqr, "--out", tmp_path, "--isovalue", "1000.0"])
+    assert code == 4 and len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_compare_exact_model(atom_pqr, tmp_path, capsys):
@@ -381,21 +370,15 @@ def test_default_sparsify_config_has_the_selection_settings():
         == {"decay": 0.5, "isovalue": 1.0, "constraint_spacing": 1.0, "band": 1.0}
 
 
-def test_compare_open_model_surface_exits_4(bundled_pqr, molecule, tmp_path):
+def test_compare_open_model_surface_exits_4(bundled_pqr, molecule, tmp_path, run_main):
     # one wide basis whose level set is a sphere of radius ~9.9 A around the
     # centroid, larger than the molecule's box: its mesh would be open
     basis = {"coeff_sqrt": float(np.sqrt(50.0)), "decay_sqrt": [0.2, 0.2, 0.2],
              "center": molecule.centers.mean(axis=0).tolist(), "angles": [0.0, 0.0, 0.0]}
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"format": "erbfit-model", "version": 1, "bases": [basis]}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "erbfit.cli", "compare", str(bundled_pqr), str(model),
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=SRC_ENV, timeout=120)
-    assert proc.returncode == 4
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    code, lines = run_main(["compare", bundled_pqr, model, "--out", tmp_path])
+    assert code == 4 and len(lines) == 1 and lines[0].startswith("error:")
     assert lines[0].endswith("the mesh would be open")
     assert not (tmp_path / "compare.json").exists()
 
@@ -473,46 +456,38 @@ def test_commands_run_without_scipy(atom_pqr, tmp_path):
 ], ids=["mesh-no-bases", "compare-nan-coeff", "mesh-empty-bases", "compare-empty-bases",
         "mesh-truncated", "compare-truncated", "mesh-binary", "compare-binary",
         "mesh-overflow-weight", "mesh-boxed-overflow-weight", "compare-overflow-decay"])
-def test_malformed_model_exits_2_with_one_line(atom_pqr, tmp_path, command, doc, reason):
+def test_malformed_model_exits_2_with_one_line(atom_pqr, tmp_path, run_main, command, doc,
+                                               reason):
     model = tmp_path / "model.json"
     model.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
-    inputs = [str(model)] if command == "mesh" else [str(atom_pqr), str(model)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "erbfit.cli", command, *inputs, "--out", str(tmp_path)],
-        capture_output=True, text=True, env=SRC_ENV, timeout=120)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    inputs = [model] if command == "mesh" else [atom_pqr, model]
+    code, lines = run_main([command, *inputs, "--out", tmp_path])
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error:")
     assert lines[0].endswith(reason)
 
 
 @pytest.mark.parametrize("command, name", [
     ("mesh", "nope.pqr"), ("mesh", "nope.json"), ("compare", "nope.json"),
     ("sparsify", "nope.pqr")])
-def test_missing_input_exits_2_with_one_line(atom_pqr, tmp_path, capsys, command, name):
+def test_missing_input_exits_2_with_one_line(atom_pqr, tmp_path, run_main, command, name):
     # a missing molecule or model for mesh, a missing model for compare, a
     # missing molecule for sparsify; the output directory is made only once
     # the inputs are read, so none is left behind
     missing = tmp_path / name
-    inputs = [str(atom_pqr), str(missing)] if command == "compare" else [str(missing)]
-    assert main([command, *inputs, "--out", str(tmp_path / "out")]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and str(missing) in lines[0]
+    inputs = [atom_pqr, missing] if command == "compare" else [missing]
+    code, lines = run_main([command, *inputs, "--out", tmp_path / "out"])
+    assert code == 2 and len(lines) == 1
+    assert lines[0].startswith("error:") and str(missing) in lines[0]
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["info", "sparsify", "mesh"])
-def test_binary_pqr_exits_2_with_one_line(tmp_path, command):
+def test_binary_pqr_exits_2_with_one_line(tmp_path, run_main, command):
     pqr = tmp_path / "binary.pqr"
     pqr.write_bytes(b"ATOM      1 C    UNK A   1  \xff\xfe\x00\x01  0.000  0.000  0.0000 1.5\n")
-    out = [] if command == "info" else ["--out", str(tmp_path)]
-    proc = subprocess.run([sys.executable, "-m", "erbfit.cli", command, str(pqr), *out],
-                          capture_output=True, text=True, env=SRC_ENV, timeout=120)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    out = [] if command == "info" else ["--out", tmp_path]
+    code, lines = run_main([command, pqr, *out])
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error:")
     assert lines[0].endswith("binary.pqr: not UTF-8 text")
 
 
@@ -578,55 +553,22 @@ def test_cli_import_loads_no_scipy(bundled_pqr, molecule, tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
-@pytest.mark.parametrize("command, flags, reason", [
-    ("sparsify", ["--epsilon", "nan"], "epsilon_floor must be finite and positive, got nan"),
-    ("sparsify", ["--prune-tol", "nan"], "prune_tol must be finite and positive, got nan"),
-    ("sparsify", ["--error-cap", "inf"], "max_error_cap must be finite and positive, got inf"),
-    ("sparsify", ["--band", "nan"], "band must be finite and positive, got nan"),
-    ("sparsify", ["--decay", "inf"], "decay must be finite and positive, got inf"),
-    ("sparsify-big-atom", [], "atom 1: the weight e^(d r^2) overflows at decay 0.5 "
-                              "and radius 40.0"),
-    ("compare", ["--decay", "nan"], "decay must be finite and positive, got nan"),
-    ("mesh", ["--isovalue", "inf"], "isovalue must be finite and positive, got inf"),
-    ("mesh-model", ["--isovalue", "nan"], "isovalue must be finite and positive, got nan"),
-    ("mesh-model", ["--decay", "nan"], "decay must be finite and positive, got nan"),
-    ("mesh-model", ["--decay", "-1"], "decay must be finite and positive, got -1.0"),
-    ("mesh", ["--decay", "nan"], "decay must be finite and positive, got nan"),
-    *((f"{command}-radius", [radius], f"atom serial 1: radius must be finite and positive, "
-                                      f"got {radius}")
+@pytest.mark.parametrize("command, radius, reason", [
+    ("sparsify", "40.0", "atom 1: the weight e^(d r^2) overflows at decay 0.5 and radius 40.0"),
+    *((command, radius, f"atom serial 1: radius must be finite and positive, got {radius}")
       for radius in ("nan", "inf") for command in ("info", "sparsify", "compare")),
-], ids=["epsilon-nan", "prune-tol-nan", "error-cap-inf", "band-nan", "decay-inf",
-        "big-atom", "compare-decay-nan", "mesh-isovalue-inf", "mesh-model-isovalue-nan",
-        "mesh-model-decay-nan", "mesh-model-decay-negative", "mesh-decay-nan",
-        "info-radius-nan", "sparsify-radius-nan", "compare-radius-nan",
+], ids=["big-atom", "info-radius-nan", "sparsify-radius-nan", "compare-radius-nan",
         "info-radius-inf", "sparsify-radius-inf", "compare-radius-inf"])
-def test_non_finite_number_exits_2_with_one_line(atom_pqr, fit_dir, tmp_path, command,
-                                                 flags, reason):
-    if command == "sparsify-big-atom":
-        big = tmp_path / "big.pqr"
-        big.write_text("ATOM      1 C    UNK A   1       0.000   0.000   0.000  0.0000 40.0000\n")
-        command, inputs = "sparsify", [str(big)]
-    elif command.endswith("-radius"):
-        # the one flag is the radius written into the PQR file
-        bad = tmp_path / "radius.pqr"
-        bad.write_text(f"ATOM 1 C UNK A 1 0.000 0.000 0.000 0.0000 {flags[0]}\n")
-        command, flags = command.removesuffix("-radius"), []
-        inputs = [str(bad)] + ([str(fit_dir / "model.json")] if command == "compare" else [])
-    elif command == "mesh-model":
-        command, inputs = "mesh", [str(fit_dir / "model.json")]
-    elif command == "compare":
-        inputs = [str(atom_pqr), str(fit_dir / "model.json")]
-    else:
-        inputs = [str(atom_pqr)]
-    out = [] if command == "info" else ["--out", str(tmp_path)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "erbfit.cli", command, *inputs, *flags, *out],
-        capture_output=True, text=True, env=SRC_ENV, timeout=120)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "Warning" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+def test_non_finite_number_exits_2_with_one_line(fit_dir, tmp_path, run_main, command, radius,
+                                                 reason):
+    # a radius that is not finite, or one whose weight overflows at the
+    # default decay; the setting flags are test_every_setting_is_finite_and_positive's
+    pqr = tmp_path / "radius.pqr"
+    pqr.write_text(f"ATOM 1 C UNK A 1 0.000 0.000 0.000 0.0000 {radius}\n")
+    inputs = [pqr, fit_dir / "model.json"] if command == "compare" else [pqr]
+    out = [] if command == "info" else ["--out", tmp_path]
+    code, lines = run_main([command, *inputs, *out])
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error:")
     assert lines[0].endswith(reason)
 
 
@@ -644,12 +586,11 @@ _SETTING_FLAGS = [
 ]
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, flag, name, value", [
     pytest.param(command, flag, name, value, id=f"{command}{flag}={value}")
     for flag, name, commands in _SETTING_FLAGS for command in commands
     for value in ("nan", "inf", "0", "-1", "word")])
-def test_every_setting_is_finite_and_positive(atom_pqr, fit_dir, tmp_path, capsys, monkeypatch,
+def test_every_setting_is_finite_and_positive(atom_pqr, fit_dir, tmp_path, run_main, monkeypatch,
                                               command, flag, name, value):
     # the rule refuses the setting before the field or the model is evaluated
     def must_not_run(*args, **kwargs):
@@ -662,32 +603,32 @@ def test_every_setting_is_finite_and_positive(atom_pqr, fit_dir, tmp_path, capsy
     monkeypatch.setattr(RbfModel, "values", must_not_run)
     inputs = {"sparsify": [atom_pqr], "mesh": [atom_pqr], "mesh-model": [fit_dir / "model.json"],
               "compare": [atom_pqr, fit_dir / "model.json"]}[command]
-    code = main([command.removesuffix("-model"), *map(str, inputs), flag, value,
-                 "--out", str(tmp_path)])
-    lines = capsys.readouterr().err.splitlines()
-    assert code == 2
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    code, lines = run_main([command.removesuffix("-model"), *inputs, flag, value,
+                            "--out", tmp_path])
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error:")
     assert lines[0].endswith(f"argument {flag}: invalid float value: 'word'" if value == "word"
                              else f"{name} must be finite and positive, got {float(value)}")
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, flag", [
     pytest.param(command, flag, id=f"{command}{flag}")
     for flag, _, commands in _SETTING_FLAGS for command in commands])
-def test_a_huge_setting_ends_with_a_documented_exit(atom_pqr, fit_dir, tmp_path, capsys,
+def test_a_huge_setting_ends_with_a_documented_exit(atom_pqr, fit_dir, tmp_path, run_main,
                                                     command, flag):
     # 1e308 passes the settings rule; what it does to the run must still end
-    # in an exit code of the table, with at most one error line
+    # in an exit code of the table, with at most one error line.  A spacing
+    # that does not fit twice on an axis of the box is refused by the grid
     inputs = {"sparsify": [atom_pqr, *QUICK_FIT], "mesh": [atom_pqr],
               "mesh-model": [fit_dir / "model.json"],
               "compare": [atom_pqr, fit_dir / "model.json"]}[command]
-    code = main([command.removesuffix("-model"), *map(str, inputs), flag, "1e308",
-                 "--out", str(tmp_path)])
-    lines = capsys.readouterr().err.splitlines()
+    code, lines = run_main([command.removesuffix("-model"), *inputs, flag, "1e308",
+                            "--out", tmp_path])
     assert code in (0, 2, 3, 4)
     assert len(lines) == (code != 0) and all(ln.startswith("error:") for ln in lines)
+    if flag.endswith("-spacing"):
+        assert (code, lines) == (2, ["error: grid spacing 1e+308 does not fit twice on the x "
+                                     "axis of the box, of extent 11.48; use a finer spacing"])
 
 
 def _bare_model(tmp_path, coeff_sqrt, decay_sqrt, angles):
@@ -738,57 +679,54 @@ def test_bare_model_box_is_the_reach_boxes_of_its_bases():
     ("1.0", "basis 1 does not decay along an axis, so no finite box holds the model surface"),
     ("10.0", "the model stays below the isovalue 10.0: no basis weight exceeds isovalue / 1"),
 ], ids=["zero-decay", "below-isovalue"])
-def test_mesh_bare_model_without_a_box_exits_4(tmp_path, isovalue, reason):
+def test_mesh_bare_model_without_a_box_exits_4(tmp_path, run_main, isovalue, reason):
     model = _bare_model(tmp_path, 2.0, [0.0, 1.0, 1.0], [0.3, 0.0, 0.0])
-    proc = subprocess.run(
-        [sys.executable, "-m", "erbfit.cli", "mesh", str(model), "--isovalue", isovalue,
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=SRC_ENV, timeout=120)
-    assert proc.returncode == 4
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0] == f"error: {reason}"
+    assert run_main(["mesh", model, "--isovalue", isovalue, "--out", tmp_path]) \
+        == (4, [f"error: {reason}"])
     assert not (tmp_path / "mesh.obj").exists()
 
 
-def test_compare_model_without_decay_on_an_axis_exits_4(bundled_pqr, molecule, tmp_path):
+@pytest.mark.parametrize("code, reason", [
+    (2, "the model has no bases"),
+    (4, "basis 1 does not decay along an axis, so no finite box holds the model surface"),
+], ids=["exit-2", "exit-4"])
+def test_the_module_entry_point_refuses_with_one_line(tmp_path, code, reason):
+    # the other refusals run main in process; these two check the process:
+    # its exit status and a stderr of one line, with no traceback.  The
+    # models: one with no bases, and the bare model of the test above
+    model = _bare_model(tmp_path, 2.0, [0.0, 1.0, 1.0], [0.3, 0.0, 0.0])
+    if code == 2:
+        model.write_text(EMPTY_MODEL)
+    proc = subprocess.run([sys.executable, "-m", "erbfit.cli", "mesh", str(model),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=SRC_ENV, timeout=120)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == code and len(lines) == 1
+    assert lines[0].startswith("error: ") and lines[0].endswith(reason)
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_model_without_decay_on_an_axis_exits_4(bundled_pqr, molecule, tmp_path,
+                                                        run_main):
     # a basis that never decays along x: its block spans the grid on that
     # axis, and its level set runs through the box walls
     basis = {"coeff_sqrt": 1.5, "decay_sqrt": [0.0, 0.7, 0.7],
              "center": molecule.centers.mean(axis=0).tolist(), "angles": [0.0, 0.0, 0.0]}
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"format": "erbfit-model", "version": 1, "bases": [basis]}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "erbfit.cli", "compare", str(bundled_pqr), str(model),
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=SRC_ENV, timeout=120)
-    assert proc.returncode == 4
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].endswith("the mesh would be open")
+    code, lines = run_main(["compare", bundled_pqr, model, "--out", tmp_path])
+    assert code == 4 and len(lines) == 1 and lines[0].endswith("the mesh would be open")
 
 
-@pytest.mark.parametrize("command, flag, spacing, reason", [
-    ("sparsify", "--constraint-spacing", "nan", "must be finite and positive, got nan"),
-    ("mesh", "--mesh-spacing", "nan", "must be finite and positive, got nan"),
-    ("mesh", "--mesh-spacing", "0.001", "use a coarser spacing"),
-    ("compare", "--mesh-spacing", "0.001", "use a coarser spacing"),
-], ids=["sparsify-nan", "mesh-nan", "mesh-over-budget", "compare-over-budget"])
-def test_bad_grid_spacing_exits_2_with_one_line(atom_pqr, fit_dir, tmp_path, command, flag,
-                                                spacing, reason):
+@pytest.mark.parametrize("command", ["mesh", "compare"],
+                         ids=["mesh-over-budget", "compare-over-budget"])
+def test_bad_grid_spacing_exits_2_with_one_line(atom_pqr, fit_dir, tmp_path, run_main, command):
     # 0.001 A over the atom's box is about 3e11 grid points: refused from the
     # count, before anything is allocated
-    inputs = [str(atom_pqr), str(fit_dir / "model.json")] if command == "compare" \
-        else [str(atom_pqr)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "erbfit.cli", command, *inputs, flag, spacing,
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=SRC_ENV, timeout=120)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-    assert lines[0].endswith(reason)
+    inputs = [atom_pqr, fit_dir / "model.json"] if command == "compare" else [atom_pqr]
+    code, lines = run_main([command, *inputs, "--mesh-spacing", "0.001", "--out", tmp_path])
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error:")
+    assert lines[0].endswith("use a coarser spacing")
 
 
 def _model_text(centers, coeff_sqrt=1.5, decay_sqrt=0.7, metadata=None):
@@ -828,7 +766,7 @@ OVERFLOW_INPUTS = {
 ], ids=["sparsify-far-atoms", "mesh-far-atoms", "compare-far-atoms", "mesh-huge-stored-box",
         "mesh-far-bases", "info-huge-radius", "sparsify-subnormal-decay",
         "mesh-subnormal-decay", "mesh-huge-weight", "compare-huge-weight"])
-def test_overflowing_input_prints_no_numpy_warning(bundled_pqr, atom_pqr, tmp_path, capsys,
+def test_overflowing_input_prints_no_numpy_warning(bundled_pqr, atom_pqr, tmp_path, run_main,
                                                    command, inputs, flags, code):
     # each overflow is computed under np.errstate, so the command ends with
     # its exit code and at most its one error line, whatever numpy's warning
@@ -836,12 +774,10 @@ def test_overflowing_input_prints_no_numpy_warning(bundled_pqr, atom_pqr, tmp_pa
     for name, text in OVERFLOW_INPUTS.items():
         (tmp_path / name).write_text(text)
     given = {"bundled": bundled_pqr, "atom": atom_pqr}
-    paths = [str(given.get(name, tmp_path / name)) for name in inputs]
-    out = [] if command == "info" else ["--out", str(tmp_path / "out")]
-    assert main([command, *paths, *flags, *out]) == code
-    err = capsys.readouterr().err
-    assert "Warning" not in err
-    lines = err.splitlines()
+    paths = [given.get(name, tmp_path / name) for name in inputs]
+    out = [] if command == "info" else ["--out", tmp_path / "out"]
+    got, lines = run_main([command, *paths, *flags, *out])
+    assert got == code
     assert lines == [] if code == 0 else len(lines) == 1 and lines[0].startswith("error:")
 
 
@@ -853,15 +789,14 @@ def test_overflowing_input_prints_no_numpy_warning(bundled_pqr, atom_pqr, tmp_pa
     ("mesh", ["far.json"]),
 ], ids=["sparsify-far-atoms", "mesh-far-atoms", "compare-far-atoms", "mesh-huge-stored-box",
         "mesh-far-bases"])
-def test_a_box_without_finite_extent_is_named(tmp_path, capsys, command, inputs):
+def test_a_box_without_finite_extent_is_named(tmp_path, run_main, command, inputs):
     # no grid spacing helps a box whose extent overflows a double, so the
     # message names the box, not the spacing
     for name, text in OVERFLOW_INPUTS.items():
         (tmp_path / name).write_text(text)
-    assert main([command, *(str(tmp_path / name) for name in inputs),
-                 "--out", str(tmp_path / "out")]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].endswith("has no finite extent")
+    code, lines = run_main([command, *(tmp_path / name for name in inputs),
+                            "--out", tmp_path / "out"])
+    assert code == 2 and len(lines) == 1 and lines[0].endswith("has no finite extent")
     assert "spacing" not in lines[0]
 
 
@@ -871,14 +806,11 @@ def test_a_box_without_finite_extent_is_named(tmp_path, capsys, command, inputs)
     (OptimizationError("the fit collapsed"), 3),
     (MeshError("the mesh would be open"), 4),
 ], ids=["OSError", "ValueError", "OptimizationError", "MeshError"])
-def test_exit_code_goes_by_the_error_class(atom_pqr, fit_dir, tmp_path, capsys, monkeypatch,
+def test_exit_code_goes_by_the_error_class(atom_pqr, fit_dir, tmp_path, run_main, monkeypatch,
                                            error, code):
     def fail(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(erbfit.cli, "compare_surfaces", fail)
-    assert main(["compare", str(atom_pqr), str(fit_dir / "model.json"),
-                 "--out", str(tmp_path)]) == code
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.splitlines() == [f"error: {error}"]
+    assert run_main(["compare", atom_pqr, fit_dir / "model.json", "--out", tmp_path]) \
+        == (code, [f"error: {error}"])

@@ -1,22 +1,19 @@
 """Mutated PQR records and model fields through main, in process.
 
-Every run must end with a documented exit code (0, 2, 3 or 4), print at most
-one error line, raise nothing out of main and emit no warning.  The draws are
-bounded so that a grid within MAX_GRID_POINTS stays small: coordinates within
-30 A of the origin or beyond 1e6 A, mesh spacings of at least 0.5 A or one of
-the refused values, and at most 5 iterations.
+Every run must end with a documented exit code (0, 2, 3 or 4) and print at
+most one error line; the run_main fixture fails it when an exception escapes
+main or a warning is emitted.  The draws are bounded so that a grid within
+MAX_GRID_POINTS stays small: coordinates within 30 A of the origin or beyond
+1e6 A, mesh spacings of at least 0.5 A or one of the refused values, and at
+most 5 iterations.
 """
 
-import contextlib
-import io
 import json
 import tempfile
-import warnings
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from erbfit.cli import main
 from erbfit.field import bounding_box
 from erbfit.initializer import init_model
 from erbfit.model import save_model
@@ -108,38 +105,32 @@ def mutated_model(draw):
     return json.dumps(doc)
 
 
-def _run(argv: list[str]) -> None:
-    """main(argv) with its output captured; checks how the run ended."""
-    err = io.StringIO()
-    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
-          contextlib.redirect_stdout(io.StringIO())):
-        warnings.simplefilter("always")
-        code = main(argv)
+def _documented_end(run_main, argv: list[str]) -> None:
+    code, lines = run_main(argv)
     assert code in (0, 2, 3, 4)
-    assert sum("error:" in line for line in err.getvalue().splitlines()) <= (code != 0)
-    assert [str(w.message) for w in caught] == []
+    assert sum("error:" in line for line in lines) <= (code != 0)
 
 
 @FUZZ
 @given(text=mutated_pqr(), command=st.sampled_from(["info", "sparsify", "mesh"]),
        fit=fit_flags, mesh_spacing=spacing)
-def test_mutated_pqr_ends_with_a_documented_exit(text, command, fit, mesh_spacing):
+def test_mutated_pqr_ends_with_a_documented_exit(run_main, text, command, fit, mesh_spacing):
     with tempfile.TemporaryDirectory() as tmp:
         pqr = Path(tmp) / "mol.pqr"
         pqr.write_text(text)
         flags = {"info": [], "sparsify": fit,
                  "mesh": ["--mesh-spacing", mesh_spacing]}[command]
         out = [] if command == "info" else ["--out", tmp]
-        _run([command, str(pqr), *flags, *out])
+        _documented_end(run_main, [command, pqr, *flags, *out])
 
 
 @FUZZ
 @given(text=mutated_model(), command=st.sampled_from(["mesh", "compare"]),
        mesh_spacing=spacing)
-def test_mutated_model_ends_with_a_documented_exit(text, command, mesh_spacing):
+def test_mutated_model_ends_with_a_documented_exit(run_main, text, command, mesh_spacing):
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "model.json"
         model.write_text(text)
-        inputs = [str(model)] if command == "mesh" else [str(PQR), str(model)]
-        _run([command, *inputs, "--mesh-spacing", mesh_spacing, "--out", tmp])
+        inputs = [model] if command == "mesh" else [PQR, model]
+        _documented_end(run_main, [command, *inputs, "--mesh-spacing", mesh_spacing, "--out", tmp])
 

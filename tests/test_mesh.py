@@ -628,8 +628,8 @@ def test_nearest_vertex_is_the_same_for_any_pair_budget(monkeypatch, pair, molec
         cells = erbfit.distance._CellList(
             target, side, erbfit.distance._rounding_margin(side, points, target.vertices))
         found = []
-        for per_point in (1, 16, 32):
-            monkeypatch.setattr(erbfit.distance, "_PAIRS_PER_POINT", per_point)
+        for budget in (1024, 16384, 32768):
+            monkeypatch.setattr(erbfit.distance, "_PAIR_BUDGET", budget)
             found.append(cells.nearest(points.T))
         for distance, index in found[1:]:
             assert np.array_equal(distance, found[0][0])
@@ -648,6 +648,26 @@ def test_hausdorff_memory_on_the_bundled_pair(molecule):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_pair_chunks_follow_the_pair_budget_not_the_block(monkeypatch, molecule):
+    # _HAUSDORFF_BLOCK sizes only the blocks of _bounded_max: with blocks of 3
+    # points the nearest-vertex search still fills chunks past 2 * 8 * 3
+    # pairs, and none reaches 2 * _PAIR_BUDGET
+    a, b = _bundled_meshes(molecule)
+    monkeypatch.setattr(erbfit.distance, "_HAUSDORFF_BLOCK", 3)
+    sizes = []
+    pairs = erbfit.distance._CellList.pairs
+
+    def recording(self, *args):
+        for owner, item in pairs(self, *args):
+            sizes.append(owner.size)
+            yield owner, item
+
+    monkeypatch.setattr(erbfit.distance._CellList, "pairs", recording)
+    hausdorff(a, b)
+    assert max(sizes) > 2 * 8 * 3
+    assert max(sizes) < 2 * erbfit.distance._PAIR_BUDGET
 
 
 def test_directed_hausdorff_point_without_candidates():
@@ -711,12 +731,12 @@ def test_bounded_hausdorff_is_the_unbounded_one(n_atoms, seed, spacing, block, c
     else:
         direction = rng.normal(size=3)
         b = a.translated(rng.uniform(2.0, 4.0) * direction / np.linalg.norm(direction))
+    d_ab = _reference_directed_hausdorff(_reference_triangle_samples(a, 10), b)
+    h = max(d_ab, _reference_directed_hausdorff(_reference_triangle_samples(b, 10), a))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(erbfit.distance, "_HAUSDORFF_BLOCK", block)
-        h = _reference_hausdorff(a, b)
         assert hausdorff(a, b) == h
         assert hausdorff(b, a) == h
-        d_ab = _reference_directed_hausdorff(_reference_triangle_samples(a, 10), b)
         points = _samples(a)
         # a floor below the maximum leaves it; a floor at or above every
         # bound is the answer, and no distance is computed
@@ -787,12 +807,12 @@ def _offset_pairs():
 
 @pytest.mark.parametrize("name", ["sphere+5", "pair+1000"])
 def test_hausdorff_splits_runs_longer_than_the_pair_budget(monkeypatch, name):
-    # a pair budget of 16: the runs of the cells a point searches, and the
+    # a pair budget of 8: the runs of the cells a point searches, and the
     # run of every item that a far point scans, are longer, so _pairs splits
     # them over chunks of fewer than 2 * budget pairs, which together hold
     # the unsplit pairs in their order; the distance is the same to the bit
     a, b = _offset_pairs()[name]
-    monkeypatch.setattr(erbfit.distance, "_HAUSDORFF_BLOCK", 1)
+    monkeypatch.setattr(erbfit.distance, "_PAIR_BUDGET", 8)
     split = []
     pairs = erbfit.distance._pairs
 

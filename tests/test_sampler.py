@@ -31,9 +31,13 @@ def test_counts_from_spacing():
     assert g.counts == (2, 2, 2)
 
 
-def test_counts_clamped_to_two():
-    g = make_grid(_box([0, 0, 0], [10, 1, 1]), spacing=1.0)
-    assert g.counts == (10, 2, 2)
+def test_a_spacing_that_does_not_fit_twice_is_refused():
+    # the grid takes the spacing as given or not at all: 1 A fits twice on
+    # the 2 A axes, and only once on the 1 A one
+    assert make_grid(_box([0, 0, 0], [10, 2, 2]), spacing=1.0).counts == (10, 2, 2)
+    with pytest.raises(SamplingError, match="grid spacing 1.0 does not fit twice on the y axis "
+                                            "of the box, of extent 1; use a finer spacing"):
+        make_grid(_box([0, 0, 0], [10, 1, 2]), spacing=1.0)
 
 
 def test_degenerate_box_rejected():
