@@ -33,9 +33,6 @@ _PAIR_BUDGET = 8 * 1024
 # scale: many orders above the few ulps a distance is off by, and still far
 # below any distance that matters
 _ROUNDING = 2.0 ** -24
-# the most (x, y) columns of cells one point searches; a point whose search
-# would cover more scans every item
-_MAX_COLUMNS = 256
 
 
 def _dot(u, v):
@@ -143,10 +140,9 @@ class _CellList:
     its centroid.  Each kind is sorted by cell key once, so memory is O(V + F)
     for any geometry, and keys run z fastest, so the cells of an (x, y) column
     between two z values are one run of the sorted items.  A search within a
-    distance of a point gathers one run per column of the cells that the cube
-    of that half-width meets; a point whose cube meets more than _MAX_COLUMNS
-    columns scans every item instead.  Either way the (point, item) pairs are
-    made in chunks of bounded size (see _pairs).
+    distance of a point gathers one run per (x, y) column that the cube of
+    that half-width, clipped to the cells' box, meets, however many that is;
+    the (point, item) pairs are made in chunks of bounded size (see _pairs).
     """
 
     def __init__(self, mesh: TriMesh, side: float, margin: float):
@@ -198,13 +194,12 @@ class _CellList:
         points_t[:, owner], grouped by owner, in chunks of fewer than
         2 * _PAIR_BUDGET.
 
-        A point takes one run of the sorted `keys` per column its cube meets,
-        or, past _MAX_COLUMNS columns, the run of every item.  The points go
-        in blocks of about _PAIR_BUDGET runs; order maps a run position to its item.
+        A point takes one run of the sorted `keys` per column its clipped
+        cube meets.  The points go in blocks of about _PAIR_BUDGET runs;
+        order maps a run position to its item.
         """
         lo, hi, columns = self._cubes(points_t, reach)
-        scan = columns > _MAX_COLUMNS
-        count = np.where(scan, 1.0, columns).astype(np.int64)
+        count = columns.astype(np.int64)
         offset = np.cumsum(count) - count
         bounds = np.append(np.flatnonzero(np.diff(offset // _PAIR_BUDGET, prepend=-1)), count.size)
         for p0, p1 in zip(bounds[:-1], bounds[1:]):
@@ -216,8 +211,6 @@ class _CellList:
             base = self._key(lo_[0] + j // ny, lo_[1] + j % ny, 0)
             start = np.searchsorted(keys, base + lo_[2], side="left")
             end = np.searchsorted(keys, base + hi_[2], side="right")
-            whole = scan[owner]
-            start[whole], end[whole] = 0, keys.size
             some = start < end
             yield from _pairs(owner[some], start[some], end[some], order, _PAIR_BUDGET)
 
@@ -228,10 +221,10 @@ class _CellList:
         then sqrt.  The first pass searches the cells within half a side of
         each point, at most 2 x 2 x 2, or, for a point outside the box of the
         cells, within its distance to that box.  A point that found no vertex
-        searches four times as far, until its search covers more than
-        _MAX_COLUMNS columns and scans every vertex.  A point whose best
-        distance does not rule out the cells beyond its search is searched
-        once more, within that distance, which is then exact.
+        searches four times as far, and again, until its clipped cube covers
+        every cell.  A point whose best distance does not rule out the cells
+        beyond its search is searched once more, within that distance, which
+        is then exact.
         """
         best = np.full(points_t.shape[1], np.inf)
         arg = np.zeros(points_t.shape[1], dtype=np.int64)
@@ -262,11 +255,10 @@ class _CellList:
         while todo.size:
             search(todo, reach)
             found = np.sqrt(best[todo])
-            scanned = self._cubes(points_t[:, todo], reach)[2] > _MAX_COLUMNS
-            again = ~scanned & (found + self.margin >= reach)
-            empty = again & np.isinf(found)
-            if (again & ~empty).any():
-                search(todo[again & ~empty], found[again & ~empty])
+            empty = np.isinf(found)
+            again = ~empty & (found + self.margin >= reach)
+            if again.any():
+                search(todo[again], found[again])
             todo, reach = todo[empty], 4.0 * reach[empty]
         return np.sqrt(best), arg
 
@@ -315,8 +307,6 @@ def _bounded_max(points_t: np.ndarray, cells: _CellList, floor: float):
     A point whose bound is <= lo therefore cannot change the result.
     """
     lo = float(floor)
-    if points_t.shape[1] == 0:
-        return lo, np.empty(0)
     ub, nearest = cells.nearest(points_t)
     # each point's upper bound; a measured point's bound is its distance
     bound = ub.copy()

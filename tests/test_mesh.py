@@ -636,6 +636,45 @@ def test_nearest_vertex_is_the_same_for_any_pair_budget(monkeypatch, pair, molec
             assert np.array_equal(index, found[0][1])
 
 
+def test_far_points_search_only_the_columns_of_their_cube(monkeypatch):
+    # a slab 20 x 20 x 5 cells wide and points 9 A above it: a point's
+    # searches, from its distance to the cells' box and then within the
+    # distance found, meet 196 to 400 of the 400 (x, y) columns and take one
+    # run per column, never one run of every vertex, so no point meets more
+    # than 768 of the 3294 vertices at once.  Both searches are exact: the
+    # nearest vertex against every vertex, the candidate triangles against
+    # every triangle
+    g = np.arange(5) * 3.0
+    centers = np.array([[x, y, 0.0] for x in g for y in g])
+    field = GaussianField(centers=centers, radii=np.full(25, 1.6), decay=0.5)
+    target = extract_isosurface(field.values, Box(lo=np.array([-4.0, -4.0, -4.0]),
+                                                  hi=np.array([16.0, 16.0, 4.0])), 0.5, 1.0)
+    rng = np.random.default_rng(0)
+    points = np.column_stack([rng.uniform(0.0, 12.0, (20, 2)),
+                              np.full(20, target.vertices[:, 2].max() + 9.0)])
+    side = float(_edge_lengths(target).max())
+    cells = _CellList(target, side, _rounding_margin(side, points, target.vertices))
+    assert target.vertices.shape[0] == 3294
+    assert cells.dims.ravel().tolist() == [20, 20, 5]
+    most = []
+    pairs = _CellList.pairs
+
+    def recording(self, *args):
+        for owner, item in pairs(self, *args):
+            most.append(int(np.bincount(owner).max()))
+            yield owner, item
+
+    monkeypatch.setattr(_CellList, "pairs", recording)
+    ub, _ = cells.nearest(points.T)
+    assert max(most) <= 768
+    d = points[:, None, :] - target.vertices[None]
+    assert np.array_equal(ub, np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2).min(axis=1))
+    best = cells.candidate_least_sq(points.T, np.arange(20), ub)
+    every = [_point_triangle_distance_sq(np.repeat(p[:, None], target.n_f, axis=1),
+                                         *target.corners_t()).min() for p in points]
+    assert np.array_equal(np.minimum(np.sqrt(best), ub), np.minimum(np.sqrt(every), ub))
+
+
 def test_hausdorff_memory_on_the_bundled_pair(molecule):
     # the pair budget bounds the chunks of both searches, the nearest-vertex
     # one and the candidate-triangle one (numpy reports its buffers to
@@ -680,6 +719,9 @@ def test_directed_hausdorff_point_without_candidates():
     points = np.array([[0.0, 0.0, 0.5], [100.0, 0.2, 0.2], [103.0, 0.2, 0.2]])
     assert _directed_hausdorff(points, target) == pytest.approx(3.0, abs=1e-12)
     assert _directed_hausdorff(points[:2], target) == pytest.approx(0.5, abs=1e-12)
+    # no point at all: the floor, and no bound
+    lo, bound = _bounded_max(np.empty((3, 0)), _CellList(target, 1.0, 0.0), 0.25)
+    assert lo == 0.25 and bound.shape == (0,)
 
 
 def _counting_distance(monkeypatch):
@@ -807,12 +849,12 @@ def _offset_pairs():
 
 @pytest.mark.parametrize("name", ["sphere+5", "pair+1000"])
 def test_hausdorff_splits_runs_longer_than_the_pair_budget(monkeypatch, name):
-    # a pair budget of 8: the runs of the cells a point searches, and the
-    # run of every item that a far point scans, are longer, so _pairs splits
-    # them over chunks of fewer than 2 * budget pairs, which together hold
-    # the unsplit pairs in their order; the distance is the same to the bit
+    # a pair budget of 16: some runs of the cells a point searches are
+    # longer (up to 38 items), so _pairs splits them over chunks of fewer
+    # than 2 * budget pairs, which together hold the unsplit pairs in their
+    # order; the distance is the same to the bit
     a, b = _offset_pairs()[name]
-    monkeypatch.setattr(erbfit.distance, "_PAIR_BUDGET", 8)
+    monkeypatch.setattr(erbfit.distance, "_PAIR_BUDGET", 16)
     split = []
     pairs = erbfit.distance._pairs
 
