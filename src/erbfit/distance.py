@@ -10,6 +10,14 @@ its distance exceeds the running maximum, the early break of Taha & Hanbury
 (TPAMI 2015), and hausdorff extends the break to whole triangles; the bounds
 are >= the exact distances to the bit, so H is unchanged.  Nearest vertices
 and candidate triangles come from a cell list of the target mesh (_CellList).
+
+Meshes of one grid share its lattice (TriMesh.edge_keys): a vertex a whose
+grid edge holds a target vertex b has dist(a, target) <= |a - b|, and a
+triangle whose corners' partners b_i are corners of one target triangle has
+each of its points sum l_i a_i within max_i |a_i - b_i| of the point
+sum l_i b_i of that triangle.  These partner bounds seed _bounded_max and
+skip lattice passes.  The keys choose, never decide: any target vertex
+bounds a distance, so a stale or foreign key costs time, never a bit.
 """
 
 from __future__ import annotations
@@ -221,7 +229,7 @@ class _CellList:
         then sqrt.  The first pass searches the cells within half a side of
         each point, at most 2 x 2 x 2, or, for a point outside the box of the
         cells, within its distance to that box.  A point that found no vertex
-        searches four times as far, and again, until its clipped cube covers
+        searches twice as far, and again, until its clipped cube covers
         every cell.  A point whose best distance does not rule out the cells
         beyond its search is searched once more, within that distance, which
         is then exact.
@@ -259,7 +267,7 @@ class _CellList:
             again = ~empty & (found + self.margin >= reach)
             if again.any():
                 search(todo[again], found[again])
-            todo, reach = todo[empty], 4.0 * reach[empty]
+            todo, reach = todo[empty], 2.0 * reach[empty]
         return np.sqrt(best), arg
 
     def candidate_least_sq(self, points_t, idx, ub):
@@ -282,62 +290,89 @@ class _CellList:
         count = np.bincount(flat, minlength=self.mesh.vertices.shape[0])
         return np.argsort(flat, kind="stable") // 3, np.cumsum(count) - count, count
 
+    def triangles_around(self, vertices):
+        """(owner, triangle) pairs of the triangles around each of the given
+        vertices, grouped by owner, the vertex's position in `vertices`."""
+        around, first, count = self.around
+        counts = count[vertices]
+        shift = first[vertices] - (np.cumsum(counts) - counts)
+        return (np.repeat(np.arange(vertices.size), counts),
+                around[np.repeat(shift, counts) + np.arange(counts.sum())])
 
-def _bounded_max(points_t: np.ndarray, cells: _CellList, floor: float):
+
+def _bounded_max(points_t: np.ndarray, cells: _CellList, floor: float, bound=None):
     """(lo, bound): lo = max(floor, max over the (3, K) points_t of the distance
     to the target surface), and bound[i] >= the distance of point i, every bound <= lo.
 
-    A point's distance is min(sqrt(best), ub): ub is the distance to its
-    nearest target vertex, and best the least squared distance to the
-    candidate triangles, those whose centroid lies within ub + the triangle's
-    largest centroid-to-corner distance (which include every triangle that can
-    be nearer than ub).  Only the points that can still raise the running
-    maximum lo, which starts at floor, get that candidate pass:
+    bound, when given, holds a start bound >= each point's distance, inf
+    where there is none (all inf by default), and is lowered in place.  A
+    point's distance is min(sqrt(best), ub): ub is the distance to its
+    nearest target vertex (_CellList.nearest), and best the least squared
+    distance to the candidate triangles, those whose centroid lies within ub +
+    the triangle's largest centroid-to-corner distance (which include every
+    triangle that can be nearer than ub).  Only the points that can still
+    raise the running maximum lo, which starts at floor, are searched and
+    measured:
 
-    1. the sixteenth of the points with ub > lo that has the largest ub, at
-       most a block, is measured first and seeds lo;
-    2. each point still above lo gets a second bound: min(sqrt of the least
-       squared distance to the triangles around its nearest vertex, ub);
-    3. the points whose bound still exceeds lo are measured a block at a time
+    1. the seed, the points with no finite bound and the sixteenth of those
+       above lo with the largest bound, at most a block, gets its ub, which
+       lowers its bound (points get their ub a block at a time);
+    2. the sixteenth of the seed still above lo that has the largest bound,
+       at most a block, is measured and seeds lo;
+    3. each other point still above lo gets its ub, and then a second bound:
+       min(sqrt of the least squared distance to the triangles around its
+       nearest vertex, its bound);
+    4. the points whose bound still exceeds lo are measured a block at a time
        in descending bound order, until a block's largest bound is <= lo.
 
-    Both bounds are >= the point's distance, to the bit: the triangles around
-    the nearest vertex are among its candidates, the distance kernel gives a
-    (point, triangle) pair the same bits in any block, and sqrt is monotone.
-    A point whose bound is <= lo therefore cannot change the result.
+    With no start bound the seed is every point.  ub and the around bound are
+    >= the point's distance, to the bit: the triangles around the nearest
+    vertex are among its candidates, the distance kernel gives a (point,
+    triangle) pair the same bits in any block, and sqrt is monotone.  A point
+    whose bound is <= lo therefore cannot change the result, and a measured
+    point has the same ub and candidates as with no start bound.
     """
     lo = float(floor)
-    ub, nearest = cells.nearest(points_t)
-    # each point's upper bound; a measured point's bound is its distance
-    bound = ub.copy()
-    above = np.flatnonzero(ub > lo)
-    if above.size == 0:
-        return lo, bound
+    bound = np.full(points_t.shape[1], np.inf) if bound is None else bound
+    ub = np.full(bound.shape, np.inf)
+    # -1 until the point's nearest vertex is searched
+    nearest = np.full(bound.shape, -1, dtype=np.int64)
     block = _HAUSDORFF_BLOCK
+
+    def search(idx):
+        for s in range(0, idx.size, block):
+            i = idx[s:s + block]
+            ub[i], nearest[i] = cells.nearest(points_t[:, i])
+        bound[idx] = np.minimum(bound[idx], ub[idx])
 
     def measure(idx):
         best = cells.candidate_least_sq(points_t, idx, ub)
         bound[idx] = np.minimum(np.sqrt(best), ub[idx])
         return float(bound[idx].max())
 
-    seed = min(block, above.size // 16)
-    if seed:
-        top = above[np.argpartition(ub[above], above.size - seed)[above.size - seed:]]
-        lo = max(lo, measure(top))
-        above = above[bound[above] > lo]
-        if above.size == 0:
-            return lo, bound
+    def top(idx):
+        """The sixteenth of the points idx with the largest bound, at most a block."""
+        k = min(block, idx.size // 16)
+        return idx[np.argpartition(bound[idx], idx.size - k)[idx.size - k:]] if k else idx[:0]
 
-    around, first, count = cells.around
+    seed = np.isinf(bound)
+    seed[top(np.flatnonzero(bound > lo))] = True
+    search(np.flatnonzero(seed))
+
+    above = np.flatnonzero(bound > lo)
+    first = top(above[nearest[above] >= 0])
+    if first.size:
+        lo = max(lo, measure(first))
+    above = above[bound[above] > lo]
+    search(above[nearest[above] < 0])
+    above = above[bound[above] > lo]
+
     for s in range(0, above.size, block):
         idx = above[s:s + block]
-        counts = count[nearest[idx]]
-        shift = first[nearest[idx]] - (np.cumsum(counts) - counts)
-        tris = around[np.repeat(shift, counts) + np.arange(counts.sum())]
+        owner, tris = cells.triangles_around(nearest[idx])
         best = np.full(idx.size, np.inf)
-        _least_sq(best, points_t[:, idx], cells.corners,
-                  np.repeat(np.arange(idx.size), counts), tris)
-        bound[idx] = np.minimum(np.sqrt(best), ub[idx])
+        _least_sq(best, points_t[:, idx], cells.corners, owner, tris)
+        bound[idx] = np.minimum(np.sqrt(best), bound[idx])
     above = above[bound[above] > lo]
 
     above = above[np.argsort(-bound[above], kind="stable")]
@@ -369,6 +404,58 @@ def _triangle_samples(mesh: TriMesh, triangles=None) -> np.ndarray:
                            1 / 3 * v0 + 1 / 3 * v1 + 1 / 3 * v2], axis=1)
 
 
+def _triangle_bound(bound, triangles, edges, margin):
+    """Bound on the distance of every point of each triangle from its
+    corners' bounds: a point lies within the longer of the two edges at a
+    corner c of c, and the distance to a surface grows no faster than the
+    point moves, so min over corners of (c's bound + longer edge at c), plus
+    a rounding margin at the meshes' coordinate scale."""
+    # corner c of a triangle holds its edges c and c - 1 (mod 3)
+    return np.minimum.reduce([bound[triangles[:, c]] + np.maximum(edges[c], edges[c - 1])
+                              for c in range(3)]) + margin
+
+
+def _vertex_distance(source: TriMesh, target: TriMesh, i, j):
+    """|source vertex i - target vertex j|, with the bits of _CellList.nearest's distances."""
+    d = np.take(source.vertices.T, i, axis=1) - np.take(target.vertices.T, j, axis=1)
+    return np.sqrt(_dot(d, d))
+
+
+def _partners(source: TriMesh, target: TriMesh):
+    """(partner, bound), (V,) each over the source vertices: the target vertex
+    on the vertex's grid edge by TriMesh.edge_keys, -1 where there is none or
+    a mesh has no keys, and the distance to it, inf where there is none.  The
+    target's keys are searched as sorted; whatever the keys, a partner is
+    some target vertex, so the distance bounds the vertex's."""
+    keys, other = (np.empty(0, np.int32) if m.edge_keys is None else m.edge_keys
+                   for m in (source, target))
+    at = np.searchsorted(other, keys)
+    hit = np.flatnonzero(at < other.size)
+    hit = hit[other[at[hit]] == keys[hit]]
+    partner = np.full(source.vertices.shape[0], -1, dtype=np.int32)
+    partner[hit] = at[hit]
+    bound = np.full(partner.size, np.inf)
+    bound[hit] = _vertex_distance(source, target, hit, at[hit])
+    return partner, bound
+
+
+def _shared_bound(source, target, partner, tris, cells):
+    """Bound, less the rounding margin, on the distance of every point of the
+    source triangles tris: where the partners b_i of the corners a_i are
+    corners of one target triangle, found around b_0, sum l_i a_i lies within
+    max_i |a_i - b_i| of its point sum l_i b_i; inf elsewhere."""
+    p = partner[source.triangles[tris]]
+    whole = np.flatnonzero(p.min(axis=1) >= 0)
+    bound = np.full(tris.size, np.inf)
+    if whole.size:  # else the around map is not built
+        owner, held = cells.triangles_around(p[whole, 0])
+        held, q = target.triangles[held], p[whole[owner]]
+        on = whole[owner[(held == q[:, 1:2]).any(axis=1) & (held == q[:, 2:3]).any(axis=1)]]
+        bound[on] = np.maximum.reduce([_vertex_distance(source, target, source.triangles[tris[on], i],
+                                                        p[on, i]) for i in range(3)])
+    return bound
+
+
 def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) -> float:
     """Symmetric Hausdorff estimate between two mesh surfaces: the max over
     the sample points of each mesh (its vertices and the 10-point lattice of
@@ -376,15 +463,15 @@ def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) 
     of the distance to the other, to the bit.
 
     Both cell lists take the longest edge of either mesh as their side.  A
-    direction measures the source mesh's vertices first, with _bounded_max.
-    A lattice point of a triangle lies within the longer of the two edges at
-    a corner c of that corner, and the distance to a surface grows no faster
-    than the point moves, so the triangle's points cannot exceed min over
-    corners of (c's bound + longer edge at c); only the triangles whose
-    bound, plus a rounding margin at the meshes' coordinate scale, exceeds
-    the running maximum get lattice points.  The second direction starts
-    from the first one's maximum.  Raises ValueError for another
-    samples_per_triangle than 10 and when a mesh has no triangle.
+    direction measures the source mesh's vertices first, with _bounded_max,
+    from their _partners bounds, each lowered once to the _triangle_bound of
+    a triangle that holds it: the seed is the vertices with no finite bound
+    and the sixteenth with the largest.  Only the triangles whose
+    _triangle_bound of the vertex bounds, and then whose _shared_bound plus
+    the margin, exceeds the running maximum get lattice points.
+    The second direction starts from the first one's maximum.  Raises
+    ValueError for another samples_per_triangle than 10 and when a mesh has
+    no triangle.
     """
     if samples_per_triangle != 10:
         raise ValueError(f"hausdorff takes 10 samples per triangle, got {samples_per_triangle}")
@@ -395,15 +482,19 @@ def hausdorff(mesh_a: TriMesh, mesh_b: TriMesh, samples_per_triangle: int = 10) 
     margin = _rounding_margin(side, mesh_a.vertices, mesh_b.vertices)
     lo = 0.0
     for source, target, e in ((mesh_a, mesh_b, edges[0]), (mesh_b, mesh_a, edges[1])):
+        partner, bound = _partners(source, target)
+        tri_bound = _triangle_bound(bound, source.triangles, e, margin)
+        for v in source.triangles.T:
+            # a vertex of several triangles takes one of their bounds, any of which holds
+            bound[v] = np.minimum(bound[v], tri_bound)
+        del tri_bound
         cells = _CellList(target, side, margin)
-        lo, bound = _bounded_max(source.vertices.T, cells, lo)
-        # corner c of a triangle holds its edges c and c - 1 (mod 3)
-        tri_bound = np.minimum.reduce([bound[source.triangles[:, c]] + np.maximum(e[c], e[c - 1])
-                                       for c in range(3)]) + margin
-        tris = np.flatnonzero(tri_bound > lo)
+        lo, bound = _bounded_max(source.vertices.T, cells, lo, bound)
+        tris = np.flatnonzero(_triangle_bound(bound, source.triangles, e, margin) > lo)
+        tris = tris[_shared_bound(source, target, partner, tris, cells) + margin > lo]
         if tris.size:
             lo = _bounded_max(_triangle_samples(source, tris), cells, lo)[0]
         # free this direction's cell list and bounds before the next one is
         # built: holding both would set the peak memory of a compare
-        del cells, bound, tri_bound, tris
+        del cells, bound, tris, partner
     return lo

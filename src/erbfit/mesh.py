@@ -54,10 +54,16 @@ class TriMesh:
     """Triangle mesh: (F, 3) integer rows, 0-based, into finite (V, 3) vertices.
 
     vertices is the transpose view of the gate's (3, V) array (field.coordinate_major).
+    edge_keys, when given, is a (V,) integer array naming the grid edge that
+    holds each vertex: extract_isosurface sets axis * grid nodes + the edge's
+    C-order key, strictly increasing.  It is None for a mesh built by hand,
+    and translated drops it.  hausdorff reads it only to choose which vertex
+    of a mesh of the same grid bounds a distance (erbfit.distance).
     """
 
     vertices: np.ndarray   # (V, 3) float
     triangles: np.ndarray  # (F, 3) int
+    edge_keys: np.ndarray | None = None  # (V,) int
 
     def __post_init__(self):
         v = coordinate_major(self.vertices).T
@@ -71,6 +77,11 @@ class TriMesh:
             raise ValueError("triangle index out of range")
         if t.size and ((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])).any():
             raise ValueError("degenerate triangle (repeated vertex index)")
+        if self.edge_keys is not None:
+            k = np.asarray(self.edge_keys)
+            if k.shape != (v.shape[0],) or not np.issubdtype(k.dtype, np.integer):
+                raise ValueError(f"expected ({v.shape[0]},) integer edge keys, got {k.dtype} {k.shape}")
+            object.__setattr__(self, "edge_keys", k)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
 
@@ -125,11 +136,12 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
     # numbered x-edges, then y-edges, then z-edges, each in C order: a cut
     # edge's id is its axis's first id plus the rank of its C-order key among
     # the axis's cut edges.  An edge that is not cut gets an id too, which no
-    # triangle-table row reads
+    # triangle-table row reads.  A vertex's edge key is axis * grid nodes +
+    # that C-order key: at most 3 * MAX_GRID_POINTS, so int32 holds it
     xs = [grid.axis_coords(p) for p in range(3)]
     ci, cj, ck = np.unravel_index(cells, (nx, ny, nz))
     edge_vertex = np.empty((cells.size, 12), dtype=np.int64)
-    vertices, n = [], 0
+    vertices, edge_keys, n = [], [], 0
     for axis in range(3):
         cut = np.diff(below, axis=axis)
         lo = np.nonzero(cut)
@@ -140,6 +152,7 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
         coords[axis] = coords[axis] + t * (xs[axis][hi[axis]] - coords[axis])
         vertices.append(np.stack(coords))
         keys = np.ravel_multi_index(lo, cut.shape)
+        edge_keys.append((keys + axis * vals.size).astype(np.int32))
         for e, (edge_axis, (dx, dy, dz)) in enumerate(_CUBE_EDGES):
             if edge_axis == axis:
                 edge_vertex[:, e] = n + np.searchsorted(
@@ -151,7 +164,7 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
     # the mask then drops
     triangles = np.take_along_axis(edge_vertex, rows, axis=1)[rows >= 0]
     return TriMesh(vertices=np.concatenate(vertices, axis=1).T,
-                   triangles=triangles.reshape(-1, 3))
+                   triangles=triangles.reshape(-1, 3), edge_keys=np.concatenate(edge_keys))
 
 
 def _area_volume(mesh: TriMesh) -> tuple[float, float]:

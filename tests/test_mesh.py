@@ -1,5 +1,6 @@
 """Iso-surface extraction, area/volume, Hausdorff distance, surface comparison."""
 
+import dataclasses
 import hashlib
 import time
 import tracemalloc
@@ -21,6 +22,7 @@ from erbfit.distance import (
 )
 from erbfit.field import Box, GaussianField, GridSpec, bounding_box
 from erbfit.initializer import init_model
+from erbfit.model import load_model
 from erbfit.mesh import (
     EmptyMeshError,
     MeshError,
@@ -199,6 +201,43 @@ def test_translated_moves_vertices_only():
     shifted = m.translated(np.array([1.0, 2.0, 3.0]))
     assert np.array_equal(shifted.vertices, m.vertices + [1.0, 2.0, 3.0])
     assert np.array_equal(shifted.triangles, m.triangles)
+
+
+@pytest.mark.parametrize("keys", [np.arange(3.0), np.arange(2), np.arange(3).reshape(1, 3),
+                                  np.array([True, False, True]), "abc"])
+def test_trimesh_refuses_edge_keys_that_are_not_one_integer_per_vertex(keys):
+    with pytest.raises(ValueError, match=r"expected \(3,\) integer edge keys"):
+        TriMesh(vertices=np.eye(3), triangles=np.array([[0, 1, 2]]), edge_keys=keys)
+
+
+def test_extracted_edge_keys_name_each_vertex_s_grid_edge(tmp_path):
+    # one int32 key per vertex, axis * grid nodes + the C-order key of its
+    # cut edge, strictly increasing; the vertex lies on that edge.  A hand-built
+    # or translated mesh has none, and the keys never reach the OBJ file
+    box = Box(lo=np.full(3, -3.0), hi=np.full(3, 3.0))
+    mesh = _sphere_mesh(spacing=0.5)
+    keys = mesh.edge_keys
+    assert keys.dtype == np.int32 and keys.shape == (mesh.vertices.shape[0],)
+    assert (np.diff(keys) > 0).all()
+    grid = make_grid(box, 0.5)
+    nodes = int(np.prod(grid.shape))
+    for axis in range(3):
+        on = keys // nodes == axis
+        cut_shape = tuple(n - (p == axis) for p, n in enumerate(grid.shape))
+        index = np.unravel_index(keys[on] % nodes, cut_shape)
+        for p in range(3):
+            x = grid.axis_coords(p)
+            if p == axis:
+                assert (x[index[p]] <= mesh.vertices[on, p]).all()
+                assert (mesh.vertices[on, p] <= x[index[p] + 1]).all()
+            else:
+                assert np.array_equal(mesh.vertices[on, p], x[index[p]])
+    bare = TriMesh(vertices=mesh.vertices, triangles=mesh.triangles)
+    assert bare.edge_keys is None
+    assert mesh.translated(np.array([1.0, 0.0, 0.0])).edge_keys is None
+    write_obj(mesh, tmp_path / "keys.obj", ["h"])
+    write_obj(bare, tmp_path / "bare.obj", ["h"])
+    assert (tmp_path / "keys.obj").read_bytes() == (tmp_path / "bare.obj").read_bytes()
 
 
 # ---------------------------------------------------------------- extraction
@@ -893,6 +932,108 @@ def test_hausdorff_on_far_and_offset_meshes(name):
     assert h == _reference_hausdorff(a, b)
     assert elapsed < 10.0
     assert peak < 32 * 2**20
+
+
+def _hausdorff_work(monkeypatch, a, b):
+    """(H, points given to _CellList.nearest, triangles given lattice points)."""
+    work = {"points": 0, "triangles": 0}
+    nearest, samples = _CellList.nearest, erbfit.distance._triangle_samples
+
+    def counting_nearest(self, points_t):
+        work["points"] += points_t.shape[1]
+        return nearest(self, points_t)
+
+    def counting_samples(mesh, triangles=None):
+        work["triangles"] += len(triangles)
+        return samples(mesh, triangles)
+
+    monkeypatch.setattr(_CellList, "nearest", counting_nearest)
+    monkeypatch.setattr(erbfit.distance, "_triangle_samples", counting_samples)
+    return hausdorff(a, b), work["points"], work["triangles"]
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(n_atoms=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       spacing=st.floats(0.5, 0.8))
+def test_edge_keys_choose_and_never_decide(n_atoms, seed, spacing):
+    # two fields meshed on one grid: H is the reference's to the bit with the
+    # keys, without them, with one mesh's keys from another spacing's grid
+    # and with the other's shifted by one, which pairs vertices of
+    # neighbouring edges
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-2.5, 2.5, (n_atoms, 3))
+    radii = rng.uniform(1.0, 2.0, n_atoms)
+    box = Box(lo=np.full(3, -8.0), hi=np.full(3, 8.0))
+    field = GaussianField(centers=centers, radii=radii, decay=0.5)
+    moved = GaussianField(centers=centers + rng.normal(0.0, 0.3, centers.shape),
+                          radii=radii * rng.uniform(0.9, 1.1, n_atoms),
+                          decay=rng.uniform(0.4, 0.6))
+    a, b = (extract_isosurface(f.values, box, spacing, 1.0) for f in (field, moved))
+    h = _reference_hausdorff(a, b)
+    assert hausdorff(a, b) == h
+    assert hausdorff(dataclasses.replace(a, edge_keys=None),
+                     dataclasses.replace(b, edge_keys=None)) == h
+    foreign = extract_isosurface(field.values, box, 1.37 * spacing, 1.0).edge_keys
+    assert hausdorff(dataclasses.replace(a, edge_keys=np.resize(foreign, a.vertices.shape[0])),
+                     b) == h
+    shifted = dataclasses.replace(b, edge_keys=b.edge_keys + 1)
+    assert (erbfit.distance._partners(a, shifted)[0] >= 0).any()
+    assert hausdorff(a, shifted) == h
+    assert hausdorff(shifted, a) == h
+
+
+@pytest.fixture(scope="module")
+def bundled_fit_meshes(tmp_path_factory, run_main, bundled_pqr, molecule):
+    """The bundled field's mesh and its 2000/1500 fit's mesh at 0.5 A, as
+    erbfit compare meshes them."""
+    out = tmp_path_factory.mktemp("fit")
+    assert run_main(["sparsify", bundled_pqr, "--out", out, "--max-iter", 2000,
+                     "--sparse-iter", 1500]) == (0, [])
+    model, _ = load_model(out / "model.json")
+    field = GaussianField.from_molecule(molecule, decay=0.5, isovalue=1.0)
+    box = bounding_box(molecule)
+    return (extract_isosurface(field.values, box, 0.5, 1.0),
+            extract_isosurface(model.values, box, 0.5, 1.0))
+
+
+def test_shared_lattice_leaves_most_triangles_without_lattice_points(monkeypatch,
+                                                                     bundled_fit_meshes):
+    # with the vertices' bounds alone 4652 of the 4772 triangles get lattice
+    # points, with the partner triangles 1022
+    a, b = bundled_fit_meshes
+    h, _, triangles = _hausdorff_work(monkeypatch, a, b)
+    assert h == _reference_hausdorff(a, b)
+    assert a.n_f + b.n_f == 4772
+    assert triangles < (a.n_f + b.n_f) / 4
+
+
+def _packed_ball(n_atoms, seed):
+    """Centers and radii of n_atoms in a ball of 20 A^3 an atom, at least
+    2.2 A apart, radii 1.4-1.9 A: packed like a protein's heavy atoms."""
+    rng = np.random.default_rng(seed)
+    r = (3.0 * 20.0 * n_atoms / (4.0 * np.pi)) ** (1.0 / 3.0)
+    centers = []
+    while len(centers) < n_atoms:
+        c = rng.uniform(-r, r, 3)
+        if c @ c <= r * r and all(((c - p) ** 2).sum() >= 2.2**2 for p in centers):
+            centers.append(c)
+    return np.array(centers), rng.uniform(1.4, 1.9, n_atoms)
+
+
+def test_shared_lattice_settles_most_vertices_without_a_search(monkeypatch):
+    # a 60-atom ball against its decay-0.45 stand-in: by the vertices' own
+    # bounds every one of the 9564 vertices goes to the nearest-vertex search
+    # (9726 points with the lattice points), from the partner bounds 568
+    # points do, lattice points included; H is the same to the bit
+    centers, radii = _packed_ball(60, 0)
+    box = Box(lo=centers.min(axis=0) - 4.0, hi=centers.max(axis=0) + 4.0)
+    a, b = (extract_isosurface(GaussianField(centers=centers, radii=radii, decay=d).values,
+                               box, 0.5, 1.0) for d in (0.5, 0.45))
+    n_vertices = a.vertices.shape[0] + b.vertices.shape[0]
+    h, points, _ = _hausdorff_work(monkeypatch, a, b)
+    assert n_vertices == 9564
+    assert points < n_vertices / 8
+    assert h == _reference_hausdorff(a, b)
 
 
 # ---------------------------------------------------------------- comparison
