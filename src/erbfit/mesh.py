@@ -46,7 +46,10 @@ _CUBE_EDGES = (
     (0, (0, 0, 1)), (1, (1, 0, 1)), (0, (0, 1, 1)), (1, (0, 0, 1)),
     (2, (0, 0, 0)), (2, (1, 0, 0)), (2, (1, 1, 0)), (2, (0, 1, 0)),
 )
-_TRIANGLES = np.array(TRI_TABLE, dtype=np.int64)
+# each cube edge's axis, and its start offsets as (dx, dy, dz) arrays
+_EDGE_AXES = np.array([axis for axis, _ in _CUBE_EDGES], dtype=np.int8)
+_EDGE_STARTS = tuple(np.array(d) for d in zip(*(start for _, start in _CUBE_EDGES)))
+_TRIANGLES = np.array(TRI_TABLE, dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,9 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
     `evaluator` maps the GridSpec of the mesh to its len(grid) node values
     in C order, as GaussianField.values and RbfModel.values do.  Triangles
     follow the cells in C order, with normals pointing toward decreasing
-    field values, outward for a molecular density.  Raises EmptyMeshError
+    field values, outward for a molecular density.  The working memory is
+    the value grid, a few bytes a node and O(triangles): the values are
+    released once the vertices are interpolated.  Raises EmptyMeshError
     when no grid cell crosses the isovalue, MeshError when a grid node on the
     box boundary is not below the isovalue, and ValueError for a non-finite
     isovalue.
@@ -118,30 +123,35 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
     grid = make_grid(box, spacing)
     nx, ny, nz = grid.counts
     vals = np.asarray(evaluator(grid), dtype=np.float64).reshape(grid.shape)
-    if not np.isfinite(vals).all():
+    # min and max carry a nan, with no temporary
+    if not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
         raise MeshError("field evaluator produced non-finite values")
 
+    # a cell's case: each corner's bit, shifted from a uint8 view of below
+    # into one reused buffer
     below = vals < isovalue
-    case = np.zeros((nx, ny, nz), dtype=np.uint8)
-    for bit, (dx, dy, dz) in enumerate(_CORNER_OFFSETS):
-        case |= below[dx:nx + dx, dy:ny + dy, dz:nz + dz].astype(np.uint8) << bit
+    bits = below.view(np.uint8)
+    case = bits[:nx, :ny, :nz].copy()
+    shifted = np.empty_like(case)
+    for bit, (dx, dy, dz) in enumerate(_CORNER_OFFSETS[1:], start=1):
+        case |= np.left_shift(bits[dx:nx + dx, dy:ny + dy, dz:nz + dz], bit, out=shifted)
+    del shifted
     cells = np.flatnonzero((case != 0) & (case != 255))
     if cells.size == 0:
         raise EmptyMeshError(
             f"isovalue {isovalue} is not crossed anywhere inside the box")
     if not _inside_grid(below):
         raise MeshError("the surface reaches the box boundary; the mesh would be open")
+    rows = _TRIANGLES[case.ravel()[cells]]
+    del case
 
     # one vertex per cut grid edge (np.diff of a bool array is "not equal"),
-    # numbered x-edges, then y-edges, then z-edges, each in C order: a cut
-    # edge's id is its axis's first id plus the rank of its C-order key among
-    # the axis's cut edges.  An edge that is not cut gets an id too, which no
-    # triangle-table row reads.  A vertex's edge key is axis * grid nodes +
-    # that C-order key: at most 3 * MAX_GRID_POINTS, so int32 holds it
+    # numbered x-edges, then y-edges, then z-edges, each in C order.  A
+    # vertex's edge key is axis * grid nodes + the edge's C-order key: at
+    # most 3 * MAX_GRID_POINTS, so int32 holds it, and the keys increase
+    # strictly, so a vertex's id is the rank of its key
     xs = [grid.axis_coords(p) for p in range(3)]
-    ci, cj, ck = np.unravel_index(cells, (nx, ny, nz))
-    edge_vertex = np.empty((cells.size, 12), dtype=np.int64)
-    vertices, edge_keys, n = [], [], 0
+    vertices, edge_keys, key_shapes = [], [], []
     for axis in range(3):
         cut = np.diff(below, axis=axis)
         lo = np.nonzero(cut)
@@ -151,20 +161,26 @@ def extract_isosurface(evaluator, box: Box, spacing: float, isovalue: float) -> 
         coords = [xs[p][lo[p]] for p in range(3)]
         coords[axis] = coords[axis] + t * (xs[axis][hi[axis]] - coords[axis])
         vertices.append(np.stack(coords))
-        keys = np.ravel_multi_index(lo, cut.shape)
-        edge_keys.append((keys + axis * vals.size).astype(np.int32))
-        for e, (edge_axis, (dx, dy, dz)) in enumerate(_CUBE_EDGES):
-            if edge_axis == axis:
-                edge_vertex[:, e] = n + np.searchsorted(
-                    keys, np.ravel_multi_index((ci + dx, cj + dy, ck + dz), cut.shape))
-        n += t.size
+        edge_keys.append((np.ravel_multi_index(lo, cut.shape) + axis * len(grid)).astype(np.int32))
+        key_shapes.append(cut.shape)
+    del vals, below, cut
+    edge_keys = np.concatenate(edge_keys)
 
-    rows = _TRIANGLES[case.ravel()[cells]]
-    # -1 pads each row; take_along_axis reads it as the last column, which
-    # the mask then drops
-    triangles = np.take_along_axis(edge_vertex, rows, axis=1)[rows >= 0]
+    # each triangle corner is one table entry of a crossed cell's row (the
+    # -1 padding is skipped): its cell, and the cube edge that holds it
+    corner = np.flatnonzero(rows >= 0)
+    edge = rows.ravel()[corner]
+    corner //= rows.shape[1]
+    del rows
+    ijk = np.unravel_index(cells, (nx, ny, nz))
+    triangles = np.empty(corner.size, dtype=np.int64)
+    for axis, shape in enumerate(key_shapes):
+        on = np.flatnonzero(_EDGE_AXES[edge] == axis)
+        offset = np.ravel_multi_index(_EDGE_STARTS, shape)
+        keys = np.ravel_multi_index(ijk, shape)[corner[on]] + offset[edge[on]]
+        triangles[on] = np.searchsorted(edge_keys, (keys + axis * len(grid)).astype(np.int32))
     return TriMesh(vertices=np.concatenate(vertices, axis=1).T,
-                   triangles=triangles.reshape(-1, 3), edge_keys=np.concatenate(edge_keys))
+                   triangles=triangles.reshape(-1, 3), edge_keys=edge_keys)
 
 
 def _area_volume(mesh: TriMesh) -> tuple[float, float]:

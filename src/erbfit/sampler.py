@@ -23,8 +23,8 @@ from .field import (Box, GaussianField, GridSpec, SamplingError, coordinate_majo
 
 
 # largest grid make_grid builds.  Traced on 0.05-3.2 M node grids, meshing peaks
-# at 55-23 bytes a node (values, cell cases, masks) and selection at 37 (phi,
-# mask, kept points and targets), so 0.8-1.2 GB at this size, while the 0.5 A
+# at 18-12 bytes a node (values, cell cases, masks) and selection at 37 (phi,
+# mask, kept points and targets), so 0.4-1.2 GB at this size, while the 0.5 A
 # mesh of a 400-atom molecule needs about half a million points
 MAX_GRID_POINTS = 2**25
 

@@ -34,7 +34,7 @@ from erbfit.mesh import (
     mesh_volume,
     write_obj,
 )
-from erbfit.sampler import make_grid
+from erbfit.sampler import _inside_grid, make_grid
 
 SPHERE_R = 1.5
 SPHERE_AREA = 4.0 * np.pi * SPHERE_R**2       # 28.2743...
@@ -122,6 +122,60 @@ def _reference_extract(evaluator, box, spacing, isovalue):
     return TriMesh(vertices=np.array(vertices), triangles=np.array(triangles))
 
 
+# cube edge e runs along axis _CUBE_EDGES[e][0] from the cell corner offset
+# _CUBE_EDGES[e][1], as in erbfit.mesh
+_CUBE_EDGES = (
+    (0, (0, 0, 0)), (1, (1, 0, 0)), (0, (0, 1, 0)), (1, (0, 0, 0)),
+    (0, (0, 0, 1)), (1, (1, 0, 1)), (0, (0, 1, 1)), (1, (0, 0, 1)),
+    (2, (0, 0, 0)), (2, (1, 0, 0)), (2, (1, 1, 0)), (2, (0, 1, 0)),
+)
+
+
+def _padded_table_extract(evaluator, box, spacing, isovalue):
+    """extract_isosurface as it was before it kept only the table entries
+    that exist, frozen as the bit-identity oracle: (cells, 16) int64 table
+    rows, a (cells, 12) vertex id for every cube edge, take_along_axis over
+    both and the rows >= 0 mask."""
+    grid = make_grid(box, spacing)
+    nx, ny, nz = grid.counts
+    vals = np.asarray(evaluator(grid), dtype=np.float64).reshape(grid.shape)
+    if not np.isfinite(vals).all():
+        raise MeshError("field evaluator produced non-finite values")
+    below = vals < isovalue
+    case = np.zeros((nx, ny, nz), dtype=np.uint8)
+    for bit, (dx, dy, dz) in enumerate(_CORNERS):
+        case |= below[dx:nx + dx, dy:ny + dy, dz:nz + dz].astype(np.uint8) << bit
+    cells = np.flatnonzero((case != 0) & (case != 255))
+    if cells.size == 0:
+        raise EmptyMeshError(f"isovalue {isovalue} is not crossed anywhere inside the box")
+    if not _inside_grid(below):
+        raise MeshError("the surface reaches the box boundary; the mesh would be open")
+    xs = [grid.axis_coords(p) for p in range(3)]
+    ci, cj, ck = np.unravel_index(cells, (nx, ny, nz))
+    edge_vertex = np.empty((cells.size, 12), dtype=np.int64)
+    vertices, edge_keys, n = [], [], 0
+    for axis in range(3):
+        cut = np.diff(below, axis=axis)
+        lo = np.nonzero(cut)
+        hi = lo[:axis] + (lo[axis] + 1,) + lo[axis + 1:]
+        va = vals[lo]
+        t = (isovalue - va) / (vals[hi] - va)
+        coords = [xs[p][lo[p]] for p in range(3)]
+        coords[axis] = coords[axis] + t * (xs[axis][hi[axis]] - coords[axis])
+        vertices.append(np.stack(coords))
+        keys = np.ravel_multi_index(lo, cut.shape)
+        edge_keys.append((keys + axis * vals.size).astype(np.int32))
+        for e, (edge_axis, (dx, dy, dz)) in enumerate(_CUBE_EDGES):
+            if edge_axis == axis:
+                edge_vertex[:, e] = n + np.searchsorted(
+                    keys, np.ravel_multi_index((ci + dx, cj + dy, ck + dz), cut.shape))
+        n += t.size
+    rows = np.array(TRI_TABLE, dtype=np.int64)[case.ravel()[cells]]
+    triangles = np.take_along_axis(edge_vertex, rows, axis=1)[rows >= 0]
+    return TriMesh(vertices=np.concatenate(vertices, axis=1).T,
+                   triangles=triangles.reshape(-1, 3), edge_keys=np.concatenate(edge_keys))
+
+
 def test_triangle_table_is_the_published_one():
     # decoded at import from its string form: 16 edge indices per case, -1 padded
     assert len(TRI_TABLE) == 256 and all(len(case) == 16 for case in TRI_TABLE)
@@ -137,6 +191,15 @@ def _assert_same_mesh(evaluator, box, spacing, isovalue):
     np.testing.assert_allclose(got.vertices[got.triangles], ref.vertices[ref.triangles],
                                rtol=0, atol=1e-12)
     return got
+
+
+def _assert_same_bits(evaluator, box, spacing, isovalue):
+    got = extract_isosurface(evaluator, box, spacing, isovalue)
+    ref = _padded_table_extract(evaluator, box, spacing, isovalue)
+    assert got.vertices.shape == ref.vertices.shape
+    assert got.vertices.tobytes() == ref.vertices.tobytes()
+    assert got.triangles.dtype == np.int64 and np.array_equal(got.triangles, ref.triangles)
+    assert got.edge_keys.dtype == np.int32 and np.array_equal(got.edge_keys, ref.edge_keys)
 
 
 # ---------------------------------------------------------------- TriMesh
@@ -317,6 +380,69 @@ def test_matches_reference_on_random_fields(n_atoms, seed, isovalue, spacing):
     # closed: every edge is shared by exactly two triangles
     edges = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     assert set(np.unique(edges, axis=0, return_counts=True)[1].tolist()) == {2}
+
+
+def test_matches_padded_table_oracle_on_sphere():
+    f = _sphere_field()
+    _assert_same_bits(_point_path(f), Box(lo=np.full(3, -3.0), hi=np.full(3, 3.0)), 0.25, 1.0)
+
+
+@pytest.mark.parametrize("spacing", [0.35, 0.5, 1.0])
+def test_matches_padded_table_oracle_on_bundled_field(molecule, spacing):
+    f = GaussianField.from_molecule(molecule, decay=0.5, isovalue=1.0)
+    _assert_same_bits(f.values, bounding_box(molecule), spacing, 1.0)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n_atoms=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       isovalue=st.floats(0.3, 2.0), spacing=st.floats(0.45, 0.8))
+def test_matches_padded_table_oracle_on_random_fields(n_atoms, seed, isovalue, spacing):
+    rng = np.random.default_rng(seed)
+    f = GaussianField(centers=rng.uniform(-2.5, 2.5, (n_atoms, 3)),
+                      radii=rng.uniform(1.0, 2.0, n_atoms), decay=0.5)
+    box = Box(lo=np.full(3, -8.0), hi=np.full(3, 8.0))
+    try:
+        _padded_table_extract(f.values, box, spacing, isovalue)
+    except EmptyMeshError:
+        with pytest.raises(EmptyMeshError):
+            extract_isosurface(f.values, box, spacing, isovalue)
+        return
+    _assert_same_bits(f.values, box, spacing, isovalue)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_refusals_keep_their_order(bad):
+    # a non-finite value is named before anything else, and a field that is
+    # not crossed is empty before its boundary is looked at
+    box = Box(lo=np.zeros(3), hi=np.ones(3))
+    values = np.full(27, 2.0)
+    with pytest.raises(EmptyMeshError):
+        extract_isosurface(lambda grid: values, box, 0.5, 1.0)
+    values[13] = bad
+    with pytest.raises(MeshError, match="non-finite values"):
+        extract_isosurface(lambda grid: values, box, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("name, nodes, n_f", [("bundled", 51_282, 2_384), ("random", 35_937, 1_676)])
+def test_marching_memory_is_the_value_grid_and_o_triangles(molecule, name, nodes, n_f):
+    # at 0.5 A; with the padded per-cell tables the bytes above the values
+    # read 320 a triangle on the bundled field and 330 on the random one
+    if name == "bundled":
+        f, box = GaussianField.from_molecule(molecule, decay=0.5, isovalue=1.0), bounding_box(molecule)
+    else:
+        rng = np.random.default_rng(7)
+        f = GaussianField(centers=rng.uniform(-2.5, 2.5, (10, 3)),
+                          radii=rng.uniform(1.0, 2.0, 10), decay=0.5)
+        box = Box(lo=np.full(3, -8.0), hi=np.full(3, 8.0))
+    values = f.values(make_grid(box, 0.5))
+    tracemalloc.start()
+    try:
+        mesh = extract_isosurface(lambda grid: values.copy(), box, 0.5, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (values.size, mesh.n_f) == (nodes, n_f)
+    assert (peak - 8 * values.size) / mesh.n_f < 200
 
 
 # ---------------------------------------------------------------- area/volume
